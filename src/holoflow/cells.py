@@ -12,7 +12,7 @@ threads and pickled to worker processes.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ._frozen import Frozen
 
@@ -277,14 +277,6 @@ class SignedSymmetry(Frozen):
         trans = [0] * d
         trans[axis] = center
         return cls(tuple(range(d)), signs=signs, trans=trans)
-
-    @classmethod
-    def from_flips(cls, perm: Sequence[int], flips: Iterable[int] = (), trans: Sequence[int] | None = None):
-        d = len(perm)
-        signs = [1] * d
-        for i in flips:
-            signs[i] = -1
-        return cls(perm, signs=signs, trans=trans)
 
     @property
     def dim(self) -> int:

@@ -121,6 +121,8 @@ def _csv_text(rows) -> str:
 
 def _render_verify(command: str, op, config: dict, reports: list[ResidualReport],
                    sites: int, fmt: str, decimal: int | None) -> tuple[str, int]:
+    if not sites:
+        raise click.UsageError("nothing to check: this configuration has no sites")
     bad = violations(reports)
     if fmt == "json":
         payload = {
@@ -434,7 +436,7 @@ def covariance(op_text, d, scale, window, psd, fmt, out, decimal):
 @click.option("--areas", default=None, help="Plaquette areas for sphere operators.")
 @click.option("--window", type=click.IntRange(min=1), default=1, show_default=True,
               help="Half-width of the 3-cell box generating the constraint ideal.")
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @_SEED_OPT
 @_FMT_OPT
 @_OUT_OPT

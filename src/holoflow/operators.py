@@ -23,13 +23,20 @@ by reflections, and the accumulated orientation signs multiply the stored
 table value.  Reflections through an axis the moving plaquette's plane
 contains reverse its orientation; this is where all the signs come from.
 
+The lattice operators also expose their coefficients as integers over one
+unit (a_int, b_int, unit), which is what the residual sweeps in verify.py
+compute with.  CubicalFamilyOp memoizes b_int per family; the memo only
+caches pure table values, is never pickled, and never enters __eq__.
+
 Operators are immutable and their lookups are pure, so instances may be
 shared between threads and pickled to worker processes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import sub
 from typing import Iterator, Mapping, Sequence
 
 from ._frozen import Frozen
@@ -192,6 +199,11 @@ _FAMILIES = {
 }
 
 
+def _orthant_index(index) -> bool:
+    return (isinstance(index, tuple) and len(index) == 3
+            and all(type(i) is int and i >= 0 for i in index))
+
+
 class CubicalFamilyOp(Frozen):
     """An invariant coefficient family on the scale-n dyadic lattice of R^d.
 
@@ -203,7 +215,14 @@ class CubicalFamilyOp(Frozen):
     coefficient at scale n is 4^-n times its scale-0 value.
 
     table_overrides maps ("alpha", (i,j,k)) / ("beta", (i,j,k)) / ("a0",)
-    to replacement integers; it exists for fault-injection experiments.
+    to replacement integers; it exists for fault-injection experiments.  An
+    index must be three non-negative integers, the principal orthant that
+    lookups read: any other index could never be read.
+
+    b_int memoizes the scale-0 table value on (p's coordinate-parity
+    pattern, q - p).  _b_table moves p to the base plaquette by a
+    translation, so its result depends on nothing else.  The memo starts
+    empty and lives as long as the instance; with_scale copies share it.
 
     In three dimensions the resulting coefficient function is symmetric in
     (p, q).  The transverse-sum reduction prescribed for d >= 4 is not:
@@ -215,7 +234,8 @@ class CubicalFamilyOp(Frozen):
     are unaffected.
     """
 
-    __slots__ = ("d", "scale", "variant", "table_overrides")
+    __slots__ = ("d", "scale", "variant", "table_overrides", "_memo")
+    _caches = ("_memo",)
 
     def __init__(self, d: int = 3, scale: int = 0, variant: str = "cubical",
                  table_overrides: Mapping | None = None):
@@ -229,10 +249,16 @@ class CubicalFamilyOp(Frozen):
         for key in overrides:
             if not (key == ("a0",) or (len(key) == 2 and key[0] in ("alpha", "beta"))):
                 raise ValueError(f"bad table override key {key!r}")
+            if key[0] != "a0" and not _orthant_index(key[1]):
+                raise ValueError(
+                    f"{key[0]} override index {key[1]!r} is not three non-negative "
+                    "integers; lookups never read it"
+                )
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "scale", int(scale))
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "table_overrides", overrides)
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def main(cls, d: int = 3, scale: int = 0) -> "CubicalFamilyOp":
@@ -243,7 +269,10 @@ class CubicalFamilyOp(Frozen):
         return cls(d=3, scale=scale, variant="alt3")
 
     def with_scale(self, scale: int) -> "CubicalFamilyOp":
-        return CubicalFamilyOp(self.d, scale, self.variant, self.table_overrides)
+        """The same family at another scale; the copy shares the scale-free memo."""
+        other = CubicalFamilyOp(self.d, scale, self.variant, self.table_overrides)
+        object.__setattr__(other, "_memo", self._memo)
+        return other
 
     def perturbed(self, kind: str, index: tuple | None, delta: int) -> "CubicalFamilyOp":
         """A copy with one base-table entry shifted by delta."""
@@ -283,6 +312,8 @@ class CubicalFamilyOp(Frozen):
     def scale_factor(self) -> Fraction:
         return Fraction(4) ** (-self.scale)
 
+    unit = scale_factor  # every coefficient is an integer times this
+
     # -- universe ------------------------------------------------------------
 
     def check_var(self, p) -> None:
@@ -310,7 +341,28 @@ class CubicalFamilyOp(Frozen):
             raise ValueError(f"plaquettes at different scales: {p}, {q}")
         self.check_var(p)
         self.check_var(q)
-        return self._b_table(p.coords, q.coords) * self.scale_factor
+        return self.b_int(p, q) * self.scale_factor
+
+    def a_int(self, p: Cell) -> int:
+        """a_p over unit.  Callers check the universe."""
+        return self.a0
+
+    def b_int(self, p: Cell, q: Cell) -> int:
+        """The scale-0 table value of (p, q), signs included, memoized.
+
+        Reads only coordinates, so it serves every scale of the family:
+        b_pq = b_int(p, q) * 4^-n.  Callers check the universe.
+        """
+        up, uq = p.coords, q.coords
+        parity = tuple([c & 1 for c in up])
+        row = self._memo.get(parity)
+        if row is None:
+            row = self._memo[parity] = {}
+        offset = tuple(map(sub, uq, up))
+        value = row.get(offset)
+        if value is None:
+            value = row[offset] = self._b_table(up, uq)
+        return value
 
     def _b_table(self, up: tuple, uq: tuple) -> int:
         """Scale-0 table value for the pair, signs included."""
@@ -414,7 +466,7 @@ class ExplicitOp(Frozen):
 
     variant = "explicit"
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "unit", "_a_int", "_b_int")
 
     def __init__(self, a: Mapping, b: Mapping):
         a_clean = {v: Fraction(c) for v, c in a.items()}
@@ -429,6 +481,10 @@ class ExplicitOp(Frozen):
             b_clean[key] = c
         object.__setattr__(self, "a", a_clean)
         object.__setattr__(self, "b", b_clean)
+        den = math.lcm(*(c.denominator for c in (*a_clean.values(), *b_clean.values())))
+        object.__setattr__(self, "unit", Fraction(1, den))
+        object.__setattr__(self, "_a_int", {v: int(c * den) for v, c in a_clean.items()})
+        object.__setattr__(self, "_b_int", {k: int(c * den) for k, c in b_clean.items()})
 
     def check_var(self, v) -> None:
         if v not in self.a:
@@ -448,6 +504,14 @@ class ExplicitOp(Frozen):
         self.check_var(p)
         self.check_var(q)
         return self.b.get(_pair_key(p, q), Fraction(0))
+
+    def a_int(self, v) -> int:
+        """a_v over unit, the lcm of the table denominators.  Callers check the universe."""
+        return self._a_int[v]
+
+    def b_int(self, p, q) -> int:
+        """b_pq over unit.  Callers check the universe."""
+        return self._b_int.get(_pair_key(p, q), 0)
 
     def apply(self, f: Polynomial) -> Polynomial:
         return apply_operator(self, f)

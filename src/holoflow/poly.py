@@ -341,19 +341,6 @@ def _parse_var_factor(factor: str, context: str) -> Polynomial:
     return Polynomial.var(var, exp)
 
 
-def polynomial_to_json(f: Polynomial) -> list[dict]:
-    """JSON shape mirroring the term map: [{"monomial": [...], "coeff": "p/q"}]."""
-    items = []
-    for m in sorted(f.terms, key=_mono_sort_key):
-        items.append(
-            {
-                "monomial": [[_format_var(v), e] for v, e in m],
-                "coeff": str(f.terms[m]),
-            }
-        )
-    return items
-
-
 class LinearIdeal(Frozen):
     """Ideal spanned by linear forms with zero constant term.
 
@@ -409,12 +396,6 @@ class LinearIdeal(Frozen):
     @property
     def leading_variables(self) -> set:
         return set(self._subst)
-
-    def substitution_for(self, v) -> Polynomial | None:
-        """The normal form of an eliminated variable, or None."""
-        if v not in self._subst:
-            return None
-        return Polynomial.linear(self._subst[v])
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of f modulo the ideal."""

@@ -12,19 +12,22 @@ Three families of checks, all exact:
 * quotient well-definedness -- reduce(L(f_c * g)) = 0 for the constraint
   generators f_c and randomized polynomials g.
 
-Sweeps enumerate finite windows of sites; they are embarrassingly parallel
-and reports are sorted canonically so output never depends on scheduling.
+Lattice residuals are integers over the operator's unit, made Fractions once
+per site.  Sweeps enumerate finite windows of sites; they are embarrassingly
+parallel and reports are sorted canonically so output never depends on
+scheduling.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cells import Cell, boundary, box_cells, cells_near, children, format_cell
+from .cells import Cell, SignedChain, boundary, box_cells, cells_near, children, format_cell
 from .operators import CubicalFamilyOp, apply_operator
 from .poly import LinearIdeal, Polynomial, _mono_sort_key
 
@@ -58,6 +61,12 @@ def violations(reports: Iterable[ResidualReport]) -> list[ResidualReport]:
 # -- gauge invariance ---------------------------------------------------------
 
 
+def gauge_numerator(op, faces: SignedChain, p: Cell) -> int:
+    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit; the caller checks p and the faces dc."""
+    b_int = op.b_int
+    return faces.coefficient(p) * op.a_int(p) - sum(s * b_int(p, q) for q, s in faces.items())
+
+
 def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
     """<dc,p> a_p - sum over faces q of <dc,q> b_pq; zero iff L respects c's constraint at p."""
     if cube.dim != 3:
@@ -65,10 +74,9 @@ def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
     if cube.scale != p.scale:
         raise ValueError(f"scale mismatch: {cube} vs {p}")
     faces = boundary(cube)
-    total = faces.coefficient(p) * op.coeff_a(p)
-    for q, s in faces.items():
-        total -= s * op.coeff_b(p, q)
-    return total
+    for q in (p, *faces.cells()):
+        op.check_var(q)
+    return gauge_numerator(op, faces, p) * op.unit
 
 
 def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
@@ -94,52 +102,41 @@ def default_cubes(d: int, scale: int) -> list[Cell]:
     return sorted(box_cells(scale, (-1,) * d, (1,) * d, dim=3), key=Cell.sort_key)
 
 
-def gauge_sites(op, cubes: Sequence[Cell], radius: int):
-    """(cube, plaquette) pairs within max-norm distance radius, in universe."""
-    for cube in cubes:
-        faces = list(boundary(cube).items())
-        if not all(op.has_var(q) for q, _ in faces):
-            continue
-        for p in cells_near(cube, radius, dim=2):
-            if op.has_var(p):
-                yield cube, p
-
-
 def gauge_sweep(op, cubes: Sequence[Cell], radius: int, jobs: int = 1) -> list[ResidualReport]:
     """Gauge residuals for every site; sorted canonically."""
-    if jobs > 1:
-        chunks = [(op, cube, radius) for cube in cubes]
-        reports: list[ResidualReport] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_gauge_chunk, chunks):
-                reports.extend(part)
-    else:
-        reports = []
-        for cube in cubes:
-            reports.extend(_gauge_chunk((op, cube, radius)))
-    reports.sort(key=ResidualReport.sort_key)
-    return reports
+    return _sweep(_gauge_chunk, [(op, cube, radius) for cube in cubes], jobs)
 
 
 def _gauge_chunk(args) -> list[ResidualReport]:
     op, cube, radius = args
-    faces = list(boundary(cube).items())
-    if not all(op.has_var(q) for q, _ in faces):
+    faces = boundary(cube)
+    if not all(op.has_var(q) for q in faces.cells()):
         return []
-    out = []
+    unit = op.unit
     cube_label = format_cell(cube)
-    for p in cells_near(cube, radius, dim=2):
-        if not op.has_var(p):
-            continue
-        total = Fraction(0)
-        lead = 0
-        for q, s in faces:
-            if q == p:
-                lead = s
-            total += s * op.coeff_b(p, q)
-        value = lead * op.coeff_a(p) - total
-        out.append(ResidualReport("gauge", (cube_label, format_cell(p)), value))
-    return out
+    return [
+        ResidualReport("gauge", (cube_label, format_cell(p)), gauge_numerator(op, faces, p) * unit)
+        for p in cells_near(cube, radius, dim=2)
+        if op.has_var(p)
+    ]
+
+
+def worker_count(jobs: int, chunks: int) -> int:
+    """Processes a sweep starts: jobs, clamped to the CPU count and the chunk count."""
+    return max(1, min(jobs, os.cpu_count() or 1, chunks))
+
+
+def _sweep(chunk_fn, chunks: list, jobs: int) -> list[ResidualReport]:
+    """chunk_fn's reports over all chunks, sorted; a worker's batch shares one memo."""
+    workers = worker_count(jobs, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk_fn, chunks, chunksize=-(-len(chunks) // workers)))
+    else:
+        parts = [chunk_fn(chunk) for chunk in chunks]
+    reports = [r for part in parts for r in part]
+    reports.sort(key=ResidualReport.sort_key)
+    return reports
 
 
 # -- the specialized invariance identity (d=3, tables + reflection rules) ----
@@ -217,25 +214,45 @@ def sphere_condition(op) -> list[Fraction]:
 # -- multiscale compatibility -------------------------------------------------
 
 
+def _checked_children(fine: CubicalFamilyOp, p: Cell):
+    kids = children(p)
+    for c in kids:
+        fine.check_var(c)
+    return kids
+
+
+def compat_numerator(family, fine, p: Cell, p_kids, q: Cell | None = None) -> int:
+    """compat_a at p, or compat_b at (p, q), over fine.unit (fine: the family at scale n+1).
+
+    That is 4*A(p) - sum A(p'), or 4*B(p,q) - sum B(p',q') over child pairs;
+    B is scale-free, so one memo serves both scales.  The caller checks p
+    and p_kids.
+    """
+    if q is None:
+        return 4 * family.a_int(p) - sum(fine.a_int(c) for c in p_kids)
+    family.check_var(q)
+    b_int = family.b_int
+    q_kids = _checked_children(fine, q)
+    return 4 * b_int(p, q) - sum(b_int(pc, qc) for pc in p_kids for qc in q_kids)
+
+
 def compat_residual_a(family: CubicalFamilyOp, p: Cell) -> Fraction:
     """a_n(p) minus the sum of a_{n+1} over p's four children."""
     fine = family.with_scale(family.scale + 1)
-    return family.coeff_a(p) - sum(fine.coeff_a(c) for c in children(p))
-
-
-def child_interaction_sum(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
-    """sum of b_{n+1}(p', q') over the 4 x 4 children of p and q."""
-    fine = family.with_scale(family.scale + 1)
-    total = Fraction(0)
-    for pc in children(p):
-        for qc in children(q):
-            total += fine.coeff_b(pc, qc)
-    return total
+    family.check_var(p)
+    return compat_numerator(family, fine, p, _checked_children(fine, p)) * fine.unit
 
 
 def compat_residual_b(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
     """b_n(p,q) minus the child-pair sum at scale n+1."""
-    return family.coeff_b(p, q) - child_interaction_sum(family, p, q)
+    fine = family.with_scale(family.scale + 1)
+    family.check_var(p)
+    return compat_numerator(family, fine, p, _checked_children(fine, p), q) * fine.unit
+
+
+def child_interaction_sum(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
+    """sum of b_{n+1}(p', q') over the 4 x 4 children of p and q."""
+    return family.coeff_b(p, q) - compat_residual_b(family, p, q)
 
 
 def base_plaquettes(d: int, scale: int) -> list[Cell]:
@@ -246,38 +263,20 @@ def base_plaquettes(d: int, scale: int) -> list[Cell]:
 def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell], radius: int,
                  jobs: int = 1) -> list[ResidualReport]:
     """Both compatibility residuals over (p, q) windows; sorted canonically."""
-    if jobs > 1:
-        chunks = [(family, p, radius) for p in plaquettes]
-        reports: list[ResidualReport] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_compat_chunk, chunks):
-                reports.extend(part)
-    else:
-        reports = []
-        for p in plaquettes:
-            reports.extend(_compat_chunk((family, p, radius)))
-    reports.sort(key=ResidualReport.sort_key)
-    return reports
+    return _sweep(_compat_chunk, [(family, p, radius) for p in plaquettes], jobs)
 
 
 def _compat_chunk(args) -> list[ResidualReport]:
     family, p, radius = args
     fine = family.with_scale(family.scale + 1)
-    p_children = children(p)
-    p_label = format_cell(p)
-    out = [
-        ResidualReport(
-            "compat_a",
-            (p_label,),
-            family.coeff_a(p) - sum(fine.coeff_a(c) for c in p_children),
-        )
-    ]
+    unit = fine.unit
+    family.check_var(p)
+    p_kids = _checked_children(fine, p)
+    label = format_cell(p)
+    out = [ResidualReport("compat_a", (label,), compat_numerator(family, fine, p, p_kids) * unit)]
     for q in cells_near(p, radius, dim=2):
-        total = family.coeff_b(p, q)
-        for pc in p_children:
-            for qc in children(q):
-                total -= fine.coeff_b(pc, qc)
-        out.append(ResidualReport("compat_b", (p_label, format_cell(q)), total))
+        out.append(ResidualReport("compat_b", (label, format_cell(q)),
+                                  compat_numerator(family, fine, p, p_kids, q) * unit))
     return out
 
 

@@ -91,6 +91,36 @@ def test_invariance_detects_explicit_fault(runner, tmp_path):
     assert ok.exit_code == 0
 
 
+@pytest.mark.parametrize("override", ['[[0,0],"alpha",1]', '[[-1,0,0],"beta",5]'])
+def test_invariance_rejects_unread_override(runner, override):
+    spec = '{"variant":"cubical","overrides":[%s]}' % override
+    result = runner.invoke(main, ["verify-invariance", "--op", spec, "--window", "1"])
+    assert result.exit_code == 2
+    assert "never read" in result.output
+
+
+def test_invariance_without_complete_cells_is_not_a_pass(runner, tmp_path):
+    path = tmp_path / "lone.json"
+    path.write_text(json.dumps(ExplicitOp(a={Cell(0, (1, 1, 0)): 12}, b={}).to_json()))
+    result = runner.invoke(main, ["verify-invariance", "--op", str(path), "--window", "1"])
+    assert result.exit_code == 2
+    assert "no sites" in result.output
+
+
+FAULT_SPEC = json.dumps(CubicalFamilyOp.main(3).perturbed("alpha", (0, 0, 1), 1).to_json())
+
+
+@pytest.mark.parametrize("args, status", [
+    (("verify-compat", "--d", "4", "--window", "2"), 0),
+    (("verify-invariance", "--op", FAULT_SPEC, "--window", "2"), 1),
+])
+def test_jobs_do_not_change_output(runner, args, status):
+    serial = runner.invoke(main, [*args, "--jobs", "1"])
+    parallel = runner.invoke(main, [*args, "--jobs", "2"])
+    assert serial.exit_code == parallel.exit_code == status
+    assert serial.stdout_bytes == parallel.stdout_bytes
+
+
 def test_invariance_usage_errors(runner):
     assert runner.invoke(main, ["verify-invariance", "--op", "{bad json"]).exit_code == 2
     assert runner.invoke(main, ["verify-invariance", "--op", "mystery"]).exit_code == 2
@@ -237,6 +267,13 @@ def test_welldefined_sphere(runner):
 def test_welldefined_lattice(runner):
     result = invoke(runner, "welldefined", "--d", "3", "--trials", "3")
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_welldefined_needs_a_trial(runner, trials):
+    result = runner.invoke(main, ["welldefined", "--d", "3", "--trials", trials])
+    assert result.exit_code == 2
+    assert "checked 0 sites" not in result.output
 
 
 def test_welldefined_detects_fault(runner, tmp_path):

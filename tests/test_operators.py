@@ -1,6 +1,7 @@
 """Coefficient families, symmetry canonicalization, and operator application."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from holoflow.cells import Cell, SignedSymmetry, act
+from holoflow.cells import Cell, SignedSymmetry, act, boundary, cells_near, children
 from holoflow.operators import (
     CubicalFamilyOp,
     ExplicitOp,
@@ -16,6 +17,7 @@ from holoflow.operators import (
     operator_from_json,
 )
 from holoflow.poly import Polynomial
+from holoflow.verify import base_plaquettes, compat_numerator, gauge_numerator
 
 from conftest import symmetries
 
@@ -452,3 +454,91 @@ def test_perturbed_family_changes_one_orbit():
     assert fam.coeff_b(BASE3, Cell(0, (0, 1, 1))) == 7
     assert fam.coeff_b(BASE3, Cell(0, (3, 3, 2))) == -2
     assert MAIN3.coeff_b(BASE3, Cell(0, (0, 1, 1))) == 2
+
+
+# -- the integer lookup memo -------------------------------------------------------
+
+WARM = {d: CubicalFamilyOp.main(d) for d in (3, 4, 5)}  # memos fill up across examples
+
+
+@settings(max_examples=150, deadline=None)
+@given(plaquette_pairs(max_d=5), st.integers(-1, 1), st.data())
+def test_memo_matches_table_under_translation(data, scale, extra):
+    fam, p, q = data
+    d = fam.d
+    cold = fam.with_scale(scale)
+    warm = WARM[d].with_scale(scale)
+    p, q = Cell(scale, p.coords), Cell(scale, q.coords)
+    t = [2 * v for v in extra.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))]
+    tp, tq = p.translated(t), q.translated(t)
+    unit = Fraction(4) ** (-scale)
+    want = fam._b_table(p.coords, q.coords) * unit
+    assert fam._b_table(tp.coords, tq.coords) == fam._b_table(p.coords, q.coords)
+    assert cold.coeff_b(p, q) == want  # a miss: the memo was empty
+    assert warm.coeff_b(tp, tq) == want
+    assert warm.coeff_b(p, q) == want
+    assert cold.coeff_b(tp, tq) == want  # a hit on the entry stored above
+    # the same offset from every other parity pattern must not collide
+    offset = [b - a for a, b in zip(p.coords, q.coords)]
+    for other in base_plaquettes(d, scale):
+        moved = other.translated(offset)
+        if moved.dim == 2:
+            assert warm.coeff_b(other, moved) == fam._b_table(other.coords, moved.coords) * unit
+
+
+def test_d4_witness_holds_in_either_memo_order():
+    p = Cell(0, (0, 0, 1, 1))
+    q = Cell(0, (-3, -2, -1, 0))
+    forward = CubicalFamilyOp.main(4)
+    assert (forward.coeff_b(p, q), forward.coeff_b(q, p)) == (0, -1)
+    backward = CubicalFamilyOp.main(4)
+    assert (backward.coeff_b(q, p), backward.coeff_b(p, q)) == (-1, 0)
+
+
+def test_pickled_operator_arrives_with_empty_memo():
+    fam = MAIN4.perturbed("beta", (0, 0, 0), 1)
+    fam.coeff_b(BASE4, Cell(0, (0, 1, 1, 0)))
+    assert fam._memo
+    restored = pickle.loads(pickle.dumps(fam))
+    assert restored._memo == {}
+    assert restored == fam == CubicalFamilyOp.main(4).perturbed("beta", (0, 0, 0), 1)
+    assert restored.coeff_b(BASE4, Cell(0, (0, 1, 1, 0))) == 3
+
+
+def test_gauge_numerator_matches_fraction_residual():
+    faulty = MAIN3.perturbed("alpha", (0, 0, 1), 1).with_scale(1)
+    for fam in (faulty, ALT3.with_scale(-1), MAIN4):
+        pad = (0,) * (fam.d - 3)
+        nonzero = 0
+        for cube in (Cell(fam.scale, (1, 1, 1) + pad), Cell(fam.scale, (3, -1, 1) + pad)):
+            faces = boundary(cube)
+            for p in fam.window_plaquettes(2):
+                want = faces.coefficient(p) * fam.coeff_a(p) - sum(
+                    s * fam.coeff_b(p, q) for q, s in faces.items())
+                assert gauge_numerator(fam, faces, p) * fam.unit == want
+                nonzero += want != 0
+        assert nonzero > 0 if fam is faulty else nonzero == 0
+
+
+def test_compat_numerators_match_fraction_residuals():
+    faulty = MAIN3.perturbed("beta", (1, 0, 0), 1)
+    for fam in (faulty, ALT3.with_scale(-1), MAIN4.with_scale(1)):
+        fine = fam.with_scale(fam.scale + 1)
+        nonzero = 0
+        for p in base_plaquettes(fam.d, fam.scale):
+            kids = children(p)
+            want = fam.coeff_a(p) - sum(fine.coeff_a(c) for c in kids)
+            assert compat_numerator(fam, fine, p, kids) * fine.unit == want
+            for q in cells_near(p, 2, dim=2):
+                want = fam.coeff_b(p, q) - sum(
+                    fine.coeff_b(pc, qc) for pc in kids for qc in children(q))
+                assert compat_numerator(fam, fine, p, kids, q) * fine.unit == want
+                nonzero += want != 0
+        assert nonzero > 0 if fam is faulty else nonzero == 0
+
+
+@pytest.mark.parametrize("key", [("alpha", (0, 0)), ("beta", (-1, 0, 0)),
+                                 ("alpha", (0, 0, 1, 0)), ("beta", (0, "1", 0))])
+def test_override_outside_the_read_orthant_is_rejected(key):
+    with pytest.raises(ValueError, match="never read"):
+        CubicalFamilyOp(3, table_overrides={key: 1})

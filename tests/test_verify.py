@@ -24,6 +24,7 @@ from holoflow.verify import (
     sphere_condition,
     violations,
     welldefined_property,
+    worker_count,
 )
 
 x = Polynomial.var
@@ -67,6 +68,16 @@ def test_gauge_sweep_parallel_matches_serial():
     serial = gauge_sweep(MAIN3, default_cubes(3, 0), 2)
     parallel = gauge_sweep(MAIN3, default_cubes(3, 0), 2, jobs=2)
     assert serial == parallel
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert worker_count(10**6, 27) == 4
+    assert worker_count(3, 27) == 3
+    assert worker_count(8, 2) == 2
+    assert worker_count(8, 0) == worker_count(0, 5) == worker_count(-3, 5) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert worker_count(8, 27) == 1
 
 
 def test_explicit_fault_breaks_gauge_invariance():
