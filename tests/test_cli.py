@@ -1,6 +1,7 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -294,3 +295,100 @@ def test_out_writes_file(runner, tmp_path):
                      "--out", str(target))
     assert to_file.output == ""
     assert target.read_text() == direct.output
+
+
+# -- golden outputs --------------------------------------------------------------------
+# Every command x format, pinned by exit code and the sha256 of stdout, so that a
+# change to the output plumbing that alters a single byte fails here.
+
+FAULT_OP = '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1]]}'
+GOLDEN_CASES = {
+    "invariance": ("verify-invariance", "--window", "1"),
+    "invariance-fault": ("verify-invariance", "--op", FAULT_OP, "--window", "2"),
+    "invariance-fault-decimal": ("verify-invariance", "--op", FAULT_OP, "--window", "2",
+                                 "--decimal", "3"),
+    "compat-d3": ("verify-compat", "--d", "3", "--window", "1", "--scales", "-1,0"),
+    "compat-d4": ("verify-compat", "--d", "4", "--window", "1"),
+    "compat-fault": ("verify-compat", "--op", FAULT_OP, "--window", "2"),
+    "sphere-check": ("sphere-check", "--areas", "1/2,1/4,1/4", "--max-degree", "4"),
+    "tables": ("tables", "--range", "2"),
+    "moments-sphere": ("moments", "--op", "sphere", "--areas", "1/2,1/4,1/4",
+                       "--poly", "x1^2*x2^2"),
+    "moments-lattice": ("moments", "--poly", "x[1,1,0]@0*x[0,1,1]@0"),
+    "covariance": ("covariance", "--window", "1"),
+    "covariance-decimal": ("covariance", "--window", "1", "--decimal", "3"),
+    "covariance-psd": ("covariance", "--window", "1", "--psd"),
+    "welldefined-sphere": ("welldefined", "--op", "sphere", "--areas", "1/2,1/4,1/4",
+                           "--trials", "5"),
+    "welldefined-lattice": ("welldefined", "--d", "3", "--trials", "3"),
+    "welldefined-fault": ("welldefined", "--op", explicit_window_spec(
+        perturb=(Cell(0, (1, 1, 0)), Cell(0, (0, 1, 1)), Fraction(3))), "--trials", "5"),
+}
+GOLDEN = {
+    ('invariance', 'text'): (0, 'c645bacd8ec9d863'),
+    ('invariance', 'json'): (0, '5e5b740eae646e39'),
+    ('invariance', 'csv'): (0, '022a028102cc7d4a'),
+    ('invariance-fault', 'text'): (1, '2ceb241f1983a50d'),
+    ('invariance-fault', 'json'): (1, '3c123ae927ad17cd'),
+    ('invariance-fault', 'csv'): (1, '7e683a326565243d'),
+    ('invariance-fault-decimal', 'text'): (1, '9ec2fc4f93d58f6f'),
+    ('invariance-fault-decimal', 'json'): (1, '3c123ae927ad17cd'),
+    ('invariance-fault-decimal', 'csv'): (1, 'efadbeae7a4a58f5'),
+    ('compat-d3', 'text'): (0, '392530d76f985d6c'),
+    ('compat-d3', 'json'): (0, 'bbc49c0f14f7e21c'),
+    ('compat-d3', 'csv'): (0, '022a028102cc7d4a'),
+    ('compat-d4', 'text'): (0, '0c178a3278157c6a'),
+    ('compat-d4', 'json'): (0, 'b0b3235e24266602'),
+    ('compat-d4', 'csv'): (0, '022a028102cc7d4a'),
+    ('compat-fault', 'text'): (1, 'baa67ac1608d17c2'),
+    ('compat-fault', 'json'): (1, '7e20eeeb27c19879'),
+    ('compat-fault', 'csv'): (1, '459b6eb52b9d03d8'),
+    ('sphere-check', 'text'): (0, '62ea3f3f94edf069'),
+    ('sphere-check', 'json'): (0, '26f39754f1ea69c1'),
+    ('sphere-check', 'csv'): (0, '0c39aed9677a6544'),
+    ('tables', 'text'): (0, '233e1aaba623ff33'),
+    ('tables', 'json'): (0, '1ca44da86c1ba879'),
+    ('tables', 'csv'): (0, '9d4eb7570b779a6e'),
+    ('moments-sphere', 'text'): (0, 'ef26243a21b137d7'),
+    ('moments-sphere', 'json'): (0, '679ae1de9e3eb408'),
+    ('moments-sphere', 'csv'): (0, 'f90211ec2c427a76'),
+    ('moments-lattice', 'text'): (0, 'a54151c16f903365'),
+    ('moments-lattice', 'json'): (0, '49a46b7bdcbf8dad'),
+    ('moments-lattice', 'csv'): (0, 'fb56110fcfb38f46'),
+    ('covariance', 'text'): (0, 'c861c37f18bc65dc'),
+    ('covariance', 'json'): (0, 'df1915cd73bb2dde'),
+    ('covariance', 'csv'): (0, '9b5fdc2dd30c6030'),
+    ('covariance-decimal', 'text'): (0, 'c861c37f18bc65dc'),
+    ('covariance-decimal', 'json'): (0, 'df1915cd73bb2dde'),
+    ('covariance-decimal', 'csv'): (0, '9d84ad212bb4dd46'),
+    ('covariance-psd', 'text'): (0, 'efc065748ca6abd8'),
+    ('covariance-psd', 'json'): (0, '39f67d9e3d0f476a'),
+    ('covariance-psd', 'csv'): (2, 'e3b0c44298fc1c14'),
+    ('welldefined-sphere', 'text'): (0, 'c2ea13599bcd0b55'),
+    ('welldefined-sphere', 'json'): (0, '1e2ddcc27e154061'),
+    ('welldefined-sphere', 'csv'): (0, '022a028102cc7d4a'),
+    ('welldefined-lattice', 'text'): (0, 'e3914f06094913bc'),
+    ('welldefined-lattice', 'json'): (0, 'd042e61ad0f1117b'),
+    ('welldefined-lattice', 'csv'): (0, '022a028102cc7d4a'),
+    ('welldefined-fault', 'text'): (1, '823d20d6e65456f0'),
+    ('welldefined-fault', 'json'): (1, 'e46789638c8f76a9'),
+    ('welldefined-fault', 'csv'): (1, '3c8e0617a70db918'),
+}
+
+
+def _golden_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case, fmt", sorted(GOLDEN))
+def test_output_is_pinned(runner, tmp_path, case, fmt):
+    args = [*GOLDEN_CASES[case], "--format", fmt]
+    result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert (result.exit_code, _golden_digest(result.stdout_bytes)) == GOLDEN[case, fmt]
+
+    target = tmp_path / "out.txt"
+    to_file = runner.invoke(main, [*args, "--out", str(target)])
+    assert to_file.exit_code == result.exit_code
+    assert to_file.stdout_bytes == b""
+    assert (target.read_bytes() if target.exists() else b"") == result.stdout_bytes
