@@ -14,8 +14,10 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -23,7 +25,6 @@ from .cells import Cell, boundary, box_cells, format_cell
 from .operators import CubicalFamilyOp, SphereOp, operator_from_json
 from .poly import LinearIdeal, Polynomial, ideal_from_cubes, parse_polynomial
 from .states import (
-    covariance_csv_rows,
     covariance_window,
     exp_state,
     format_lambda_poly,
@@ -88,7 +89,7 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
         spec = {"variant": "cubical", "d": d, "scale": scale}
     try:
         return operator_from_json(spec)
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         raise click.UsageError(f"invalid operator spec: {e}")
 
 
@@ -102,56 +103,68 @@ def _parse_scales(text: str) -> list[int]:
     return out
 
 
-def _emit(text: str, out: str | None) -> None:
+def _render(fmt: str, out: str | None, status: int, as_json: Callable[[], dict],
+            as_csv: Callable[[], list[list]], as_text: Callable[[], list[str]]) -> NoReturn:
+    """Write a command's result in the asked-for format, then exit with `status`.
+
+    `as_json` returns the JSON object, `as_csv` the CSV rows with the header
+    first and `as_text` the text lines.  Each is a zero-argument callable and
+    only the one for `fmt` is called, so no other form is ever built.
+    """
+    if fmt == "json":
+        text = json.dumps(as_json(), indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(as_csv())
+        text = buf.getvalue()
+    else:
+        text = "\n".join(as_text()) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
+    sys.exit(status)
 
 
-def _decimal_column(value: Fraction, digits: int) -> str:
+def _rounded(value: Fraction, digits: int) -> str:
     return f"{float(value):.{digits}f}"
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+def _exact_rows(header: list[str], rows, decimal: int | None) -> list[list[str]]:
+    """CSV rows whose last cell is an exact value; --decimal adds a rounded copy after it."""
+    if decimal is not None:
+        header = [*header, "decimal"]
+    out = [header]
+    for *cells, value in rows:
+        row = [*cells, str(value)]
+        if decimal is not None:
+            row.append(_rounded(value, decimal))
+        out.append(row)
+    return out
 
 
-def _render_verify(command: str, op, config: dict, reports: list[ResidualReport],
-                   sites: int, fmt: str, decimal: int | None) -> tuple[str, int]:
-    if not sites:
+def _render_residuals(command: str, op, config: dict, reports: list[ResidualReport],
+                      fmt: str, out: str | None, decimal: int | None = None,
+                      prefix: Sequence[str] = ()) -> NoReturn:
+    """Render a sweep's violations; `prefix` lines lead the text form only."""
+    if not reports:
         raise click.UsageError("nothing to check: this configuration has no sites")
     bad = violations(reports)
-    if fmt == "json":
-        payload = {
-            "command": command,
-            "operator": op.to_json(),
-            "config": config,
-            "summary": {"sites": sites, "violations": len(bad)},
-            "violations": [r.to_json() for r in bad],
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        header = ["condition", "site", "value"] + (["decimal"] if decimal is not None else [])
-        rows = [header]
-        for r in bad:
-            row = [r.condition, " ".join(r.site), str(r.value)]
-            if decimal is not None:
-                row.append(_decimal_column(r.value, decimal))
-            rows.append(row)
-        text = _csv_text(rows)
-    else:
-        lines = []
-        for r in bad:
-            row = f"FAIL {r.condition} {' '.join(r.site)} -> {r.value}"
-            if decimal is not None:
-                row += f" ({_decimal_column(r.value, decimal)})"
-            lines.append(row)
-        lines.append(f"checked {sites} sites: {len(bad)} violations")
-        text = "\n".join(lines) + "\n"
-    return text, (1 if bad else 0)
+
+    def fail_line(r: ResidualReport) -> str:
+        line = f"FAIL {r.condition} {' '.join(r.site)} -> {r.value}"
+        return line if decimal is None else f"{line} ({_rounded(r.value, decimal)})"
+
+    _render(
+        fmt, out, 1 if bad else 0,
+        lambda: {"command": command, "operator": op.to_json(), "config": config,
+                 "summary": {"sites": len(reports), "violations": len(bad)},
+                 "violations": [r.to_json() for r in bad]},
+        lambda: _exact_rows(["condition", "site", "value"],
+                            [(r.condition, " ".join(r.site), r.value) for r in bad], decimal),
+        lambda: [*prefix, *map(fail_line, bad),
+                 f"checked {len(reports)} sites: {len(bad)} violations"],
+    )
 
 
 _OP_OPT = click.option("--op", "op_text", default=None,
@@ -164,9 +177,9 @@ _FMT_OPT = click.option("--format", "fmt", type=click.Choice(["text", "json", "c
                         default="text", show_default=True)
 _OUT_OPT = click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True),
                         help="Write output to a file instead of stdout.")
-_JOBS_OPT = click.option("--jobs", type=int, default=1, envvar="HOLOFLOW_JOBS",
+_JOBS_OPT = click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="HOLOFLOW_JOBS",
                          show_default=True, help="Parallel workers for sweeps.")
-_DEC_OPT = click.option("--decimal", type=int, default=None,
+_DEC_OPT = click.option("--decimal", type=click.IntRange(min=0), default=None,
                         help="Add a column rounded to this many digits.")
 _SEED_OPT = click.option("--seed", type=int, default=0, show_default=True)
 
@@ -209,17 +222,11 @@ def verify_invariance(op_text, d, scale, window, scales, fmt, out, jobs, decimal
     op = _require_lattice_op(_resolve_operator(op_text, d, scale, None))
     scale_list = _parse_scales(scales)
     reports: list[ResidualReport] = []
-    sites = 0
     for s in scale_list:
         scoped = op.with_scale(s) if isinstance(op, CubicalFamilyOp) else op
-        swept = gauge_sweep(scoped, _cubes_for(scoped, s), window, jobs=jobs)
-        sites += len(swept)
-        reports.extend(swept)
-    config = {"window": window, "scales": scale_list}
-    text, status = _render_verify("verify-invariance", op, config, reports, sites, fmt, decimal)
-    _emit(text, out)
-    if status:
-        sys.exit(status)
+        reports.extend(gauge_sweep(scoped, _cubes_for(scoped, s), window, jobs=jobs))
+    _render_residuals("verify-invariance", op, {"window": window, "scales": scale_list},
+                      reports, fmt, out, decimal)
 
 
 @main.command("verify-compat")
@@ -243,21 +250,17 @@ def verify_compat(op_text, d, scale, window, scales, fmt, out, jobs, decimal):
     for s in scale_list:
         scoped = op.with_scale(s)
         reports.extend(compat_sweep(scoped, base_plaquettes(op.d, s), window, jobs=jobs))
-    prefix = ""
+    prefix = []
     if fmt == "text" and op.d == 3:
         coarse = op.with_scale(-1)
         p = Cell(-1, (1, 1, 0))
-        lines = ["cross-scale interaction sums at scale -1 (each equals 4x its scale-0 value):"]
+        prefix = ["cross-scale interaction sums at scale -1 (each equals 4x its scale-0 value):"]
         for label, q in (("(1,0,0)", (2, 1, 1)), ("(2,1,1)", (4, 3, 3)), ("(2,2,1)", (4, 5, 3))):
             total = child_interaction_sum(coarse, p, Cell(-1, q))
-            lines.append(f"  sum over children for ({format_cell(p)}, {format_cell(Cell(-1, q))})"
-                         f" [offset {label}] = {total}")
-        prefix = "\n".join(lines) + "\n"
-    config = {"window": window, "scales": scale_list}
-    text, status = _render_verify("verify-compat", op, config, reports, len(reports), fmt, decimal)
-    _emit(prefix + text, out)
-    if status:
-        sys.exit(status)
+            prefix.append(f"  sum over children for ({format_cell(p)}, {format_cell(Cell(-1, q))})"
+                          f" [offset {label}] = {total}")
+    _render_residuals("verify-compat", op, {"window": window, "scales": scale_list},
+                      reports, fmt, out, decimal, prefix)
 
 
 @main.command("sphere-check")
@@ -271,16 +274,15 @@ def sphere_check(areas, max_degree, fmt, out):
         report = verify_sphere(_parse_areas(areas), max_degree)
     except ValueError as e:
         raise click.UsageError(str(e))
-    if fmt == "json":
-        text = json.dumps({"command": "sphere-check", **report.to_json()},
-                          indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+
+    def as_csv():
         rows = [["monomial", "exp_state", "ym_moment", "equal"]]
         for item in report.items:
             rows.append([item.monomial, format_lambda_poly(item.exp_state),
                          format_lambda_poly(item.ym_moment), str(item.equal).lower()])
-        text = _csv_text(rows)
-    else:
+        return rows
+
+    def as_text():
         lines = []
         for item in report.items:
             flag = "ok" if item.equal else "MISMATCH"
@@ -288,10 +290,10 @@ def sphere_check(areas, max_degree, fmt, out):
                          f" ym={format_lambda_poly(item.ym_moment)} {flag}")
         n_bad = len(report.mismatches)
         lines.append(f"checked {len(report.items)} monomials: {n_bad} mismatches")
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
-    if not report.all_equal:
-        sys.exit(1)
+        return lines
+
+    _render(fmt, out, 0 if report.all_equal else 1,
+            lambda: {"command": "sphere-check", **report.to_json()}, as_csv, as_text)
 
 
 @main.command("tables")
@@ -314,19 +316,14 @@ def tables(op_text, d, scale, radius, fmt, out):
             raise click.UsageError("explicit operator has no lattice variables to dump")
         p = cells[0]
         a_value = op.coeff_a(p)
-    rows = [(format_cell(p), format_cell(q), str(v)) for q, v in op.support(p, radius)]
-    rows.sort()
-    if fmt == "json":
-        payload = {"command": "tables", "operator": op.to_json(),
-                   "base": format_cell(p), "a": str(a_value), "rows": [list(r) for r in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        text = _csv_text([["p", "q", "value"]] + [list(r) for r in rows])
-    else:
-        lines = [f"a({format_cell(p)}) = {a_value}"]
-        lines += [f"b({r[0]}, {r[1]}) = {r[2]}" for r in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    rows = sorted([format_cell(p), format_cell(q), str(v)] for q, v in op.support(p, radius))
+    _render(
+        fmt, out, 0,
+        lambda: {"command": "tables", "operator": op.to_json(),
+                 "base": format_cell(p), "a": str(a_value), "rows": rows},
+        lambda: [["p", "q", "value"], *rows],
+        lambda: [f"a({format_cell(p)}) = {a_value}"] + [f"b({u}, {v}) = {c}" for u, v, c in rows],
+    )
 
 
 @main.command("moments")
@@ -345,38 +342,30 @@ def moments(op_text, d, scale, areas, poly_text, fmt, out):
         f = parse_polynomial(poly_text)
     except ValueError as e:
         raise click.UsageError(str(e))
-    payload: dict = {"command": "moments", "operator": op.to_json(), "poly": poly_text}
-    equal = True
-    if isinstance(op, SphereOp):
-        try:
+    try:
+        if isinstance(op, SphereOp):
             series = exp_state(op.to_euclidean(), f)
             pairing = ym_moment(op.areas, f)
-        except ValueError as e:
-            raise click.UsageError(str(e))
+        else:
+            series, pairing = exp_state(op, f, LinearIdeal.trivial()), None
+    except ValueError as e:
+        raise click.UsageError(str(e))
+    if pairing is None:
+        equal = True
+        fields = {"moment": series.to_json()}
+        lines = [f"moment = {format_lambda_poly(series)}"]
+    else:
         equal = series == pairing
-        payload.update({"exp_state": series.to_json(), "ym_moment": pairing.to_json(),
-                        "equal": equal})
-        body = (f"exp_state = {format_lambda_poly(series)}\n"
-                f"ym_moment = {format_lambda_poly(pairing)}\n"
-                f"equal: {str(equal).lower()}\n")
-    else:
-        try:
-            series = exp_state(op, f, LinearIdeal.trivial())
-        except ValueError as e:
-            raise click.UsageError(str(e))
-        payload["moment"] = series.to_json()
-        body = f"moment = {format_lambda_poly(series)}\n"
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        series_map = payload.get("moment", payload.get("exp_state", {}))
-        text = _csv_text([["degree", "coeff"]] + [[k, v] for k, v in sorted(
-            series_map.items(), key=lambda kv: int(kv[0]))])
-    else:
-        text = body
-    _emit(text, out)
-    if not equal:
-        sys.exit(1)
+        fields = {"exp_state": series.to_json(), "ym_moment": pairing.to_json(), "equal": equal}
+        lines = [f"exp_state = {format_lambda_poly(series)}",
+                 f"ym_moment = {format_lambda_poly(pairing)}",
+                 f"equal: {str(equal).lower()}"]
+    _render(
+        fmt, out, 0 if equal else 1,
+        lambda: {"command": "moments", "operator": op.to_json(), "poly": poly_text, **fields},
+        lambda: [["degree", "coeff"]] + [[str(k), str(c)] for k, c in sorted(series.coeffs.items())],
+        lambda: lines,
+    )
 
 
 @main.command("covariance")
@@ -393,40 +382,35 @@ def covariance(op_text, d, scale, window, psd, fmt, out, decimal):
     op = _require_lattice_op(_resolve_operator(op_text, d, scale, None))
     if not isinstance(op, CubicalFamilyOp):
         raise click.UsageError("covariance windows need a coefficient family operator")
+    if fmt == "csv" and psd:
+        raise click.UsageError("--psd output is text or json")
     cov = covariance_window(op, window)
     probe = psd_probe(cov) if psd else None
-    if fmt == "csv":
-        if psd:
-            raise click.UsageError("--psd output is text or json")
-        header = ["row", "col", "value"] + (["decimal"] if decimal is not None else [])
-        rows = [header]
-        for r, c, v in covariance_csv_rows(cov):
-            row = [r, c, v]
-            if decimal is not None:
-                row.append(_decimal_column(Fraction(v), decimal))
-            rows.append(row)
-        text = _csv_text(rows)
-    elif fmt == "json":
-        payload = {
-            "command": "covariance",
-            "operator": op.to_json(),
-            "window": window,
-            "variables": [format_cell(p) for p in cov.variables],
-            "entries": [[r, c, v] for r, c, v in covariance_csv_rows(cov)],
-        }
+
+    def entries():
+        return [(format_cell(u), format_cell(v), cov.entry(u, v))
+                for u in cov.variables for v in cov.variables]
+
+    def as_json():
+        payload = {"command": "covariance", "operator": op.to_json(), "window": window,
+                   "variables": [format_cell(p) for p in cov.variables],
+                   "entries": [[r, c, str(v)] for r, c, v in entries()]}
         if probe is not None:
             payload["psd"] = probe.to_json()
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
+        return payload
+
+    def as_text():
         lines = [f"{cov.size} plaquettes in window {window} at scale {op.scale}"]
         if probe is not None:
             signs = ",".join(str(s) for s in probe.signs)
             lines.append(f"leading principal minor signs: {signs}")
             lines.append(f"all nonnegative: {str(probe.nonnegative).lower()}")
         else:
-            lines += [f"{r},{c} = {v}" for r, c, v in covariance_csv_rows(cov)]
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+            lines += [f"{r},{c} = {v}" for r, c, v in entries()]
+        return lines
+
+    _render(fmt, out, 0, as_json, lambda: _exact_rows(["row", "col", "value"], entries(), decimal),
+            as_text)
 
 
 @main.command("welldefined")
@@ -458,10 +442,7 @@ def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
         ideal = ideal_from_cubes(cubes)
     reports = welldefined_property(op, ideal, trials=trials, seed=seed)
     config = {"trials": trials, "seed": seed, "generators": len(ideal.generators)}
-    text, status = _render_verify("welldefined", op, config, reports, len(reports), fmt, None)
-    _emit(text, out)
-    if status:
-        sys.exit(status)
+    _render_residuals("welldefined", op, config, reports, fmt, out)
 
 
 if __name__ == "__main__":

@@ -580,8 +580,10 @@ def operator_from_json(spec: Mapping):
     else:
         raise ValueError(f"unknown operator variant {variant!r}")
     for index, kind, value in spec.get("overrides", []):
+        if type(value) is not int:  # a JSON integer; 1.5 or true would be truncated by int()
+            raise ValueError(f"override value {value!r} is not an integer")
         key = ("a0",) if kind == "a0" else (kind, tuple(index))
         overrides = dict(op.table_overrides)
-        overrides[key] = int(value)
+        overrides[key] = value
         op = CubicalFamilyOp(op.d, op.scale, op.variant, overrides)
     return op

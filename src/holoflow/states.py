@@ -21,11 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._frozen import Frozen
 
-from .cells import Cell, format_cell
 from .operators import CubicalFamilyOp, SphereOp, apply_operator
 from .poly import LinearIdeal, Monomial, Polynomial, format_polynomial
 
@@ -76,11 +75,6 @@ class LambdaPoly(Frozen):
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-    def evaluate(self, x) -> Fraction:
-        """Numeric evaluation (CSV export convenience; checks stay symbolic)."""
-        x = Fraction(x)
-        return sum((c * x**k for k, c in self.coeffs.items()), Fraction(0))
 
     def to_json(self) -> dict[str, str]:
         return {str(k): str(self.coeffs[k]) for k in sorted(self.coeffs)}
@@ -499,14 +493,3 @@ def _det_bareiss(matrix: list[list[int]]) -> int:
                 work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]) // prev
         prev = pivot
     return sign * work[n - 1][n - 1]
-
-
-def covariance_csv_rows(cov: CovarianceMatrix) -> Iterable[tuple[str, str, str]]:
-    """(row, col, value) triples over the full symmetric matrix."""
-    for u in cov.variables:
-        for v in cov.variables:
-            yield _var_label(u), _var_label(v), str(cov.entry(u, v))
-
-
-def _var_label(v) -> str:
-    return format_cell(v) if isinstance(v, Cell) else str(v)

@@ -6,8 +6,10 @@ import io
 import json
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 from holoflow.cells import Cell, box_cells
 from holoflow.cli import main
@@ -392,3 +394,92 @@ def test_output_is_pinned(runner, tmp_path, case, fmt):
     assert to_file.exit_code == result.exit_code
     assert to_file.stdout_bytes == b""
     assert (target.read_bytes() if target.exists() else b"") == result.stdout_bytes
+
+
+# -- exit contract: bad input is a usage error (exit 2), never a traceback ------------
+
+
+def assert_usage_error(result):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit), result.exception
+
+
+@pytest.mark.parametrize("args, env", [
+    (("--jobs", "0"), None),
+    (("--jobs", "-5"), None),
+    ((), {"HOLOFLOW_JOBS": "0"}),
+])
+def test_jobs_must_be_positive(runner, args, env):
+    result = runner.invoke(main, ["verify-invariance", "--window", "1", *args], env=env)
+    assert_usage_error(result)
+    assert "checked" not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("covariance", "--window", "1", "--format", "csv"),
+    ("verify-invariance", "--op", FAULT_OP, "--window", "1"),
+])
+def test_decimal_must_be_nonnegative(runner, args):
+    assert_usage_error(runner.invoke(main, [*args, "--decimal", "-1"]))
+
+
+@pytest.mark.parametrize("spec", [
+    '{"variant":"sphere","areas":["1/0","1"]}',
+    '{"variant":"explicit","a":{"[1,1,0]@0":"1/0"}}',
+    '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1.5]]}',
+    '{"variant":"cubical","overrides":[[[0,0,1],"alpha",true]]}',
+])
+def test_malformed_numbers_in_a_spec_are_usage_errors(runner, spec):
+    result = runner.invoke(main, ["welldefined", "--op", spec, "--trials", "1"])
+    assert_usage_error(result)
+    assert "invalid operator spec" in result.output
+
+
+# Each command with the options that size its run.  All but --jobs and --decimal
+# are always passed, so no example falls back to a large default (a window of 6,
+# 100 trials); those two default to one worker and no rounding.
+SIZED_OPTIONS = {
+    "verify-invariance": ("--window", "--jobs", "--decimal"),
+    "verify-compat": ("--window", "--jobs", "--decimal"),
+    "covariance": ("--window", "--decimal"),
+    "welldefined": ("--window", "--trials"),
+    "tables": ("--range",),
+    "moments": (),
+    "sphere-check": ("--max-degree",),
+}
+OP_SPECS = [
+    "cubical", "alt3", "sphere", "mystery", "{bad json", FAULT_OP,
+    '{"variant":"sphere","areas":["1/0","1"]}',
+    '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1.5]]}',
+    '{"variant":"cubical","overrides":[[[0,0,1],"alpha",true]]}',
+    '{"variant":"cubical","overrides":[[[0,0],"alpha",1]]}',
+    '{"variant":"cubical","overrides":[[[-1,0,0],"beta",5]]}',
+]
+
+
+@st.composite
+def cli_arguments(draw):
+    command = draw(st.sampled_from(sorted(SIZED_OPTIONS)))
+    args = [command, "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    for option in SIZED_OPTIONS[command]:
+        if option in ("--jobs", "--decimal") and draw(st.booleans()):
+            continue
+        args += [option, draw(st.sampled_from(["-1", "0", "1", "2"]))]
+    op = draw(st.sampled_from([None, *OP_SPECS]))
+    if command != "sphere-check" and op is not None:
+        args += ["--op", op]
+    if command == "sphere-check" or command in ("moments", "welldefined") and draw(st.booleans()):
+        args += ["--areas", draw(st.sampled_from(["1/2,1/4,1/4", "1/2,1/0", "1/3,1/3,1/3"]))]
+    if command == "moments":
+        args += ["--poly", draw(st.sampled_from(["x1^2*x2^2", "x[1,1,0]@0*x[0,1,1]@0", "x0+"]))]
+    if command == "covariance" and draw(st.booleans()):
+        args.append("--psd")
+    return args
+
+
+@settings(max_examples=50, deadline=None)
+@given(cli_arguments())
+def test_exit_contract_holds_for_any_arguments(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 1, 2), args
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
