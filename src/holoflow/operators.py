@@ -23,10 +23,13 @@ by reflections, and the accumulated orientation signs multiply the stored
 table value.  Reflections through an axis the moving plaquette's plane
 contains reverse its orientation; this is where all the signs come from.
 
-The lattice operators also expose their coefficients as integers over one
-unit (a_int, b_int, unit), which is what the residual sweeps in verify.py
-compute with.  CubicalFamilyOp memoizes b_int per family; the memo only
-caches pure table values, is never pickled, and never enters __eq__.
+All three operators also expose their coefficients as integers over one
+unit (a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the
+entry denominators for ExplicitOp, 1/lcm(area denominators)^2 for SphereOp.
+apply_operator and the residual sweeps in verify.py compute with these;
+coeff_a/coeff_b are the checked Fraction form.  CubicalFamilyOp memoizes
+b_int per family and ExplicitOp holds exp_state's series memo; memos only
+cache pure values, are never pickled, and never enter __eq__.
 
 Operators are immutable and their lookups are pure, so instances may be
 shared between threads and pickled to worker processes.
@@ -50,22 +53,25 @@ def apply_operator(op, f: Polynomial) -> Polynomial:
 
     Both sums run over the variables of f (all other derivatives vanish);
     the b-sum includes the diagonal.  Degree drops by exactly two on every
-    homogeneous part, so linear polynomials map to zero.
+    homogeneous part, so linear polynomials map to zero.  Each variable is
+    checked once; d_p d_q = d_q d_p, so each unordered pair is derived once
+    with b_pq + b_qp.  The sums are integer coefficients over op.unit, which
+    multiplies once at the end.
     """
     vs = sorted(f.variables(), key=_var_key)
     for v in vs:
         op.check_var(v)
-    first = {v: f.derive(v) for v in vs}
-    out = Polynomial.zero()
-    for v in vs:
-        out = out + op.coeff_a(v) * first[v].derive(v)
-    for vi in vs:
-        dvi = first[vi]
-        for vj in vs:
-            b = op.coeff_b(vi, vj)
-            if b:
-                out = out - b * dvi.derive(vj)
-    return out
+    a_int, b_int = op.a_int, op.b_int
+    out: dict = {}
+    for i, vi in enumerate(vs):
+        dvi = f.derive(vi)
+        for vj in vs[i:]:
+            c = a_int(vi) - b_int(vi, vi) if vj == vi else -b_int(vi, vj) - b_int(vj, vi)
+            if c:
+                for m, x in dvi.derive(vj).monomial_items():
+                    out[m] = out.get(m, 0) + c * x
+    unit = op.unit
+    return Polynomial({m: unit * x for m, x in out.items()})
 
 
 class SphereOp(Frozen):
@@ -78,7 +84,7 @@ class SphereOp(Frozen):
 
     variant = "sphere"
 
-    __slots__ = ("areas",)
+    __slots__ = ("areas", "unit", "_den", "_scaled")
 
     def __init__(self, areas: Sequence):
         areas = tuple(Fraction(a) for a in areas)
@@ -88,7 +94,11 @@ class SphereOp(Frozen):
             raise ValueError(f"areas must be positive: {areas}")
         if sum(areas) != 1:
             raise ValueError(f"areas must sum to 1, got {sum(areas)}")
+        den = math.lcm(*(a.denominator for a in areas))
         object.__setattr__(self, "areas", areas)
+        object.__setattr__(self, "unit", Fraction(1, den * den))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_scaled", tuple(int(a * den) for a in areas))
 
     @property
     def n(self) -> int:
@@ -112,6 +122,14 @@ class SphereOp(Frozen):
         self.check_var(i)
         self.check_var(j)
         return self.areas[i - 1] * self.areas[j - 1]
+
+    def a_int(self, i: int) -> int:
+        """a_i over unit, 1/lcm(area denominators)^2.  Callers check the universe."""
+        return self._scaled[i - 1] * self._den
+
+    def b_int(self, i: int, j: int) -> int:
+        """b_ij over unit.  Callers check the universe."""
+        return self._scaled[i - 1] * self._scaled[j - 1]
 
     def apply(self, f: Polynomial) -> Polynomial:
         return apply_operator(self, f)
@@ -462,11 +480,16 @@ class ExplicitOp(Frozen):
 
     The universe is the key set of the a-table; b is stored symmetrically on
     unordered pairs and missing pairs count as zero.
+
+    _series is exp_state's memo of mu0(L^k m) per ideal and monomial m.  It
+    starts empty, lives as long as the instance, is never pickled and never
+    enters __eq__; with_entry builds a new instance with an empty memo.
     """
 
     variant = "explicit"
 
-    __slots__ = ("a", "b", "unit", "_a_int", "_b_int")
+    __slots__ = ("a", "b", "unit", "_a_int", "_b_int", "_series")
+    _caches = ("_series",)
 
     def __init__(self, a: Mapping, b: Mapping):
         a_clean = {v: Fraction(c) for v, c in a.items()}
@@ -485,6 +508,7 @@ class ExplicitOp(Frozen):
         object.__setattr__(self, "unit", Fraction(1, den))
         object.__setattr__(self, "_a_int", {v: int(c * den) for v, c in a_clean.items()})
         object.__setattr__(self, "_b_int", {k: int(c * den) for k, c in b_clean.items()})
+        object.__setattr__(self, "_series", {})
 
     def check_var(self, v) -> None:
         if v not in self.a:
@@ -570,9 +594,10 @@ def operator_from_json(spec: Mapping):
     if variant == "sphere":
         return SphereOp([Fraction(a) for a in spec["areas"]])
     if variant == "cubical":
-        op = CubicalFamilyOp.main(d=int(spec.get("d", 3)), scale=int(spec.get("scale", 0)))
+        op = CubicalFamilyOp.main(d=_json_int("d", spec.get("d", 3)),
+                                  scale=_json_int("scale", spec.get("scale", 0)))
     elif variant == "alt3":
-        op = CubicalFamilyOp.alt(scale=int(spec.get("scale", 0)))
+        op = CubicalFamilyOp.alt(scale=_json_int("scale", spec.get("scale", 0)))
     elif variant == "explicit":
         a = {_var_from_text(k): Fraction(v) for k, v in spec["a"].items()}
         b = {(_var_from_text(p), _var_from_text(q)): Fraction(v) for p, q, v in spec.get("b", [])}
@@ -580,10 +605,16 @@ def operator_from_json(spec: Mapping):
     else:
         raise ValueError(f"unknown operator variant {variant!r}")
     for index, kind, value in spec.get("overrides", []):
-        if type(value) is not int:  # a JSON integer; 1.5 or true would be truncated by int()
-            raise ValueError(f"override value {value!r} is not an integer")
+        _json_int("override value", value)
         key = ("a0",) if kind == "a0" else (kind, tuple(index))
         overrides = dict(op.table_overrides)
         overrides[key] = value
         op = CubicalFamilyOp(op.d, op.scale, op.variant, overrides)
     return op
+
+
+def _json_int(name: str, value) -> int:
+    """value itself if it is a JSON integer; 3.5 or true would be truncated by int()."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value

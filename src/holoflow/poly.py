@@ -347,10 +347,11 @@ class LinearIdeal(Frozen):
     Triangularization eliminates, for each independent generator, its largest
     variable in the declared total order (index order for integer variables,
     (scale, coords) order for cells).  The resulting substitution map is fully
-    back-substituted, so one substitution pass computes normal forms.
+    back-substituted, so one substitution pass computes normal forms; its
+    polynomial form (_mapping) is built once, after triangularization.
     """
 
-    __slots__ = ("generators", "_subst")
+    __slots__ = ("generators", "_subst", "_mapping")
 
     def __init__(self, generators: Iterable[Polynomial]):
         gens = tuple(generators)
@@ -363,6 +364,8 @@ class LinearIdeal(Frozen):
         object.__setattr__(self, "_subst", {})
         for g in gens:
             self._insert({v: c for m, c in g.terms.items() for v, _ in m})
+        object.__setattr__(self, "_mapping",
+                           {v: Polynomial.linear(rhs) for v, rhs in self._subst.items()})
 
     @classmethod
     def trivial(cls) -> "LinearIdeal":
@@ -399,10 +402,9 @@ class LinearIdeal(Frozen):
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of f modulo the ideal."""
-        if not self._subst or not (f.variables() & set(self._subst)):
+        if not self._subst or f.variables().isdisjoint(self._subst):
             return f
-        mapping = {v: Polynomial.linear(rhs) for v, rhs in self._subst.items()}
-        return f.substitute(mapping)
+        return f.substitute(self._mapping)
 
     def contains(self, f: Polynomial) -> bool:
         return self.reduce(f).is_zero()

@@ -9,6 +9,11 @@ check each other with zero tolerance:
 * ym_moment  -- computes Gaussian moments of the conditioned product measure
   by pairings (Isserlis) over an exactly inverted covariance matrix.
 
+Each pipeline memoizes internally and neither reads the other: exp_state
+keeps mu0(L^k m) per monomial m on the operator (ExplicitOp._series), and
+the pairing sums live on the CovarianceMatrix (_pairings).  verify_sphere
+builds one covariance matrix and one euclidean operator per area vector.
+
 The coupling normalization is the heat-kernel one: a single holonomy of
 weight a has second moment 2*a*coupling (density proportional to
 exp(-x^2 / (4*coupling*a))).  Weights written with exp(-x^2/(coupling*a))
@@ -117,24 +122,43 @@ def exp_state(op, f: Polynomial, ideal: LinearIdeal | None = None) -> LambdaPoly
     """mu_0 e^(coupling * L) applied to f, exact in the coupling.
 
     The series sum_k coupling^k / k! * mu0(L^k f) terminates after
-    floor(deg f / 2) + 1 terms because L drops degree by two.
+    floor(deg f / 2) + 1 terms because L drops degree by two.  L and mu0 are
+    linear, so mu0(L^k f) is summed from the memoized series of f's monomials.
     """
-    coeffs: dict[int, Fraction] = {0: mu0(f, ideal)}
-    cur = f
-    for k in range(1, f.degree() // 2 + 1):
-        cur = apply_operator(op, cur)
-        coeffs[k] = mu0(cur, ideal) / math.factorial(k)
-    return LambdaPoly(coeffs)
+    # an ExplicitOp keeps one memo per ideal; other operators memoize for this call only
+    memos = getattr(op, "_series", None)
+    memo = {} if memos is None else memos.setdefault(ideal, {})
+    sums: dict[int, Fraction] = {}
+    for m, c in f.monomial_items():
+        for k, value in enumerate(_mu0_series(op, ideal, m, memo)):
+            if value:
+                sums[k] = sums.get(k, Fraction(0)) + c * value
+    return LambdaPoly({k: v / math.factorial(k) for k, v in sums.items()})
+
+
+def _mu0_series(op, ideal: LinearIdeal | None, m: Monomial, memo: dict) -> list[Fraction]:
+    """[mu0(L^k m) for k = 0..deg(m) // 2], from the series of L m's monomials."""
+    series = memo.get(m)
+    if series is None:
+        f = Polynomial({m: Fraction(1)})
+        series = [mu0(f, ideal)] + [Fraction(0)] * (sum(e for _, e in m) // 2)
+        for m2, c2 in apply_operator(op, f).monomial_items():
+            for k, value in enumerate(_mu0_series(op, ideal, m2, memo), start=1):
+                series[k] += c2 * value
+        memo[m] = series
+    return series
 
 
 class CovarianceMatrix(Frozen):
     """Symmetric rational matrix of second-moment coefficients.
 
     entry(u, v) is the coefficient of the coupling in the state applied to
-    x_u x_v.
+    x_u x_v.  _pairings memoizes the Isserlis pairing sums on the sorted
+    factor tuple; it is never pickled and never enters __eq__.
     """
 
-    __slots__ = ("variables", "_entries")
+    __slots__ = ("variables", "_entries", "_index", "_pairings")
+    _caches = ("_pairings",)
 
     def __init__(self, variables: Sequence, entries: Mapping):
         variables = tuple(variables)
@@ -150,11 +174,12 @@ class CovarianceMatrix(Frozen):
             clean[key] = c
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "_entries", clean)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_pairings", {})
 
     def entry(self, u, v) -> Fraction:
-        i = self.variables.index(u)
-        j = self.variables.index(v)
-        key = (u, v) if i <= j else (v, u)
+        index = self._index
+        key = (u, v) if index[u] <= index[v] else (v, u)
         return self._entries.get(key, Fraction(0))
 
     @property
@@ -228,23 +253,31 @@ def isserlis_moment(cov: CovarianceMatrix, monomial: Monomial) -> Fraction:
 
     Returns the coefficient of coupling^(degree/2); odd degrees vanish.
     """
-    factors: list = []
-    for v, e in monomial:
-        factors.extend([v] * e)
+    factors = tuple(v for v, e in monomial for _ in range(e))
     if len(factors) % 2:
         return Fraction(0)
     return _pairing_sum(cov, factors)
 
 
-def _pairing_sum(cov: CovarianceMatrix, factors: list) -> Fraction:
+def _pairing_sum(cov: CovarianceMatrix, factors: tuple) -> Fraction:
+    """Sum over the perfect pairings of factors, sorted so equal ones are adjacent.
+
+    Pairing the head with any of k equal factors leaves the same rest, so
+    each distinct partner is expanded once and counted k times.
+    """
     if not factors:
         return Fraction(1)
-    head, rest = factors[0], factors[1:]
-    total = Fraction(0)
-    for i in range(len(rest)):
-        c = cov.entry(head, rest[i])
-        if c:
-            total += c * _pairing_sum(cov, rest[:i] + rest[i + 1 :])
+    total = cov._pairings.get(factors)
+    if total is None:
+        head, rest = factors[0], factors[1:]
+        total = Fraction(0)
+        for i, v in enumerate(rest):
+            if i and v == rest[i - 1]:
+                continue
+            c = cov.entry(head, v)
+            if c:
+                total += rest.count(v) * c * _pairing_sum(cov, rest[:i] + rest[i + 1:])
+        cov._pairings[factors] = total
     return total
 
 
@@ -254,7 +287,11 @@ def ym_moment(areas: Sequence, f: Polynomial) -> LambdaPoly:
     f must already live in the coordinates x_1..x_{n-1} (the last holonomy
     eliminated against the conditioning constraint).
     """
-    cov = ym_covariance(areas)
+    return _pairing_state(ym_covariance(areas), f)
+
+
+def _pairing_state(cov: CovarianceMatrix, f: Polynomial) -> LambdaPoly:
+    """ym_moment's pairing step over an already built covariance matrix."""
     allowed = set(cov.variables)
     bad = f.variables() - allowed
     if bad:
@@ -328,12 +365,14 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
 
     Every monomial of degree <= max_degree in the euclidean coordinates is
     pushed through both exp_state (with the euclidean image of the sphere
-    operator) and ym_moment; the report lists both values for each.
+    operator) and ym_moment's pairing step (over one covariance matrix for
+    the area vector); the report lists both values for each.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     areas = tuple(Fraction(a) for a in areas)
     op = SphereOp(areas).to_euclidean()
+    cov = ym_covariance(areas)
     items = []
     for mono in euclidean_monomials(len(areas) - 1, max_degree):
         f = Polynomial({mono: Fraction(1)})
@@ -341,7 +380,7 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
             MomentComparison(
                 monomial=format_polynomial(f),
                 exp_state=exp_state(op, f),
-                ym_moment=ym_moment(areas, f),
+                ym_moment=_pairing_state(cov, f),
             )
         )
     return SphereCheckReport(areas=areas, max_degree=max_degree, items=tuple(items))

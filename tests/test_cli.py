@@ -435,6 +435,20 @@ def test_malformed_numbers_in_a_spec_are_usage_errors(runner, spec):
     assert "invalid operator spec" in result.output
 
 
+@pytest.mark.parametrize("spec", [
+    '{"variant":"cubical","d":3.5}',
+    '{"variant":"cubical","d":true}',
+    '{"variant":"cubical","scale":3.5}',
+    '{"variant":"cubical","scale":true}',
+    '{"variant":"alt3","scale":true}',
+])
+def test_non_integer_dimension_or_scale_is_a_usage_error(runner, spec):
+    result = runner.invoke(main, ["verify-invariance", "--op", spec, "--window", "1",
+                                  "--format", "json"])
+    assert_usage_error(result)
+    assert "is not an integer" in result.output
+
+
 # Each command with the options that size its run.  All but --jobs and --decimal
 # are always passed, so no example falls back to a large default (a window of 6,
 # 100 trials); those two default to one worker and no rounding.
@@ -454,6 +468,7 @@ OP_SPECS = [
     '{"variant":"cubical","overrides":[[[0,0,1],"alpha",true]]}',
     '{"variant":"cubical","overrides":[[[0,0],"alpha",1]]}',
     '{"variant":"cubical","overrides":[[[-1,0,0],"beta",5]]}',
+    '{"variant":"cubical","d":3.5,"scale":true}',
 ]
 
 

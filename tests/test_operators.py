@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from holoflow.operators import (
     CubicalFamilyOp,
     ExplicitOp,
     SphereOp,
+    apply_operator,
     operator_from_json,
 )
 from holoflow.poly import Polynomial
@@ -360,6 +362,57 @@ def test_apply_rejects_outside_universe():
 def test_coeff_b_scale_mismatch():
     with pytest.raises(ValueError, match="different scales"):
         MAIN3.coeff_b(BASE3, Cell(1, (1, 1, 0)))
+
+
+def fraction_apply(op, f: Polynomial) -> Polynomial:
+    """L f from the checked Fraction coefficients, every ordered pair derived on its own."""
+    vs = f.variables()
+    out = Polynomial.zero()
+    for v in vs:
+        out = out + op.coeff_a(v) * f.derive(v).derive(v)
+    for vi in vs:
+        for vj in vs:
+            out = out - op.coeff_b(vi, vj) * f.derive(vi).derive(vj)
+    return out
+
+
+def _integer_apply_cases():
+    areas = [Fraction(2, 7), Fraction(1, 3), Fraction(8, 21)]
+    sphere = SphereOp(areas)
+    yield sphere, [1, 2, 3]
+    yield sphere.to_euclidean(), [1, 2]
+    cells = [BASE3, Cell(0, (0, 1, 1)), Cell(0, (1, 0, 1))]
+    yield ExplicitOp(a={c: Fraction(3, 2) for c in cells},
+                     b={(cells[0], cells[1]): Fraction(-1, 4), (cells[1], cells[1]): 5}), cells
+    for scale in (-1, 0, 1):
+        for fam in (MAIN3, ALT3, MAIN3.perturbed("beta", (1, 0, 0), 1), MAIN4):
+            yield fam.with_scale(scale), fam.with_scale(scale).window_plaquettes(1)[:5]
+
+
+def test_integer_apply_matches_the_fraction_form():
+    rng = random.Random(41)
+    for op, variables in _integer_apply_cases():
+        for _ in range(6):
+            f = Polynomial.zero()
+            for _ in range(rng.randint(1, 4)):
+                term = Polynomial.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 4)):
+                    term = term * x(rng.choice(variables))
+                f = f + term
+            assert apply_operator(op, f) == fraction_apply(op, f), (op, f)
+
+
+def test_sphere_integer_coefficients_times_unit_are_the_coefficients():
+    rng = random.Random(43)
+    for n in (2, 3, 5):
+        weights = [rng.randint(1, 20) for _ in range(n)]
+        op = SphereOp([Fraction(w, sum(weights)) for w in weights])
+        for i in op.variables():
+            assert type(op.a_int(i)) is int
+            assert op.a_int(i) * op.unit == op.coeff_a(i)
+            for j in op.variables():
+                assert type(op.b_int(i, j)) is int
+                assert op.b_int(i, j) * op.unit == op.coeff_b(i, j)
 
 
 # -- euclidean reduction of the sphere operator -------------------------------------

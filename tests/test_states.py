@@ -1,11 +1,14 @@
 """States: flat, exponential, and Gaussian pipelines; covariance probes."""
 
 import itertools
+import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from holoflow import states
 from holoflow.cells import Cell
 from holoflow.operators import CubicalFamilyOp, SphereOp, apply_operator
 from holoflow.poly import LinearIdeal, Polynomial
@@ -31,6 +34,16 @@ def rand_areas(n, rng):
     weights = [rng.randint(1, 20) for _ in range(n)]
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
+
+
+def rand_poly(rng, variables, max_degree, terms=4):
+    f = Polynomial.zero()
+    for _ in range(rng.randint(1, terms)):
+        term = Polynomial.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, max_degree)):
+            term = term * x(rng.choice(variables))
+        f = f + term
+    return f
 
 
 # -- flat state ------------------------------------------------------------------
@@ -84,6 +97,75 @@ def test_exp_state_terminates_after_half_degree():
     assert apply_operator(op, cur).is_zero()
 
 
+def plain_exp_state(op, f, ideal=None):
+    """The series without memos: L applied to the whole of f, k times."""
+    coeffs = {0: mu0(f, ideal)}
+    cur = f
+    for k in range(1, f.degree() // 2 + 1):
+        cur = apply_operator(op, cur)
+        coeffs[k] = mu0(cur, ideal) / math.factorial(k)
+    return LambdaPoly(coeffs)
+
+
+def _euclidean_case(rng):
+    areas = rand_areas(4, rng)
+    return SphereOp(areas).to_euclidean(), None, [1, 2, 3], 6
+
+
+def _lattice_case(rng):
+    return MAIN3, LinearIdeal.trivial(), MAIN3.window_plaquettes(1)[:5], 4
+
+
+def _sphere_quotient_case(rng):
+    areas = rand_areas(4, rng)
+    ideal = LinearIdeal([Polynomial.linear({i: 1 for i in range(1, 5)})])
+    return SphereOp(areas), ideal, [1, 2, 3, 4], 6
+
+
+@pytest.mark.parametrize("case", [_euclidean_case, _lattice_case, _sphere_quotient_case])
+def test_memoized_exp_state_matches_the_plain_series(case):
+    rng = random.Random(case.__name__)
+    op, ideal, variables, max_degree = case(rng)
+    for _ in range(12):  # one operator throughout, so later polynomials read a warm memo
+        f = rand_poly(rng, variables, max_degree)
+        assert exp_state(op, f, ideal) == plain_exp_state(op, f, ideal), f
+
+
+def test_series_memo_is_per_ideal():
+    op = SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]).to_euclidean()
+    ideal = LinearIdeal([Polynomial.linear({1: 1, 2: 1})])
+    f = x(1, 2) * x(2, 2)
+    assert exp_state(op, f) == plain_exp_state(op, f)
+    assert exp_state(op, f, ideal) == plain_exp_state(op, f, ideal)
+    assert list(op._series) == [None, ideal]
+    assert op._series[None] is not op._series[ideal]
+
+
+def test_series_memo_stays_with_its_operator():
+    op = SphereOp([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]).to_euclidean()
+    f = x(1, 2) * x(2, 2)
+    before = exp_state(op, f)
+    perturbed = op.with_entry(1, 2, Fraction(7, 5))
+    assert perturbed._series == {}
+    assert exp_state(perturbed, f) == plain_exp_state(perturbed, f) != before
+    assert exp_state(op, f) == before == plain_exp_state(op, f)
+
+
+def test_pickled_operator_and_covariance_arrive_with_empty_memos():
+    areas = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+    op = SphereOp(areas).to_euclidean()
+    cov = ym_covariance(areas)
+    f = x(1, 2) * x(2, 2)
+    series, moment = exp_state(op, f), isserlis_moment(cov, ((1, 2), (2, 2)))
+    assert op._series and cov._pairings
+    op2, cov2 = pickle.loads(pickle.dumps(op)), pickle.loads(pickle.dumps(cov))
+    assert op2._series == {} and cov2._pairings == {}
+    assert op2 == op == SphereOp(areas).to_euclidean()  # __eq__ ignores the memo
+    assert cov2 == cov == ym_covariance(areas)
+    assert exp_state(op2, f) == series
+    assert isserlis_moment(cov2, ((1, 2), (2, 2))) == moment
+
+
 # -- covariance -------------------------------------------------------------------
 
 
@@ -121,6 +203,30 @@ def test_isserlis_reference_moments():
     assert isserlis_moment(cov, ((1, 4),)) == 3 * c11**2
     assert isserlis_moment(cov, ((1, 2), (2, 2))) == c11 * c22 + 2 * c12**2
     assert isserlis_moment(cov, ((1, 3),)) == 0
+
+
+def brute_pairings(cov, factors):
+    """Every perfect pairing of factors, one by one, with no memo."""
+    if not factors:
+        return Fraction(1)
+    head, rest = factors[0], factors[1:]
+    return sum((cov.entry(head, rest[i]) * brute_pairings(cov, rest[:i] + rest[i + 1:])
+                for i in range(len(rest))), Fraction(0))
+
+
+def test_pairing_memo_matches_brute_force_pairings():
+    rng = random.Random(29)
+    for n in (3, 4, 5):
+        cov = ym_covariance(rand_areas(n, rng))
+        for _ in range(25):  # one matrix throughout, so later monomials read a warm memo
+            counts: dict = {}
+            for _ in range(rng.randint(0, 8)):
+                v = rng.randint(1, n - 1)
+                counts[v] = counts.get(v, 0) + 1
+            mono = tuple(sorted(counts.items()))
+            factors = [v for v, e in mono for _ in range(e)]
+            want = brute_pairings(cov, factors) if len(factors) % 2 == 0 else 0
+            assert isserlis_moment(cov, mono) == want, mono
 
 
 def test_ym_moment_examples():
@@ -173,6 +279,22 @@ def test_n4_first_order_coefficients():
         both = ym_moment(areas, x(i) * x(j))
         assert both == LambdaPoly({1: -2 * areas[i - 1] * areas[j - 1]})
         assert exp_state(op, x(i) * x(j)) == both
+
+
+def test_verify_sphere_builds_one_covariance_per_area_vector(monkeypatch):
+    calls = []
+    real = states.ym_covariance
+
+    def counting(areas):
+        calls.append(tuple(areas))
+        return real(areas)
+
+    monkeypatch.setattr(states, "ym_covariance", counting)
+    first = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+    second = [Fraction(1, 5), Fraction(1, 5), Fraction(2, 5), Fraction(1, 5)]
+    assert verify_sphere(first, 4).all_equal
+    assert verify_sphere(second, 4).all_equal
+    assert calls == [tuple(first), tuple(second)]
 
 
 def test_verify_sphere_requires_degree_two():
