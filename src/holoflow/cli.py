@@ -347,7 +347,7 @@ def moments(op_text, d, scale, areas, poly_text, fmt, out):
             series = exp_state(op.to_euclidean(), f)
             pairing = ym_moment(op.areas, f)
         else:
-            series, pairing = exp_state(op, f, LinearIdeal.trivial()), None
+            series, pairing = exp_state(op, f), None
     except ValueError as e:
         raise click.UsageError(str(e))
     if pairing is None:

@@ -327,10 +327,9 @@ class CubicalFamilyOp(Frozen):
         return _FAMILIES[self.variant][2](i, j, k)
 
     @property
-    def scale_factor(self) -> Fraction:
+    def unit(self) -> Fraction:
+        """4^-scale: every coefficient is an integer times this."""
         return Fraction(4) ** (-self.scale)
-
-    unit = scale_factor  # every coefficient is an integer times this
 
     # -- universe ------------------------------------------------------------
 
@@ -352,14 +351,14 @@ class CubicalFamilyOp(Frozen):
 
     def coeff_a(self, p: Cell) -> Fraction:
         self.check_var(p)
-        return self.a0 * self.scale_factor
+        return self.a0 * self.unit
 
     def coeff_b(self, p: Cell, q: Cell) -> Fraction:
         if isinstance(p, Cell) and isinstance(q, Cell) and p.scale != q.scale:
             raise ValueError(f"plaquettes at different scales: {p}, {q}")
         self.check_var(p)
         self.check_var(q)
-        return self.b_int(p, q) * self.scale_factor
+        return self.b_int(p, q) * self.unit
 
     def a_int(self, p: Cell) -> int:
         """a_p over unit.  Callers check the universe."""
@@ -481,9 +480,9 @@ class ExplicitOp(Frozen):
     The universe is the key set of the a-table; b is stored symmetrically on
     unordered pairs and missing pairs count as zero.
 
-    _series is exp_state's memo of mu0(L^k m) per ideal and monomial m.  It
-    starts empty, lives as long as the instance, is never pickled and never
-    enters __eq__; with_entry builds a new instance with an empty memo.
+    _series is exp_state's memo of mu0(L^k m) per monomial m.  It starts
+    empty, lives as long as the instance, is never pickled and never enters
+    __eq__; with_entry builds a new instance with an empty memo.
     """
 
     variant = "explicit"

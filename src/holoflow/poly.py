@@ -367,10 +367,6 @@ class LinearIdeal(Frozen):
         object.__setattr__(self, "_mapping",
                            {v: Polynomial.linear(rhs) for v, rhs in self._subst.items()})
 
-    @classmethod
-    def trivial(cls) -> "LinearIdeal":
-        return cls(())
-
     def _insert(self, form: dict) -> None:
         subst = self._subst
         for v in [v for v in form if v in subst]:
@@ -405,9 +401,6 @@ class LinearIdeal(Frozen):
         if not self._subst or f.variables().isdisjoint(self._subst):
             return f
         return f.substitute(self._mapping)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.reduce(f).is_zero()
 
     def __repr__(self):
         return f"LinearIdeal(rank={self.rank}, generators={len(self.generators)})"

@@ -7,7 +7,8 @@ check each other with zero tolerance:
   lowers degree by two, so a polynomial of degree m needs floor(m/2) + 1
   terms, each an exact rational.
 * ym_moment  -- computes Gaussian moments of the conditioned product measure
-  by pairings (Isserlis) over an exactly inverted covariance matrix.
+  by pairings (Isserlis) over its covariance matrix, a closed form checked
+  exactly against the precision matrix.
 
 Each pipeline memoizes internally and neither reads the other: exp_state
 keeps mu0(L^k m) per monomial m on the operator (ExplicitOp._series), and
@@ -31,7 +32,7 @@ from typing import Mapping, Sequence
 from ._frozen import Frozen
 
 from .operators import CubicalFamilyOp, SphereOp, apply_operator
-from .poly import LinearIdeal, Monomial, Polynomial, format_polynomial
+from .poly import Monomial, Polynomial, format_polynomial
 
 
 class LambdaPoly(Frozen):
@@ -111,39 +112,40 @@ def format_lambda_poly(f: LambdaPoly) -> str:
     return text
 
 
-def mu0(f: Polynomial, ideal: LinearIdeal | None = None) -> Fraction:
-    """The flat state: reduce modulo the ideal, then send every variable to 0."""
-    if ideal is not None:
-        f = ideal.reduce(f)
+def mu0(f: Polynomial) -> Fraction:
+    """The flat state: send every variable to 0.
+
+    No reduction modulo a constraint ideal is needed first: the generators are
+    linear with no constant term, so reducing never changes the constant term.
+    """
     return f.eval_zero()
 
 
-def exp_state(op, f: Polynomial, ideal: LinearIdeal | None = None) -> LambdaPoly:
+def exp_state(op, f: Polynomial) -> LambdaPoly:
     """mu_0 e^(coupling * L) applied to f, exact in the coupling.
 
     The series sum_k coupling^k / k! * mu0(L^k f) terminates after
     floor(deg f / 2) + 1 terms because L drops degree by two.  L and mu0 are
     linear, so mu0(L^k f) is summed from the memoized series of f's monomials.
     """
-    # an ExplicitOp keeps one memo per ideal; other operators memoize for this call only
-    memos = getattr(op, "_series", None)
-    memo = {} if memos is None else memos.setdefault(ideal, {})
+    # an ExplicitOp keeps its memo; other operators memoize for this call only
+    memo = getattr(op, "_series", {})
     sums: dict[int, Fraction] = {}
     for m, c in f.monomial_items():
-        for k, value in enumerate(_mu0_series(op, ideal, m, memo)):
+        for k, value in enumerate(_mu0_series(op, m, memo)):
             if value:
                 sums[k] = sums.get(k, Fraction(0)) + c * value
     return LambdaPoly({k: v / math.factorial(k) for k, v in sums.items()})
 
 
-def _mu0_series(op, ideal: LinearIdeal | None, m: Monomial, memo: dict) -> list[Fraction]:
+def _mu0_series(op, m: Monomial, memo: dict) -> list[Fraction]:
     """[mu0(L^k m) for k = 0..deg(m) // 2], from the series of L m's monomials."""
     series = memo.get(m)
     if series is None:
         f = Polynomial({m: Fraction(1)})
-        series = [mu0(f, ideal)] + [Fraction(0)] * (sum(e for _, e in m) // 2)
+        series = [mu0(f)] + [Fraction(0)] * (sum(e for _, e in m) // 2)
         for m2, c2 in apply_operator(op, f).monomial_items():
-            for k, value in enumerate(_mu0_series(op, ideal, m2, memo), start=1):
+            for k, value in enumerate(_mu0_series(op, m2, memo), start=1):
                 series[k] += c2 * value
         memo[m] = series
     return series
@@ -203,8 +205,9 @@ def ym_covariance(areas: Sequence) -> CovarianceMatrix:
 
     The density on x_1..x_{n-1} (with x_n = -sum x_i) is proportional to
     exp(-sum_i x_i^2 / (4*coupling*a_i)); inverting the quadratic form gives
-    E[x_i x_j] = coupling * 2(a_i delta_ij - a_i a_j), and the inversion
-    result is confirmed against that closed form before returning.
+    E[x_i x_j] = coupling * 2(a_i delta_ij - a_i a_j).  That closed form is
+    confirmed exactly before returning: the precision matrix times twice the
+    closed form is the identity.
     """
     areas = tuple(Fraction(a) for a in areas)
     SphereOp(areas)  # validates positivity and normalization
@@ -217,35 +220,16 @@ def ym_covariance(areas: Sequence) -> CovarianceMatrix:
         ]
         for i in range(m)
     ]
-    inverse = _invert_rational_matrix(precision)
-    closed = {
-        (i + 1, j + 1): 2 * (areas[i] * (1 if i == j else 0) - areas[i] * areas[j])
-        for i in range(m)
-        for j in range(i, m)
-    }
+    closed = [[2 * (areas[i] * (1 if i == j else 0) - areas[i] * areas[j]) for j in range(m)]
+              for i in range(m)]
     for i in range(m):
-        for j in range(i, m):
-            if inverse[i][j] / 2 != closed[(i + 1, j + 1)]:
-                raise AssertionError("covariance inversion disagrees with the closed form")
-    return CovarianceMatrix(tuple(range(1, n)), closed)
-
-
-def _invert_rational_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    work = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+        for j in range(m):
+            if sum(precision[i][k] * 2 * closed[k][j] for k in range(m)) != int(i == j):
+                raise AssertionError("the closed-form covariance is not the inverse precision")
+    return CovarianceMatrix(
+        tuple(range(1, n)),
+        {(i + 1, j + 1): closed[i][j] for i in range(m) for j in range(i, m)},
+    )
 
 
 def isserlis_moment(cov: CovarianceMatrix, monomial: Monomial) -> Fraction:
@@ -450,9 +434,12 @@ def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
     """Signs of leading principal minors of an integer matrix.
 
     Fraction-free elimination: after step k the pivot equals the k-th leading
-    minor exactly.  A zero pivot whose leading block has a null vector
-    annihilating the whole matrix forces every later leading minor to zero;
-    otherwise the remaining minors are computed independently.
+    minor exactly.  At the first zero pivot the leading block is singular.  If
+    the whole leading columns 0..k are dependent, every later leading block
+    holds those columns and all later minors are zero.  They are dependent
+    exactly when their Gram matrix (the columns' pairwise dot products) is
+    singular, which _det_bareiss decides.  Otherwise the remaining minors are
+    computed independently.
     """
     n = len(matrix)
     work = [row[:] for row in matrix]
@@ -461,11 +448,9 @@ def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
     for k in range(n):
         pivot = work[k][k]
         if pivot == 0:
-            null = _null_vector([row[: k + 1] for row in matrix[: k + 1]])
-            if all(
-                sum(matrix[i][j] * null[j] for j in range(k + 1)) == 0
-                for i in range(n)
-            ):
+            gram = [[sum(row[i] * row[j] for row in matrix) for j in range(k + 1)]
+                    for i in range(k + 1)]
+            if _det_bareiss(gram) == 0:
                 signs.extend([0] * (n - k))
                 return signs
             signs.append(0)
@@ -484,34 +469,6 @@ def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
 
 def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
-
-
-def _null_vector(block: list[list[int]]) -> list[Fraction]:
-    """A nonzero rational null vector of a singular square integer matrix."""
-    n = len(block)
-    work = [[Fraction(x) for x in row] for row in block]
-    where: list[int | None] = [None] * n
-    row = 0
-    for col in range(n):
-        pivot_row = next((r for r in range(row, n) if work[r][col]), None)
-        if pivot_row is None:
-            continue
-        work[row], work[pivot_row] = work[pivot_row], work[row]
-        pivot = work[row][col]
-        work[row] = [x / pivot for x in work[row]]
-        for r in range(n):
-            if r != row and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        where[col] = row
-        row += 1
-    free = next(col for col in range(n) if where[col] is None)
-    null = [Fraction(0)] * n
-    null[free] = Fraction(1)
-    for col in range(n):
-        if where[col] is not None:
-            null[col] = -work[where[col]][free]
-    return null
 
 
 def _det_bareiss(matrix: list[list[int]]) -> int:

@@ -194,7 +194,7 @@ def invariance_table_residual(family: CubicalFamilyOp, i: int, j: int, k: int) -
         + alpha_extended(family, i, j, k)
         - alpha_extended(family, i, j, k + 1)
     )
-    return expr * family.scale_factor
+    return expr * family.unit
 
 
 # -- sphere quotient condition ------------------------------------------------
@@ -283,32 +283,34 @@ def _compat_chunk(args) -> list[ResidualReport]:
 # -- quotient well-definedness ------------------------------------------------
 
 
-def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int,
-                         max_degree: int = 3, max_terms: int = 3,
-                         pool_radius: int = 2) -> list[ResidualReport]:
+WELLDEFINED_MAX_DEGREE = 3
+WELLDEFINED_MAX_TERMS = 3
+WELLDEFINED_POOL_RADIUS = 2
+
+
+def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list[ResidualReport]:
     """reduce(L(f_c * g)) for every generator f_c and seeded random g.
 
     All normal forms must vanish.  For lattice ideals the random polynomials
-    draw variables from all plaquettes within max-norm pool_radius of the
-    generators' variables, not just the generators' own faces; interactions
-    reach diagonally, so descent failures can involve nearby outside
-    plaquettes.  A failing site reports, as its value, the coefficient of the
-    smallest surviving monomial in canonical order (a deterministic nonzero
-    witness).
+    draw variables from all plaquettes within max-norm WELLDEFINED_POOL_RADIUS
+    of the generators' variables, not just the generators' own faces;
+    interactions reach diagonally, so descent failures can involve nearby
+    outside plaquettes.  A failing site reports, as its value, the coefficient
+    of the smallest surviving monomial in canonical order (a deterministic
+    nonzero witness).
     """
     rng = random.Random(seed)
     generator_vars = {v for g in ideal.generators for v in g.variables()}
     pool_set = set(generator_vars)
-    if pool_radius > 0:
-        for v in generator_vars:
-            if isinstance(v, Cell):
-                pool_set.update(cells_near(v, pool_radius, dim=2))
+    for v in generator_vars:
+        if isinstance(v, Cell):
+            pool_set.update(cells_near(v, WELLDEFINED_POOL_RADIUS, dim=2))
     pool = sorted((v for v in pool_set if op.has_var(v)), key=lambda v: str(v))
     if not pool:
         return []
     reports = []
     for t in range(trials):
-        g = _random_polynomial(rng, pool, max_degree, max_terms)
+        g = _random_polynomial(rng, pool)
         for idx, f_c in enumerate(ideal.generators):
             normal = ideal.reduce(apply_operator(op, f_c * g))
             if normal.is_zero():
@@ -319,11 +321,11 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int,
     return reports
 
 
-def _random_polynomial(rng: random.Random, pool: list, max_degree: int, max_terms: int) -> Polynomial:
+def _random_polynomial(rng: random.Random, pool: list) -> Polynomial:
     f = Polynomial.zero()
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, WELLDEFINED_MAX_TERMS)):
         term = Polynomial.const(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(rng.randint(0, WELLDEFINED_MAX_DEGREE)):
             term = term * Polynomial.var(rng.choice(pool))
         f = f + term
     return f

@@ -160,7 +160,7 @@ def test_ideal_rejects_wrong_dimension():
 
 
 def test_trivial_ideal_reduce_is_identity():
-    ideal = LinearIdeal.trivial()
+    ideal = LinearIdeal(())
     f = x(1) * x(2) + 7
     assert ideal.reduce(f) == f
 
@@ -199,6 +199,21 @@ def test_generators_must_be_linear_without_constant():
         LinearIdeal([x(1, 2)])
     with pytest.raises(ValueError, match="constant term"):
         LinearIdeal([x(1) + 1])
+
+
+@st.composite
+def linear_ideals(draw, n_vars=3):
+    forms = draw(st.lists(
+        st.dictionaries(st.integers(1, n_vars), st.integers(-3, 3), min_size=1),
+        max_size=n_vars))
+    return LinearIdeal(Polynomial.linear(form) for form in forms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_ideals(), small_polys())
+def test_reduce_keeps_the_constant_term(ideal, f):
+    # why the flat state mu0 needs no reduction modulo a constraint ideal
+    assert ideal.reduce(f).eval_zero() == f.eval_zero()
 
 
 def test_reduce_is_idempotent_morphism_with_ideal_kernel():

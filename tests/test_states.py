@@ -11,7 +11,7 @@ import pytest
 from holoflow import states
 from holoflow.cells import Cell
 from holoflow.operators import CubicalFamilyOp, SphereOp, apply_operator
-from holoflow.poly import LinearIdeal, Polynomial
+from holoflow.poly import LinearIdeal, Polynomial, ideal_from_cubes
 from holoflow.states import (
     CovarianceMatrix,
     LambdaPoly,
@@ -50,10 +50,9 @@ def rand_poly(rng, variables, max_degree, terms=4):
 
 
 def test_mu0_examples():
-    ideal = LinearIdeal([Polynomial.linear({1: 1, 2: 1, 3: 1})])
-    assert mu0(x(3), ideal) == 0
-    assert mu0(Polynomial.const(5), ideal) == 5
-    assert mu0(x(1) * x(2), ideal) == 0
+    assert mu0(x(3)) == 0
+    assert mu0(Polynomial.const(5)) == 5
+    assert mu0(x(1) * x(2) + Fraction(2, 3)) == Fraction(2, 3)
 
 
 # -- exponential state -----------------------------------------------------------
@@ -69,8 +68,8 @@ def test_exp_state_algebraic_coordinates_agree():
     areas = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
     op = SphereOp(areas)
     ideal = LinearIdeal([Polynomial.linear({1: 1, 2: 1, 3: 1})])
-    assert exp_state(op, x(1, 2), ideal) == LambdaPoly({1: Fraction(1, 2)})
-    assert exp_state(op, x(3, 2), ideal) == exp_state(
+    assert exp_state(op, x(1, 2)) == LambdaPoly({1: Fraction(1, 2)})
+    assert exp_state(op, x(3, 2)) == exp_state(
         op.to_euclidean(), ideal.reduce(x(3, 2))
     )
 
@@ -98,12 +97,14 @@ def test_exp_state_terminates_after_half_degree():
 
 
 def plain_exp_state(op, f, ideal=None):
-    """The series without memos: L applied to the whole of f, k times."""
-    coeffs = {0: mu0(f, ideal)}
+    """The series without memos: L applied to the whole of f, k times, each
+    power reduced modulo the ideal before its constant term is read."""
+    reduce = ideal.reduce if ideal is not None else (lambda g: g)
+    coeffs = {0: reduce(f).eval_zero()}
     cur = f
     for k in range(1, f.degree() // 2 + 1):
         cur = apply_operator(op, cur)
-        coeffs[k] = mu0(cur, ideal) / math.factorial(k)
+        coeffs[k] = reduce(cur).eval_zero() / math.factorial(k)
     return LambdaPoly(coeffs)
 
 
@@ -113,7 +114,9 @@ def _euclidean_case(rng):
 
 
 def _lattice_case(rng):
-    return MAIN3, LinearIdeal.trivial(), MAIN3.window_plaquettes(1)[:5], 4
+    ideal = ideal_from_cubes([Cell(0, (1, 1, 1))])
+    (generator,) = ideal.generators
+    return MAIN3, ideal, sorted(generator.variables(), key=Cell.sort_key), 4
 
 
 def _sphere_quotient_case(rng):
@@ -128,17 +131,7 @@ def test_memoized_exp_state_matches_the_plain_series(case):
     op, ideal, variables, max_degree = case(rng)
     for _ in range(12):  # one operator throughout, so later polynomials read a warm memo
         f = rand_poly(rng, variables, max_degree)
-        assert exp_state(op, f, ideal) == plain_exp_state(op, f, ideal), f
-
-
-def test_series_memo_is_per_ideal():
-    op = SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]).to_euclidean()
-    ideal = LinearIdeal([Polynomial.linear({1: 1, 2: 1})])
-    f = x(1, 2) * x(2, 2)
-    assert exp_state(op, f) == plain_exp_state(op, f)
-    assert exp_state(op, f, ideal) == plain_exp_state(op, f, ideal)
-    assert list(op._series) == [None, ideal]
-    assert op._series[None] is not op._series[ideal]
+        assert exp_state(op, f) == plain_exp_state(op, f, ideal), f
 
 
 def test_series_memo_stays_with_its_operator():
@@ -351,6 +344,29 @@ def test_psd_probe_zero_pivot_degenerate():
 def test_psd_probe_negative_definite_direction():
     cov = CovarianceMatrix((1, 2), {(1, 1): -1, (2, 2): 1})
     assert psd_probe(cov).signs == (-1, -1)
+
+
+def leading_determinant_signs(cov):
+    """Each leading minor's sign from its own determinant, with no shortcut."""
+    rows = cov.rows()
+    denom = math.lcm(*(x.denominator for row in rows for x in row))
+    scaled = [[int(x * denom) for x in row] for row in rows]
+    dets = (states._det_bareiss([row[:m] for row in scaled[:m]]) for m in range(1, cov.size + 1))
+    return tuple((d > 0) - (d < 0) for d in dets)
+
+
+@pytest.mark.parametrize("variant", ["cubical", "alt3"])
+@pytest.mark.parametrize("window", [1, 2])
+def test_psd_probe_signs_are_the_leading_determinants(variant, window):
+    # at window 2 both families reach a zero pivot whose leading columns are dependent
+    cov = covariance_window(CubicalFamilyOp(3, 0, variant), window)
+    assert psd_probe(cov).signs == leading_determinant_signs(cov)
+
+
+def test_psd_probe_singular_block_of_nullity_two():
+    # the leading 2x2 block is zero, but the first column is not, so later minors are computed
+    cov = CovarianceMatrix((1, 2, 3, 4), {(1, 3): 1, (2, 4): 1})
+    assert psd_probe(cov).signs == leading_determinant_signs(cov) == (0, 0, 0, 1)
 
 
 # -- the coupling-polynomial value type ------------------------------------------------
