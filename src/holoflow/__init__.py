@@ -16,7 +16,6 @@ from .cells import (
     act_chain,
     boundary,
     box_cells,
-    cell,
     cell_dimension,
     cells_near,
     children,

@@ -73,11 +73,6 @@ class Cell(Frozen):
         return format_cell(self)
 
 
-def cell(coords: Sequence[int], scale: int = 0) -> Cell:
-    """Shorthand constructor, coords first."""
-    return Cell(scale, coords)
-
-
 def format_cell(c: Cell) -> str:
     return "[" + ",".join(str(x) for x in c.coords) + "]@" + str(c.scale)
 

@@ -50,10 +50,6 @@ class LambdaPoly(Frozen):
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
-    def zero(cls) -> "LambdaPoly":
-        return cls()
-
-    @classmethod
     def const(cls, c) -> "LambdaPoly":
         return cls({0: Fraction(c)})
 
@@ -431,15 +427,19 @@ def psd_probe(cov: CovarianceMatrix) -> PsdReport:
 
 
 def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
-    """Signs of leading principal minors of an integer matrix.
+    """Signs of leading principal minors of a symmetric integer matrix.
 
     Fraction-free elimination: after step k the pivot equals the k-th leading
-    minor exactly.  At the first zero pivot the leading block is singular.  If
-    the whole leading columns 0..k are dependent, every later leading block
-    holds those columns and all later minors are zero.  They are dependent
-    exactly when their Gram matrix (the columns' pairwise dot products) is
-    singular, which _det_bareiss decides.  Otherwise the remaining minors are
-    computed independently.
+    minor exactly.  The matrix must be symmetric, as psd_probe's covariance
+    matrices are: each step then keeps the trailing block symmetric, so only
+    its entries with j >= i are computed, and each is mirrored to (j, i).
+
+    At the first zero pivot the leading block is singular.  If the whole
+    leading columns 0..k of the original matrix are dependent, every later
+    leading block holds those columns and all later minors are zero.  They
+    are dependent exactly when their Gram matrix (the columns' pairwise dot
+    products) is singular, which _det_bareiss decides.  Otherwise the
+    remaining minors are computed independently.
     """
     n = len(matrix)
     work = [row[:] for row in matrix]
@@ -460,9 +460,11 @@ def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
             )
             return signs
         signs.append(_sign(pivot))
+        row_k = work[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                work[i][j] = (work[i][j] * pivot - work[i][k] * work[k][j]) // prev
+            row_i, w_ik = work[i], work[i][k]
+            for j in range(i, n):
+                row_i[j] = work[j][i] = (row_i[j] * pivot - w_ik * row_k[j]) // prev
         prev = pivot
     return signs
 

@@ -12,10 +12,24 @@ Three families of checks, all exact:
 * quotient well-definedness -- reduce(L(f_c * g)) = 0 for the constraint
   generators f_c and randomized polynomials g.
 
-Lattice residuals are integers over the operator's unit, made Fractions once
-per site.  Sweeps enumerate finite windows of sites; they are embarrassingly
-parallel and reports are sorted canonically so output never depends on
-scheduling.
+Lattice residuals are integers over the operator's unit, made a Fraction
+once per site; every zero reports one shared Fraction(0).  Sweeps enumerate
+finite windows of sites; they are embarrassingly parallel and reports are
+sorted canonically so output never depends on scheduling.
+
+A coefficient family is invariant under even translations of the lattice,
+and cells with one coordinate-parity pattern differ by even translations.
+So a gauge numerator depends only on the cube's parity pattern and the
+offset p - cube, and a compatibility numerator only on p's pattern and
+q - p (children of translated plaquettes are translated by an even vector
+too).  Sweeps list the offsets of each parity class once per call,
+enumerate sites as center + offset, and keep one row per class, offset ->
+numerator, under ("gauge", pattern) or ("compat", pattern) in the family's
+memo beside b_int's rows: scale-free, shared by with_scale copies, never
+pickled, never in __eq__, empty in a perturbed copy.  Only a row miss
+builds the site's Cell and checks it against the universe.  An ExplicitOp
+is not translation invariant and its universe is finite; it gets a fresh
+row per chunk, which never hits, so every one of its sites is checked.
 """
 
 from __future__ import annotations
@@ -25,7 +39,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import add, sub
+from typing import Callable, Iterable, Sequence
 
 from .cells import Cell, SignedChain, boundary, box_cells, cells_near, children, format_cell
 from .operators import CubicalFamilyOp, apply_operator
@@ -104,21 +119,81 @@ def default_cubes(d: int, scale: int) -> list[Cell]:
 
 def gauge_sweep(op, cubes: Sequence[Cell], radius: int, jobs: int = 1) -> list[ResidualReport]:
     """Gauge residuals for every site; sorted canonically."""
-    return _sweep(_gauge_chunk, [(op, cube, radius) for cube in cubes], jobs)
+    offsets = _class_offsets(cubes, radius)
+    return _sweep(_gauge_chunk, [(op, cube, offsets[_parity(cube)]) for cube in cubes], jobs)
 
 
 def _gauge_chunk(args) -> list[ResidualReport]:
-    op, cube, radius = args
+    op, cube, offsets = args
     faces = boundary(cube)
     if not all(op.has_var(q) for q in faces.cells()):
         return []
-    unit = op.unit
-    cube_label = format_cell(cube)
-    return [
-        ResidualReport("gauge", (cube_label, format_cell(p)), gauge_numerator(op, faces, p) * unit)
-        for p in cells_near(cube, radius, dim=2)
-        if op.has_var(p)
-    ]
+
+    def numerator(p: Cell) -> int | None:
+        return gauge_numerator(op, faces, p) if op.has_var(p) else None
+
+    return _class_reports(_class_row(op, ("gauge", _parity(cube))), "gauge", cube, offsets,
+                          op.unit, numerator)
+
+
+# -- the sweep kernel: one numerator per translation class and offset --------
+
+
+_ZERO = Fraction(0)
+
+
+def _parity(c: Cell) -> tuple[int, ...]:
+    return tuple([x & 1 for x in c.coords])
+
+
+def _class_offsets(centers: Iterable[Cell], radius: int) -> dict:
+    """For each parity pattern among centers, the offsets t with c + t a
+    plaquette within max-norm radius of a center c of that pattern.
+
+    Which coordinates of c + t are odd depends only on c's pattern, so one
+    list serves every center of it.
+    """
+    out: dict = {}
+    for c in centers:
+        key = _parity(c)
+        if key not in out:
+            out[key] = [tuple(map(sub, p.coords, c.coords)) for p in cells_near(c, radius, dim=2)]
+    return out
+
+
+def _class_row(op, key: tuple) -> dict:
+    """offset -> numerator for one translation class of a sweep condition.
+
+    A family's row lives in its memo, so it serves every center of the class
+    at every scale.  Any other operator gets a fresh row that one chunk never
+    hits, since a chunk's offsets are distinct.
+    """
+    if isinstance(op, CubicalFamilyOp):
+        return op._memo.setdefault(key, {})
+    return {}
+
+
+def _class_reports(row: dict, condition: str, center: Cell, offsets: Sequence[tuple],
+                   unit: Fraction, numerator: Callable[[Cell], int | None]) -> list[ResidualReport]:
+    """Reports at (center, center + t) for each offset t, reading numerators from row.
+
+    numerator(site) runs only on a row miss; it checks the site and returns
+    None for one outside the operator's universe, which gets no report.
+    """
+    scale, u = center.scale, center.coords
+    head, tail = format_cell(center), "]@" + str(scale)
+    out = []
+    for t in offsets:
+        coords = tuple(map(add, u, t))
+        n = row.get(t)
+        if n is None:
+            n = numerator(Cell(scale, coords))
+            if n is None:
+                continue
+            row[t] = n
+        label = "[" + ",".join(map(str, coords)) + tail
+        out.append(ResidualReport(condition, (head, label), n * unit if n else _ZERO))
+    return out
 
 
 def worker_count(jobs: int, chunks: int) -> int:
@@ -263,20 +338,20 @@ def base_plaquettes(d: int, scale: int) -> list[Cell]:
 def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell], radius: int,
                  jobs: int = 1) -> list[ResidualReport]:
     """Both compatibility residuals over (p, q) windows; sorted canonically."""
-    return _sweep(_compat_chunk, [(family, p, radius) for p in plaquettes], jobs)
+    offsets = _class_offsets(plaquettes, radius)
+    return _sweep(_compat_chunk, [(family, p, offsets[_parity(p)]) for p in plaquettes], jobs)
 
 
 def _compat_chunk(args) -> list[ResidualReport]:
-    family, p, radius = args
+    family, p, offsets = args
     fine = family.with_scale(family.scale + 1)
     unit = fine.unit
     family.check_var(p)
     p_kids = _checked_children(fine, p)
-    label = format_cell(p)
-    out = [ResidualReport("compat_a", (label,), compat_numerator(family, fine, p, p_kids) * unit)]
-    for q in cells_near(p, radius, dim=2):
-        out.append(ResidualReport("compat_b", (label, format_cell(q)),
-                                  compat_numerator(family, fine, p, p_kids, q) * unit))
+    out = [ResidualReport("compat_a", (format_cell(p),),
+                          compat_numerator(family, fine, p, p_kids) * unit)]
+    out += _class_reports(_class_row(family, ("compat", _parity(p))), "compat_b", p, offsets,
+                          unit, lambda q: compat_numerator(family, fine, p, p_kids, q))
     return out
 
 

@@ -1,14 +1,16 @@
 """Residual checks: gauge descent, scale compatibility, well-definedness."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from holoflow.cells import Cell, box_cells
-from holoflow.operators import CubicalFamilyOp, ExplicitOp, SphereOp
+from holoflow.cells import Cell, box_cells, cells_near
+from holoflow.operators import CubicalFamilyOp, ExplicitOp, SphereOp, operator_from_json
 from holoflow.poly import LinearIdeal, Polynomial, ideal_from_cubes
 from holoflow.verify import (
+    ResidualReport,
     alpha_extended,
     base_plaquettes,
     beta_extended,
@@ -25,6 +27,8 @@ from holoflow.verify import (
     violations,
     welldefined_property,
     worker_count,
+    _class_offsets,
+    _parity,
 )
 
 x = Polynomial.var
@@ -65,9 +69,10 @@ def test_gauge_sweep_is_clean_and_sorted():
 
 
 def test_gauge_sweep_parallel_matches_serial():
-    serial = gauge_sweep(MAIN3, default_cubes(3, 0), 2)
-    parallel = gauge_sweep(MAIN3, default_cubes(3, 0), 2, jobs=2)
-    assert serial == parallel
+    for fam in (MAIN3, CubicalFamilyOp.main(4), MAIN3.perturbed("alpha", (0, 0, 1), 1)):
+        serial = gauge_sweep(fam, default_cubes(fam.d, 0), 2)
+        parallel = gauge_sweep(fam, default_cubes(fam.d, 0), 2, jobs=2)
+        assert serial == parallel
 
 
 def test_worker_count_is_clamped(monkeypatch):
@@ -183,15 +188,114 @@ def test_compat_sweep_clean():
 
 
 def test_compat_sweep_parallel_matches_serial():
-    serial = compat_sweep(MAIN3, base_plaquettes(3, 0), 2)
-    parallel = compat_sweep(MAIN3, base_plaquettes(3, 0), 2, jobs=2)
-    assert serial == parallel
+    for fam in (MAIN3, CubicalFamilyOp.main(4), MAIN3.perturbed("beta", (1, 0, 0), 1)):
+        serial = compat_sweep(fam, base_plaquettes(fam.d, 0), 2)
+        parallel = compat_sweep(fam, base_plaquettes(fam.d, 0), 2, jobs=2)
+        assert serial == parallel
 
 
 def test_compat_detects_broken_scaling():
     fam = MAIN3.perturbed("beta", (1, 0, 0), 1)
     reports = compat_sweep(fam, base_plaquettes(3, 0), 2)
     assert violations(reports)
+
+
+# -- one numerator per translation class -------------------------------------------
+
+
+def _patterns(d: int, odd: int):
+    """Every coordinate-parity pattern in R^d with `odd` odd coordinates."""
+    for axes in itertools.combinations(range(d), odd):
+        yield tuple(1 if i in axes else 0 for i in range(d))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_class_offsets_enumerate_exactly_the_nearby_plaquettes(d):
+    # Sweeps skip the universe check on a memo hit, so the shifted offset
+    # list must give exactly cells_near's plaquettes, no more and no fewer.
+    shifts = [(0,) * d, (2, -4) + (6,) * (d - 2), (-2,) * d]
+    for odd in (3, 2):
+        for pattern in _patterns(d, odd):
+            centers = [Cell(0, tuple(a + b for a, b in zip(pattern, t))) for t in shifts]
+            for radius in (1, 2, 3):
+                offsets = _class_offsets(centers, radius)
+                assert list(offsets) == [pattern]
+                for c in centers:
+                    shifted = [Cell(0, tuple(a + b for a, b in zip(c.coords, t)))
+                               for t in offsets[_parity(c)]]
+                    assert shifted == list(cells_near(c, radius, dim=2))
+
+
+def _identities(fam, kind: str) -> int:
+    return sum(len(row) for key, row in fam._memo.items() if key[0] == kind)
+
+
+@pytest.mark.parametrize("d, window, sites, identities", [(4, 1, 2880, 120), (3, 6, 21168, 882)])
+def test_gauge_sweep_computes_each_identity_once(d, window, sites, identities):
+    fam = CubicalFamilyOp.main(d)
+    checked = sum(len(gauge_sweep(fam.with_scale(s), default_cubes(d, s), window))
+                  for s in (-1, 0, 1))
+    assert checked == sites
+    assert _identities(fam, "gauge") == identities
+
+
+SWEPT_FAMILIES = [CubicalFamilyOp.main(4), ALT3, MAIN3.perturbed("beta", (1, 0, 0), 1)]
+
+
+def _fresh(fam, scale: int) -> CubicalFamilyOp:
+    """The same family at scale, with an empty memo."""
+    return CubicalFamilyOp(fam.d, scale, fam.variant, fam.table_overrides)
+
+
+@pytest.mark.parametrize("fam", SWEPT_FAMILIES, ids=["d4", "alt3", "perturbed"])
+def test_cold_and_warm_sweeps_agree(fam):
+    # one family warmed across both scales against a fresh family per center
+    warm = _fresh(fam, 0)
+    for scale in (-1, 0):
+        cubes, plaquettes = default_cubes(fam.d, scale), base_plaquettes(fam.d, scale)
+        cold_gauge = [r for c in cubes for r in gauge_sweep(_fresh(fam, scale), [c], 2)]
+        cold_compat = [r for p in plaquettes for r in compat_sweep(_fresh(fam, scale), [p], 2)]
+        assert gauge_sweep(warm.with_scale(scale), cubes, 2) == sorted(
+            cold_gauge, key=ResidualReport.sort_key)
+        assert compat_sweep(warm.with_scale(scale), plaquettes, 2) == sorted(
+            cold_compat, key=ResidualReport.sort_key)
+    assert _identities(warm, "gauge") and _identities(warm, "compat")
+
+
+def test_a_warm_clean_family_does_not_hide_a_fault():
+    fam = CubicalFamilyOp.main(3)
+    cubes, plaquettes = default_cubes(3, 0), base_plaquettes(3, 0)
+    assert not violations(gauge_sweep(fam, cubes, 2))
+    assert not violations(compat_sweep(fam, plaquettes, 2))
+    broken = fam.perturbed("beta", (1, 0, 0), 1)
+    assert broken._memo == {}
+    assert operator_from_json(broken.to_json())._memo == {}
+    assert violations(gauge_sweep(broken, cubes, 2))
+    assert violations(compat_sweep(broken, plaquettes, 2))
+    assert not violations(gauge_sweep(fam, cubes, 2))
+
+
+def test_pickled_family_arrives_without_identity_rows():
+    fam = CubicalFamilyOp.main(3)
+    gauge_sweep(fam, default_cubes(3, 0), 1)
+    compat_sweep(fam, base_plaquettes(3, 0), 1)
+    assert _identities(fam, "gauge") and _identities(fam, "compat")
+    restored = pickle.loads(pickle.dumps(fam))
+    assert restored._memo == {}
+    assert restored == fam
+
+
+def test_explicit_op_sites_never_share_a_row():
+    # Both cubes are in one translation class, and the universe holds a
+    # different part of each cube's window; each site is checked on its own.
+    universe = list(box_cells(0, (0, 0, 0), (4, 4, 4), dim=2))
+    op = ExplicitOp({p: 12 for p in universe}, {})
+    cubes = [CUBE, Cell(0, (3, 3, 3))]
+    sites = {r.site for r in gauge_sweep(op, cubes, 2)}
+    assert len(sites) < 2 * len(list(cells_near(CUBE, 2, dim=2)))
+    assert sites == {(str(c), str(p)) for c in cubes for p in cells_near(c, 2, dim=2)
+                     if p in op.a}
+    assert not hasattr(op, "_memo")
 
 
 # -- quotient well-definedness ------------------------------------------------------
