@@ -381,3 +381,22 @@ def cells_near(center: Cell, radius: int, dim: int) -> Iterator[Cell]:
     lo = tuple(c - radius for c in center.coords)
     hi = tuple(c + radius for c in center.coords)
     return box_cells(center.scale, lo, hi, dim=dim)
+
+
+def plaquette_offsets(parity: Sequence[int], radius: int) -> list[tuple[int, ...]]:
+    """The offsets t with max-norm at most radius that move a cell whose
+    coordinates have these parities onto a plaquette, in lexicographic order.
+
+    That is cells_near(c, radius, dim=2) as offsets from c, without the box:
+    for each pair of axes to be odd, t_i needs the parity that makes
+    c_i + t_i odd on the pair and even elsewhere, so the pair's offsets are
+    a product of per-axis ranges of step 2.  Different pairs give disjoint
+    sets.
+    """
+    by_parity = [range(-radius + ((radius + s) & 1), radius + 1, 2) for s in (0, 1)]
+    axes = range(len(parity))
+    out = []
+    for pair in itertools.combinations(axes, 2):
+        out.extend(itertools.product(*(by_parity[parity[i] ^ (i in pair)] for i in axes)))
+    out.sort()
+    return out

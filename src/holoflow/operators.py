@@ -27,9 +27,13 @@ All three operators also expose their coefficients as integers over one
 unit (a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the
 entry denominators for ExplicitOp, 1/lcm(area denominators)^2 for SphereOp.
 apply_operator and the residual sweeps in verify.py compute with these;
-coeff_a/coeff_b are the checked Fraction form.  CubicalFamilyOp memoizes
-b_int per family and ExplicitOp holds exp_state's series memo; memos only
-cache pure values, are never pickled, and never enter __eq__.
+coeff_a/coeff_b are the checked Fraction form.  apply_operator takes the
+second derivatives per monomial: lowering or dropping exponents of a sorted
+monomial tuple leaves it sorted, so each new monomial is a slice of the old
+one, and only pairs of variables that share a monomial are looked up.
+CubicalFamilyOp memoizes b_int per family and ExplicitOp holds exp_state's
+series memo; memos only cache pure values, are never pickled, and never
+enter __eq__.
 
 Operators are immutable and their lookups are pure, so instances may be
 shared between threads and pickled to worker processes.
@@ -53,23 +57,55 @@ def apply_operator(op, f: Polynomial) -> Polynomial:
 
     Both sums run over the variables of f (all other derivatives vanish);
     the b-sum includes the diagonal.  Degree drops by exactly two on every
-    homogeneous part, so linear polynomials map to zero.  Each variable is
-    checked once; d_p d_q = d_q d_p, so each unordered pair is derived once
-    with b_pq + b_qp.  The sums are integer coefficients over op.unit, which
-    multiplies once at the end.
+    homogeneous part, so linear polynomials map to zero.  Every variable of
+    f is checked once, in canonical order.
+
+    The second derivatives are taken per monomial.  A term x * prod v_i^e_i
+    contributes (a_i - b_ii) e_i (e_i - 1) x at v_i^(e_i - 2) for each
+    e_i >= 2, and, since d_i d_j = d_j d_i, -(b_ij + b_ji) e_i e_j x with
+    both exponents lowered by one for each pair i < j of its factors.  The
+    new monomial is a slice of the old tuple with one or two exponents
+    lowered or dropped, so it stays sorted.  Only pairs that share a
+    monomial are looked up, each once per call.  The sums are integer
+    coefficients over op.unit, which multiplies once at the end.
     """
-    vs = sorted(f.variables(), key=_var_key)
-    for v in vs:
+    for v in sorted(f.variables(), key=_var_key):
         op.check_var(v)
     a_int, b_int = op.a_int, op.b_int
+    diag: dict = {}
+    cross: dict = {}
     out: dict = {}
-    for i, vi in enumerate(vs):
-        dvi = f.derive(vi)
-        for vj in vs[i:]:
-            c = a_int(vi) - b_int(vi, vi) if vj == vi else -b_int(vi, vj) - b_int(vj, vi)
-            if c:
-                for m, x in dvi.derive(vj).monomial_items():
-                    out[m] = out.get(m, 0) + c * x
+    for m, x in f.terms.items():
+        n = len(m)
+        for i in range(n):
+            vi, ei = m[i]
+            if ei >= 2:
+                c = diag.get(vi)
+                if c is None:
+                    c = diag[vi] = a_int(vi) - b_int(vi, vi)
+                if c:
+                    lowered = ((vi, ei - 2),) if ei > 2 else ()
+                    mm = m[:i] + lowered + m[i + 1:]
+                    y = c * ei * (ei - 1) * x
+                    if mm in out:
+                        out[mm] += y
+                    else:
+                        out[mm] = y
+            lowered_i = m[:i] + ((vi, ei - 1),) if ei > 1 else m[:i]
+            for j in range(i + 1, n):
+                vj, ej = m[j]
+                key = (vi, vj)
+                c = cross.get(key)
+                if c is None:
+                    c = cross[key] = -b_int(vi, vj) - b_int(vj, vi)
+                if c:
+                    lowered_j = ((vj, ej - 1),) if ej > 1 else ()
+                    mm = lowered_i + m[i + 1:j] + lowered_j + m[j + 1:]
+                    y = c * ei * ej * x
+                    if mm in out:
+                        out[mm] += y
+                    else:
+                        out[mm] = y
     unit = op.unit
     return Polynomial({m: unit * x for m, x in out.items()})
 

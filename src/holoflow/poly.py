@@ -4,6 +4,11 @@ Variables are either plaquette cells (lattice holonomies) or plain 1-based
 integer indices (the sphere case).  Coefficients are fractions.Fraction, so
 every identity checked downstream is exact; there is no floating-point mode.
 
+A monomial is a tuple of (variable, exponent) pairs sorted by _var_key, and
+the inner loops work on these tuples directly.  The product of two monomials
+is one linear merge of the sorted factors.  substitute() expands every term
+into one accumulator and builds a single Polynomial at the end.
+
 A LinearIdeal is spanned by degree-1 generators with zero constant term (the
 shape of all holonomy constraints here).  It is triangularized once at
 construction; reduce() is then a substitution homomorphism onto normal forms,
@@ -40,10 +45,51 @@ def _mono_from_dict(d: dict) -> Monomial:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return _mono_from_dict(d)
+    """The product of two monomials: one linear merge of their sorted factors."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    k1, k2 = _var_key(m1[0][0]), _var_key(m2[0][0])
+    while True:
+        if k1 < k2:
+            out.append(m1[i])
+            i += 1
+            if i == n1:
+                return (*out, *m2[j:])
+            k1 = _var_key(m1[i][0])
+        elif k2 < k1:
+            out.append(m2[j])
+            j += 1
+            if j == n2:
+                return (*out, *m1[i:])
+            k2 = _var_key(m2[j][0])
+        else:
+            v, e = m1[i]
+            out.append((v, e + m2[j][1]))
+            i += 1
+            j += 1
+            if i == n1:
+                return (*out, *m2[j:])
+            if j == n2:
+                return (*out, *m1[i:])
+            k1, k2 = _var_key(m1[i][0]), _var_key(m2[j][0])
+
+
+def _mul_terms(t1: Mapping, t2: Mapping) -> dict:
+    """Term map of the product of two term maps; cancelled terms stay as zeros."""
+    out: dict = {}
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = _mono_mul(m1, m2)
+            if m in out:
+                out[m] += c1 * c2
+            else:
+                out[m] = c1 * c2
+    return out
 
 
 def _mono_degree(m: Monomial) -> int:
@@ -63,7 +109,8 @@ class Polynomial(Frozen):
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     clean[m] = c
         object.__setattr__(self, "terms", clean)
@@ -131,12 +178,7 @@ class Polynomial(Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+        return Polynomial(_mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -201,20 +243,24 @@ class Polynomial(Frozen):
 
     def substitute(self, mapping: Mapping) -> "Polynomial":
         """Ring homomorphism sending each mapped variable to a polynomial."""
-        out = Polynomial.zero()
+        out: dict = {}
         powers: dict = {}
         for m, c in self.terms.items():
-            prod = Polynomial.const(c)
-            for v, e in m:
+            kept = tuple(p for p in m if p[0] not in mapping)
+            prod = {kept: c}
+            for key in m:
+                v, e = key
                 if v in mapping:
-                    key = (v, e)
-                    if key not in powers:
-                        powers[key] = Polynomial._coerce(mapping[v]) ** e
-                    prod = prod * powers[key]
+                    power = powers.get(key)
+                    if power is None:
+                        power = powers[key] = (Polynomial._coerce(mapping[v]) ** e).terms
+                    prod = _mul_terms(prod, power)
+            for mm, x in prod.items():
+                if mm in out:
+                    out[mm] += x
                 else:
-                    prod = prod * Polynomial.var(v, e)
-            out = out + prod
-        return out
+                    out[mm] = x
+        return Polynomial(out)
 
     def monomial_items(self):
         return self.terms.items()

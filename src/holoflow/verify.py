@@ -39,10 +39,10 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 from typing import Callable, Iterable, Sequence
 
-from .cells import Cell, SignedChain, boundary, box_cells, cells_near, children, format_cell
+from .cells import Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets
 from .operators import CubicalFamilyOp, apply_operator
 from .poly import LinearIdeal, Polynomial, _mono_sort_key
 
@@ -157,7 +157,7 @@ def _class_offsets(centers: Iterable[Cell], radius: int) -> dict:
     for c in centers:
         key = _parity(c)
         if key not in out:
-            out[key] = [tuple(map(sub, p.coords, c.coords)) for p in cells_near(c, radius, dim=2)]
+            out[key] = plaquette_offsets(key, radius)
     return out
 
 
@@ -376,10 +376,10 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     """
     rng = random.Random(seed)
     generator_vars = {v for g in ideal.generators for v in g.variables()}
-    pool_set = set(generator_vars)
-    for v in generator_vars:
-        if isinstance(v, Cell):
-            pool_set.update(cells_near(v, WELLDEFINED_POOL_RADIUS, dim=2))
+    cells = [v for v in generator_vars if isinstance(v, Cell)]
+    offsets = _class_offsets(cells, WELLDEFINED_POOL_RADIUS)
+    sites = {(v.scale, tuple(map(add, v.coords, t))) for v in cells for t in offsets[_parity(v)]}
+    pool_set = generator_vars | {Cell(scale, coords) for scale, coords in sites}
     pool = sorted((v for v in pool_set if op.has_var(v)), key=lambda v: str(v))
     if not pool:
         return []

@@ -1,5 +1,7 @@
 """Lattice layer: boundaries, subdivision, and the signed symmetry action."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,9 +15,11 @@ from holoflow.cells import (
     boundary_of_chain,
     box_cells,
     cell_dimension,
+    cells_near,
     children,
     format_cell,
     parse_cell,
+    plaquette_offsets,
 )
 
 from conftest import cells, cell_with_symmetry, cell_with_two_symmetries
@@ -239,3 +243,17 @@ def test_bad_cell_literals():
     for text in ("1,1,0", "[1,1,0]", "[1,1,0]@x", "[]@0", "[1,a]@0"):
         with pytest.raises(ValueError):
             parse_cell(text)
+
+
+# -- neighbourhoods --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_plaquette_offsets_are_the_nearby_plaquettes(d):
+    # every parity pattern, not only those of plaquettes and cubes
+    for parity in itertools.product((0, 1), repeat=d):
+        center = Cell(1, tuple(p - 2 * i for i, p in enumerate(parity)))
+        for radius in range(4):
+            want = [tuple(a - b for a, b in zip(q.coords, center.coords))
+                    for q in cells_near(center, radius, dim=2)]
+            assert plaquette_offsets(parity, radius) == want, (parity, radius)

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from click.testing import CliRunner
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from holoflow.cells import Cell, SignedSymmetry, act, boundary, cells_near, children
+from holoflow.cli import main as cli_main
 from holoflow.operators import (
     CubicalFamilyOp,
     ExplicitOp,
@@ -413,6 +415,79 @@ def test_sphere_integer_coefficients_times_unit_are_the_coefficients():
             for j in op.variables():
                 assert type(op.b_int(i, j)) is int
                 assert op.b_int(i, j) * op.unit == op.coeff_b(i, j)
+
+
+# Two d=4 pairs, each in canonical order, on which b is not symmetric: the
+# first pair's lookup in canonical order is nonzero, the second pair's is zero.
+D4_FIRST_NONZERO = (Cell(0, (-3, -2, -1, 0)), Cell(0, (0, 0, 1, 1)))
+D4_FIRST_ZERO = (Cell(0, (-2, -2, -1, -1)), Cell(0, (0, 1, -2, 1)))
+
+
+def _high_exponent_polynomials(variables, rng):
+    """Sums of monomials in the variables, every exponent between 3 and 6."""
+    for _ in range(4):
+        f = Polynomial.zero()
+        for _ in range(rng.randint(1, 3)):
+            term = Polynomial.const(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4)))
+            for v in rng.sample(variables, rng.randint(1, len(variables))):
+                term = term * x(v, rng.randint(3, 6))
+            f = f + term
+        yield f
+
+
+def test_apply_matches_the_fraction_form_at_high_exponents():
+    assert (MAIN4.b_int(*D4_FIRST_NONZERO), MAIN4.b_int(*D4_FIRST_NONZERO[::-1])) == (-1, 0)
+    assert (MAIN4.b_int(*D4_FIRST_ZERO), MAIN4.b_int(*D4_FIRST_ZERO[::-1])) == (0, -1)
+    rng = random.Random(47)
+    cases = [(fam, [Cell(fam.scale, c.coords) for c in (*D4_FIRST_NONZERO, *D4_FIRST_ZERO)])
+             for fam in (MAIN4, MAIN4.with_scale(1), MAIN4.perturbed("beta", (1, 0, 0), 2))]
+    cases.append((SphereOp([Fraction(2, 7), Fraction(1, 3), Fraction(8, 21)]), [1, 2, 3]))
+    cases.append((MAIN3, [BASE3, Cell(0, (0, 1, 1)), Cell(0, (2, 1, 1))]))
+    for op, variables in cases:
+        for f in _high_exponent_polynomials(variables, rng):
+            assert apply_operator(op, f) == fraction_apply(op, f), (op, f)
+
+
+class _CountingLookups:
+    """An operator whose b_int records every pair it is asked for."""
+
+    def __init__(self, op):
+        self.op = op
+        self.asked = []
+
+    def __getattr__(self, name):
+        return getattr(self.op, name)
+
+    def b_int(self, p, q):
+        self.asked.append((p, q))
+        return self.op.b_int(p, q)
+
+
+def test_apply_looks_up_only_pairs_that_share_a_monomial():
+    p, q, r = BASE3, Cell(0, (0, 1, 1)), Cell(0, (1, 0, 1))
+    assert MAIN3.b_int(p, q) != 0
+    counting = _CountingLookups(MAIN3)
+    f = x(p, 2) + x(q, 2)
+    assert apply_operator(counting, f) == apply_operator(MAIN3, f)
+    assert counting.asked == [(p, p), (q, q)]
+
+    # a pair met in several monomials is looked up once per order
+    counting = _CountingLookups(MAIN3)
+    f = x(p) * x(q) + 3 * x(p) * x(q, 3) * x(r)
+    assert apply_operator(counting, f) == fraction_apply(MAIN3, f)
+    assert sorted(counting.asked, key=str) == sorted(
+        [(p, q), (q, p), (p, r), (r, p), (q, r), (r, q), (q, q)], key=str)
+
+
+def test_apply_checks_variables_that_appear_only_linearly():
+    with pytest.raises(ValueError, match="plaquette"):
+        MAIN3.apply(x(BASE3, 3) + x(Cell(0, (1, 1, 1))))
+    with pytest.raises(ValueError, match="universe"):
+        SphereOp([Fraction(1, 2), Fraction(1, 2)]).to_euclidean().apply(x(1, 4) + x(2))
+    runner = CliRunner()
+    for args in (["--op", "sphere", "--areas", "1/2,1/4,1/4", "--poly", "x1^2*x2^2 + x3"],
+                 ["--poly", "x[1,1,0]@0^2 + x[1,1,1]@0"]):
+        assert runner.invoke(cli_main, ["moments", *args]).exit_code == 2, args
 
 
 # -- euclidean reduction of the sphere operator -------------------------------------

@@ -12,6 +12,8 @@ from holoflow.cells import Cell
 from holoflow.poly import (
     LinearIdeal,
     Polynomial,
+    _mono_mul,
+    _var_key,
     bianchi_form,
     format_polynomial,
     ideal_from_cubes,
@@ -105,6 +107,47 @@ def test_ring_axioms(f, g, h):
 def test_arithmetic_matches_sympy(f, g):
     assert to_sympy(f * g) == sympy.expand(to_sympy(f) * to_sympy(g))
     assert to_sympy(f + g) == to_sympy(f) + to_sympy(g)
+
+
+# -- monomial kernels against their plain forms -----------------------------------
+
+
+def dict_mono_mul(m1, m2):
+    """The product of two monomials through a dict and one sort."""
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
+
+
+variables = st.one_of(
+    st.integers(1, 6),
+    st.builds(Cell, st.integers(-1, 1), st.tuples(*[st.integers(-2, 2)] * 3)),
+)
+monomials = st.dictionaries(variables, st.integers(1, 4), max_size=5).map(
+    lambda d: tuple(sorted(d.items(), key=lambda p: _var_key(p[0]))))
+
+
+@settings(max_examples=200)
+@given(monomials, monomials)
+def test_mono_mul_is_the_sorted_dict_product(m1, m2):
+    assert _mono_mul(m1, m2) == dict_mono_mul(m1, m2) == _mono_mul(m2, m1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(n_vars=4),
+       st.dictionaries(st.integers(1, 4),
+                       st.one_of(small_polys(n_vars=4, max_terms=3, max_degree=2),
+                                 st.integers(-3, 3)),
+                       max_size=3))
+def test_substitute_is_the_term_by_term_product(f, mapping):
+    expected = Polynomial.zero()
+    for m, c in f.monomial_items():
+        term = Polynomial.const(c)
+        for v, e in m:
+            term = term * mapping.get(v, x(v)) ** e
+        expected = expected + term
+    assert f.substitute(mapping) == expected
 
 
 # -- derivatives ----------------------------------------------------------------
