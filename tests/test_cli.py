@@ -304,6 +304,8 @@ def test_out_writes_file(runner, tmp_path):
 # change to the output plumbing that alters a single byte fails here.
 
 FAULT_OP = '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1]]}'
+# beta(2,0,0) is 0 in the cubical table, so this override adds interactions
+ZERO_ENTRY_OP = '{"variant":"cubical","overrides":[[[2,0,0],"beta",1]]}'
 GOLDEN_CASES = {
     "invariance": ("verify-invariance", "--window", "1"),
     "invariance-fault": ("verify-invariance", "--op", FAULT_OP, "--window", "2"),
@@ -314,6 +316,9 @@ GOLDEN_CASES = {
     "compat-fault": ("verify-compat", "--op", FAULT_OP, "--window", "2"),
     "sphere-check": ("sphere-check", "--areas", "1/2,1/4,1/4", "--max-degree", "4"),
     "tables": ("tables", "--range", "2"),
+    "tables-d4": ("tables", "--d", "4", "--range", "3"),
+    "tables-alt3": ("tables", "--op", "alt3", "--range", "3"),
+    "tables-zero-entry-override": ("tables", "--op", ZERO_ENTRY_OP, "--range", "3"),
     "moments-sphere": ("moments", "--op", "sphere", "--areas", "1/2,1/4,1/4",
                        "--poly", "x1^2*x2^2"),
     "moments-lattice": ("moments", "--poly", "x[1,1,0]@0*x[0,1,1]@0"),
@@ -351,6 +356,12 @@ GOLDEN = {
     ('tables', 'text'): (0, '233e1aaba623ff33'),
     ('tables', 'json'): (0, '1ca44da86c1ba879'),
     ('tables', 'csv'): (0, '9d4eb7570b779a6e'),
+    ('tables-d4', 'text'): (0, '349b628b89fd704f'),
+    ('tables-d4', 'json'): (0, 'dc6a074496baa17d'),
+    ('tables-alt3', 'text'): (0, 'a6f804c35669034b'),
+    ('tables-alt3', 'json'): (0, '4303a79b153660ef'),
+    ('tables-zero-entry-override', 'text'): (0, 'a4040721af60be62'),
+    ('tables-zero-entry-override', 'json'): (0, '1d47d7d1aefe96cd'),
     ('moments-sphere', 'text'): (0, 'ef26243a21b137d7'),
     ('moments-sphere', 'json'): (0, '679ae1de9e3eb408'),
     ('moments-sphere', 'csv'): (0, 'f90211ec2c427a76'),
