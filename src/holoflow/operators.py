@@ -15,13 +15,23 @@ provided:
 * ExplicitOp     -- finite tables, used for faults and for the euclidean
                     image of a SphereOp.
 
-Cubical coefficient lookup works by canonicalization: the pair (p, q) is
-moved by a signed lattice symmetry until p is the base plaquette
-[1,1,0,...,0], q's plane is classified against the base plane (parallel,
-sharing one axis, or disjoint), indices are reduced to the principal orthant
-by reflections, and the accumulated orientation signs multiply the stored
-table value.  Reflections through an axis the moving plaquette's plane
-contains reverse its orientation; this is where all the signs come from.
+Cubical coefficients are defined by canonicalization (_b_table, the pull
+route): the pair (p, q) is moved by a signed lattice symmetry until p is
+the base plaquette [1,1,0,...,0], q's plane is classified against the base
+plane (parallel, sharing one axis, or disjoint), indices are reduced to the
+principal orthant by reflections, and the accumulated orientation signs
+multiply the stored table value.  Reflections through an axis the moving
+plaquette's plane contains reverse its orientation; this is where all the
+signs come from.
+
+Lookups run that map backwards.  Almost every b_pq is zero, so a family
+keeps one sparse row per coordinate-parity class of p, offset q - p ->
+signed scale-0 value, holding only the nonzero entries.  A row is built by
+pushing each nonzero base-table entry (the family's listed support and its
+overrides) through the inverse of the canonicalization, and costs about
+the entries it holds.  It records its reach, the max-norm of the offsets
+it covers; a lookup past the reach rebuilds it at least twice as far.
+_b_table stays as the independent oracle the rows are tested against.
 
 All three operators also expose their coefficients as integers over one
 unit (a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the
@@ -31,8 +41,8 @@ coeff_a/coeff_b are the checked Fraction form.  apply_operator takes the
 second derivatives per monomial: lowering or dropping exponents of a sorted
 monomial tuple leaves it sorted, so each new monomial is a slice of the old
 one, and only pairs of variables that share a monomial are looked up.
-CubicalFamilyOp memoizes b_int per family and ExplicitOp holds exp_state's
-series memo; memos only cache pure values, are never pickled, and never
+CubicalFamilyOp keeps its rows, and ExplicitOp exp_state's series memo, in
+cache slots: they only cache pure values, are never pickled, and never
 enter __eq__.
 
 Operators are immutable and their lookups are pure, so instances may be
@@ -41,14 +51,15 @@ shared between threads and pickled to worker processes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 from ._frozen import Frozen
 
-from .cells import Cell, box_cells, cells_near, format_cell, parse_cell
+from .cells import Cell, box_cells, format_cell, parse_cell
 from .poly import Polynomial, _var_key
 
 
@@ -247,10 +258,57 @@ def _beta_alt(i: int, j: int, k: int) -> int:
     return 0
 
 
+# The supports list, for index bounds (ni, nj, nk), every principal-orthant
+# index within them at which the table beside them can be nonzero.  They are
+# a second statement of each table; the row tests hold the two together.
+
+
+def _alpha_main_support(ni: int, nj: int, nk: int) -> Iterator[tuple]:
+    for k in range(nk + 1):
+        yield 0, 0, k
+    for i in range(1, min(ni, nj, nk) + 1):
+        yield i, i, i
+
+
+def _beta_main_support(ni: int, nj: int, nk: int) -> Iterator[tuple]:
+    for k in range(nk + 1):
+        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)) if k == 0 else ((k + 1, k), (k + 1, k + 1)):
+            if i <= ni and j <= nj:
+                yield i, j, k
+
+
+def _alpha_alt_support(ni: int, nj: int, nk: int) -> Iterator[tuple]:
+    for k in range(1, nk + 1):
+        yield 0, 0, k
+
+
+def _beta_alt_support(ni: int, nj: int, nk: int) -> Iterator[tuple]:
+    return iter(())
+
+
+# variant -> (a0, alpha table, beta table, alpha support, beta support)
 _FAMILIES = {
-    "cubical": (12, _alpha_main, _beta_main),
-    "alt3": (1, _alpha_alt, _beta_alt),
+    "cubical": (12, _alpha_main, _beta_main, _alpha_main_support, _beta_main_support),
+    "alt3": (1, _alpha_alt, _beta_alt, _alpha_alt_support, _beta_alt_support),
 }
+
+
+def _mirrored(c: int) -> tuple:
+    """(c, +1) and (-c, +1): a coordinate and its reflection, which flips no orientation."""
+    return ((c, 1), (-c, 1)) if c else ((0, 1),)
+
+
+def _l1_vectors(total: int, n: int, cap: int) -> Iterator[tuple]:
+    """Every integer n-vector of L1 norm total with entries in [-cap, cap]."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    for c in range(min(total, cap) + 1):
+        for tail in _l1_vectors(total - c, n - 1, cap):
+            yield (c, *tail)
+            if c:
+                yield (-c, *tail)
 
 
 def _orthant_index(index) -> bool:
@@ -273,10 +331,15 @@ class CubicalFamilyOp(Frozen):
     index must be three non-negative integers, the principal orthant that
     lookups read: any other index could never be read.
 
-    b_int memoizes the scale-0 table value on (p's coordinate-parity
-    pattern, q - p).  _b_table moves p to the base plaquette by a
-    translation, so its result depends on nothing else.  The memo starts
-    empty and lives as long as the instance; with_scale copies share it.
+    b_int reads the scale-0 table value from p's row, keyed on q - p
+    (b_row).  _b_table moves p to the base plaquette by a translation, so
+    its result depends on nothing but p's coordinate-parity pattern and
+    q - p, and one row serves every p of a pattern at every scale.  Rows are
+    pushed from the nonzero table entries up to a reach and regrown past
+    it; _b_table itself is the pull oracle they are tested against.  They
+    live in _memo, beside verify.py's numerator rows: empty at first and
+    after unpickling, shared by with_scale copies, empty again in a
+    perturbed copy.
 
     In three dimensions the resulting coefficient function is symmetric in
     (p, q).  The transverse-sum reduction prescribed for d >= 4 is not:
@@ -401,21 +464,103 @@ class CubicalFamilyOp(Frozen):
         return self.a0
 
     def b_int(self, p: Cell, q: Cell) -> int:
-        """The scale-0 table value of (p, q), signs included, memoized.
+        """The scale-0 table value of (p, q), signs included, read from p's row.
 
         Reads only coordinates, so it serves every scale of the family:
         b_pq = b_int(p, q) * 4^-n.  Callers check the universe.
         """
-        up, uq = p.coords, q.coords
-        parity = tuple([c & 1 for c in up])
-        row = self._memo.get(parity)
-        if row is None:
-            row = self._memo[parity] = {}
-        offset = tuple(map(sub, uq, up))
-        value = row.get(offset)
-        if value is None:
-            value = row[offset] = self._b_table(up, uq)
-        return value
+        offset = tuple(map(sub, q.coords, p.coords))
+        return self.b_row(p, max(map(abs, offset))).get(offset, 0)
+
+    def b_row(self, p: Cell, reach: int) -> dict:
+        """p's row: q - p -> b_int(p, q), holding only the nonzero values.
+
+        It is complete for every offset of max-norm at most reach and may
+        hold farther ones; a lookup reads row.get(q - p, 0).  The row is
+        shared by all plaquettes with p's coordinate-parity pattern.  A row
+        of smaller reach is rebuilt at the larger of reach and twice its
+        own.
+        """
+        parity = tuple([c & 1 for c in p.coords])
+        held = self._memo.get(parity)
+        if held is None or held[0] < reach:
+            if held is not None:
+                reach = max(reach, 2 * held[0])
+            plane = [axis for axis, c in enumerate(parity) if c]
+            if len(plane) != 2:
+                raise ValueError(f"{p} is not a plaquette")
+            held = self._memo[parity] = (reach, self._push_row(*plane, reach))
+        return held[1]
+
+    def _push_row(self, pa: int, pb: int, reach: int) -> dict:
+        """The nonzero b_int(p, q) by q - p, up to max-norm reach, for p in plane (pa, pb).
+
+        Each nonzero base-table entry is pushed through the inverse of
+        _b_table's canonicalization: every offset that _b_table maps onto
+        the entry gets the entry times the orientation signs collected on
+        the way.  The map is a function of the offset, so no offset is
+        reached twice.  The index bounds keep every pushed offset within
+        reach; the entries cost the row's size, not its box's.
+        """
+        d = self.d
+        rest = [axis for axis in range(d) if axis != pa and axis != pb]
+        half = reach // 2
+        row: dict = {}
+
+        def push(value, axes, options, transverse, budget):
+            # one offset per choice of (coordinate, sign) on each axis, times
+            # twice every vector of L1 norm budget on the transverse axes
+            t = [0] * d
+            for picks in itertools.product(*options):
+                sign = value
+                for axis, (c, s) in zip(axes, picks):
+                    t[axis] = c
+                    sign *= s
+                for w in _l1_vectors(budget, len(transverse), half):
+                    for axis, c in zip(transverse, w):
+                        t[axis] = 2 * c
+                    row[tuple(t)] = sign
+
+        # parallel planes: alpha(|t_pa|/2, |t_pb|/2, sum of |t|/2 transverse)
+        for (i, j, k), value in self._nonzero("alpha", half, half, (d - 2) * half):
+            push(value, (pa, pb), (_mirrored(2 * i), _mirrored(2 * j)), rest, k)
+
+        # planes sharing one axis: the free p axis carries i (reflected
+        # through the base plaquette's center when i >= 2, sign -1), the
+        # shared axis j, q's other axis o the first part of k (reflected,
+        # sign -1) and the transverse axes the rest of k.  Sharing pa swaps
+        # the base-plane axes (sign -1); o < shared reverses q (sign -1).
+        far = (reach - 1) // 2
+        for (i, j, k), value in self._nonzero("beta", (reach + 1) // 2, half,
+                                              far + (d - 3) * half):
+            free_options = [(2 * i - 1, 1)] + ([(1 - 2 * i, -1)] if i >= 2 else [])
+            shared_options = _mirrored(2 * j)
+            for free, shared, swap in ((pa, pb, 1), (pb, pa, -1)):
+                for o in rest:
+                    transverse = [axis for axis in rest if axis != o]
+                    sign = value * swap * (-1 if o < shared else 1)
+                    for ko in range(min(k, far) + 1):
+                        push(sign, (free, shared, o),
+                             (free_options, shared_options, ((2 * ko + 1, 1), (-1 - 2 * ko, -1))),
+                             transverse, k - ko)
+        return row
+
+    def _nonzero(self, kind: str, ni: int, nj: int, nk: int) -> Iterator[tuple[tuple, int]]:
+        """((i, j, k), value) for every nonzero alpha or beta entry within the index bounds."""
+        if kind == "alpha":
+            table, support = self._alpha3, _FAMILIES[self.variant][3]
+        else:
+            table, support = self._beta3, _FAMILIES[self.variant][4]
+        indices = dict.fromkeys(support(ni, nj, nk))
+        for key in self.table_overrides:
+            if key[0] == kind:
+                i, j, k = key[1]
+                if i <= ni and j <= nj and k <= nk:
+                    indices[key[1]] = None
+        for index in indices:
+            value = table(*index)
+            if value:
+                yield index, value
 
     def _b_table(self, up: tuple, uq: tuple) -> int:
         """Scale-0 table value for the pair, signs included."""
@@ -479,12 +624,13 @@ class CubicalFamilyOp(Frozen):
         return apply_operator(self, f)
 
     def support(self, p: Cell, radius: int) -> Iterator[tuple[Cell, Fraction]]:
-        """All q with nonzero coefficient within max-norm distance radius of p."""
+        """All q with nonzero coefficient within max-norm distance radius of p, in cell order."""
         self.check_var(p)
-        for q in cells_near(p, radius, dim=2):
-            b = self.coeff_b(p, q)
-            if b:
-                yield q, b
+        u, unit = p.coords, self.unit
+        row = self.b_row(p, radius)
+        for t in sorted(row):
+            if max(map(abs, t)) <= radius:
+                yield Cell(self.scale, tuple(map(add, u, t))), row[t] * unit
 
     def window_plaquettes(self, radius: int) -> list[Cell]:
         lo = (-radius,) * self.d

@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen
@@ -370,18 +371,23 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
     """Second-moment coefficients 2 a_p delta_pq - 2 b_pq over a window.
 
     The window holds every plaquette with all coordinates within radius at
-    the family's scale, in canonical cell order.
+    the family's scale, in canonical cell order.  Each is checked against
+    the universe once; an entry is 2 (a_int delta_pq - b_int) times the
+    unit, with b_int read from p's row.
     """
     plaquettes = family.window_plaquettes(radius)
+    for p in plaquettes:
+        family.check_var(p)
+    unit = family.unit
     entries = {}
     for i, p in enumerate(plaquettes):
-        a_term = 2 * family.coeff_a(p)
+        u, row = p.coords, family.b_row(p, 2 * radius)
         for q in plaquettes[i:]:
-            value = -2 * family.coeff_b(p, q)
-            if p == q:
-                value += a_term
+            value = -row.get(tuple(map(sub, q.coords, u)), 0)
+            if q is p:
+                value += family.a_int(p)
             if value:
-                entries[(p, q)] = value
+                entries[(p, q)] = 2 * value * unit
     return CovarianceMatrix(tuple(plaquettes), entries)
 
 

@@ -27,9 +27,11 @@ enumerate sites as center + offset, and keep one row per class, offset ->
 numerator, under ("gauge", pattern) or ("compat", pattern) in the family's
 memo beside b_int's rows: scale-free, shared by with_scale copies, never
 pickled, never in __eq__, empty in a perturbed copy.  Only a row miss
-builds the site's Cell and checks it against the universe.  An ExplicitOp
-is not translation invariant and its universe is finite; it gets a fresh
-row per chunk, which never hits, so every one of its sites is checked.
+builds the site's Cell and checks it against the universe, and its
+numerator reads the family's coefficient rows (b_row) directly: a compat
+chunk fetches p's row once, which p's children share.  An ExplicitOp is not
+translation invariant and its universe is finite; it gets a fresh row per
+chunk, which never hits, so every one of its sites is checked.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Callable, Iterable, Sequence
 
 from .cells import Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets
@@ -77,9 +79,18 @@ def violations(reports: Iterable[ResidualReport]) -> list[ResidualReport]:
 
 
 def gauge_numerator(op, faces: SignedChain, p: Cell) -> int:
-    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit; the caller checks p and the faces dc."""
-    b_int = op.b_int
-    return faces.coefficient(p) * op.a_int(p) - sum(s * b_int(p, q) for q, s in faces.items())
+    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit; the caller checks p and the faces dc.
+
+    A family's B(p, q) are read from p's row, fetched once.
+    """
+    lead = faces.coefficient(p) * op.a_int(p)
+    if not isinstance(op, CubicalFamilyOp):
+        b_int = op.b_int
+        return lead - sum(s * b_int(p, q) for q, s in faces.items())
+    u = p.coords
+    steps = [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
+    row = op.b_row(p, max(max(map(abs, t)) for t, _ in steps))
+    return lead - sum(s * row.get(t, 0) for t, s in steps)
 
 
 def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
@@ -300,15 +311,34 @@ def compat_numerator(family, fine, p: Cell, p_kids, q: Cell | None = None) -> in
     """compat_a at p, or compat_b at (p, q), over fine.unit (fine: the family at scale n+1).
 
     That is 4*A(p) - sum A(p'), or 4*B(p,q) - sum B(p',q') over child pairs;
-    B is scale-free, so one memo serves both scales.  The caller checks p
-    and p_kids.
+    B is scale-free, so one set of rows serves both scales.  The caller
+    checks p and p_kids.
     """
     if q is None:
         return 4 * family.a_int(p) - sum(fine.a_int(c) for c in p_kids)
     family.check_var(q)
-    b_int = family.b_int
-    q_kids = _checked_children(fine, q)
-    return 4 * b_int(p, q) - sum(b_int(pc, qc) for pc in p_kids for qc in q_kids)
+    row = family.b_row(p, _child_reach(max(map(abs, map(sub, q.coords, p.coords)))))
+    return _compat_b(row, p, p_kids, q, _checked_children(fine, q))
+
+
+def _child_reach(reach: int) -> int:
+    """How far apart children of two plaquettes reach apart can lie."""
+    return 2 * reach + 2
+
+
+def _compat_b(row: dict, p: Cell, p_kids, q: Cell, q_kids) -> int:
+    """4*B(p,q) - sum B(p',q') over child pairs, read from p's row.
+
+    p's children share p's parity pattern, so the row serves them too; it
+    must reach _child_reach(|q - p|).
+    """
+    total = 4 * row.get(tuple(map(sub, q.coords, p.coords)), 0)
+    q_coords = [qc.coords for qc in q_kids]
+    for pc in p_kids:
+        u = pc.coords
+        for w in q_coords:
+            total -= row.get(tuple(map(sub, w, u)), 0)
+    return total
 
 
 def compat_residual_a(family: CubicalFamilyOp, p: Cell) -> Fraction:
@@ -339,19 +369,26 @@ def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell], radius: in
                  jobs: int = 1) -> list[ResidualReport]:
     """Both compatibility residuals over (p, q) windows; sorted canonically."""
     offsets = _class_offsets(plaquettes, radius)
-    return _sweep(_compat_chunk, [(family, p, offsets[_parity(p)]) for p in plaquettes], jobs)
+    return _sweep(_compat_chunk,
+                  [(family, p, offsets[_parity(p)], radius) for p in plaquettes], jobs)
 
 
 def _compat_chunk(args) -> list[ResidualReport]:
-    family, p, offsets = args
+    family, p, offsets, radius = args
     fine = family.with_scale(family.scale + 1)
     unit = fine.unit
     family.check_var(p)
     p_kids = _checked_children(fine, p)
+    row = family.b_row(p, _child_reach(radius))
+
+    def numerator(q: Cell) -> int:
+        family.check_var(q)
+        return _compat_b(row, p, p_kids, q, _checked_children(fine, q))
+
     out = [ResidualReport("compat_a", (format_cell(p),),
                           compat_numerator(family, fine, p, p_kids) * unit)]
     out += _class_reports(_class_row(family, ("compat", _parity(p))), "compat_b", p, offsets,
-                          unit, lambda q: compat_numerator(family, fine, p, p_kids, q))
+                          unit, numerator)
     return out
 
 

@@ -11,9 +11,18 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from holoflow.cells import Cell, SignedSymmetry, act, boundary, cells_near, children
+from holoflow.cells import (
+    Cell,
+    SignedSymmetry,
+    act,
+    boundary,
+    cells_near,
+    children,
+    plaquette_offsets,
+)
 from holoflow.cli import main as cli_main
 from holoflow.operators import (
+    _FAMILIES,
     CubicalFamilyOp,
     ExplicitOp,
     SphereOp,
@@ -670,3 +679,128 @@ def test_compat_numerators_match_fraction_residuals():
 def test_override_outside_the_read_orthant_is_rejected(key):
     with pytest.raises(ValueError, match="never read"):
         CubicalFamilyOp(3, table_overrides={key: 1})
+
+
+# -- pushed sparse rows ------------------------------------------------------------
+
+ZERO_TO_NONZERO = MAIN3.perturbed("beta", (2, 0, 0), 1)  # beta(2,0,0) is 0 in the table
+NONZERO_TO_ZERO = MAIN4.perturbed("alpha", (1, 1, 1), 2)  # alpha(1,1,1) = -2 becomes 0
+ROW_FAMILIES = [MAIN3, ALT3, MAIN4, ZERO_TO_NONZERO, NONZERO_TO_ZERO,
+                MAIN3.perturbed("a0", None, 1).perturbed("beta", (1, 0, 0), 2)]
+
+
+def _fresh(fam):
+    """The same family with no rows yet."""
+    return CubicalFamilyOp(fam.d, fam.scale, fam.variant, fam.table_overrides)
+
+
+def _dense_row(fam, p, reach):
+    """The pull route: _b_table at every plaquette within reach of p, zeros left out."""
+    out = {}
+    for t in plaquette_offsets([c & 1 for c in p.coords], reach):
+        value = fam._b_table(p.coords, tuple(a + b for a, b in zip(p.coords, t)))
+        if value:
+            out[t] = value
+    return out
+
+
+@pytest.mark.parametrize("fam", ROW_FAMILIES, ids=repr)
+def test_rows_equal_the_table_on_dense_boxes(fam):
+    reach = 6
+    for p in base_plaquettes(fam.d, 0):
+        row = _fresh(fam).b_row(p, reach)
+        assert all(max(map(abs, t)) <= reach for t in row)
+        want = _dense_row(fam, p, reach)
+        assert row == want
+        # every q class that interacts with p at all shows up in the row
+        assert {tuple((c + t) & 1 for c, t in zip(p.coords, t)) for t in row} == {
+            tuple((c + t) & 1 for c, t in zip(p.coords, t)) for t in want}
+
+
+def test_overrides_reach_the_rows():
+    p = BASE3
+    assert _fresh(ZERO_TO_NONZERO).b_row(p, 3)[(3, 0, 1)] == 1
+    assert (3, 0, 1) not in _fresh(MAIN3).b_row(p, 3)
+    assert _fresh(MAIN4).b_row(BASE4, 2)[(2, 2, 2, 0)] == -2
+    assert (2, 2, 2, 0) not in _fresh(NONZERO_TO_ZERO).b_row(BASE4, 2)
+
+
+@pytest.mark.parametrize("variant", ["cubical", "alt3"])
+def test_supports_cover_every_nonzero_table_entry(variant):
+    _, alpha, beta, alpha_support, beta_support = _FAMILIES[variant]
+    for table, support in ((alpha, alpha_support), (beta, beta_support)):
+        listed = set(support(6, 5, 7))
+        for index in itertools.product(range(7), range(6), range(8)):
+            if table(*index):
+                assert index in listed
+        assert all(i <= 6 and j <= 5 and k <= 7 for i, j, k in listed)
+
+
+@st.composite
+def near_and_far(draw):
+    """A plaquette p and two plaquettes within max-norm 3 and 13 of it."""
+    d = draw(st.integers(3, 4))
+
+    def plaquette(center, span):
+        axes = draw(st.permutations(range(d)))[:2]
+        return Cell(0, [2 * (c // 2 + draw(st.integers(-span, span))) + (i in axes)
+                        for i, c in enumerate(center)])
+
+    p = plaquette((0,) * d, 3)
+    return p, plaquette(p.coords, 1), plaquette(p.coords, 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(near_and_far())
+def test_regrowth_gives_the_same_values_in_either_order(data):
+    p, near, far = data
+    d = p.ambient_dim
+    want = CubicalFamilyOp.main(d)._b_table
+    far_first = CubicalFamilyOp.main(d)
+    got_far = far_first.b_int(p, far), far_first.b_int(p, near)
+    near_first = CubicalFamilyOp.main(d)
+    got_near = near_first.b_int(p, near), near_first.b_int(p, far)
+    assert got_far == (want(p.coords, far.coords), want(p.coords, near.coords))
+    assert got_near == got_far[::-1]
+    # the near-first row grew past the far lookup and holds what a fresh row holds
+    reach = max(abs(a - b) for a, b in zip(far.coords, p.coords))
+    grown = near_first.b_row(p, reach)
+    assert {t: v for t, v in grown.items() if max(map(abs, t)) <= reach} == \
+        CubicalFamilyOp.main(d).b_row(p, reach)
+
+
+def test_a_far_lookup_grows_the_row_at_least_twofold():
+    fam = CubicalFamilyOp.main(3)
+    fam.b_row(BASE3, 2)
+    fam.b_int(BASE3, Cell(0, (4, 1, 1)))  # offset reach 3
+    reach, row = fam._memo[(1, 1, 0)]
+    assert reach == 4 and row == _dense_row(fam, BASE3, 4)
+
+
+def test_with_scale_copies_share_rows_and_pickles_carry_none():
+    fam = CubicalFamilyOp.main(4)
+    coarse = fam.with_scale(-1)
+    row = coarse.b_row(Cell(-1, (1, 1, 0, 0)), 3)
+    assert fam.with_scale(2).b_row(Cell(2, (5, 3, 0, 2)), 3) is row
+    assert fam._memo[(1, 1, 0, 0)][1] is row
+    restored = pickle.loads(pickle.dumps(coarse))
+    assert restored._memo == {} and restored == coarse
+    assert restored.b_row(Cell(-1, (1, 1, 0, 0)), 3) == row
+    assert CubicalFamilyOp.main(4).perturbed("beta", (0, 0, 0), 1)._memo == {}
+
+
+def test_d4_witness_read_from_the_rows():
+    p = Cell(0, (0, 0, 1, 1))
+    q = Cell(0, (-3, -2, -1, 0))
+    fam = CubicalFamilyOp.main(4)
+    assert fam.b_row(p, 3).get((-3, -2, -2, -1), 0) == 0
+    assert fam.b_row(q, 3).get((3, 2, 2, 1), 0) == -1
+    assert (fam.b_int(p, q), fam.b_int(q, p)) == (0, -1)
+
+
+@pytest.mark.parametrize("fam", [MAIN3, ALT3, MAIN4, ZERO_TO_NONZERO], ids=repr)
+def test_support_matches_a_box_scan(fam):
+    p = fam.base_plaquette().translated((2, -4) + (0,) * (fam.d - 2))
+    box = [(q, fam.coeff_b(p, q)) for q in cells_near(p, 3, dim=2)]
+    assert list(_fresh(fam).support(p, 3)) == [(q, b) for q, b in box if b]
+    assert list(fam.support(p, 3)) == [(q, b) for q, b in box if b]  # after wider rows

@@ -307,6 +307,18 @@ def test_covariance_window_entries():
     assert cov.entry(q, p) == -4
 
 
+@pytest.mark.parametrize("family", [MAIN3, CubicalFamilyOp.alt(-1), CubicalFamilyOp.main(4, 1),
+                                    MAIN3.perturbed("beta", (2, 0, 0), 3)], ids=repr)
+def test_covariance_window_matches_the_checked_fraction_form(family):
+    cov = covariance_window(family, 2)
+    plaquettes = family.window_plaquettes(2)
+    assert cov.variables == tuple(plaquettes)
+    for i, p in enumerate(plaquettes):
+        for q in plaquettes[i:]:  # b_pq of the earlier plaquette p: d=4 is not symmetric
+            want = -2 * family.coeff_b(p, q) + (2 * family.coeff_a(p) if p == q else 0)
+            assert cov.entry(p, q) == cov.entry(q, p) == want
+
+
 def test_covariance_window_matches_exp_state():
     cov = covariance_window(MAIN3, 1)
     for p in cov.variables[:4]:
