@@ -5,8 +5,7 @@ the unique cell of the scale-n complex containing the point u * 2^-n.  The
 cell's dimension equals the number of odd entries of u: all-even vectors are
 vertices, one odd entry an edge, two a plaquette, three a cube, and so on.
 
-Everything here is immutable and pure; values can be shared freely across
-threads and pickled to worker processes.
+Everything here is immutable and pure; values can be shared freely.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Exit status contract: 0 = every check passed, 1 = violations found,
 2 = usage or configuration error.  All numbers are emitted as exact "p/q"
 strings; --decimal adds a rounded column without ever replacing the exact
 one.  Output is deterministic byte-for-byte for a fixed configuration and
-seed: reports are sorted canonically no matter how many workers ran.
+seed: sweep reports are sorted canonically.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ def _parse_scales(text: str) -> list[int]:
         raise click.UsageError(f"bad scales {text!r}; expected integers like -1,0,1")
     if not out:
         raise click.UsageError("empty scales list")
+    if len(set(out)) < len(out):
+        raise click.UsageError(f"repeated scale in {text!r}; each scale is swept once")
     return out
 
 
@@ -178,7 +180,9 @@ _FMT_OPT = click.option("--format", "fmt", type=click.Choice(["text", "json", "c
 _OUT_OPT = click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True),
                         help="Write output to a file instead of stdout.")
 _JOBS_OPT = click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="HOLOFLOW_JOBS",
-                         show_default=True, help="Parallel workers for sweeps.")
+                         show_default=True, expose_value=False,
+                         help="Accepted for compatibility; sweeps run in one process, "
+                              "so it changes nothing.")
 _DEC_OPT = click.option("--decimal", type=click.IntRange(min=0), default=None,
                         help="Add a column rounded to this many digits.")
 _SEED_OPT = click.option("--seed", type=int, default=0, show_default=True)
@@ -217,14 +221,14 @@ def _cubes_for(op, scale: int) -> list[Cell]:
 @_OUT_OPT
 @_JOBS_OPT
 @_DEC_OPT
-def verify_invariance(op_text, d, scale, window, scales, fmt, out, jobs, decimal):
+def verify_invariance(op_text, d, scale, window, scales, fmt, out, decimal):
     """Sweep gauge residuals over (3-cell, plaquette) sites; exit 0 iff all vanish."""
     op = _require_lattice_op(_resolve_operator(op_text, d, scale, None))
     scale_list = _parse_scales(scales)
     reports: list[ResidualReport] = []
     for s in scale_list:
         scoped = op.with_scale(s) if isinstance(op, CubicalFamilyOp) else op
-        reports.extend(gauge_sweep(scoped, _cubes_for(scoped, s), window, jobs=jobs))
+        reports.extend(gauge_sweep(scoped, _cubes_for(scoped, s), window))
     _render_residuals("verify-invariance", op, {"window": window, "scales": scale_list},
                       reports, fmt, out, decimal)
 
@@ -240,7 +244,7 @@ def verify_invariance(op_text, d, scale, window, scales, fmt, out, jobs, decimal
 @_OUT_OPT
 @_JOBS_OPT
 @_DEC_OPT
-def verify_compat(op_text, d, scale, window, scales, fmt, out, jobs, decimal):
+def verify_compat(op_text, d, scale, window, scales, fmt, out, decimal):
     """Check coefficient consistency between consecutive scales; exit 0 iff exact."""
     op = _require_lattice_op(_resolve_operator(op_text, d, scale, None))
     if not isinstance(op, CubicalFamilyOp):
@@ -249,7 +253,7 @@ def verify_compat(op_text, d, scale, window, scales, fmt, out, jobs, decimal):
     reports: list[ResidualReport] = []
     for s in scale_list:
         scoped = op.with_scale(s)
-        reports.extend(compat_sweep(scoped, base_plaquettes(op.d, s), window, jobs=jobs))
+        reports.extend(compat_sweep(scoped, base_plaquettes(op.d, s), window))
     prefix = []
     if fmt == "text" and op.d == 3:
         coarse = op.with_scale(-1)

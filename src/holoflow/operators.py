@@ -42,11 +42,10 @@ second derivatives per monomial: lowering or dropping exponents of a sorted
 monomial tuple leaves it sorted, so each new monomial is a slice of the old
 one, and only pairs of variables that share a monomial are looked up.
 CubicalFamilyOp keeps its rows, and ExplicitOp exp_state's series memo, in
-cache slots: they only cache pure values, are never pickled, and never
-enter __eq__.
+cache slots: they only cache pure values and never enter __eq__.
 
 Operators are immutable and their lookups are pure, so instances may be
-shared between threads and pickled to worker processes.
+shared freely within a process.
 """
 
 from __future__ import annotations
@@ -337,9 +336,8 @@ class CubicalFamilyOp(Frozen):
     q - p, and one row serves every p of a pattern at every scale.  Rows are
     pushed from the nonzero table entries up to a reach and regrown past
     it; _b_table itself is the pull oracle they are tested against.  They
-    live in _memo, beside verify.py's numerator rows: empty at first and
-    after unpickling, shared by with_scale copies, empty again in a
-    perturbed copy.
+    live in _memo, beside verify.py's numerator rows: empty at first,
+    shared by with_scale copies, empty again in a perturbed copy.
 
     In three dimensions the resulting coefficient function is symmetric in
     (p, q).  The transverse-sum reduction prescribed for d >= 4 is not:
@@ -352,7 +350,6 @@ class CubicalFamilyOp(Frozen):
     """
 
     __slots__ = ("d", "scale", "variant", "table_overrides", "_memo")
-    _caches = ("_memo",)
 
     def __init__(self, d: int = 3, scale: int = 0, variant: str = "cubical",
                  table_overrides: Mapping | None = None):
@@ -663,14 +660,13 @@ class ExplicitOp(Frozen):
     unordered pairs and missing pairs count as zero.
 
     _series is exp_state's memo of mu0(L^k m) per monomial m.  It starts
-    empty, lives as long as the instance, is never pickled and never enters
-    __eq__; with_entry builds a new instance with an empty memo.
+    empty, lives as long as the instance and never enters __eq__; with_entry
+    builds a new instance with an empty memo.
     """
 
     variant = "explicit"
 
     __slots__ = ("a", "b", "unit", "_a_int", "_b_int", "_series")
-    _caches = ("_series",)
 
     def __init__(self, a: Mapping, b: Mapping):
         a_clean = {v: Fraction(c) for v, c in a.items()}
@@ -773,15 +769,16 @@ def operator_from_json(spec: Mapping):
     except (TypeError, KeyError):
         raise ValueError("operator spec needs a 'variant' field") from None
     if variant == "sphere":
-        return SphereOp([Fraction(a) for a in spec["areas"]])
+        return SphereOp([_json_exact("area", a) for a in spec["areas"]])
     if variant == "cubical":
         op = CubicalFamilyOp.main(d=_json_int("d", spec.get("d", 3)),
                                   scale=_json_int("scale", spec.get("scale", 0)))
     elif variant == "alt3":
         op = CubicalFamilyOp.alt(scale=_json_int("scale", spec.get("scale", 0)))
     elif variant == "explicit":
-        a = {_var_from_text(k): Fraction(v) for k, v in spec["a"].items()}
-        b = {(_var_from_text(p), _var_from_text(q)): Fraction(v) for p, q, v in spec.get("b", [])}
+        a = {_var_from_text(k): _json_exact("a entry", v) for k, v in spec["a"].items()}
+        b = {(_var_from_text(p), _var_from_text(q)): _json_exact("b entry", v)
+             for p, q, v in spec.get("b", [])}
         return ExplicitOp(a, b)
     else:
         raise ValueError(f"unknown operator variant {variant!r}")
@@ -799,3 +796,15 @@ def _json_int(name: str, value) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an integer")
     return value
+
+
+def _json_exact(name: str, value) -> Fraction:
+    """The exact number a JSON integer or a string such as "p/q" spells.
+
+    A JSON float is already a binary approximation (0.1 would become
+    3602879701896397/36028797018963968) and true is no number, so both
+    are rejected.
+    """
+    if type(value) is not int and not isinstance(value, str):
+        raise ValueError(f"{name} {value!r} is not an integer or a \"p/q\" string")
+    return Fraction(value)

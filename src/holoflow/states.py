@@ -35,6 +35,10 @@ from ._frozen import Frozen
 from .operators import CubicalFamilyOp, SphereOp, apply_operator
 from .poly import Monomial, Polynomial, format_polynomial
 
+# The highest degree exp_state and verify_sphere accept.  A monomial's series
+# recurses once per two degrees, so this bounds the recursion depth at 128.
+MAX_DEGREE = 256
+
 
 class LambdaPoly(Frozen):
     """A univariate polynomial in the coupling, over exact rationals."""
@@ -124,7 +128,10 @@ def exp_state(op, f: Polynomial) -> LambdaPoly:
     The series sum_k coupling^k / k! * mu0(L^k f) terminates after
     floor(deg f / 2) + 1 terms because L drops degree by two.  L and mu0 are
     linear, so mu0(L^k f) is summed from the memoized series of f's monomials.
+    Raises ValueError when f's degree exceeds MAX_DEGREE.
     """
+    if f.degree() > MAX_DEGREE:
+        raise ValueError(f"degree {f.degree()} exceeds the maximum {MAX_DEGREE}")
     # an ExplicitOp keeps its memo; other operators memoize for this call only
     memo = getattr(op, "_series", {})
     sums: dict[int, Fraction] = {}
@@ -153,11 +160,10 @@ class CovarianceMatrix(Frozen):
 
     entry(u, v) is the coefficient of the coupling in the state applied to
     x_u x_v.  _pairings memoizes the Isserlis pairing sums on the sorted
-    factor tuple; it is never pickled and never enters __eq__.
+    factor tuple; it never enters __eq__.
     """
 
     __slots__ = ("variables", "_entries", "_index", "_pairings")
-    _caches = ("_pairings",)
 
     def __init__(self, variables: Sequence, entries: Mapping):
         variables = tuple(variables)
@@ -351,6 +357,8 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
+    if max_degree > MAX_DEGREE:
+        raise ValueError(f"max_degree {max_degree} exceeds the maximum {MAX_DEGREE}")
     areas = tuple(Fraction(a) for a in areas)
     op = SphereOp(areas).to_euclidean()
     cov = ym_covariance(areas)

@@ -14,8 +14,9 @@ Three families of checks, all exact:
 
 Lattice residuals are integers over the operator's unit, made a Fraction
 once per site; every zero reports one shared Fraction(0).  Sweeps enumerate
-finite windows of sites; they are embarrassingly parallel and reports are
-sorted canonically so output never depends on scheduling.
+finite windows of sites in one process and sort the reports canonically: a
+site whose class row already holds its numerator costs about a microsecond,
+less than shipping its report to another process would.
 
 A coefficient family is invariant under even translations of the lattice,
 and cells with one coordinate-parity pattern differ by even translations.
@@ -26,19 +27,17 @@ too).  Sweeps list the offsets of each parity class once per call,
 enumerate sites as center + offset, and keep one row per class, offset ->
 numerator, under ("gauge", pattern) or ("compat", pattern) in the family's
 memo beside b_int's rows: scale-free, shared by with_scale copies, never
-pickled, never in __eq__, empty in a perturbed copy.  Only a row miss
-builds the site's Cell and checks it against the universe, and its
-numerator reads the family's coefficient rows (b_row) directly: a compat
-chunk fetches p's row once, which p's children share.  An ExplicitOp is not
-translation invariant and its universe is finite; it gets a fresh row per
-chunk, which never hits, so every one of its sites is checked.
+in __eq__, empty in a perturbed copy.  Only a row miss builds the site's
+Cell and checks it against the universe, and its numerator reads the
+family's coefficient rows (b_row) directly: a compat chunk fetches p's row
+once, which p's children share.  An ExplicitOp is not translation invariant
+and its universe is finite; it gets a fresh row per chunk, which never
+hits, so every one of its sites is checked.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -128,14 +127,13 @@ def default_cubes(d: int, scale: int) -> list[Cell]:
     return sorted(box_cells(scale, (-1,) * d, (1,) * d, dim=3), key=Cell.sort_key)
 
 
-def gauge_sweep(op, cubes: Sequence[Cell], radius: int, jobs: int = 1) -> list[ResidualReport]:
+def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
     """Gauge residuals for every site; sorted canonically."""
     offsets = _class_offsets(cubes, radius)
-    return _sweep(_gauge_chunk, [(op, cube, offsets[_parity(cube)]) for cube in cubes], jobs)
+    return _sweep(_gauge_chunk(op, cube, offsets[_parity(cube)]) for cube in cubes)
 
 
-def _gauge_chunk(args) -> list[ResidualReport]:
-    op, cube, offsets = args
+def _gauge_chunk(op, cube: Cell, offsets: Sequence[tuple]) -> list[ResidualReport]:
     faces = boundary(cube)
     if not all(op.has_var(q) for q in faces.cells()):
         return []
@@ -207,19 +205,8 @@ def _class_reports(row: dict, condition: str, center: Cell, offsets: Sequence[tu
     return out
 
 
-def worker_count(jobs: int, chunks: int) -> int:
-    """Processes a sweep starts: jobs, clamped to the CPU count and the chunk count."""
-    return max(1, min(jobs, os.cpu_count() or 1, chunks))
-
-
-def _sweep(chunk_fn, chunks: list, jobs: int) -> list[ResidualReport]:
-    """chunk_fn's reports over all chunks, sorted; a worker's batch shares one memo."""
-    workers = worker_count(jobs, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_fn, chunks, chunksize=-(-len(chunks) // workers)))
-    else:
-        parts = [chunk_fn(chunk) for chunk in chunks]
+def _sweep(parts: Iterable[list[ResidualReport]]) -> list[ResidualReport]:
+    """Every part's reports, in order, then sorted canonically."""
     reports = [r for part in parts for r in part]
     reports.sort(key=ResidualReport.sort_key)
     return reports
@@ -365,16 +352,15 @@ def base_plaquettes(d: int, scale: int) -> list[Cell]:
     return sorted(box_cells(scale, (0,) * d, (1,) * d, dim=2), key=Cell.sort_key)
 
 
-def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell], radius: int,
-                 jobs: int = 1) -> list[ResidualReport]:
+def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],
+                 radius: int) -> list[ResidualReport]:
     """Both compatibility residuals over (p, q) windows; sorted canonically."""
     offsets = _class_offsets(plaquettes, radius)
-    return _sweep(_compat_chunk,
-                  [(family, p, offsets[_parity(p)], radius) for p in plaquettes], jobs)
+    return _sweep(_compat_chunk(family, p, offsets[_parity(p)], radius) for p in plaquettes)
 
 
-def _compat_chunk(args) -> list[ResidualReport]:
-    family, p, offsets, radius = args
+def _compat_chunk(family: CubicalFamilyOp, p: Cell, offsets: Sequence[tuple],
+                  radius: int) -> list[ResidualReport]:
     fine = family.with_scale(family.scale + 1)
     unit = fine.unit
     family.check_var(p)

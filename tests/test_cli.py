@@ -4,7 +4,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import given, settings
 from holoflow.cells import Cell, box_cells
 from holoflow.cli import main
 from holoflow.operators import CubicalFamilyOp, ExplicitOp
+from holoflow.states import MAX_DEGREE
 
 
 @pytest.fixture()
@@ -124,6 +129,16 @@ def test_jobs_do_not_change_output(runner, args, status):
     assert serial.stdout_bytes == parallel.stdout_bytes
 
 
+@pytest.mark.parametrize("args", [
+    ("verify-invariance", "--scales", "0,0"),
+    ("verify-compat", "--scales", "-1,-1"),
+])
+def test_repeated_scale_is_a_usage_error(runner, args):
+    result = runner.invoke(main, [*args, "--window", "1"])
+    assert_usage_error(result)
+    assert "repeated scale" in result.output
+
+
 def test_invariance_usage_errors(runner):
     assert runner.invoke(main, ["verify-invariance", "--op", "{bad json"]).exit_code == 2
     assert runner.invoke(main, ["verify-invariance", "--op", "mystery"]).exit_code == 2
@@ -180,6 +195,16 @@ def test_sphere_check_rejects_bad_areas(runner):
     assert runner.invoke(
         main, ["sphere-check", "--areas", "1/2,1/2", "--max-degree", "1"]
     ).exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("sphere-check", "--areas", "1/2,1/2", "--max-degree", str(MAX_DEGREE + 1)),
+    ("moments", "--areas", "1/2,1/2", "--poly", f"x1^{MAX_DEGREE + 1}"),
+])
+def test_degree_above_the_cap_is_a_usage_error(runner, args):
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert f"exceeds the maximum {MAX_DEGREE}" in result.output
 
 
 # -- tables ---------------------------------------------------------------------------
@@ -434,11 +459,19 @@ def test_decimal_must_be_nonnegative(runner, args):
     assert_usage_error(runner.invoke(main, [*args, "--decimal", "-1"]))
 
 
+FLOAT_EXPLICIT_OP = ('{"variant":"explicit","a":{"[1,1,0]@0":0.1,"[0,1,1]@0":12},'
+                     '"b":[["[1,1,0]@0","[0,1,1]@0",0.1]]}')
+
+
 @pytest.mark.parametrize("spec", [
     '{"variant":"sphere","areas":["1/0","1"]}',
     '{"variant":"explicit","a":{"[1,1,0]@0":"1/0"}}',
     '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1.5]]}',
     '{"variant":"cubical","overrides":[[[0,0,1],"alpha",true]]}',
+    FLOAT_EXPLICIT_OP,
+    '{"variant":"explicit","a":{"[1,1,0]@0":12,"[0,1,1]@0":12},'
+    '"b":[["[1,1,0]@0","[0,1,1]@0",true]]}',
+    '{"variant":"sphere","areas":[0.5,0.25,0.25]}',
 ])
 def test_malformed_numbers_in_a_spec_are_usage_errors(runner, spec):
     result = runner.invoke(main, ["welldefined", "--op", spec, "--trials", "1"])
@@ -480,6 +513,7 @@ OP_SPECS = [
     '{"variant":"cubical","overrides":[[[0,0],"alpha",1]]}',
     '{"variant":"cubical","overrides":[[[-1,0,0],"beta",5]]}',
     '{"variant":"cubical","d":3.5,"scale":true}',
+    FLOAT_EXPLICIT_OP,
 ]
 
 
@@ -497,7 +531,8 @@ def cli_arguments(draw):
     if command == "sphere-check" or command in ("moments", "welldefined") and draw(st.booleans()):
         args += ["--areas", draw(st.sampled_from(["1/2,1/4,1/4", "1/2,1/0", "1/3,1/3,1/3"]))]
     if command == "moments":
-        args += ["--poly", draw(st.sampled_from(["x1^2*x2^2", "x[1,1,0]@0*x[0,1,1]@0", "x0+"]))]
+        args += ["--poly", draw(st.sampled_from(["x1^2*x2^2", "x[1,1,0]@0*x[0,1,1]@0", "x0+",
+                                                 "x1^4000"]))]
     if command == "covariance" and draw(st.booleans()):
         args.append("--psd")
     return args
@@ -509,3 +544,13 @@ def test_exit_contract_holds_for_any_arguments(args):
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 1, 2), args
     assert result.exception is None or isinstance(result.exception, SystemExit), args
+
+
+def test_importing_the_cli_starts_no_process_machinery():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, holoflow.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert loaded.strip() == "[]"

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import pickle
 import random
 from fractions import Fraction
 
@@ -144,17 +143,17 @@ def test_series_memo_stays_with_its_operator():
     assert exp_state(op, f) == before == plain_exp_state(op, f)
 
 
-def test_pickled_operator_and_covariance_arrive_with_empty_memos():
+def test_memos_of_operator_and_covariance_stay_out_of_equality():
     areas = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
     op = SphereOp(areas).to_euclidean()
     cov = ym_covariance(areas)
     f = x(1, 2) * x(2, 2)
     series, moment = exp_state(op, f), isserlis_moment(cov, ((1, 2), (2, 2)))
     assert op._series and cov._pairings
-    op2, cov2 = pickle.loads(pickle.dumps(op)), pickle.loads(pickle.dumps(cov))
+    op2, cov2 = SphereOp(areas).to_euclidean(), ym_covariance(areas)
     assert op2._series == {} and cov2._pairings == {}
-    assert op2 == op == SphereOp(areas).to_euclidean()  # __eq__ ignores the memo
-    assert cov2 == cov == ym_covariance(areas)
+    assert op2 == op  # __eq__ ignores the memo
+    assert cov2 == cov
     assert exp_state(op2, f) == series
     assert isserlis_moment(cov2, ((1, 2), (2, 2))) == moment
 

@@ -1,7 +1,6 @@
 """Residual checks: gauge descent, scale compatibility, well-definedness."""
 
 import itertools
-import pickle
 from fractions import Fraction
 
 import pytest
@@ -26,7 +25,6 @@ from holoflow.verify import (
     sphere_condition,
     violations,
     welldefined_property,
-    worker_count,
     _class_offsets,
     _parity,
 )
@@ -66,23 +64,6 @@ def test_gauge_sweep_is_clean_and_sorted():
     reports = gauge_sweep(MAIN3, default_cubes(3, 0), 2)
     assert reports and not violations(reports)
     assert [r.site for r in reports] == sorted(r.site for r in reports)
-
-
-def test_gauge_sweep_parallel_matches_serial():
-    for fam in (MAIN3, CubicalFamilyOp.main(4), MAIN3.perturbed("alpha", (0, 0, 1), 1)):
-        serial = gauge_sweep(fam, default_cubes(fam.d, 0), 2)
-        parallel = gauge_sweep(fam, default_cubes(fam.d, 0), 2, jobs=2)
-        assert serial == parallel
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert worker_count(10**6, 27) == 4
-    assert worker_count(3, 27) == 3
-    assert worker_count(8, 2) == 2
-    assert worker_count(8, 0) == worker_count(0, 5) == worker_count(-3, 5) == 1
-    monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert worker_count(8, 27) == 1
 
 
 def test_explicit_fault_breaks_gauge_invariance():
@@ -187,13 +168,6 @@ def test_compat_sweep_clean():
     assert reports_alt and not violations(reports_alt)
 
 
-def test_compat_sweep_parallel_matches_serial():
-    for fam in (MAIN3, CubicalFamilyOp.main(4), MAIN3.perturbed("beta", (1, 0, 0), 1)):
-        serial = compat_sweep(fam, base_plaquettes(fam.d, 0), 2)
-        parallel = compat_sweep(fam, base_plaquettes(fam.d, 0), 2, jobs=2)
-        assert serial == parallel
-
-
 def test_compat_detects_broken_scaling():
     fam = MAIN3.perturbed("beta", (1, 0, 0), 1)
     reports = compat_sweep(fam, base_plaquettes(3, 0), 2)
@@ -275,14 +249,14 @@ def test_a_warm_clean_family_does_not_hide_a_fault():
     assert not violations(gauge_sweep(fam, cubes, 2))
 
 
-def test_pickled_family_arrives_without_identity_rows():
+def test_identity_rows_stay_out_of_equality():
     fam = CubicalFamilyOp.main(3)
     gauge_sweep(fam, default_cubes(3, 0), 1)
     compat_sweep(fam, base_plaquettes(3, 0), 1)
     assert _identities(fam, "gauge") and _identities(fam, "compat")
-    restored = pickle.loads(pickle.dumps(fam))
-    assert restored._memo == {}
-    assert restored == fam
+    fresh = CubicalFamilyOp.main(3)
+    assert fresh._memo == {}
+    assert fresh == fam
 
 
 def test_explicit_op_sites_never_share_a_row():
