@@ -5,26 +5,35 @@ the unique cell of the scale-n complex containing the point u * 2^-n.  The
 cell's dimension equals the number of odd entries of u: all-even vectors are
 vertices, one odd entry an edge, two a plaquette, three a cube, and so on.
 
-Everything here is immutable and pure; values can be shared freely.
+Cells and lattice symmetries are named tuples: equality, hashing and the
+cell order (scale, then coordinates) are the tuple's, and box_cells yields
+cells in that order.  Everything here is immutable and pure; values can be
+shared freely.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from typing import Iterator, Sequence
 
 from ._frozen import Frozen
 
 
-class Cell(Frozen):
-    """A cell of the dyadic cubical complex, encoded as (scale, coords)."""
+class Cell(namedtuple("Cell", "scale coords")):
+    """A cell of the dyadic cubical complex: the tuple (scale, coords).
 
-    __slots__ = ("scale", "coords", "_hash")
+    Equality, hashing and order are the tuple's, so cells sort by scale,
+    then coordinates.  A cell therefore also equals the plain tuple
+    (scale, coords); no dict, set or comparison here mixes the two, since
+    polynomial variables are ints or cells and override indices are
+    triples of ints.
+    """
 
-    def __init__(self, scale: int, coords: Sequence[int]):
-        object.__setattr__(self, "scale", int(scale))
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
-        object.__setattr__(self, "_hash", hash((self.scale, self.coords)))
+    __slots__ = ()
+
+    def __new__(cls, scale: int, coords: Sequence[int]):
+        return tuple.__new__(cls, (scale, tuple(coords)))
 
     @property
     def ambient_dim(self) -> int:
@@ -49,21 +58,9 @@ class Cell(Frozen):
     def translated(self, t: Sequence[int]) -> "Cell":
         return Cell(self.scale, tuple(c + d for c, d in zip(self.coords, t)))
 
-    def sort_key(self):
-        return (self.scale, self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cell)
-            and self.scale == other.scale
-            and self.coords == other.coords
-        )
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __hash__(self):
-        return self._hash
+    def sort_key(self) -> "Cell":
+        """The cell itself, which already orders by (scale, coords)."""
+        return self
 
     def __repr__(self):
         return f"Cell({self.scale}, {self.coords})"
@@ -154,14 +151,14 @@ class SignedChain(Frozen):
     def to_json(self) -> list[dict]:
         return [
             {"cell": format_cell(c), "coeff": self.terms[c]}
-            for c in sorted(self.terms, key=Cell.sort_key)
+            for c in sorted(self.terms)
         ]
 
     def __repr__(self):
         if not self.terms:
             return "SignedChain(0)"
         parts = []
-        for c in sorted(self.terms, key=Cell.sort_key):
+        for c in sorted(self.terms):
             k = self.terms[c]
             sign = "+" if k > 0 else "-"
             mag = "" if abs(k) == 1 else f"{abs(k)}*"
@@ -217,18 +214,19 @@ def children(p: Cell) -> frozenset[Cell]:
     return frozenset(out)
 
 
-class SignedSymmetry(Frozen):
+class SignedSymmetry(namedtuple("SignedSymmetry", "perm signs trans")):
     """A lattice symmetry: axis permutation, per-axis reflections, even translation.
 
     Acting on coordinates: (g u)_i = signs_i * u[perm^-1(i)] + trans_i.
     perm[i] is the image axis of axis i (0-based).  Translation entries must
-    be even so cells map to cells of the same dimension.
+    be even so cells map to cells of the same dimension.  Equality and
+    hashing are the tuple's.
     """
 
-    __slots__ = ("perm", "signs", "trans")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         perm: Sequence[int],
         signs: Sequence[int] | None = None,
         trans: Sequence[int] | None = None,
@@ -245,9 +243,7 @@ class SignedSymmetry(Frozen):
             raise ValueError("translation length mismatch")
         if any(t % 2 for t in trans):
             raise ValueError(f"translation must be even to preserve the lattice: {trans}")
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "trans", trans)
+        return tuple.__new__(cls, (perm, signs, trans))
 
     @classmethod
     def identity(cls, d: int) -> "SignedSymmetry":
@@ -297,20 +293,6 @@ class SignedSymmetry(Frozen):
     def apply_coords(self, u: Sequence[int]) -> tuple[int, ...]:
         inv = _inverse_perm(self.perm)
         return tuple(self.signs[i] * u[inv[i]] + self.trans[i] for i in range(len(u)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedSymmetry)
-            and self.perm == other.perm
-            and self.signs == other.signs
-            and self.trans == other.trans
-        )
-
-    def __hash__(self):
-        return hash((self.perm, self.signs, self.trans))
-
-    def __repr__(self):
-        return f"SignedSymmetry(perm={self.perm}, signs={self.signs}, trans={self.trans})"
 
 
 def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:

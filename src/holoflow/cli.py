@@ -203,7 +203,7 @@ def _cubes_for(op, scale: int) -> list[Cell]:
     d = cells[0].ambient_dim
     lo = tuple(min(c.coords[i] for c in cells) for i in range(d))
     hi = tuple(max(c.coords[i] for c in cells) for i in range(d))
-    return sorted(box_cells(cells[0].scale, lo, hi, dim=3), key=Cell.sort_key)
+    return list(box_cells(cells[0].scale, lo, hi, dim=3))
 
 
 # -- commands -----------------------------------------------------------------
@@ -212,7 +212,6 @@ def _cubes_for(op, scale: int) -> list[Cell]:
 @main.command("verify-invariance")
 @_OP_OPT
 @_D_OPT
-@_SCALE_OPT
 @click.option("--window", type=click.IntRange(min=1), default=6, show_default=True,
               help="Max-norm site radius around each representative 3-cell.")
 @click.option("--scales", default="0", show_default=True,
@@ -221,10 +220,12 @@ def _cubes_for(op, scale: int) -> list[Cell]:
 @_OUT_OPT
 @_JOBS_OPT
 @_DEC_OPT
-def verify_invariance(op_text, d, scale, window, scales, fmt, out, decimal):
+def verify_invariance(op_text, d, window, scales, fmt, out, decimal):
     """Sweep gauge residuals over (3-cell, plaquette) sites; exit 0 iff all vanish."""
-    op = _require_lattice_op(_resolve_operator(op_text, d, scale, None))
+    op = _require_lattice_op(_resolve_operator(op_text, d, 0, None))
     scale_list = _parse_scales(scales)
+    if len(scale_list) > 1 and not isinstance(op, CubicalFamilyOp):
+        raise click.UsageError("an explicit operator has one finite universe; sweep one scale")
     reports: list[ResidualReport] = []
     for s in scale_list:
         scoped = op.with_scale(s) if isinstance(op, CubicalFamilyOp) else op
@@ -236,7 +237,6 @@ def verify_invariance(op_text, d, scale, window, scales, fmt, out, decimal):
 @main.command("verify-compat")
 @_OP_OPT
 @_D_OPT
-@_SCALE_OPT
 @click.option("--window", type=click.IntRange(min=1), default=4, show_default=True)
 @click.option("--scales", default="0", show_default=True,
               help="Coarse scales; each is checked against the next finer one.")
@@ -244,9 +244,9 @@ def verify_invariance(op_text, d, scale, window, scales, fmt, out, decimal):
 @_OUT_OPT
 @_JOBS_OPT
 @_DEC_OPT
-def verify_compat(op_text, d, scale, window, scales, fmt, out, decimal):
+def verify_compat(op_text, d, window, scales, fmt, out, decimal):
     """Check coefficient consistency between consecutive scales; exit 0 iff exact."""
-    op = _require_lattice_op(_resolve_operator(op_text, d, scale, None))
+    op = _require_lattice_op(_resolve_operator(op_text, d, 0, None))
     if not isinstance(op, CubicalFamilyOp):
         raise click.UsageError("compatibility sweeps need a coefficient family operator")
     scale_list = _parse_scales(scales)
@@ -436,8 +436,7 @@ def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
         ideal = LinearIdeal([constraint])
     else:
         if isinstance(op, CubicalFamilyOp):
-            cubes = sorted(box_cells(op.scale, (-window,) * op.d, (window,) * op.d, dim=3),
-                           key=Cell.sort_key)
+            cubes = list(box_cells(op.scale, (-window,) * op.d, (window,) * op.d, dim=3))
         else:
             cubes = _cubes_for(op, 0)
         cubes = [c for c in cubes if all(op.has_var(q) for q in boundary(c).cells())]

@@ -632,7 +632,7 @@ class CubicalFamilyOp(Frozen):
     def window_plaquettes(self, radius: int) -> list[Cell]:
         lo = (-radius,) * self.d
         hi = (radius,) * self.d
-        return sorted(box_cells(self.scale, lo, hi, dim=2), key=Cell.sort_key)
+        return list(box_cells(self.scale, lo, hi, dim=2))
 
     def to_json(self) -> dict:
         out = {"variant": self.variant, "d": self.d, "scale": self.scale}
@@ -656,8 +656,9 @@ class CubicalFamilyOp(Frozen):
 class ExplicitOp(Frozen):
     """An operator given by finite coefficient tables.
 
-    The universe is the key set of the a-table; b is stored symmetrically on
-    unordered pairs and missing pairs count as zero.
+    The universe is the key set of the a-table; its cell variables share one
+    ambient dimension.  b is stored symmetrically on unordered pairs and
+    missing pairs count as zero.
 
     _series is exp_state's memo of mu0(L^k m) per monomial m.  It starts
     empty, lives as long as the instance and never enters __eq__; with_entry
@@ -670,6 +671,9 @@ class ExplicitOp(Frozen):
 
     def __init__(self, a: Mapping, b: Mapping):
         a_clean = {v: Fraction(c) for v, c in a.items()}
+        dims = {v.ambient_dim for v in a_clean if isinstance(v, Cell)}
+        if len(dims) > 1:
+            raise ValueError(f"cell variables of mixed ambient dimensions {sorted(dims)}")
         b_clean = {}
         for (p, q), c in b.items():
             if p not in a_clean or q not in a_clean:
@@ -776,6 +780,8 @@ def operator_from_json(spec: Mapping):
     elif variant == "alt3":
         op = CubicalFamilyOp.alt(scale=_json_int("scale", spec.get("scale", 0)))
     elif variant == "explicit":
+        if not isinstance(spec["a"], Mapping):
+            raise ValueError(f"explicit 'a' {spec['a']!r} is not an object of cell -> value")
         a = {_var_from_text(k): _json_exact("a entry", v) for k, v in spec["a"].items()}
         b = {(_var_from_text(p), _var_from_text(q)): _json_exact("b entry", v)
              for p, q, v in spec.get("b", [])}

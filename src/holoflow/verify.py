@@ -13,8 +13,10 @@ Three families of checks, all exact:
   generators f_c and randomized polynomials g.
 
 Lattice residuals are integers over the operator's unit, made a Fraction
-once per site; every zero reports one shared Fraction(0).  Sweeps enumerate
-finite windows of sites in one process and sort the reports canonically: a
+once per site; every zero reports one shared Fraction(0).  A ResidualReport
+is a named tuple (condition, site, value), so its own order is the canonical
+one: a sweep never yields two reports at one (condition, site).  Sweeps
+enumerate finite windows of sites in one process and sort the reports: a
 site whose class row already holds its numerator costs about a microsecond,
 less than shipping its report to another process would.
 
@@ -38,18 +40,18 @@ hits, so every one of its sites is checked.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets
 from .operators import CubicalFamilyOp, apply_operator
 from .poly import LinearIdeal, Polynomial, _mono_sort_key
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
+    """One site's residual; reports order by (condition, site)."""
+
     condition: str
     site: tuple[str, ...]
     value: Fraction
@@ -57,9 +59,6 @@ class ResidualReport:
     @property
     def passed(self) -> bool:
         return self.value == 0
-
-    def sort_key(self):
-        return (self.condition, self.site)
 
     def to_json(self) -> dict:
         return {
@@ -124,7 +123,7 @@ def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
 
 def default_cubes(d: int, scale: int) -> list[Cell]:
     """Representative 3-cells around the origin: all coords in {-1, 0, 1}."""
-    return sorted(box_cells(scale, (-1,) * d, (1,) * d, dim=3), key=Cell.sort_key)
+    return list(box_cells(scale, (-1,) * d, (1,) * d, dim=3))
 
 
 def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
@@ -208,7 +207,7 @@ def _class_reports(row: dict, condition: str, center: Cell, offsets: Sequence[tu
 def _sweep(parts: Iterable[list[ResidualReport]]) -> list[ResidualReport]:
     """Every part's reports, in order, then sorted canonically."""
     reports = [r for part in parts for r in part]
-    reports.sort(key=ResidualReport.sort_key)
+    reports.sort()
     return reports
 
 
@@ -349,7 +348,7 @@ def child_interaction_sum(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction
 
 def base_plaquettes(d: int, scale: int) -> list[Cell]:
     """One plaquette per plane through the origin cell: coords in {0, 1}."""
-    return sorted(box_cells(scale, (0,) * d, (1,) * d, dim=2), key=Cell.sort_key)
+    return list(box_cells(scale, (0,) * d, (1,) * d, dim=2))
 
 
 def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],

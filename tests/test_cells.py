@@ -2,6 +2,7 @@
 
 import itertools
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -67,6 +68,24 @@ def test_dimension_counts_odd_coordinates():
 def test_cell_equality_includes_scale():
     assert Cell(0, (1, 1, 0)) != Cell(1, (1, 1, 0))
     assert Cell(0, (1, 1, 0)) == Cell(0, (1, 1, 0))
+
+
+def test_cell_from_a_list_is_the_cell_from_a_tuple():
+    from_list, from_tuple = Cell(0, [1, 1, 0]), Cell(0, (1, 1, 0))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert {from_list: 1}[from_tuple] == 1
+    assert repr(from_list) == "Cell(0, (1, 1, 0))"
+    with pytest.raises(AttributeError):
+        from_list.scale = 1
+
+
+def test_symmetries_compare_by_value():
+    g = SignedSymmetry([1, 0, 2], [1, -1, 1], [0, 2, 0])
+    assert g == SignedSymmetry((1, 0, 2), (1, -1, 1), (0, 2, 0))
+    assert hash(g) == hash(SignedSymmetry((1, 0, 2), (1, -1, 1), (0, 2, 0)))
+    assert g.compose(g.inverse()) == SignedSymmetry.identity(3)
+    assert g != SignedSymmetry.identity(3)
+    assert repr(SignedSymmetry.identity(2)) == "SignedSymmetry(perm=(0, 1), signs=(1, 1), trans=(0, 0))"
 
 
 # -- boundary ------------------------------------------------------------------
@@ -257,3 +276,16 @@ def test_plaquette_offsets_are_the_nearby_plaquettes(d):
             want = [tuple(a - b for a, b in zip(q.coords, center.coords))
                     for q in cells_near(center, radius, dim=2)]
             assert plaquette_offsets(parity, radius) == want, (parity, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_box_cells_come_in_cell_order(data):
+    # default_cubes, base_plaquettes and window_plaquettes list box_cells as it comes
+    d = data.draw(st.integers(1, 4))
+    lo = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    hi = [a + data.draw(st.integers(-1, 3)) for a in lo]
+    dim = data.draw(st.none() | st.integers(0, d))
+    scale = data.draw(st.integers(-2, 2))
+    listed = list(box_cells(scale, lo, hi, dim=dim))
+    assert listed == sorted(listed)

@@ -115,6 +115,24 @@ def test_invariance_without_complete_cells_is_not_a_pass(runner, tmp_path):
     assert "no sites" in result.output
 
 
+def test_explicit_operator_at_several_scales_is_a_usage_error(runner, tmp_path):
+    # an explicit universe is finite: each further scale would sweep the same sites again
+    path = tmp_path / "clean.json"
+    path.write_text(explicit_window_spec())
+    result = runner.invoke(main, ["verify-invariance", "--op", str(path), "--window", "1",
+                                  "--scales", "0,5,7"])
+    assert_usage_error(result)
+    assert "sweep one scale" in result.output
+
+
+@pytest.mark.parametrize("command", ["verify-invariance", "verify-compat"])
+def test_sweeps_take_no_scale_option(runner, command):
+    # both sweeps read --scales only
+    result = runner.invoke(main, [command, "--window", "1", "--scale", "5"])
+    assert_usage_error(result)
+    assert "--scale" in result.output
+
+
 FAULT_SPEC = json.dumps(CubicalFamilyOp.main(3).perturbed("alpha", (0, 0, 1), 1).to_json())
 
 
@@ -479,6 +497,23 @@ def test_malformed_numbers_in_a_spec_are_usage_errors(runner, spec):
     assert "invalid operator spec" in result.output
 
 
+NON_OBJECT_A_OP = '{"variant":"explicit","a":[1]}'
+MIXED_DIM_OP = '{"variant":"explicit","a":{"[0,1,1,0]@0":1,"[1,1,0]@0":2}}'
+
+
+def test_explicit_a_that_is_not_an_object_is_a_usage_error(runner):
+    result = runner.invoke(main, ["tables", "--op", NON_OBJECT_A_OP])
+    assert_usage_error(result)
+    assert "is not an object" in result.output
+
+
+@pytest.mark.parametrize("command", ["verify-invariance", "welldefined"])
+def test_mixed_ambient_dimensions_are_a_usage_error(runner, command):
+    result = runner.invoke(main, [command, "--op", MIXED_DIM_OP, "--window", "1"])
+    assert_usage_error(result)
+    assert "mixed ambient dimensions" in result.output
+
+
 @pytest.mark.parametrize("spec", [
     '{"variant":"cubical","d":3.5}',
     '{"variant":"cubical","d":true}',
@@ -513,7 +548,7 @@ OP_SPECS = [
     '{"variant":"cubical","overrides":[[[0,0],"alpha",1]]}',
     '{"variant":"cubical","overrides":[[[-1,0,0],"beta",5]]}',
     '{"variant":"cubical","d":3.5,"scale":true}',
-    FLOAT_EXPLICIT_OP,
+    FLOAT_EXPLICIT_OP, NON_OBJECT_A_OP, MIXED_DIM_OP,
 ]
 
 
