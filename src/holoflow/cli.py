@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import NoReturn
 
 import click
+from click.core import ParameterSource
 
 from .cells import Cell, boundary, box_cells, format_cell
 from .operators import CubicalFamilyOp, SphereOp, operator_from_json
@@ -60,7 +61,13 @@ def _parse_areas(text: str) -> list[Fraction]:
 
 
 def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None):
-    spec = None
+    """The operator --op (or --areas) names.
+
+    Only the cubical and alt3 shorthands and the default read --d and
+    --scale.  A JSON spec or a sphere operator fixes its own universe, so
+    giving either option with one is a usage error; their defaults pass.
+    """
+    shorthand = False
     if op_text:
         op_text = op_text.strip()
         if op_text.startswith("{"):
@@ -74,9 +81,9 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
             except (OSError, json.JSONDecodeError) as e:
                 raise click.UsageError(f"cannot read operator spec {op_text!r}: {e}")
         elif op_text == "cubical":
-            spec = {"variant": "cubical", "d": d, "scale": scale}
+            spec, shorthand = {"variant": "cubical", "d": d, "scale": scale}, True
         elif op_text == "alt3":
-            spec = {"variant": "alt3", "scale": scale}
+            spec, shorthand = {"variant": "alt3", "scale": scale}, True
         elif op_text == "sphere":
             if not areas:
                 raise click.UsageError("--op sphere needs --areas")
@@ -86,7 +93,13 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
     elif areas:
         spec = {"variant": "sphere", "areas": [str(a) for a in _parse_areas(areas)]}
     else:
-        spec = {"variant": "cubical", "d": d, "scale": scale}
+        spec, shorthand = {"variant": "cubical", "d": d, "scale": scale}, True
+    if not shorthand:
+        ctx = click.get_current_context()
+        for name in ("d", "scale"):
+            if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+                raise click.UsageError(f"--{name} is not read for this operator: a JSON spec"
+                                       " or a sphere operator fixes its own universe")
     try:
         return operator_from_json(spec)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
@@ -194,9 +207,8 @@ def _require_lattice_op(op):
     return op
 
 
-def _cubes_for(op, scale: int) -> list[Cell]:
-    if isinstance(op, CubicalFamilyOp):
-        return default_cubes(op.d, scale)
+def _explicit_cubes(op) -> list[Cell]:
+    """The 3-cells of the box spanned by an explicit operator's cell variables, at their scale."""
     cells = [v for v in op.variables() if isinstance(v, Cell)]
     if not cells:
         return []
@@ -227,9 +239,15 @@ def verify_invariance(op_text, d, window, scales, fmt, out, decimal):
     if len(scale_list) > 1 and not isinstance(op, CubicalFamilyOp):
         raise click.UsageError("an explicit operator has one finite universe; sweep one scale")
     reports: list[ResidualReport] = []
-    for s in scale_list:
-        scoped = op.with_scale(s) if isinstance(op, CubicalFamilyOp) else op
-        reports.extend(gauge_sweep(scoped, _cubes_for(scoped, s), window))
+    if isinstance(op, CubicalFamilyOp):
+        for s in scale_list:
+            reports.extend(gauge_sweep(op.with_scale(s), default_cubes(op.d, s), window))
+    else:
+        cubes = _explicit_cubes(op)
+        if cubes and cubes[0].scale != scale_list[0]:
+            raise click.UsageError(f"the explicit operator's universe is at scale"
+                                   f" {cubes[0].scale}, not {scale_list[0]}")
+        reports.extend(gauge_sweep(op, cubes, window))
     _render_residuals("verify-invariance", op, {"window": window, "scales": scale_list},
                       reports, fmt, out, decimal)
 
@@ -438,7 +456,7 @@ def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
         if isinstance(op, CubicalFamilyOp):
             cubes = list(box_cells(op.scale, (-window,) * op.d, (window,) * op.d, dim=3))
         else:
-            cubes = _cubes_for(op, 0)
+            cubes = _explicit_cubes(op)
         cubes = [c for c in cubes if all(op.has_var(q) for q in boundary(c).cells())]
         if not cubes:
             raise click.UsageError("no 3-cells with all faces inside the operator universe")

@@ -36,8 +36,11 @@ _b_table stays as the independent oracle the rows are tested against.
 All three operators also expose their coefficients as integers over one
 unit (a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the
 entry denominators for ExplicitOp, 1/lcm(area denominators)^2 for SphereOp.
-apply_operator and the residual sweeps in verify.py compute with these;
-coeff_a/coeff_b are the checked Fraction form.  apply_operator takes the
+The residual sweeps in verify.py compute with these, and so does
+_apply_int, the one kernel of L: it returns L's coefficients over the unit,
+integers for integer input.  apply_operator checks the variables, runs it
+and multiplies by the unit once; exp_state's series runs it directly.
+coeff_a/coeff_b are the checked Fraction form.  The kernel takes the
 second derivatives per monomial: lowering or dropping exponents of a sorted
 monomial tuple leaves it sorted, so each new monomial is a slice of the old
 one, and only pairs of variables that share a monomial are looked up.
@@ -68,24 +71,37 @@ def apply_operator(op, f: Polynomial) -> Polynomial:
     Both sums run over the variables of f (all other derivatives vanish);
     the b-sum includes the diagonal.  Degree drops by exactly two on every
     homogeneous part, so linear polynomials map to zero.  Every variable of
-    f is checked once, in canonical order.
-
-    The second derivatives are taken per monomial.  A term x * prod v_i^e_i
-    contributes (a_i - b_ii) e_i (e_i - 1) x at v_i^(e_i - 2) for each
-    e_i >= 2, and, since d_i d_j = d_j d_i, -(b_ij + b_ji) e_i e_j x with
-    both exponents lowered by one for each pair i < j of its factors.  The
-    new monomial is a slice of the old tuple with one or two exponents
-    lowered or dropped, so it stays sorted.  Only pairs that share a
-    monomial are looked up, each once per call.  The sums are integer
+    f is checked once, in canonical order; _apply_int then computes the
     coefficients over op.unit, which multiplies once at the end.
     """
-    for v in sorted(f.variables(), key=_var_key):
+    _check_vars(op, f.variables())
+    unit = op.unit
+    return Polynomial({m: unit * x for m, x in _apply_int(op, f.terms).items()})
+
+
+def _check_vars(op, variables) -> None:
+    """Check each variable against op's universe, in canonical order."""
+    for v in sorted(variables, key=_var_key):
         op.check_var(v)
+
+
+def _apply_int(op, terms: Mapping) -> dict:
+    """L applied to {monomial: x}, as coefficients over op.unit; the caller checks the variables.
+
+    Integer x give integer coefficients.  The second derivatives are taken
+    per monomial.  A term x * prod v_i^e_i contributes (a_i - b_ii) e_i
+    (e_i - 1) x at v_i^(e_i - 2) for each e_i >= 2, and, since d_i d_j =
+    d_j d_i, -(b_ij + b_ji) e_i e_j x with both exponents lowered by one for
+    each pair i < j of its factors.  The new monomial is a slice of the old
+    tuple with one or two exponents lowered or dropped, so it stays sorted.
+    Only pairs that share a monomial are looked up, each once per call.
+    Monomials whose contributions cancel stay in the result with value 0.
+    """
     a_int, b_int = op.a_int, op.b_int
     diag: dict = {}
     cross: dict = {}
     out: dict = {}
-    for m, x in f.terms.items():
+    for m, x in terms.items():
         n = len(m)
         for i in range(n):
             vi, ei = m[i]
@@ -116,8 +132,7 @@ def apply_operator(op, f: Polynomial) -> Polynomial:
                         out[mm] += y
                     else:
                         out[mm] = y
-    unit = op.unit
-    return Polynomial({m: unit * x for m, x in out.items()})
+    return out
 
 
 class SphereOp(Frozen):
@@ -660,9 +675,10 @@ class ExplicitOp(Frozen):
     ambient dimension.  b is stored symmetrically on unordered pairs and
     missing pairs count as zero.
 
-    _series is exp_state's memo of mu0(L^k m) per monomial m.  It starts
-    empty, lives as long as the instance and never enters __eq__; with_entry
-    builds a new instance with an empty memo.
+    _series is exp_state's memo, per monomial m, of the integers
+    mu0(L^k m) / unit^k for k = 0..deg(m) // 2.  It starts empty, lives as
+    long as the instance and never enters __eq__; with_entry builds a new
+    instance (with its own unit) and an empty memo.
     """
 
     variant = "explicit"

@@ -10,10 +10,17 @@ check each other with zero tolerance:
   by pairings (Isserlis) over its covariance matrix, a closed form checked
   exactly against the precision matrix.
 
+Both sum integers and apply their unit once.  L's coefficients are integers
+over the operator's unit, so mu0(L^k m) is an integer times unit^k:
+exp_state's series holds those integers and makes one Fraction per power of
+the coupling.  A CovarianceMatrix stores integer numerators over one unit,
+so a pairing sum over 2k factors is an integer times unit^k.
+
 Each pipeline memoizes internally and neither reads the other: exp_state
-keeps mu0(L^k m) per monomial m on the operator (ExplicitOp._series), and
-the pairing sums live on the CovarianceMatrix (_pairings).  verify_sphere
-builds one covariance matrix and one euclidean operator per area vector.
+keeps the integer series per monomial m on the operator
+(ExplicitOp._series), and the integer pairing sums live on the
+CovarianceMatrix (_pairings).  verify_sphere builds one covariance matrix
+and one euclidean operator per area vector.
 
 The coupling normalization is the heat-kernel one: a single holonomy of
 weight a has second moment 2*a*coupling (density proportional to
@@ -32,7 +39,7 @@ from typing import Mapping, Sequence
 
 from ._frozen import Frozen
 
-from .operators import CubicalFamilyOp, SphereOp, apply_operator
+from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars
 from .poly import Monomial, Polynomial, format_polynomial
 
 # The highest degree exp_state and verify_sphere accept.  A monomial's series
@@ -49,7 +56,8 @@ class LambdaPoly(Frozen):
         clean: dict[int, Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     clean[int(k)] = c
         object.__setattr__(self, "coeffs", clean)
@@ -128,29 +136,38 @@ def exp_state(op, f: Polynomial) -> LambdaPoly:
     The series sum_k coupling^k / k! * mu0(L^k f) terminates after
     floor(deg f / 2) + 1 terms because L drops degree by two.  L and mu0 are
     linear, so mu0(L^k f) is summed from the memoized series of f's monomials.
+    Those series are integers over unit^k; each power k of the coupling
+    becomes one Fraction at the end.  Every variable of f is checked once,
+    as apply_operator checks them: L^k m has no variable m lacks.
     Raises ValueError when f's degree exceeds MAX_DEGREE.
     """
     if f.degree() > MAX_DEGREE:
         raise ValueError(f"degree {f.degree()} exceeds the maximum {MAX_DEGREE}")
+    _check_vars(op, f.variables())
     # an ExplicitOp keeps its memo; other operators memoize for this call only
     memo = getattr(op, "_series", {})
     sums: dict[int, Fraction] = {}
     for m, c in f.monomial_items():
         for k, value in enumerate(_mu0_series(op, m, memo)):
             if value:
-                sums[k] = sums.get(k, Fraction(0)) + c * value
-    return LambdaPoly({k: v / math.factorial(k) for k, v in sums.items()})
+                sums[k] = sums.get(k, 0) + c * value
+    unit = op.unit
+    return LambdaPoly({k: v * unit**k / math.factorial(k) for k, v in sums.items()})
 
 
-def _mu0_series(op, m: Monomial, memo: dict) -> list[Fraction]:
-    """[mu0(L^k m) for k = 0..deg(m) // 2], from the series of L m's monomials."""
+def _mu0_series(op, m: Monomial, memo: dict) -> list[int]:
+    """[mu0(L^k m) / unit^k for k = 0..deg(m) // 2], from the series of L m's monomials.
+
+    L m is unit times _apply_int's integer coefficients c2, so entry k is
+    sum c2 * (entry k - 1 of m2's series).  The caller checks m's variables.
+    """
     series = memo.get(m)
     if series is None:
-        f = Polynomial({m: Fraction(1)})
-        series = [mu0(f)] + [Fraction(0)] * (sum(e for _, e in m) // 2)
-        for m2, c2 in apply_operator(op, f).monomial_items():
-            for k, value in enumerate(_mu0_series(op, m2, memo), start=1):
-                series[k] += c2 * value
+        series = [int(not m)] + [0] * (sum(e for _, e in m) // 2)
+        for m2, c2 in _apply_int(op, {m: 1}).items():
+            if c2:
+                for k, value in enumerate(_mu0_series(op, m2, memo), start=1):
+                    series[k] += c2 * value
         memo[m] = series
     return series
 
@@ -159,11 +176,13 @@ class CovarianceMatrix(Frozen):
     """Symmetric rational matrix of second-moment coefficients.
 
     entry(u, v) is the coefficient of the coupling in the state applied to
-    x_u x_v.  _pairings memoizes the Isserlis pairing sums on the sorted
-    factor tuple; it never enters __eq__.
+    x_u x_v.  It is stored once, as the integer num(u, v) over unit, the
+    reciprocal of the lcm of the entry denominators; entry and rows derive
+    the Fractions.  _pairings memoizes the integer Isserlis pairing sums on
+    the sorted factor tuple; it never enters __eq__.
     """
 
-    __slots__ = ("variables", "_entries", "_index", "_pairings")
+    __slots__ = ("variables", "unit", "_nums", "_index", "_pairings")
 
     def __init__(self, variables: Sequence, entries: Mapping):
         variables = tuple(variables)
@@ -177,27 +196,46 @@ class CovarianceMatrix(Frozen):
             if key in clean and clean[key] != c:
                 raise ValueError(f"asymmetric entries for {key}")
             clean[key] = c
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_entries", clean)
+        object.__setattr__(self, "unit", Fraction(1, den))
+        object.__setattr__(self, "_nums", {key: c.numerator * (den // c.denominator)
+                                           for key, c in clean.items() if c})
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_pairings", {})
 
-    def entry(self, u, v) -> Fraction:
+    def num(self, u, v) -> int:
+        """entry(u, v) over unit."""
         index = self._index
         key = (u, v) if index[u] <= index[v] else (v, u)
-        return self._entries.get(key, Fraction(0))
+        return self._nums.get(key, 0)
+
+    def entry(self, u, v) -> Fraction:
+        return self.num(u, v) * self.unit
 
     @property
     def size(self) -> int:
         return len(self.variables)
 
+    def numerators(self) -> list[list[int]]:
+        """The integer matrix of num(u, v), rows and columns in variable order."""
+        index = self._index
+        rows = [[0] * self.size for _ in self.variables]
+        for (u, v), c in self._nums.items():
+            i, j = index[u], index[v]
+            rows[i][j] = rows[j][i] = c
+        return rows
+
     def rows(self) -> list[list[Fraction]]:
-        return [[self.entry(u, v) for v in self.variables] for u in self.variables]
+        unit = self.unit
+        return [[x * unit for x in row] for row in self.numerators()]
 
     def __eq__(self, other):
+        # unit and the nonzero numerators are determined by the entries
         return (isinstance(other, CovarianceMatrix)
                 and self.variables == other.variables
-                and self.rows() == other.rows())
+                and self.unit == other.unit
+                and self._nums == other._nums)
 
     def __repr__(self):
         return f"CovarianceMatrix({self.size} variables)"
@@ -239,29 +277,33 @@ def isserlis_moment(cov: CovarianceMatrix, monomial: Monomial) -> Fraction:
     """Gaussian moment of a monomial as a sum over perfect pairings.
 
     Returns the coefficient of coupling^(degree/2); odd degrees vanish.
+    Each of the degree/2 pairs contributes one factor of cov.unit, applied
+    once to the integer pairing sum.
     """
     factors = tuple(v for v, e in monomial for _ in range(e))
-    if len(factors) % 2:
+    pairs, odd = divmod(len(factors), 2)
+    if odd:
         return Fraction(0)
-    return _pairing_sum(cov, factors)
+    return _pairing_sum(cov, factors) * cov.unit**pairs
 
 
-def _pairing_sum(cov: CovarianceMatrix, factors: tuple) -> Fraction:
-    """Sum over the perfect pairings of factors, sorted so equal ones are adjacent.
+def _pairing_sum(cov: CovarianceMatrix, factors: tuple) -> int:
+    """Sum over the perfect pairings of factors of the product of numerators.
 
-    Pairing the head with any of k equal factors leaves the same rest, so
-    each distinct partner is expanded once and counted k times.
+    factors is sorted so equal ones are adjacent.  Pairing the head with any
+    of k equal factors leaves the same rest, so each distinct partner is
+    expanded once and counted k times.
     """
     if not factors:
-        return Fraction(1)
+        return 1
     total = cov._pairings.get(factors)
     if total is None:
         head, rest = factors[0], factors[1:]
-        total = Fraction(0)
+        total = 0
         for i, v in enumerate(rest):
             if i and v == rest[i - 1]:
                 continue
-            c = cov.entry(head, v)
+            c = cov.num(head, v)
             if c:
                 total += rest.count(v) * c * _pairing_sum(cov, rest[:i] + rest[i + 1:])
         cov._pairings[factors] = total
@@ -430,14 +472,12 @@ class PsdReport:
 
 
 def psd_probe(cov: CovarianceMatrix) -> PsdReport:
-    """Exact signs of all leading principal minors of the covariance matrix."""
-    rows = cov.rows()
-    denom = 1
-    for row in rows:
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    scaled = [[int(x * denom) for x in row] for row in rows]
-    return PsdReport(size=cov.size, signs=tuple(_leading_minor_signs(scaled)))
+    """Exact signs of all leading principal minors of the covariance matrix.
+
+    The minors of the numerator matrix have the signs of the entries'
+    minors, since the unit is positive.
+    """
+    return PsdReport(size=cov.size, signs=tuple(_leading_minor_signs(cov.numerators())))
 
 
 def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 
-from holoflow.cells import Cell, box_cells
+from holoflow.cells import Cell, boundary, box_cells
 from holoflow.cli import main
 from holoflow.operators import CubicalFamilyOp, ExplicitOp
 from holoflow.states import MAX_DEGREE
@@ -45,6 +45,11 @@ def explicit_window_spec(perturb=None):
     if perturb:
         op = op.with_entry(*perturb)
     return json.dumps(op.to_json())
+
+
+# the six faces of one scale-0 cube, with no interactions: every gauge site fails
+CUBE_FACES_OP = json.dumps(ExplicitOp({p: 12 for p in boundary(Cell(0, (1, 1, 1))).cells()},
+                                      {}).to_json())
 
 
 # -- verify-invariance ---------------------------------------------------------
@@ -123,6 +128,48 @@ def test_explicit_operator_at_several_scales_is_a_usage_error(runner, tmp_path):
                                   "--scales", "0,5,7"])
     assert_usage_error(result)
     assert "sweep one scale" in result.output
+
+
+def test_explicit_operator_at_another_scale_is_a_usage_error(runner):
+    # the universe sits at scale 0, so sweeping "scale 5" would sweep scale 0 and mislabel it
+    args = ["verify-invariance", "--op", CUBE_FACES_OP, "--window", "1", "--format", "json"]
+    result = runner.invoke(main, [*args, "--scales", "5"])
+    assert_usage_error(result)
+    assert "universe is at scale 0, not 5" in result.output
+    own, default = runner.invoke(main, [*args, "--scales", "0"]), runner.invoke(main, args)
+    assert own.exit_code == default.exit_code == 1
+    assert own.stdout_bytes == default.stdout_bytes
+    assert json.loads(own.stdout)["config"]["scales"] == [0]
+    assert json.loads(own.stdout)["summary"] == {"sites": 6, "violations": 6}
+
+
+@pytest.mark.parametrize("option", [("--scale", "3"), ("--scale", "0"), ("--d", "3")],
+                         ids=["scale3", "scale0", "d3"])
+@pytest.mark.parametrize("command, extra", [
+    ("tables", ("--range", "1")),
+    ("moments", ("--poly", "x[1,1,0]@0^2")),
+    ("covariance", ("--window", "1")),
+    ("welldefined", ("--trials", "1")),
+], ids=["tables", "moments", "covariance", "welldefined"])
+def test_lattice_options_with_a_json_spec_are_usage_errors(runner, command, extra, option):
+    # a spec fixes d and scale itself; given explicitly, even at its default, the option is refused
+    spec = '{"variant":"cubical"}'
+    result = runner.invoke(main, [command, "--op", spec, *extra, *option])
+    assert_usage_error(result)
+    assert f"{option[0]} is not read for this operator" in result.output
+    assert runner.invoke(main, [command, "--op", spec, *extra]).exit_code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("verify-invariance", "--op", '{"variant":"cubical"}', "--window", "1", "--d", "4"),
+    ("verify-compat", "--op", '{"variant":"cubical"}', "--window", "1", "--d", "3"),
+    ("moments", "--areas", "1/2,1/2", "--poly", "x1^2", "--scale", "1"),
+    ("welldefined", "--op", "sphere", "--areas", "1/2,1/2", "--trials", "1", "--d", "3"),
+], ids=["invariance-spec-d", "compat-spec-d", "moments-areas-scale", "welldefined-sphere-d"])
+def test_lattice_options_with_a_spec_or_a_sphere_are_usage_errors(runner, args):
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert "is not read for this operator" in result.output
 
 
 @pytest.mark.parametrize("command", ["verify-invariance", "verify-compat"])
@@ -347,6 +394,7 @@ def test_out_writes_file(runner, tmp_path):
 # change to the output plumbing that alters a single byte fails here.
 
 FAULT_OP = '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1]]}'
+
 # beta(2,0,0) is 0 in the cubical table, so this override adds interactions
 ZERO_ENTRY_OP = '{"variant":"cubical","overrides":[[[2,0,0],"beta",1]]}'
 GOLDEN_CASES = {
@@ -548,8 +596,19 @@ OP_SPECS = [
     '{"variant":"cubical","overrides":[[[0,0],"alpha",1]]}',
     '{"variant":"cubical","overrides":[[[-1,0,0],"beta",5]]}',
     '{"variant":"cubical","d":3.5,"scale":true}',
-    FLOAT_EXPLICIT_OP, NON_OBJECT_A_OP, MIXED_DIM_OP,
+    FLOAT_EXPLICIT_OP, NON_OBJECT_A_OP, MIXED_DIM_OP, CUBE_FACES_OP,
 ]
+# --d and --scale choose a cubical family; drawn or left out.  --d 4 is left
+# out: a d=4 covariance window of 2 with --psd takes tens of seconds.
+LATTICE_OPTIONS = {
+    "verify-invariance": ("--d",),
+    "verify-compat": ("--d",),
+    "covariance": ("--d", "--scale"),
+    "welldefined": ("--d", "--scale"),
+    "tables": ("--d", "--scale"),
+    "moments": ("--d", "--scale"),
+}
+LATTICE_VALUES = {"--d": ["2", "3"], "--scale": ["-1", "0", "1"]}
 
 
 @st.composite
@@ -570,6 +629,11 @@ def cli_arguments(draw):
                                                  "x1^4000"]))]
     if command == "covariance" and draw(st.booleans()):
         args.append("--psd")
+    for option in LATTICE_OPTIONS.get(command, ()):
+        if draw(st.booleans()):
+            args += [option, draw(st.sampled_from(LATTICE_VALUES[option]))]
+    if command == "verify-invariance" and draw(st.booleans()):
+        args += ["--scales", draw(st.sampled_from(["0", "5", "0,1"]))]
     return args
 
 

@@ -112,10 +112,22 @@ def _euclidean_case(rng):
     return SphereOp(areas).to_euclidean(), None, [1, 2, 3], 6
 
 
-def _lattice_case(rng):
-    ideal = ideal_from_cubes([Cell(0, (1, 1, 1))])
+def _lattice_case_at(scale):
+    ideal = ideal_from_cubes([Cell(scale, (1, 1, 1))])
     (generator,) = ideal.generators
-    return MAIN3, ideal, sorted(generator.variables(), key=Cell.sort_key), 4
+    return MAIN3.with_scale(scale), ideal, sorted(generator.variables(), key=Cell.sort_key), 4
+
+
+def _lattice_case(rng):
+    return _lattice_case_at(0)  # unit 1
+
+
+def _lattice_case_at_scale_1(rng):
+    return _lattice_case_at(1)  # unit 1/4: a missing unit^k shows
+
+
+def _lattice_case_at_scale_minus_1(rng):
+    return _lattice_case_at(-1)  # unit 4
 
 
 def _sphere_quotient_case(rng):
@@ -124,13 +136,31 @@ def _sphere_quotient_case(rng):
     return SphereOp(areas), ideal, [1, 2, 3, 4], 6
 
 
-@pytest.mark.parametrize("case", [_euclidean_case, _lattice_case, _sphere_quotient_case])
+@pytest.mark.parametrize("case", [_euclidean_case, _lattice_case, _lattice_case_at_scale_1,
+                                  _lattice_case_at_scale_minus_1, _sphere_quotient_case])
 def test_memoized_exp_state_matches_the_plain_series(case):
     rng = random.Random(case.__name__)
     op, ideal, variables, max_degree = case(rng)
+    memo = getattr(op, "_series", {})  # as exp_state: other operators memoize per call
     for _ in range(12):  # one operator throughout, so later polynomials read a warm memo
         f = rand_poly(rng, variables, max_degree)
         assert exp_state(op, f) == plain_exp_state(op, f, ideal), f
+        for m in f.terms:
+            states._mu0_series(op, m, memo)
+    assert any(len(series) > 1 for series in memo.values())
+    # the series are integers over unit^k; Fractions appear only in exp_state's result
+    assert all(type(value) is int for series in memo.values() for value in series)
+
+
+def test_exp_state_checks_every_variable_against_the_universe():
+    op = SphereOp([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]).to_euclidean()
+    exp_state(op, x(1, 2) * x(2, 2))  # a warm memo does not skip the check
+    for f in (x(3), x(1, 2) * x(3, 2), x(1, 2) + x(2) * x(3)):
+        with pytest.raises(ValueError, match="outside the operator's universe"):
+            exp_state(op, f)
+    assert all(3 not in dict(m) for m in op._series)
+    with pytest.raises(ValueError, match="scale"):
+        exp_state(MAIN3, x(Cell(0, (1, 1, 0))) * x(Cell(1, (1, 1, 0))))
 
 
 def test_series_memo_stays_with_its_operator():
@@ -181,6 +211,41 @@ def test_covariance_inversion_matches_closed_form_up_to_n8():
                 assert cov.entry(i, j) == expected
 
 
+def _check_numerators(cov):
+    """num * unit is entry, and psd_probe's integer matrix is the rows scaled by their lcm."""
+    assert cov.unit > 0
+    nums = cov.numerators()
+    for i, u in enumerate(cov.variables):
+        for j, v in enumerate(cov.variables):
+            assert type(cov.num(u, v)) is int
+            assert nums[i][j] == cov.num(u, v)
+            assert cov.num(u, v) * cov.unit == cov.entry(u, v)
+    rows = cov.rows()
+    denom = math.lcm(*(x.denominator for row in rows for x in row))
+    assert Fraction(1, denom) == cov.unit
+    assert nums == [[int(x * denom) for x in row] for row in rows]
+
+
+def test_ym_covariance_numerators_over_one_unit():
+    rng = random.Random(31)
+    for n in range(2, 7):
+        _check_numerators(ym_covariance(rand_areas(n, rng)))
+
+
+@pytest.mark.parametrize("family", [MAIN3, CubicalFamilyOp.alt(-1), MAIN3.with_scale(1),
+                                    MAIN3.perturbed("beta", (2, 0, 0), 3)], ids=repr)
+def test_covariance_window_numerators_over_one_unit(family):
+    _check_numerators(covariance_window(family, 1))
+
+
+def test_covariance_equality_reads_the_entries():
+    given = {(1, 1): Fraction(1, 2), (1, 2): Fraction(-1, 3), (2, 2): 0}
+    cov = CovarianceMatrix((1, 2), given)
+    assert cov == CovarianceMatrix((1, 2), {(1, 1): Fraction(3, 6), (2, 1): Fraction(-1, 3)})
+    assert cov != CovarianceMatrix((1, 2), {**given, (2, 2): Fraction(1, 7)})
+    assert cov != CovarianceMatrix((2, 1), given)
+
+
 def test_covariance_rejects_bad_areas():
     with pytest.raises(ValueError):
         ym_covariance([Fraction(1, 2), Fraction(1, 4)])
@@ -197,13 +262,33 @@ def test_isserlis_reference_moments():
     assert isserlis_moment(cov, ((1, 3),)) == 0
 
 
-def brute_pairings(cov, factors):
-    """Every perfect pairing of factors, one by one, with no memo."""
+def brute_pairings(entry, factors):
+    """Every perfect pairing of factors, one by one in Fractions from entry(u, v), with no memo."""
     if not factors:
         return Fraction(1)
     head, rest = factors[0], factors[1:]
-    return sum((cov.entry(head, rest[i]) * brute_pairings(cov, rest[:i] + rest[i + 1:])
+    return sum((entry(head, rest[i]) * brute_pairings(entry, rest[:i] + rest[i + 1:])
                 for i in range(len(rest))), Fraction(0))
+
+
+def test_isserlis_moment_matches_a_fraction_oracle_on_random_areas():
+    rng = random.Random(37)
+    for n in (3, 4, 5, 6):
+        areas = rand_areas(n, rng)
+
+        def closed_form(i, j):  # E[x_i x_j] / coupling, straight from the areas
+            return 2 * (areas[i - 1] * (i == j) - areas[i - 1] * areas[j - 1])
+
+        cov = ym_covariance(areas)
+        for _ in range(15):
+            counts: dict = {}
+            for _ in range(rng.choice((2, 4, 6))):
+                v = rng.randint(1, n - 1)
+                counts[v] = counts.get(v, 0) + 1
+            mono = tuple(sorted(counts.items()))
+            factors = tuple(v for v, e in mono for _ in range(e))
+            assert type(states._pairing_sum(cov, factors)) is int
+            assert isserlis_moment(cov, mono) == brute_pairings(closed_form, factors), mono
 
 
 def test_pairing_memo_matches_brute_force_pairings():
@@ -217,7 +302,7 @@ def test_pairing_memo_matches_brute_force_pairings():
                 counts[v] = counts.get(v, 0) + 1
             mono = tuple(sorted(counts.items()))
             factors = [v for v, e in mono for _ in range(e)]
-            want = brute_pairings(cov, factors) if len(factors) % 2 == 0 else 0
+            want = brute_pairings(cov.entry, factors) if len(factors) % 2 == 0 else 0
             assert isserlis_moment(cov, mono) == want, mono
 
 
