@@ -83,7 +83,7 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
         elif op_text == "cubical":
             spec, shorthand = {"variant": "cubical", "d": d, "scale": scale}, True
         elif op_text == "alt3":
-            spec, shorthand = {"variant": "alt3", "scale": scale}, True
+            spec, shorthand = {"variant": "alt3", "d": d, "scale": scale}, True
         elif op_text == "sphere":
             if not areas:
                 raise click.UsageError("--op sphere needs --areas")

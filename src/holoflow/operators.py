@@ -794,7 +794,8 @@ def operator_from_json(spec: Mapping):
         op = CubicalFamilyOp.main(d=_json_int("d", spec.get("d", 3)),
                                   scale=_json_int("scale", spec.get("scale", 0)))
     elif variant == "alt3":
-        op = CubicalFamilyOp.alt(scale=_json_int("scale", spec.get("scale", 0)))
+        op = CubicalFamilyOp(_json_int("d", spec.get("d", 3)),
+                             _json_int("scale", spec.get("scale", 0)), "alt3")
     elif variant == "explicit":
         if not isinstance(spec["a"], Mapping):
             raise ValueError(f"explicit 'a' {spec['a']!r} is not an object of cell -> value")

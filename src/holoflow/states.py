@@ -62,10 +62,6 @@ class LambdaPoly(Frozen):
                     clean[int(k)] = c
         object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def const(cls, c) -> "LambdaPoly":
-        return cls({0: Fraction(c)})
-
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs.get(k, Fraction(0))
 

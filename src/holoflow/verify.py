@@ -29,19 +29,25 @@ too).  Sweeps list the offsets of each parity class once per call,
 enumerate sites as center + offset, and keep one row per class, offset ->
 numerator, under ("gauge", pattern) or ("compat", pattern) in the family's
 memo beside b_int's rows: scale-free, shared by with_scale copies, never
-in __eq__, empty in a perturbed copy.  Only a row miss builds the site's
-Cell and checks it against the universe, and its numerator reads the
-family's coefficient rows (b_row) directly: a compat chunk fetches p's row
-once, which p's children share.  An ExplicitOp is not translation invariant
-and its universe is finite; it gets a fresh row per chunk, which never
-hits, so every one of its sites is checked.
+in __eq__, empty in a perturbed copy.  Numerators read the family's
+coefficient rows (b_row) directly.  Only a gauge row miss builds the
+site's Cell and checks it against the universe.  A compat row miss builds
+nothing: children sit at 2u + e, so every child pair of (p, q) has
+q' - p' = 2(q - p) + (e_q - e_p), and p's children share p's parity
+pattern.  compat_b is therefore one stencil on p's row, 4 B(t) - sum
+m B(2t + s) over the multiset of steps s = e_q - e_p, which cells.children
+gives once per plane of q; q = p + t is a plaquette by construction.  An
+ExplicitOp is not translation invariant and its universe is finite; it
+gets a fresh row per chunk, which never hits, so every one of its sites
+is checked.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from operator import add, sub
+from operator import add, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets
@@ -137,7 +143,8 @@ def _gauge_chunk(op, cube: Cell, offsets: Sequence[tuple]) -> list[ResidualRepor
     if not all(op.has_var(q) for q in faces.cells()):
         return []
 
-    def numerator(p: Cell) -> int | None:
+    def numerator(t: tuple) -> int | None:
+        p = Cell(cube.scale, map(add, cube.coords, t))
         return gauge_numerator(op, faces, p) if op.has_var(p) else None
 
     return _class_reports(_class_row(op, ("gauge", _parity(cube))), "gauge", cube, offsets,
@@ -182,11 +189,11 @@ def _class_row(op, key: tuple) -> dict:
 
 
 def _class_reports(row: dict, condition: str, center: Cell, offsets: Sequence[tuple],
-                   unit: Fraction, numerator: Callable[[Cell], int | None]) -> list[ResidualReport]:
+                   unit: Fraction, numerator: Callable[[tuple], int | None]) -> list[ResidualReport]:
     """Reports at (center, center + t) for each offset t, reading numerators from row.
 
-    numerator(site) runs only on a row miss; it checks the site and returns
-    None for one outside the operator's universe, which gets no report.
+    numerator(t) runs only on a row miss; it returns None for a site outside
+    the operator's universe, which gets no report.
     """
     scale, u = center.scale, center.coords
     head, tail = format_cell(center), "]@" + str(scale)
@@ -195,7 +202,7 @@ def _class_reports(row: dict, condition: str, center: Cell, offsets: Sequence[tu
         coords = tuple(map(add, u, t))
         n = row.get(t)
         if n is None:
-            n = numerator(Cell(scale, coords))
+            n = numerator(t)
             if n is None:
                 continue
             row[t] = n
@@ -286,59 +293,44 @@ def sphere_condition(op) -> list[Fraction]:
 # -- multiscale compatibility -------------------------------------------------
 
 
-def _checked_children(fine: CubicalFamilyOp, p: Cell):
-    kids = children(p)
-    for c in kids:
-        fine.check_var(c)
-    return kids
+def _child_steps(p: Cell, q: Cell) -> list[tuple[tuple, int]]:
+    """The 16 child-pair offsets of (p, q), less 2(q - p), as (step, count) pairs.
 
-
-def compat_numerator(family, fine, p: Cell, p_kids, q: Cell | None = None) -> int:
-    """compat_a at p, or compat_b at (p, q), over fine.unit (fine: the family at scale n+1).
-
-    That is 4*A(p) - sum A(p'), or 4*B(p,q) - sum B(p',q') over child pairs;
-    B is scale-free, so one set of rows serves both scales.  The caller
-    checks p and p_kids.
+    Children sit at 2u + e, so q' - p' = 2(q - p) + (e_q - e_p): the steps
+    depend only on the planes of p and q.
     """
-    if q is None:
-        return 4 * family.a_int(p) - sum(fine.a_int(c) for c in p_kids)
-    family.check_var(q)
-    row = family.b_row(p, _child_reach(max(map(abs, map(sub, q.coords, p.coords)))))
-    return _compat_b(row, p, p_kids, q, _checked_children(fine, q))
+    t2 = [2 * (b - a) for a, b in zip(p.coords, q.coords)]
+    q_kids = children(q)
+    steps = Counter(tuple(map(sub, map(sub, qc.coords, pc.coords), t2))
+                    for pc in children(p) for qc in q_kids)
+    return list(steps.items())
 
 
-def _child_reach(reach: int) -> int:
-    """How far apart children of two plaquettes reach apart can lie."""
-    return 2 * reach + 2
+def _compat_b(row: dict, t: tuple, steps) -> int:
+    """4*B(p,q) - sum B(p',q') over child pairs, with t = q - p, read from p's row.
 
-
-def _compat_b(row: dict, p: Cell, p_kids, q: Cell, q_kids) -> int:
-    """4*B(p,q) - sum B(p',q') over child pairs, read from p's row.
-
-    p's children share p's parity pattern, so the row serves them too; it
-    must reach _child_reach(|q - p|).
+    p's children have p's parity pattern, so its row serves them too; it
+    must reach 2|t| + 2.  B is scale-free, so one row serves both scales.
     """
-    total = 4 * row.get(tuple(map(sub, q.coords, p.coords)), 0)
-    q_coords = [qc.coords for qc in q_kids]
-    for pc in p_kids:
-        u = pc.coords
-        for w in q_coords:
-            total -= row.get(tuple(map(sub, w, u)), 0)
-    return total
+    get = row.get
+    t2 = [2 * x for x in t]
+    return 4 * get(t, 0) - sum(m * get(tuple(map(add, t2, e)), 0) for e, m in steps)
 
 
 def compat_residual_a(family: CubicalFamilyOp, p: Cell) -> Fraction:
     """a_n(p) minus the sum of a_{n+1} over p's four children."""
     fine = family.with_scale(family.scale + 1)
     family.check_var(p)
-    return compat_numerator(family, fine, p, _checked_children(fine, p)) * fine.unit
+    return (4 * family.a_int(p) - sum(fine.a_int(c) for c in children(p))) * fine.unit
 
 
 def compat_residual_b(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
     """b_n(p,q) minus the child-pair sum at scale n+1."""
-    fine = family.with_scale(family.scale + 1)
     family.check_var(p)
-    return compat_numerator(family, fine, p, _checked_children(fine, p), q) * fine.unit
+    family.check_var(q)
+    t = tuple(map(sub, q.coords, p.coords))
+    row = family.b_row(p, 2 * max(map(abs, t)) + 2)
+    return _compat_b(row, t, _child_steps(p, q)) * (family.unit / 4)
 
 
 def child_interaction_sum(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
@@ -360,20 +352,23 @@ def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],
 
 def _compat_chunk(family: CubicalFamilyOp, p: Cell, offsets: Sequence[tuple],
                   radius: int) -> list[ResidualReport]:
-    fine = family.with_scale(family.scale + 1)
-    unit = fine.unit
-    family.check_var(p)
-    p_kids = _checked_children(fine, p)
-    row = family.b_row(p, _child_reach(radius))
+    """compat_a at p and compat_b at p + t for each offset t.
 
-    def numerator(q: Cell) -> int:
-        family.check_var(q)
-        return _compat_b(row, p, p_kids, q, _checked_children(fine, q))
+    Each q = p + t is a plaquette by the offsets' construction, so neither q
+    nor its children are built: t's parity pattern picks q's plane, whose
+    child steps are taken once per chunk from one plaquette of that plane.
+    """
+    out = [ResidualReport("compat_a", (format_cell(p),), compat_residual_a(family, p))]
+    row = family.b_row(p, 2 * radius + 2)
+    pattern = _parity(p)
+    steps = {tuple(map(xor, pattern, _parity(q))): _child_steps(p, q)
+             for q in base_plaquettes(family.d, p.scale)}
 
-    out = [ResidualReport("compat_a", (format_cell(p),),
-                          compat_numerator(family, fine, p, p_kids) * unit)]
-    out += _class_reports(_class_row(family, ("compat", _parity(p))), "compat_b", p, offsets,
-                          unit, numerator)
+    def numerator(t: tuple) -> int:
+        return _compat_b(row, t, steps[tuple([x & 1 for x in t])])
+
+    out += _class_reports(_class_row(family, ("compat", pattern)), "compat_b", p, offsets,
+                          family.unit / 4, numerator)
     return out
 
 

@@ -568,12 +568,33 @@ def test_mixed_ambient_dimensions_are_a_usage_error(runner, command):
     '{"variant":"cubical","scale":3.5}',
     '{"variant":"cubical","scale":true}',
     '{"variant":"alt3","scale":true}',
+    '{"variant":"alt3","d":3.5}',
 ])
 def test_non_integer_dimension_or_scale_is_a_usage_error(runner, spec):
     result = runner.invoke(main, ["verify-invariance", "--op", spec, "--window", "1",
                                   "--format", "json"])
     assert_usage_error(result)
     assert "is not an integer" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("tables", "--op", "alt3", "--d", "4", "--range", "1"),
+    ("tables", "--op", '{"variant":"alt3","d":4}', "--range", "1"),
+    ("verify-compat", "--op", "alt3", "--d", "4", "--window", "1"),
+], ids=["tables-shorthand", "tables-spec", "compat-shorthand"])
+def test_alt3_in_another_dimension_is_a_usage_error(runner, args):
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert "three-dimensional" in result.output
+
+
+@pytest.mark.parametrize("args", [("tables", "--range", "1"), ("verify-compat", "--window", "1")],
+                         ids=["tables", "compat"])
+def test_alt3_reads_its_own_dimension(runner, args):
+    own = runner.invoke(main, [*args, "--op", "alt3"])
+    given = runner.invoke(main, [*args, "--op", "alt3", "--d", "3"])
+    assert own.exit_code == given.exit_code == 0
+    assert own.stdout_bytes == given.stdout_bytes
 
 
 # Each command with the options that size its run.  All but --jobs and --decimal

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoflow.cells import Cell, box_cells, cells_near
+from holoflow.cells import Cell, box_cells, cells_near, children, format_cell, parse_cell
 from holoflow.operators import CubicalFamilyOp, ExplicitOp, SphereOp, operator_from_json
 from holoflow.poly import LinearIdeal, Polynomial, ideal_from_cubes
 from holoflow.verify import (
@@ -244,6 +244,22 @@ def test_a_warm_clean_family_does_not_hide_a_fault():
     assert violations(gauge_sweep(broken, cubes, 2))
     assert violations(compat_sweep(broken, plaquettes, 2))
     assert not violations(gauge_sweep(fam, cubes, 2))
+
+
+@pytest.mark.parametrize("fam", [CubicalFamilyOp.main(3), CubicalFamilyOp.main(4),
+                                 CubicalFamilyOp.alt()], ids=["main3", "main4", "alt3"])
+def test_swept_sites_are_in_the_universe(fam):
+    # sweeps build a site's label from its offset and check no site against the universe
+    fine = fam.with_scale(fam.scale + 1)
+    gauge = gauge_sweep(fam, default_cubes(fam.d, fam.scale), 2)
+    compat = compat_sweep(fam, base_plaquettes(fam.d, fam.scale), 2)
+    assert gauge and compat
+    for r in gauge + compat:
+        cells = [parse_cell(label) for label in r.site]
+        assert list(r.site) == [format_cell(c) for c in cells]
+        assert fam.has_var(cells[-1])
+        if r.condition == "compat_b":
+            assert all(fine.has_var(c) for c in children(cells[-1]))
 
 
 def test_identity_rows_stay_out_of_equality():
