@@ -419,6 +419,9 @@ GOLDEN_CASES = {
     "welldefined-sphere": ("welldefined", "--op", "sphere", "--areas", "1/2,1/4,1/4",
                            "--trials", "5"),
     "welldefined-lattice": ("welldefined", "--d", "3", "--trials", "3"),
+    # the only case in which a CubicalFamilyOp reports nonzero witnesses
+    "welldefined-d4": ("welldefined", "--d", "4", "--window", "1", "--trials", "2",
+                       "--seed", "0"),
     "welldefined-fault": ("welldefined", "--op", explicit_window_spec(
         perturb=(Cell(0, (1, 1, 0)), Cell(0, (0, 1, 1)), Fraction(3))), "--trials", "5"),
 }
@@ -474,6 +477,8 @@ GOLDEN = {
     ('welldefined-lattice', 'text'): (0, 'e3914f06094913bc'),
     ('welldefined-lattice', 'json'): (0, 'd042e61ad0f1117b'),
     ('welldefined-lattice', 'csv'): (0, '022a028102cc7d4a'),
+    ('welldefined-d4', 'text'): (1, 'ef44dbcf3f7bc3e2'),
+    ('welldefined-d4', 'json'): (1, '6dba3b6fda76bbd0'),
     ('welldefined-fault', 'text'): (1, '823d20d6e65456f0'),
     ('welldefined-fault', 'json'): (1, 'e46789638c8f76a9'),
     ('welldefined-fault', 'csv'): (1, '3c8e0617a70db918'),
