@@ -39,7 +39,9 @@ entry denominators for ExplicitOp, 1/lcm(area denominators)^2 for SphereOp.
 The residual sweeps in verify.py compute with these, and so does
 _apply_int, the one kernel of L: it returns L's coefficients over the unit,
 integers for integer input.  apply_operator checks the variables, runs it
-and multiplies by the unit once; exp_state's series runs it directly.
+and multiplies by the unit once; exp_state's series and the
+well-definedness probes run it directly, sharing one memo of looked-up
+pair coefficients across calls.
 coeff_a/coeff_b are the checked Fraction form.  The kernel takes the
 second derivatives per monomial: lowering or dropping exponents of a sorted
 monomial tuple leaves it sorted, so each new monomial is a slice of the old
@@ -76,7 +78,7 @@ def apply_operator(op, f: Polynomial) -> Polynomial:
     """
     _check_vars(op, f.variables())
     unit = op.unit
-    return Polynomial({m: unit * x for m, x in _apply_int(op, f.terms).items()})
+    return Polynomial({m: unit * x for m, x in _apply_int(op, f.terms, ({}, {})).items()})
 
 
 def _check_vars(op, variables) -> None:
@@ -85,7 +87,7 @@ def _check_vars(op, variables) -> None:
         op.check_var(v)
 
 
-def _apply_int(op, terms: Mapping) -> dict:
+def _apply_int(op, terms: Mapping, pairs: tuple[dict, dict]) -> dict:
     """L applied to {monomial: x}, as coefficients over op.unit; the caller checks the variables.
 
     Integer x give integer coefficients.  The second derivatives are taken
@@ -94,12 +96,14 @@ def _apply_int(op, terms: Mapping) -> dict:
     d_j d_i, -(b_ij + b_ji) e_i e_j x with both exponents lowered by one for
     each pair i < j of its factors.  The new monomial is a slice of the old
     tuple with one or two exponents lowered or dropped, so it stays sorted.
-    Only pairs that share a monomial are looked up, each once per call.
-    Monomials whose contributions cancel stay in the result with value 0.
+    Only pairs that share a monomial are looked up, each once per pair
+    memo: pairs is (diag, cross), v -> a_vv - b_vv and (v, w) -> -b_vw -
+    b_wv over op.unit, which the caller keeps for as many calls on op as
+    it likes.  Monomials whose contributions cancel stay in the result with
+    value 0.
     """
     a_int, b_int = op.a_int, op.b_int
-    diag: dict = {}
-    cross: dict = {}
+    diag, cross = pairs
     out: dict = {}
     for m, x in terms.items():
         n = len(m)

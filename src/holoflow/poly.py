@@ -11,13 +11,17 @@ into one accumulator and builds a single Polynomial at the end.
 
 A LinearIdeal is spanned by degree-1 generators with zero constant term (the
 shape of all holonomy constraints here).  It is triangularized once at
-construction; reduce() is then a substitution homomorphism onto normal forms,
-so reduce(f*g) = reduce(reduce(f)*reduce(g)) and reduce(f) = 0 exactly when
-f lies in the ideal.
+construction into integer rows over one denominator; reduce() is then a
+substitution homomorphism onto normal forms, so reduce(f*g) =
+reduce(reduce(f)*reduce(g)) and reduce(f) = 0 exactly when f lies in the
+ideal.  Normal forms are computed on integers from a memo of monomial
+normal forms (_reduce_int); reduce() is its Fraction wrapper, and
+substitute() is left to the sphere operator's euclidean check.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -190,8 +194,9 @@ class Polynomial(Frozen):
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -392,12 +397,23 @@ class LinearIdeal(Frozen):
 
     Triangularization eliminates, for each independent generator, its largest
     variable in the declared total order (index order for integer variables,
-    (scale, coords) order for cells).  The resulting substitution map is fully
-    back-substituted, so one substitution pass computes normal forms; its
-    polynomial form (_mapping) is built once, after triangularization.
+    (scale, coords) order for cells), and back-substitutes fully, so no
+    leading variable appears on a right-hand side.  The rows are then stored
+    as integer linear forms over one denominator den, the lcm of their
+    denominators: leading variable v = _rows[v] / den.  den is 1 for the
+    cube and sphere ideals.
+
+    Normal forms are computed on integers.  A monomial's normal form is the
+    product of its factors' rows, an integer polynomial over den**s with s
+    its substituted degree; _memo keeps it, monomial -> (normal form, s),
+    built by peeling one leading factor at a time, so every shorter
+    monomial on the way is kept too.  The memo holds only pure values of
+    the ideal.  _reduce_int sums memoized normal forms over den**depth;
+    reduce() scales f to integers, runs it and divides once per surviving
+    term.
     """
 
-    __slots__ = ("generators", "_subst", "_mapping")
+    __slots__ = ("generators", "den", "_rows", "_memo")
 
     def __init__(self, generators: Iterable[Polynomial]):
         gens = tuple(generators)
@@ -406,50 +422,116 @@ class LinearIdeal(Frozen):
                 raise ValueError(f"generator is not linear: {g}")
             if g.eval_zero():
                 raise ValueError(f"generator has a constant term: {g}")
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_subst", {})
+        subst: dict = {}
         for g in gens:
-            self._insert({v: c for m, c in g.terms.items() for v, _ in m})
-        object.__setattr__(self, "_mapping",
-                           {v: Polynomial.linear(rhs) for v, rhs in self._subst.items()})
-
-    def _insert(self, form: dict) -> None:
-        subst = self._subst
-        for v in [v for v in form if v in subst]:
-            c = form.pop(v)
-            for w, cw in subst[v].items():
-                form[w] = form.get(w, Fraction(0)) + c * cw
-        form = {v: c for v, c in form.items() if c}
-        if not form:
-            return
-        lead = max(form, key=_var_key)
-        coef = form.pop(lead)
-        rhs = {w: -cw / coef for w, cw in form.items()}
-        for other in subst.values():
-            if lead in other:
-                c = other.pop(lead)
-                for w, cw in rhs.items():
-                    other[w] = other.get(w, Fraction(0)) + c * cw
-                for w in [w for w, cw in other.items() if not cw]:
-                    del other[w]
-        subst[lead] = rhs
+            _insert(subst, {v: c for m, c in g.terms.items() for v, _ in m})
+        den = math.lcm(*(c.denominator for rhs in subst.values() for c in rhs.values()))
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_rows", {
+            v: {((w, 1),): c.numerator * (den // c.denominator) for w, c in rhs.items()}
+            for v, rhs in subst.items()
+        })
+        object.__setattr__(self, "_memo", {})
 
     @property
     def rank(self) -> int:
-        return len(self._subst)
+        return len(self._rows)
 
     @property
     def leading_variables(self) -> set:
-        return set(self._subst)
+        return set(self._rows)
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of f modulo the ideal."""
-        if not self._subst or f.variables().isdisjoint(self._subst):
+        if not self._rows or f.variables().isdisjoint(self._rows):
             return f
-        return f.substitute(self._mapping)
+        terms, scale = _integer_terms(f)
+        depth = f.degree()
+        total = scale * self.den**depth
+        return Polynomial({m: Fraction(n, total)
+                           for m, n in self._reduce_int(terms, depth).items() if n})
+
+    def _reduce_int(self, terms: Mapping, depth: int) -> dict:
+        """The normal form of {monomial: int} times den**depth, on integers.
+
+        depth must be at least the degree of every monomial with a nonzero
+        coefficient.  Monomials whose contributions cancel stay in the
+        result with value 0.
+        """
+        den = self.den
+        normal_form = self._normal_form
+        out: dict = {}
+        for m, c in terms.items():
+            if not c:
+                continue
+            nf, s = normal_form(m)
+            c *= den ** (depth - s)
+            for mm, x in nf.items():
+                y = c * x
+                if mm in out:
+                    out[mm] += y
+                else:
+                    out[mm] = y
+        return out
+
+    def _normal_form(self, m: Monomial) -> tuple[dict, int]:
+        """(integer normal form of m over den**s, s), memoized.
+
+        m's first leading factor is lowered by one until a memoized or
+        leading-free monomial is reached; each step back up multiplies by
+        that factor's row and adds one to s.
+        """
+        memo = self._memo
+        hit = memo.get(m)
+        if hit is not None:
+            return hit
+        rows = self._rows
+        peeled = []
+        while hit is None:
+            i = next((i for i, (v, _) in enumerate(m) if v in rows), None)
+            if i is None:
+                hit = memo[m] = ({m: 1}, 0)
+                break
+            v, e = m[i]
+            peeled.append((m, rows[v]))
+            m = m[:i] + (((v, e - 1),) if e > 1 else ()) + m[i + 1:]
+            hit = memo.get(m)
+        for m, row in reversed(peeled):
+            nf, s = hit
+            hit = memo[m] = ({mm: x for mm, x in _mul_terms(nf, row).items() if x}, s + 1)
+        return hit
 
     def __repr__(self):
         return f"LinearIdeal(rank={self.rank}, generators={len(self.generators)})"
+
+
+def _insert(subst: dict, form: dict) -> None:
+    """Add one linear form to a fully back-substituted triangular system."""
+    for v in [v for v in form if v in subst]:
+        c = form.pop(v)
+        for w, cw in subst[v].items():
+            form[w] = form.get(w, Fraction(0)) + c * cw
+    form = {v: c for v, c in form.items() if c}
+    if not form:
+        return
+    lead = max(form, key=_var_key)
+    coef = form.pop(lead)
+    rhs = {w: -cw / coef for w, cw in form.items()}
+    for other in subst.values():
+        if lead in other:
+            c = other.pop(lead)
+            for w, cw in rhs.items():
+                other[w] = other.get(w, Fraction(0)) + c * cw
+            for w in [w for w, cw in other.items() if not cw]:
+                del other[w]
+    subst[lead] = rhs
+
+
+def _integer_terms(f: Polynomial) -> tuple[dict, int]:
+    """(terms, scale) with f = terms / scale, terms integer and scale the lcm of f's denominators."""
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}, scale
 
 
 def bianchi_form(cube: Cell) -> Polynomial:

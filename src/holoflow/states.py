@@ -142,27 +142,29 @@ def exp_state(op, f: Polynomial) -> LambdaPoly:
     _check_vars(op, f.variables())
     # an ExplicitOp keeps its memo; other operators memoize for this call only
     memo = getattr(op, "_series", {})
+    pairs: tuple[dict, dict] = ({}, {})
     sums: dict[int, Fraction] = {}
     for m, c in f.monomial_items():
-        for k, value in enumerate(_mu0_series(op, m, memo)):
+        for k, value in enumerate(_mu0_series(op, m, memo, pairs)):
             if value:
                 sums[k] = sums.get(k, 0) + c * value
     unit = op.unit
     return LambdaPoly({k: v * unit**k / math.factorial(k) for k, v in sums.items()})
 
 
-def _mu0_series(op, m: Monomial, memo: dict) -> list[int]:
+def _mu0_series(op, m: Monomial, memo: dict, pairs: tuple[dict, dict]) -> list[int]:
     """[mu0(L^k m) / unit^k for k = 0..deg(m) // 2], from the series of L m's monomials.
 
     L m is unit times _apply_int's integer coefficients c2, so entry k is
     sum c2 * (entry k - 1 of m2's series).  The caller checks m's variables.
+    pairs is _apply_int's pair memo, shared by the whole series.
     """
     series = memo.get(m)
     if series is None:
         series = [int(not m)] + [0] * (sum(e for _, e in m) // 2)
-        for m2, c2 in _apply_int(op, {m: 1}).items():
+        for m2, c2 in _apply_int(op, {m: 1}, pairs).items():
             if c2:
-                for k, value in enumerate(_mu0_series(op, m2, memo), start=1):
+                for k, value in enumerate(_mu0_series(op, m2, memo, pairs), start=1):
                     series[k] += c2 * value
         memo[m] = series
     return series

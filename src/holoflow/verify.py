@@ -10,7 +10,9 @@ Three families of checks, all exact:
   related by summation over plaquette children, a_p = sum a_p' and
   b_pq = sum b_p'q'; this is the exact-renormalization property.
 * quotient well-definedness -- reduce(L(f_c * g)) = 0 for the constraint
-  generators f_c and randomized polynomials g.
+  generators f_c and randomized polynomials g.  The probes run on
+  integers: the product, L (_apply_int, one pair memo per run) and the
+  ideal's memoized integer normal forms (_reduce_int).
 
 Lattice residuals are integers over the operator's unit, made a Fraction
 once per site; every zero reports one shared Fraction(0).  A ResidualReport
@@ -51,8 +53,8 @@ from operator import add, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets
-from .operators import CubicalFamilyOp, apply_operator
-from .poly import LinearIdeal, Polynomial, _mono_sort_key
+from .operators import CubicalFamilyOp, _apply_int, _check_vars
+from .poly import LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_sort_key, _mul_terms
 
 
 class ResidualReport(NamedTuple):
@@ -390,6 +392,12 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     outside plaquettes.  A failing site reports, as its value, the coefficient
     of the smallest surviving monomial in canonical order (a deterministic
     nonzero witness).
+
+    Each probe runs on integers: f_c and g are scaled to integer terms over
+    their denominators, multiplied, checked against the universe (the
+    variables of f_c and g, those of their product unless it is zero), sent
+    through _apply_int with one pair memo for the run and through the
+    ideal's memoized _reduce_int.  Only a failing site makes a Fraction.
     """
     rng = random.Random(seed)
     generator_vars = {v for g in ideal.generators for v in g.variables()}
@@ -400,15 +408,25 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     pool = sorted((v for v in pool_set if op.has_var(v)), key=lambda v: str(v))
     if not pool:
         return []
+    generators = [(*_integer_terms(f_c), f_c.variables()) for f_c in ideal.generators]
+    pairs: tuple[dict, dict] = ({}, {})
+    unit, den = op.unit, ideal.den
     reports = []
     for t in range(trials):
         g = _random_polynomial(rng, pool)
-        for idx, f_c in enumerate(ideal.generators):
-            normal = ideal.reduce(apply_operator(op, f_c * g))
-            if normal.is_zero():
-                value = Fraction(0)
-            else:
-                value = normal.terms[min(normal.terms, key=_mono_sort_key)]
+        g_terms, den_g = _integer_terms(g)
+        g_vars = g.variables()
+        for idx, (f_terms, den_f, f_vars) in enumerate(generators):
+            value = _ZERO
+            if f_terms and g_terms:
+                _check_vars(op, f_vars | g_vars)
+                image = _apply_int(op, _mul_terms(f_terms, g_terms), pairs)
+                depth = max(map(_mono_degree, image), default=0)
+                normal = ideal._reduce_int(image, depth)
+                survivors = [m for m, n in normal.items() if n]
+                if survivors:
+                    n = normal[min(survivors, key=_mono_sort_key)]
+                    value = n * unit / (den_f * den_g * den**depth)
             reports.append(ResidualReport("welldefined", (f"gen{idx}", f"trial{t}"), value))
     return reports
 

@@ -93,6 +93,22 @@ def test_trinomial_square():
     assert f == expected
 
 
+def test_power_is_repeated_multiplication(monkeypatch):
+    from holoflow import poly
+
+    p = x(1) - Fraction(1, 2) * x(2) + 3
+    products = []
+    mul_terms = poly._mul_terms
+    monkeypatch.setattr(poly, "_mul_terms", lambda t1, t2: products.append(1) or mul_terms(t1, t2))
+    expected = Polynomial.one()
+    for n in range(7):
+        products.clear()
+        assert p**n == expected
+        # one product per set bit and one squaring per bit after the first: none wasted
+        assert len(products) == (n.bit_count() + n.bit_length() - 1 if n else 0)
+        expected = expected * p
+
+
 @settings(max_examples=60)
 @given(small_polys(), small_polys(), small_polys())
 def test_ring_axioms(f, g, h):
@@ -257,6 +273,53 @@ def linear_ideals(draw, n_vars=3):
 def test_reduce_keeps_the_constant_term(ideal, f):
     # why the flat state mu0 needs no reduction modulo a constraint ideal
     assert ideal.reduce(f).eval_zero() == f.eval_zero()
+
+
+# Leading variables x2 = x1/2 and x4 = (x2 + x3)/3 = x1/6 + x3/3: the rows sit over
+# den = 6, where the cube and sphere ideals all have den = 1.
+DEN6_IDEAL = LinearIdeal(Polynomial.linear(form) for form in (
+    {1: Fraction(1, 2), 2: -1}, {2: 1, 3: 1, 4: -3}))
+DEN6_MAPPING = {2: Fraction(1, 2) * x(1), 4: Fraction(1, 6) * x(1) + Fraction(1, 3) * x(3)}
+
+
+def substitution_oracle(f: Polynomial, mapping: dict) -> Polynomial:
+    """f with each mapped variable replaced, one factor at a time over Fractions."""
+    out = Polynomial.zero()
+    for m, c in f.monomial_items():
+        term = Polynomial.const(c)
+        for v, e in m:
+            for _ in range(e):
+                term = term * mapping.get(v, x(v))
+        out = out + term
+    return out
+
+
+def test_den6_ideal_rows_are_integers_over_their_lcm():
+    assert DEN6_IDEAL.den == 6
+    assert DEN6_IDEAL.leading_variables == set(DEN6_MAPPING)
+    for g in DEN6_IDEAL.generators:
+        assert substitution_oracle(g, DEN6_MAPPING).is_zero()
+    cubes = ideal_from_cubes([Cell(0, (1, 1, 1)), Cell(0, (3, 1, 1)), Cell(0, (1, 3, 1))])
+    assert cubes.den == LinearIdeal([x(1) + x(2) + x(3)]).den == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(n_vars=5, max_degree=4))
+def test_reduce_matches_substitution_oracle_with_a_common_denominator(f):
+    # one ideal for every example, so later examples read a warm monomial memo
+    assert DEN6_IDEAL.reduce(f) == substitution_oracle(f, DEN6_MAPPING)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys(n_vars=5, max_degree=4), st.integers(0, 3))
+def test_integer_reduction_is_scaled_by_den_to_the_depth(f, extra):
+    terms = {m: c * 12 for m, c in f.terms.items()}
+    assert all(c.denominator == 1 for c in terms.values())
+    depth = f.degree() + extra
+    normal = DEN6_IDEAL._reduce_int({m: int(c) for m, c in terms.items()}, depth)
+    assert all(type(n) is int for n in normal.values())
+    scaled = Polynomial({m: Fraction(n, 12 * 6**depth) for m, n in normal.items()})
+    assert scaled == DEN6_IDEAL.reduce(f)
 
 
 def test_reduce_is_idempotent_morphism_with_ideal_kernel():

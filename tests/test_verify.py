@@ -6,9 +6,17 @@ from fractions import Fraction
 import pytest
 
 from holoflow.cells import Cell, box_cells, cells_near, children, format_cell, parse_cell
-from holoflow.operators import CubicalFamilyOp, ExplicitOp, SphereOp, operator_from_json
-from holoflow.poly import LinearIdeal, Polynomial, ideal_from_cubes
+from holoflow import verify
+from holoflow.operators import (
+    CubicalFamilyOp,
+    ExplicitOp,
+    SphereOp,
+    apply_operator,
+    operator_from_json,
+)
+from holoflow.poly import LinearIdeal, Polynomial, _mono_sort_key, ideal_from_cubes
 from holoflow.verify import (
+    ResidualReport,
     alpha_extended,
     base_plaquettes,
     beta_extended,
@@ -325,3 +333,74 @@ def test_welldefined_reports_faults():
     reports = welldefined_property(broken, ideal, trials=25, seed=3)
     assert violations(reports)
     assert all(not r.passed or r.value == 0 for r in reports)
+
+
+def _record_draws(monkeypatch) -> list:
+    """The random polynomials welldefined_property draws from now on, in order."""
+    draws = []
+    draw = verify._random_polynomial
+    monkeypatch.setattr(verify, "_random_polynomial",
+                        lambda rng, pool: draws.append(draw(rng, pool)) or draws[-1])
+    return draws
+
+
+def _fraction_route(op, ideal, draws) -> list:
+    """welldefined_property's reports for the given draws, as
+    ideal.reduce(apply_operator(op, f_c * g)) over Fractions."""
+    reports = []
+    for t, g in enumerate(draws):
+        for idx, f_c in enumerate(ideal.generators):
+            normal = ideal.reduce(apply_operator(op, f_c * g)).terms
+            value = normal[min(normal, key=_mono_sort_key)] if normal else Fraction(0)
+            reports.append(ResidualReport("welldefined", (f"gen{idx}", f"trial{t}"), value))
+    return reports
+
+
+# rows over den = 6 (x2 = x1/2, x4 = x1/6 + x3/3); a generator with a fractional coefficient
+DEN6_IDEAL = LinearIdeal(Polynomial.linear(form) for form in (
+    {1: Fraction(1, 2), 2: -1}, {2: 1, 3: 1, 4: -3}))
+SPHERE4 = SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)])
+WINDOW1_D3 = ideal_from_cubes(box_cells(0, (-1,) * 3, (1,) * 3, dim=3))
+WELLDEFINED_CASES = {
+    "main3": (MAIN3, WINDOW1_D3, 3, 0),
+    "alt3": (ALT3, WINDOW1_D3, 3, 1),
+    "main4": (CubicalFamilyOp.main(4), ideal_from_cubes(box_cells(0, (-1,) * 4, (1,) * 4, dim=3)),
+              2, 0),
+    "perturbed": (operator_from_json({"variant": "cubical",
+                                      "overrides": [[[0, 0, 1], "alpha", 1]]}), WINDOW1_D3, 2, 4),
+    "sphere": (SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]),
+               LinearIdeal([Polynomial.linear({1: 1, 2: 1, 3: 1})]), 25, 1),
+    "sphere-sum": (SPHERE4, LinearIdeal([Polynomial.linear({i: 1 for i in range(1, 5)})]), 25, 2),
+    "den6": (SPHERE4, DEN6_IDEAL, 25, 3),
+}
+WELLDEFINED_FAILURES = {"main4": 35, "perturbed": None, "den6": None}
+
+
+@pytest.mark.parametrize("case", sorted(WELLDEFINED_CASES))
+def test_integer_probes_match_the_fraction_route(monkeypatch, case):
+    op, ideal, trials, seed = WELLDEFINED_CASES[case]
+    draws = _record_draws(monkeypatch)
+    reports = welldefined_property(op, ideal, trials=trials, seed=seed)
+    assert len(draws) == trials
+    assert reports == _fraction_route(op, ideal, draws)
+    assert all(type(r.value) is Fraction for r in reports)
+    failures = len(violations(reports))
+    if case not in WELLDEFINED_FAILURES:
+        assert failures == 0
+    elif WELLDEFINED_FAILURES[case] is None:
+        assert failures
+    else:
+        assert failures == WELLDEFINED_FAILURES[case]
+
+
+@pytest.mark.parametrize("op, ideal", [
+    (SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]), DEN6_IDEAL),
+    (MAIN3, ideal_from_cubes([CUBE, Cell(1, (1, 1, 1))])),
+], ids=["sphere-index", "family-scale"])
+def test_out_of_universe_generator_raises_as_the_fraction_route(monkeypatch, op, ideal):
+    draws = _record_draws(monkeypatch)
+    with pytest.raises(ValueError) as integer_route:
+        welldefined_property(op, ideal, trials=1, seed=0)
+    with pytest.raises(ValueError) as fraction_route:
+        _fraction_route(op, ideal, draws)
+    assert str(integer_route.value) == str(fraction_route.value)
