@@ -268,19 +268,20 @@ def verify_compat(op_text, d, window, scales, fmt, out, decimal):
     if not isinstance(op, CubicalFamilyOp):
         raise click.UsageError("compatibility sweeps need a coefficient family operator")
     scale_list = _parse_scales(scales)
-    reports: list[ResidualReport] = []
-    for s in scale_list:
-        scoped = op.with_scale(s)
-        reports.extend(compat_sweep(scoped, base_plaquettes(op.d, s), window))
     prefix = []
     if fmt == "text" and op.d == 3:
+        # p's scale-free row, fetched at the reach of both prefix and sweeps, is pushed once
         coarse = op.with_scale(-1)
         p = Cell(-1, (1, 1, 0))
+        coarse.b_row(p, 2 * max(4, window) + 2)
         prefix = ["cross-scale interaction sums at scale -1 (each equals 4x its scale-0 value):"]
         for label, q in (("(1,0,0)", (2, 1, 1)), ("(2,1,1)", (4, 3, 3)), ("(2,2,1)", (4, 5, 3))):
             total = child_interaction_sum(coarse, p, Cell(-1, q))
             prefix.append(f"  sum over children for ({format_cell(p)}, {format_cell(Cell(-1, q))})"
                           f" [offset {label}] = {total}")
+    reports: list[ResidualReport] = []
+    for s in scale_list:
+        reports.extend(compat_sweep(op.with_scale(s), base_plaquettes(op.d, s), window))
     _render_residuals("verify-compat", op, {"window": window, "scales": scale_list},
                       reports, fmt, out, decimal, prefix)
 

@@ -516,25 +516,34 @@ class CubicalFamilyOp(Frozen):
         the entry gets the entry times the orientation signs collected on
         the way.  The map is a function of the offset, so no offset is
         reached twice.  The index bounds keep every pushed offset within
-        reach; the entries cost the row's size, not its box's.
+        reach; the entries cost the row's size, not its box's.  The doubled
+        transverse vectors are listed once per (budget, number of axes) and
+        reused by every pick and entry of the row.
         """
         d = self.d
         rest = [axis for axis in range(d) if axis != pa and axis != pb]
         half = reach // 2
         row: dict = {}
+        doubled: dict = {}
 
         def push(value, axes, options, transverse, budget):
             # one offset per choice of (coordinate, sign) on each axis, times
             # twice every vector of L1 norm budget on the transverse axes
+            key = (budget, len(transverse))
+            vectors = doubled.get(key)
+            if vectors is None:
+                vectors = doubled[key] = [[2 * c for c in w] for w in _l1_vectors(*key, half)]
+            if not vectors:
+                return
             t = [0] * d
             for picks in itertools.product(*options):
                 sign = value
                 for axis, (c, s) in zip(axes, picks):
                     t[axis] = c
                     sign *= s
-                for w in _l1_vectors(budget, len(transverse), half):
+                for w in vectors:
                     for axis, c in zip(transverse, w):
-                        t[axis] = 2 * c
+                        t[axis] = c
                     row[tuple(t)] = sign
 
         # parallel planes: alpha(|t_pa|/2, |t_pb|/2, sum of |t|/2 transverse)

@@ -15,12 +15,15 @@ Three families of checks, all exact:
   ideal's memoized integer normal forms (_reduce_int).
 
 Lattice residuals are integers over the operator's unit, made a Fraction
-once per site; every zero reports one shared Fraction(0).  A ResidualReport
-is a named tuple (condition, site, value), so its own order is the canonical
-one: a sweep never yields two reports at one (condition, site).  Sweeps
-enumerate finite windows of sites in one process and sort the reports: a
-site whose class row already holds its numerator costs about a microsecond,
-less than shipping its report to another process would.
+once per site; every zero reports one shared Fraction(0), which passed
+tests by identity before it compares.  A ResidualReport is a named tuple
+(condition, site, value), so its own order is the canonical one: a sweep
+never yields two reports at one (condition, site).  Sweeps enumerate finite
+windows of sites in one process and sort the reports.  Each sweep call keeps
+one label memo, scale -> {coords: label}, so a plaquette seen from several
+centers is formatted once per sweep.  A site whose class row already holds
+its numerator costs about 2 us (a warm d=4 gauge sweep, sort included, on a
+2-core x86_64 host), less than shipping its report to another process would.
 
 A coefficient family is invariant under even translations of the lattice,
 and cells with one coordinate-parity pattern differ by even translations.
@@ -32,16 +35,17 @@ enumerate sites as center + offset, and keep one row per class, offset ->
 numerator, under ("gauge", pattern) or ("compat", pattern) in the family's
 memo beside b_int's rows: scale-free, shared by with_scale copies, never
 in __eq__, empty in a perturbed copy.  Numerators read the family's
-coefficient rows (b_row) directly.  Only a gauge row miss builds the
-site's Cell and checks it against the universe.  A compat row miss builds
-nothing: children sit at 2u + e, so every child pair of (p, q) has
-q' - p' = 2(q - p) + (e_q - e_p), and p's children share p's parity
-pattern.  compat_b is therefore one stencil on p's row, 4 B(t) - sum
-m B(2t + s) over the multiset of steps s = e_q - e_p, which cells.children
-gives once per plane of q; q = p + t is a plaquette by construction.  An
-ExplicitOp is not translation invariant and its universe is finite; it
-gets a fresh row per chunk, which never hits, so every one of its sites
-is checked.
+coefficient rows (b_row) directly.  A family's row misses build no Cell.
+A gauge miss reads p's row at the cube's face offsets less t, since
+q - p = (q - cube) - t.  A compat miss reads p's row too: children sit at
+2u + e, so every child pair of (p, q) has q' - p' = 2(q - p) + (e_q - e_p),
+and p's children share p's parity pattern.  compat_b is therefore one
+stencil on p's row, 4 B(t) - sum m B(2t + s) over the multiset of steps
+s = e_q - e_p, which cells.children gives once per plane of q; q = p + t is
+a plaquette by construction.  An ExplicitOp is not translation invariant
+and its universe is finite; it gets a fresh row per chunk, which never
+hits, and each of its sites builds its Cell and is checked against the
+universe.
 """
 
 from __future__ import annotations
@@ -49,12 +53,16 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from operator import add, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets
 from .operators import CubicalFamilyOp, _apply_int, _check_vars
 from .poly import LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_sort_key, _mul_terms
+
+
+_ZERO = Fraction(0)
 
 
 class ResidualReport(NamedTuple):
@@ -66,7 +74,7 @@ class ResidualReport(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return self.value == 0
+        return self.value is _ZERO or self.value == 0
 
     def to_json(self) -> dict:
         return {
@@ -85,18 +93,9 @@ def violations(reports: Iterable[ResidualReport]) -> list[ResidualReport]:
 
 
 def gauge_numerator(op, faces: SignedChain, p: Cell) -> int:
-    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit; the caller checks p and the faces dc.
-
-    A family's B(p, q) are read from p's row, fetched once.
-    """
-    lead = faces.coefficient(p) * op.a_int(p)
-    if not isinstance(op, CubicalFamilyOp):
-        b_int = op.b_int
-        return lead - sum(s * b_int(p, q) for q, s in faces.items())
-    u = p.coords
-    steps = [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
-    row = op.b_row(p, max(max(map(abs, t)) for t, _ in steps))
-    return lead - sum(s * row.get(t, 0) for t, s in steps)
+    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit; the caller checks p and the faces dc."""
+    b_int = op.b_int
+    return faces.coefficient(p) * op.a_int(p) - sum(s * b_int(p, q) for q, s in faces.items())
 
 
 def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
@@ -136,27 +135,42 @@ def default_cubes(d: int, scale: int) -> list[Cell]:
 
 def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
     """Gauge residuals for every site; sorted canonically."""
-    offsets = _class_offsets(cubes, radius)
-    return _sweep(_gauge_chunk(op, cube, offsets[_parity(cube)]) for cube in cubes)
+    offsets, labels = _class_offsets(cubes, radius), {}
+    return _sweep(_gauge_chunk(op, cube, offsets[_parity(cube)], radius + 1, labels)
+                  for cube in cubes)
 
 
-def _gauge_chunk(op, cube: Cell, offsets: Sequence[tuple]) -> list[ResidualReport]:
+def _gauge_chunk(op, cube: Cell, offsets: Sequence[tuple], reach: int,
+                 labels: dict) -> list[ResidualReport]:
+    """Gauge reports at (cube, cube + t); reach bounds f - t for every face offset f.
+
+    A family's miss reads p's row, fetched once per parity pattern of t, at f - t.
+    """
     faces = boundary(cube)
     if not all(op.has_var(q) for q in faces.cells()):
         return []
+    if isinstance(op, CubicalFamilyOp):
+        u, a0 = cube.coords, op.a0
+        steps = [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
+        lead, rows = dict(steps), {}
 
-    def numerator(t: tuple) -> int | None:
-        p = Cell(cube.scale, map(add, cube.coords, t))
-        return gauge_numerator(op, faces, p) if op.has_var(p) else None
+        def numerator(t: tuple) -> int:
+            pattern = tuple([x & 1 for x in t])
+            row = rows.get(pattern)
+            if row is None:
+                row = rows[pattern] = op.b_row(Cell(cube.scale, map(add, u, t)), reach)
+            return lead.get(t, 0) * a0 - sum(s * row.get(tuple(map(sub, f, t)), 0)
+                                             for f, s in steps)
+    else:
+        def numerator(t: tuple) -> int | None:
+            p = Cell(cube.scale, map(add, cube.coords, t))
+            return gauge_numerator(op, faces, p) if op.has_var(p) else None
 
     return _class_reports(_class_row(op, ("gauge", _parity(cube))), "gauge", cube, offsets,
-                          op.unit, numerator)
+                          op.unit, numerator, labels)
 
 
 # -- the sweep kernel: one numerator per translation class and offset --------
-
-
-_ZERO = Fraction(0)
 
 
 def _parity(c: Cell) -> tuple[int, ...]:
@@ -191,31 +205,38 @@ def _class_row(op, key: tuple) -> dict:
 
 
 def _class_reports(row: dict, condition: str, center: Cell, offsets: Sequence[tuple],
-                   unit: Fraction, numerator: Callable[[tuple], int | None]) -> list[ResidualReport]:
+                   unit: Fraction, numerator: Callable[[tuple], int | None],
+                   labels: dict) -> list[ResidualReport]:
     """Reports at (center, center + t) for each offset t, reading numerators from row.
 
     numerator(t) runs only on a row miss; it returns None for a site outside
-    the operator's universe, which gets no report.
+    the operator's universe, which gets no report.  labels is the sweep's
+    memo, scale -> {coords: label}: a plaquette seen from several centers
+    is formatted once per sweep.
     """
     scale, u = center.scale, center.coords
     head, tail = format_cell(center), "]@" + str(scale)
+    seen = labels.setdefault(scale, {})
+    new = tuple.__new__
     out = []
     for t in offsets:
-        coords = tuple(map(add, u, t))
         n = row.get(t)
         if n is None:
             n = numerator(t)
             if n is None:
                 continue
             row[t] = n
-        label = "[" + ",".join(map(str, coords)) + tail
-        out.append(ResidualReport(condition, (head, label), n * unit if n else _ZERO))
+        coords = tuple(map(add, u, t))
+        label = seen.get(coords)
+        if label is None:
+            label = seen[coords] = "[" + ",".join(map(str, coords)) + tail
+        out.append(new(ResidualReport, (condition, (head, label), n * unit if n else _ZERO)))
     return out
 
 
 def _sweep(parts: Iterable[list[ResidualReport]]) -> list[ResidualReport]:
     """Every part's reports, in order, then sorted canonically."""
-    reports = [r for part in parts for r in part]
+    reports = list(chain.from_iterable(parts))
     reports.sort()
     return reports
 
@@ -323,7 +344,8 @@ def compat_residual_a(family: CubicalFamilyOp, p: Cell) -> Fraction:
     """a_n(p) minus the sum of a_{n+1} over p's four children."""
     fine = family.with_scale(family.scale + 1)
     family.check_var(p)
-    return (4 * family.a_int(p) - sum(fine.a_int(c) for c in children(p))) * fine.unit
+    n = 4 * family.a_int(p) - sum(fine.a_int(c) for c in children(p))
+    return n * fine.unit if n else _ZERO
 
 
 def compat_residual_b(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
@@ -348,12 +370,13 @@ def base_plaquettes(d: int, scale: int) -> list[Cell]:
 def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],
                  radius: int) -> list[ResidualReport]:
     """Both compatibility residuals over (p, q) windows; sorted canonically."""
-    offsets = _class_offsets(plaquettes, radius)
-    return _sweep(_compat_chunk(family, p, offsets[_parity(p)], radius) for p in plaquettes)
+    offsets, labels = _class_offsets(plaquettes, radius), {}
+    return _sweep(_compat_chunk(family, p, offsets[_parity(p)], radius, labels)
+                  for p in plaquettes)
 
 
 def _compat_chunk(family: CubicalFamilyOp, p: Cell, offsets: Sequence[tuple],
-                  radius: int) -> list[ResidualReport]:
+                  radius: int, labels: dict) -> list[ResidualReport]:
     """compat_a at p and compat_b at p + t for each offset t.
 
     Each q = p + t is a plaquette by the offsets' construction, so neither q
@@ -370,7 +393,7 @@ def _compat_chunk(family: CubicalFamilyOp, p: Cell, offsets: Sequence[tuple],
         return _compat_b(row, t, steps[tuple([x & 1 for x in t])])
 
     out += _class_reports(_class_row(family, ("compat", pattern)), "compat_b", p, offsets,
-                          family.unit / 4, numerator)
+                          family.unit / 4, numerator, labels)
     return out
 
 

@@ -224,6 +224,23 @@ def test_compat_clean_run(runner):
     assert "= -8" in result.output  # the printed cross-scale interaction sum
 
 
+def test_compat_text_prefix_shares_the_sweep_row(runner, monkeypatch):
+    # the prefix fetches the (0,1)-plane row at the sweeps' reach first, so
+    # each of the three planes is pushed once, none regrown
+    pushed = []
+    push_row = CubicalFamilyOp._push_row
+
+    def counting(self, pa, pb, reach):
+        pushed.append((pa, pb))
+        return push_row(self, pa, pb, reach)
+
+    monkeypatch.setattr(CubicalFamilyOp, "_push_row", counting)
+    result = invoke(runner, "verify-compat", "--d", "3", "--scales", "-1,0", "--window", "2")
+    assert result.exit_code == 0
+    assert result.output.startswith("cross-scale interaction sums")
+    assert sorted(pushed) == [(0, 1), (0, 2), (1, 2)]
+
+
 def test_compat_alt_family(runner):
     result = invoke(runner, "verify-compat", "--op", "alt3", "--window", "2")
     assert result.exit_code == 0

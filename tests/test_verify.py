@@ -293,6 +293,60 @@ def test_explicit_op_sites_never_share_a_row():
     assert not hasattr(op, "_memo")
 
 
+def _single_site_value(fam, report: ResidualReport) -> Fraction:
+    cells = [parse_cell(label) for label in report.site]
+    if report.condition == "gauge":
+        return gauge_residual(fam, *cells)
+    if report.condition == "compat_a":
+        return compat_residual_a(fam, *cells)
+    return compat_residual_b(fam, *cells)
+
+
+@pytest.mark.parametrize("sweep, kind, index", [
+    ("gauge", "beta", (1, 0, 0)), ("gauge", "a0", None), ("compat", "beta", (1, 0, 0))])
+def test_family_sweeps_pass_on_the_shared_zero(sweep, kind, index):
+    # the beta(1,0,0) shift breaks both conditions; an a0 shift is a compat blind spot
+    fam = MAIN3.perturbed(kind, index, 1)
+    if sweep == "gauge":
+        reports = gauge_sweep(fam, default_cubes(3, 0), 2)
+    else:
+        reports = compat_sweep(fam, base_plaquettes(3, 0), 2)
+    bad = violations(reports)
+    assert bad and len(bad) < len(reports)
+    for r in reports:
+        assert r.passed == (r.value == 0)
+        if r.passed:
+            assert r.value is verify._ZERO
+        assert _single_site_value(fam, r) == r.value
+    assert bad == [r for r in reports if _single_site_value(fam, r) != 0]
+
+
+def test_passed_reads_a_zero_that_is_not_the_shared_one():
+    for value in (Fraction(0), Fraction(0, 7), 0):
+        assert value is not verify._ZERO
+        assert ResidualReport("gauge", ("a",), value).passed
+    assert not ResidualReport("gauge", ("a",), Fraction(1, 4)).passed
+
+
+def test_labels_never_cross_a_scale_or_a_sweep():
+    fam = CubicalFamilyOp.main(4)
+    for scale in (-1, 0, 1):
+        scoped = fam.with_scale(scale)
+        reports = (gauge_sweep(scoped, default_cubes(4, scale), 1)
+                   + compat_sweep(scoped, base_plaquettes(4, scale), 1))
+        for r in reports:
+            for label in r.site:
+                assert label == format_cell(Cell(scale, parse_cell(label).coords))
+    # one sweep over centers at two scales of one universe
+    universe = [p for s in (0, 1) for p in box_cells(s, (0, 0, 0), (2, 2, 2), dim=2)]
+    op = ExplicitOp({p: 12 for p in universe}, {})
+    reports = gauge_sweep(op, [Cell(0, CUBE.coords), Cell(1, CUBE.coords)], 1)
+    assert {parse_cell(r.site[0]).scale for r in reports} == {0, 1}
+    for r in reports:
+        head, label = map(parse_cell, r.site)
+        assert r.site[1] == format_cell(Cell(head.scale, label.coords))
+
+
 # -- quotient well-definedness ------------------------------------------------------
 
 
