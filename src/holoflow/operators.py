@@ -41,7 +41,9 @@ _apply_int, the one kernel of L: it returns L's coefficients over the unit,
 integers for integer input.  apply_operator checks the variables, runs it
 and multiplies by the unit once; exp_state's series and the
 well-definedness probes run it directly, sharing one memo of looked-up
-pair coefficients across calls.
+pair coefficients across calls (_pair_memo).  The probes know their
+finite variable pool up front, so a family reads their cross pairs from
+rows sized once for the pool; every other caller grows rows lazily.
 coeff_a/coeff_b are the checked Fraction form.  The kernel takes the
 second derivatives per monomial: lowering or dropping exponents of a sorted
 monomial tuple leaves it sorted, so each new monomial is a slice of the old
@@ -59,7 +61,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._frozen import Frozen
 
@@ -78,7 +80,7 @@ def apply_operator(op, f: Polynomial) -> Polynomial:
     """
     _check_vars(op, f.variables())
     unit = op.unit
-    return Polynomial({m: unit * x for m, x in _apply_int(op, f.terms, ({}, {})).items()})
+    return Polynomial({m: unit * x for m, x in _apply_int(op, f.terms, _pair_memo(op)).items()})
 
 
 def _check_vars(op, variables) -> None:
@@ -87,7 +89,22 @@ def _check_vars(op, variables) -> None:
         op.check_var(v)
 
 
-def _apply_int(op, terms: Mapping, pairs: tuple[dict, dict]) -> dict:
+def _pair_memo(op, pool: Iterable | None = None) -> tuple[dict, dict, Callable]:
+    """A fresh pair memo for _apply_int: (diag, cross, cross_int).
+
+    cross_int(p, q) is b_int(p, q) + b_int(q, p), which _apply_int computes
+    once per cross pair it meets.  By default it makes the two lookups, so
+    a family's rows grow only as far as the pairs met need.  Given the
+    finite pool of variables every later call draws from, a family reads
+    the sum from rows sized once for the pool instead (sized_cross).
+    """
+    if pool is not None and isinstance(op, CubicalFamilyOp):
+        return {}, {}, op.sized_cross(pool)
+    b_int = op.b_int
+    return {}, {}, lambda p, q: b_int(p, q) + b_int(q, p)
+
+
+def _apply_int(op, terms: Mapping, pairs: tuple[dict, dict, Callable]) -> dict:
     """L applied to {monomial: x}, as coefficients over op.unit; the caller checks the variables.
 
     Integer x give integer coefficients.  The second derivatives are taken
@@ -97,13 +114,13 @@ def _apply_int(op, terms: Mapping, pairs: tuple[dict, dict]) -> dict:
     each pair i < j of its factors.  The new monomial is a slice of the old
     tuple with one or two exponents lowered or dropped, so it stays sorted.
     Only pairs that share a monomial are looked up, each once per pair
-    memo: pairs is (diag, cross), v -> a_vv - b_vv and (v, w) -> -b_vw -
-    b_wv over op.unit, which the caller keeps for as many calls on op as
-    it likes.  Monomials whose contributions cancel stay in the result with
-    value 0.
+    memo: pairs is _pair_memo's (diag, cross, cross_int), v -> a_vv - b_vv
+    and (v, w) -> -cross_int(v, w) over op.unit, which the caller keeps for
+    as many calls on op as it likes.  Monomials whose contributions cancel
+    stay in the result with value 0.
     """
     a_int, b_int = op.a_int, op.b_int
-    diag, cross = pairs
+    diag, cross, cross_int = pairs
     out: dict = {}
     for m, x in terms.items():
         n = len(m)
@@ -127,7 +144,7 @@ def _apply_int(op, terms: Mapping, pairs: tuple[dict, dict]) -> dict:
                 key = (vi, vj)
                 c = cross.get(key)
                 if c is None:
-                    c = cross[key] = -b_int(vi, vj) - b_int(vj, vi)
+                    c = cross[key] = -cross_int(vi, vj)
                 if c:
                     lowered_j = ((vj, ej - 1),) if ej > 1 else ()
                     mm = lowered_i + m[i + 1:j] + lowered_j + m[j + 1:]
@@ -507,6 +524,26 @@ class CubicalFamilyOp(Frozen):
                 raise ValueError(f"{p} is not a plaquette")
             held = self._memo[parity] = (reach, self._push_row(*plane, reach))
         return held[1]
+
+    def sized_cross(self, pool: Iterable) -> Callable:
+        """(p, q) -> b_int(p, q) + b_int(q, p) for p and q in pool, read from rows sized once.
+
+        pool holds plaquettes of the universe (callers check it, as for
+        b_int).  Each is mapped to its coordinates and its row at the pool's
+        largest per-axis coordinate range, which bounds every offset between
+        two of them: one push per parity class, and no lookup regrows a row.
+        A pair then costs two offsets and two row reads.  The pool must be
+        finite and small, since the rows reach across all of it.
+        """
+        spread = max((max(c) - min(c) for c in zip(*(p.coords for p in pool))), default=0)
+        table = {p: (p.coords, self.b_row(p, spread)) for p in pool}
+
+        def cross_int(p: Cell, q: Cell) -> int:
+            u, row_p = table[p]
+            v, row_q = table[q]
+            return row_p.get(tuple(map(sub, v, u)), 0) + row_q.get(tuple(map(sub, u, v)), 0)
+
+        return cross_int
 
     def _push_row(self, pa: int, pb: int, reach: int) -> dict:
         """The nonzero b_int(p, q) by q - p, up to max-norm reach, for p in plane (pa, pb).

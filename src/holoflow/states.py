@@ -34,12 +34,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 from typing import Mapping, Sequence
 
 from ._frozen import Frozen
 
-from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars
+from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo
 from .poly import Monomial, Polynomial, format_polynomial
 
 # The highest degree exp_state and verify_sphere accept.  A monomial's series
@@ -142,7 +142,7 @@ def exp_state(op, f: Polynomial) -> LambdaPoly:
     _check_vars(op, f.variables())
     # an ExplicitOp keeps its memo; other operators memoize for this call only
     memo = getattr(op, "_series", {})
-    pairs: tuple[dict, dict] = ({}, {})
+    pairs = _pair_memo(op)
     sums: dict[int, Fraction] = {}
     for m, c in f.monomial_items():
         for k, value in enumerate(_mu0_series(op, m, memo, pairs)):
@@ -152,12 +152,12 @@ def exp_state(op, f: Polynomial) -> LambdaPoly:
     return LambdaPoly({k: v * unit**k / math.factorial(k) for k, v in sums.items()})
 
 
-def _mu0_series(op, m: Monomial, memo: dict, pairs: tuple[dict, dict]) -> list[int]:
+def _mu0_series(op, m: Monomial, memo: dict, pairs: tuple) -> list[int]:
     """[mu0(L^k m) / unit^k for k = 0..deg(m) // 2], from the series of L m's monomials.
 
     L m is unit times _apply_int's integer coefficients c2, so entry k is
     sum c2 * (entry k - 1 of m2's series).  The caller checks m's variables.
-    pairs is _apply_int's pair memo, shared by the whole series.
+    pairs is _apply_int's pair memo (_pair_memo), shared by the whole series.
     """
     series = memo.get(m)
     if series is None:
@@ -178,27 +178,47 @@ class CovarianceMatrix(Frozen):
     reciprocal of the lcm of the entry denominators; entry and rows derive
     the Fractions.  _pairings memoizes the integer Isserlis pairing sums on
     the sorted factor tuple; it never enters __eq__.
+
+    over() builds one from integer numerators over any common denominator;
+    __init__ puts its rational entries over their lcm and goes through the
+    same normalization.
     """
 
     __slots__ = ("variables", "unit", "_nums", "_index", "_pairings")
 
     def __init__(self, variables: Sequence, entries: Mapping):
+        entries = {key: Fraction(c) for key, c in entries.items()}
+        den = math.lcm(*(c.denominator for c in entries.values()))
+        self._normalize(variables, {key: c.numerator * (den // c.denominator)
+                                    for key, c in entries.items()}, den)
+
+    @classmethod
+    def over(cls, variables: Sequence, nums: Mapping, den: int) -> "CovarianceMatrix":
+        """The matrix with entry(u, v) = nums[(u, v)] / den, for integers nums and den > 0."""
+        cov = cls.__new__(cls)
+        cov._normalize(variables, nums, den)
+        return cov
+
+    def _normalize(self, variables: Sequence, nums: Mapping, den: int) -> None:
+        """Store nums / den over unit 1/lcm(reduced entry denominators).
+
+        That lcm is den / gcd(den, every numerator), so the unit, and with
+        it __eq__, depends on the entries alone.
+        """
         variables = tuple(variables)
         index = {v: i for i, v in enumerate(variables)}
-        clean: dict[tuple, Fraction] = {}
-        for (u, v), c in entries.items():
+        clean: dict[tuple, int] = {}
+        for (u, v), n in nums.items():
             if u not in index or v not in index:
                 raise ValueError(f"entry ({u}, {v}) outside the variable set")
             key = (u, v) if index[u] <= index[v] else (v, u)
-            c = Fraction(c)
-            if key in clean and clean[key] != c:
+            if key in clean and clean[key] != n:
                 raise ValueError(f"asymmetric entries for {key}")
-            clean[key] = c
-        den = math.lcm(*(c.denominator for c in clean.values()))
+            clean[key] = n
+        g = math.gcd(den, *clean.values())
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "unit", Fraction(1, den))
-        object.__setattr__(self, "_nums", {key: c.numerator * (den // c.denominator)
-                                           for key, c in clean.items() if c})
+        object.__setattr__(self, "unit", Fraction(1, den // g))
+        object.__setattr__(self, "_nums", {key: n // g for key, n in clean.items() if n})
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_pairings", {})
 
@@ -421,13 +441,15 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
     The window holds every plaquette with all coordinates within radius at
     the family's scale, in canonical cell order.  Each is checked against
     the universe once; an entry is 2 (a_int delta_pq - b_int) times the
-    unit, with b_int read from p's row.
+    unit, with b_int read from p's row.  The entries stay integers, over
+    the unit's denominator, for CovarianceMatrix.over to normalize.
     """
     plaquettes = family.window_plaquettes(radius)
     for p in plaquettes:
         family.check_var(p)
     unit = family.unit
-    entries = {}
+    scale = 2 * unit.numerator
+    nums = {}
     for i, p in enumerate(plaquettes):
         u, row = p.coords, family.b_row(p, 2 * radius)
         for q in plaquettes[i:]:
@@ -435,8 +457,8 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
             if q is p:
                 value += family.a_int(p)
             if value:
-                entries[(p, q)] = 2 * value * unit
-    return CovarianceMatrix(tuple(plaquettes), entries)
+                nums[(p, q)] = scale * value
+    return CovarianceMatrix.over(plaquettes, nums, unit.denominator)
 
 
 @dataclass(frozen=True)
@@ -490,7 +512,8 @@ def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
     leading columns 0..k of the original matrix are dependent, every later
     leading block holds those columns and all later minors are zero.  They
     are dependent exactly when their Gram matrix (the columns' pairwise dot
-    products) is singular, which _det_bareiss decides.  Otherwise the
+    products, each column built once and each symmetric pair summed once)
+    is singular, which _det_bareiss decides.  Otherwise the
     remaining minors are computed independently.
     """
     n = len(matrix)
@@ -500,8 +523,11 @@ def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
     for k in range(n):
         pivot = work[k][k]
         if pivot == 0:
-            gram = [[sum(row[i] * row[j] for row in matrix) for j in range(k + 1)]
-                    for i in range(k + 1)]
+            cols = list(itertools.islice(zip(*matrix), k + 1))
+            gram = [[0] * (k + 1) for _ in cols]
+            for i, col_i in enumerate(cols):
+                for j in range(i, k + 1):
+                    gram[i][j] = gram[j][i] = sum(map(mul, col_i, cols[j]))
             if _det_bareiss(gram) == 0:
                 signs.extend([0] * (n - k))
                 return signs

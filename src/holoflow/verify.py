@@ -11,8 +11,11 @@ Three families of checks, all exact:
   b_pq = sum b_p'q'; this is the exact-renormalization property.
 * quotient well-definedness -- reduce(L(f_c * g)) = 0 for the constraint
   generators f_c and randomized polynomials g.  The probes run on
-  integers: the product, L (_apply_int, one pair memo per run) and the
-  ideal's memoized integer normal forms (_reduce_int).
+  integers: the product, L (_apply_int) and the ideal's memoized integer
+  normal forms (_reduce_int).  A run keeps one pair memo; for a family its
+  cross pairs read rows sized once for the run's finite variable pool.
+  Each variable is checked against the universe once per run, before its
+  first probe.
 
 Lattice residuals are integers over the operator's unit, made a Fraction
 once per site; every zero reports one shared Fraction(0), which passed
@@ -58,7 +61,7 @@ from operator import add, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets
-from .operators import CubicalFamilyOp, _apply_int, _check_vars
+from .operators import CubicalFamilyOp, _apply_int, _check_vars, _pair_memo
 from .poly import LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_sort_key, _mul_terms
 
 
@@ -381,16 +384,22 @@ def _compat_chunk(family: CubicalFamilyOp, p: Cell, offsets: Sequence[tuple],
 
     Each q = p + t is a plaquette by the offsets' construction, so neither q
     nor its children are built: t's parity pattern picks q's plane, whose
-    child steps are taken once per chunk from one plaquette of that plane.
+    child steps are taken on the plane's first row miss from its plaquette
+    among base_plaquettes, the one with coordinates pattern xor (t & 1).  A
+    chunk whose class row is warm takes none.
     """
     out = [ResidualReport("compat_a", (format_cell(p),), compat_residual_a(family, p))]
     row = family.b_row(p, 2 * radius + 2)
     pattern = _parity(p)
-    steps = {tuple(map(xor, pattern, _parity(q))): _child_steps(p, q)
-             for q in base_plaquettes(family.d, p.scale)}
+    steps: dict = {}
 
     def numerator(t: tuple) -> int:
-        return _compat_b(row, t, steps[tuple([x & 1 for x in t])])
+        plane = tuple([x & 1 for x in t])
+        plane_steps = steps.get(plane)
+        if plane_steps is None:
+            q = Cell(p.scale, tuple(map(xor, pattern, plane)))
+            plane_steps = steps[plane] = _child_steps(p, q)
+        return _compat_b(row, t, plane_steps)
 
     out += _class_reports(_class_row(family, ("compat", pattern)), "compat_b", p, offsets,
                           family.unit / 4, numerator, labels)
@@ -419,20 +428,21 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     Each probe runs on integers: f_c and g are scaled to integer terms over
     their denominators, multiplied, checked against the universe (the
     variables of f_c and g, those of their product unless it is zero), sent
-    through _apply_int with one pair memo for the run and through the
-    ideal's memoized _reduce_int.  Only a failing site makes a Fraction.
+    through _apply_int and through the ideal's memoized _reduce_int.  Only a
+    failing site makes a Fraction.  A variable is checked once per run, by
+    the first probe that sees it; later probes check only the variables no
+    earlier one has, in the same canonical order, so an error names the
+    same variable.  The pool is known before the first probe, so the run's
+    one pair memo is _pair_memo(op, pool): a family's cross pairs read rows
+    sized once for the pool, with no regrowth.
     """
     rng = random.Random(seed)
-    generator_vars = {v for g in ideal.generators for v in g.variables()}
-    cells = [v for v in generator_vars if isinstance(v, Cell)]
-    offsets = _class_offsets(cells, WELLDEFINED_POOL_RADIUS)
-    sites = {(v.scale, tuple(map(add, v.coords, t))) for v in cells for t in offsets[_parity(v)]}
-    pool_set = generator_vars | {Cell(scale, coords) for scale, coords in sites}
-    pool = sorted((v for v in pool_set if op.has_var(v)), key=lambda v: str(v))
+    pool = _probe_pool(op, ideal)
     if not pool:
         return []
     generators = [(*_integer_terms(f_c), f_c.variables()) for f_c in ideal.generators]
-    pairs: tuple[dict, dict] = ({}, {})
+    pairs = _pair_memo(op, pool)
+    checked: set = set()
     unit, den = op.unit, ideal.den
     reports = []
     for t in range(trials):
@@ -442,7 +452,9 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
         for idx, (f_terms, den_f, f_vars) in enumerate(generators):
             value = _ZERO
             if f_terms and g_terms:
-                _check_vars(op, f_vars | g_vars)
+                new = (f_vars | g_vars) - checked
+                _check_vars(op, new)
+                checked |= new
                 image = _apply_int(op, _mul_terms(f_terms, g_terms), pairs)
                 depth = max(map(_mono_degree, image), default=0)
                 normal = ideal._reduce_int(image, depth)
@@ -452,6 +464,21 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
                     value = n * unit / (den_f * den_g * den**depth)
             reports.append(ResidualReport("welldefined", (f"gen{idx}", f"trial{t}"), value))
     return reports
+
+
+def _probe_pool(op, ideal: LinearIdeal) -> list:
+    """The variables welldefined_property's random polynomials draw from, in str order.
+
+    The generators' variables and every plaquette within max-norm
+    WELLDEFINED_POOL_RADIUS of a generator's plaquette, less those outside
+    op's universe.
+    """
+    generator_vars = {v for g in ideal.generators for v in g.variables()}
+    cells = [v for v in generator_vars if isinstance(v, Cell)]
+    offsets = _class_offsets(cells, WELLDEFINED_POOL_RADIUS)
+    sites = {(v.scale, tuple(map(add, v.coords, t))) for v in cells for t in offsets[_parity(v)]}
+    pool_set = generator_vars | {Cell(scale, coords) for scale, coords in sites}
+    return sorted((v for v in pool_set if op.has_var(v)), key=lambda v: str(v))
 
 
 def _random_polynomial(rng: random.Random, pool: list) -> Polynomial:

@@ -15,6 +15,7 @@ from holoflow.cells import (
     SignedSymmetry,
     act,
     boundary,
+    box_cells,
     cells_near,
     children,
     plaquette_offsets,
@@ -25,11 +26,20 @@ from holoflow.operators import (
     CubicalFamilyOp,
     ExplicitOp,
     SphereOp,
+    _apply_int,
+    _pair_memo,
     apply_operator,
     operator_from_json,
 )
-from holoflow.poly import Polynomial
-from holoflow.verify import base_plaquettes, compat_residual_a, compat_residual_b, gauge_numerator
+from holoflow.poly import Polynomial, ideal_from_cubes
+from holoflow.states import exp_state
+from holoflow.verify import (
+    _probe_pool,
+    base_plaquettes,
+    compat_residual_a,
+    compat_residual_b,
+    gauge_numerator,
+)
 
 from conftest import symmetries
 
@@ -487,6 +497,19 @@ def test_apply_looks_up_only_pairs_that_share_a_monomial():
         [(p, q), (q, p), (p, r), (r, p), (q, r), (r, q), (q, q)], key=str)
 
 
+def test_sized_apply_looks_up_only_pairs_that_share_a_monomial():
+    # the family path: cross pairs read the sized rows, memoized on the same keys
+    p, q, r, s = BASE3, Cell(0, (0, 1, 1)), Cell(0, (1, 0, 1)), Cell(0, (2, 1, 1))
+    pairs = _pair_memo(MAIN3, [p, q, r, s])
+    f = x(p) * x(q) + 3 * x(p) * x(q, 3) * x(r) + x(s, 2) + 5 * x(r)
+    out = _apply_int(MAIN3, f.terms, pairs)
+    assert Polynomial({m: c * MAIN3.unit for m, c in out.items()}) == fraction_apply(MAIN3, f)
+    diag, cross, _ = pairs
+    assert set(cross) == {(m[i][0], m[j][0]) for m in f.terms
+                          for i in range(len(m)) for j in range(i + 1, len(m))}
+    assert set(diag) == {q, s}
+
+
 def test_apply_checks_variables_that_appear_only_linearly():
     with pytest.raises(ValueError, match="plaquette"):
         MAIN3.apply(x(BASE3, 3) + x(Cell(0, (1, 1, 1))))
@@ -803,3 +826,56 @@ def test_support_matches_a_box_scan(fam):
     box = [(q, fam.coeff_b(p, q)) for q in cells_near(p, 3, dim=2)]
     assert list(_fresh(fam).support(p, 3)) == [(q, b) for q, b in box if b]
     assert list(fam.support(p, 3)) == [(q, b) for q, b in box if b]  # after wider rows
+
+
+# -- rows sized once for welldefined's pool ---------------------------------------
+
+
+def _window1_pool(fam):
+    """welldefined_property's pool for the window-1 ideal at fam's scale."""
+    cubes = box_cells(fam.scale, (-1,) * fam.d, (1,) * fam.d, dim=3)
+    return _probe_pool(fam, ideal_from_cubes(cubes))
+
+
+# the perturbed family of test_verify's WELLDEFINED_CASES
+PERTURBED_ALPHA = operator_from_json({"variant": "cubical", "overrides": [[[0, 0, 1], "alpha", 1]]})
+
+
+@pytest.mark.parametrize("fam", [MAIN3, ALT3, MAIN3.with_scale(1), MAIN3.with_scale(-1),
+                                 PERTURBED_ALPHA], ids=repr)
+def test_sized_pair_table_matches_two_lookups(fam):
+    pool = _window1_pool(fam)
+    sized, lazy = _fresh(fam), _fresh(fam)
+    cross_int = _pair_memo(sized, pool)[2]
+    rows = dict(sized._memo)
+    assert len(rows) == 3  # one push per parity class
+    for p in pool:
+        for q in pool:
+            assert cross_int(p, q) == lazy.b_int(p, q) + lazy.b_int(q, p), (p, q)
+    assert all(sized._memo[key] is held for key, held in rows.items())  # none regrew
+
+
+def test_sized_pair_table_reads_both_orientations_at_d4():
+    pool = _window1_pool(MAIN4)
+    cross_int = _pair_memo(_fresh(MAIN4), pool)[2]
+    lazy = _fresh(MAIN4)
+    for p, q in (D4_FIRST_NONZERO, D4_FIRST_ZERO):
+        assert p in pool and q in pool
+        assert sorted((lazy.b_int(p, q), lazy.b_int(q, p))) == [-1, 0]
+        assert cross_int(p, q) == cross_int(q, p) == -1
+    rng = random.Random(1503)
+    for _ in range(3000):
+        p, q = rng.choice(pool), rng.choice(pool)
+        assert cross_int(p, q) == lazy.b_int(p, q) + lazy.b_int(q, p), (p, q)
+
+
+def test_only_a_family_with_a_pool_gets_sized_rows():
+    # far apart variables that share no monomial: apply's rows reach only the pairs met
+    fam = _fresh(MAIN3)
+    f = x(BASE3, 2) * x(Cell(0, (0, 1, 1))) + x(Cell(0, (81, 1, 0)), 2)
+    assert apply_operator(fam, f) == fraction_apply(MAIN3, f)
+    exp_state(fam, f)
+    assert max(reach for reach, _ in fam._memo.values()) == 1
+    sphere = SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+    cross_int = _pair_memo(sphere, sphere.variables())[2]
+    assert cross_int(1, 2) == 2 * sphere.b_int(1, 2)

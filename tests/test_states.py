@@ -9,7 +9,7 @@ import pytest
 
 from holoflow import states
 from holoflow.cells import Cell
-from holoflow.operators import CubicalFamilyOp, SphereOp, apply_operator
+from holoflow.operators import CubicalFamilyOp, SphereOp, _pair_memo, apply_operator
 from holoflow.poly import LinearIdeal, Polynomial, ideal_from_cubes
 from holoflow.states import (
     CovarianceMatrix,
@@ -142,7 +142,7 @@ def test_memoized_exp_state_matches_the_plain_series(case):
     rng = random.Random(case.__name__)
     op, ideal, variables, max_degree = case(rng)
     memo = getattr(op, "_series", {})  # as exp_state: other operators memoize per call
-    pairs = ({}, {})
+    pairs = _pair_memo(op)
     for _ in range(12):  # one operator throughout, so later polynomials read a warm memo
         f = rand_poly(rng, variables, max_degree)
         assert exp_state(op, f) == plain_exp_state(op, f, ideal), f

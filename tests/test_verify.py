@@ -1,6 +1,7 @@
 """Residual checks: gauge descent, scale compatibility, well-definedness."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -458,3 +459,18 @@ def test_out_of_universe_generator_raises_as_the_fraction_route(monkeypatch, op,
     with pytest.raises(ValueError) as fraction_route:
         _fraction_route(op, ideal, draws)
     assert str(integer_route.value) == str(fraction_route.value)
+
+
+@pytest.mark.parametrize("case", ["main3", "alt3", "perturbed"])
+def test_each_variable_is_checked_once_per_run(monkeypatch, case):
+    op, ideal, _, seed = WELLDEFINED_CASES[case]
+    draws = _record_draws(monkeypatch)
+    checked = Counter()
+    check_var = CubicalFamilyOp.check_var
+    monkeypatch.setattr(CubicalFamilyOp, "check_var",
+                        lambda self, p: checked.update([p]) or check_var(self, p))
+    welldefined_property(op, ideal, trials=12, seed=seed)
+    seen = {v for g in draws if g.terms for f_c in ideal.generators if f_c.terms
+            for v in f_c.variables() | g.variables()}
+    assert len(seen) > len(ideal.generators)
+    assert checked == Counter(seen)
