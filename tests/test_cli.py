@@ -423,6 +423,9 @@ GOLDEN_CASES = {
     "compat-d4": ("verify-compat", "--d", "4", "--window", "1"),
     "compat-fault": ("verify-compat", "--op", FAULT_OP, "--window", "2"),
     "sphere-check": ("sphere-check", "--areas", "1/2,1/4,1/4", "--max-degree", "4"),
+    # the shape of the benchmark's sphere-identity rounds: five areas, degree 6
+    "sphere-check-n5": ("sphere-check", "--areas", "3/17,5/17,2/17,4/17,3/17",
+                        "--max-degree", "6"),
     "tables": ("tables", "--range", "2"),
     "tables-d4": ("tables", "--d", "4", "--range", "3"),
     "tables-alt3": ("tables", "--op", "alt3", "--range", "3"),
@@ -464,6 +467,9 @@ GOLDEN = {
     ('sphere-check', 'text'): (0, '62ea3f3f94edf069'),
     ('sphere-check', 'json'): (0, '26f39754f1ea69c1'),
     ('sphere-check', 'csv'): (0, '0c39aed9677a6544'),
+    ('sphere-check-n5', 'text'): (0, 'b63ae0893be15c12'),
+    ('sphere-check-n5', 'json'): (0, '7e9c77df8ca86674'),
+    ('sphere-check-n5', 'csv'): (0, 'd50f02c5a229451d'),
     ('tables', 'text'): (0, '233e1aaba623ff33'),
     ('tables', 'json'): (0, '1ca44da86c1ba879'),
     ('tables', 'csv'): (0, '9d4eb7570b779a6e'),
