@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._frozen import Frozen
 
@@ -364,20 +364,51 @@ def cells_near(center: Cell, radius: int, dim: int) -> Iterator[Cell]:
     return box_cells(center.scale, lo, hi, dim=dim)
 
 
+def _offset_ranges(parity: Sequence[int], radius: int) -> Iterator[tuple[range, ...]]:
+    """For each pair of axes to be odd, the per-axis ranges whose product is
+    that pair's share of plaquette_offsets(parity, radius).
+
+    t_i needs the parity that makes c_i + t_i odd on the pair and even
+    elsewhere, so each range runs over [-radius, radius] in steps of 2.
+    """
+    by_parity = [range(-radius + ((radius + s) & 1), radius + 1, 2) for s in (0, 1)]
+    axes = range(len(parity))
+    for pair in itertools.combinations(axes, 2):
+        yield tuple(by_parity[parity[i] ^ (i in pair)] for i in axes)
+
+
 def plaquette_offsets(parity: Sequence[int], radius: int) -> list[tuple[int, ...]]:
     """The offsets t with max-norm at most radius that move a cell whose
     coordinates have these parities onto a plaquette, in lexicographic order.
 
     That is cells_near(c, radius, dim=2) as offsets from c, without the box:
-    for each pair of axes to be odd, t_i needs the parity that makes
-    c_i + t_i odd on the pair and even elsewhere, so the pair's offsets are
-    a product of per-axis ranges of step 2.  Different pairs give disjoint
-    sets.
+    the union over the pairs of axes to be odd of a product of per-axis
+    ranges (_offset_ranges).  Different pairs give disjoint sets.
     """
-    by_parity = [range(-radius + ((radius + s) & 1), radius + 1, 2) for s in (0, 1)]
-    axes = range(len(parity))
     out = []
-    for pair in itertools.combinations(axes, 2):
-        out.extend(itertools.product(*(by_parity[parity[i] ^ (i in pair)] for i in axes)))
+    for ranges in _offset_ranges(parity, radius):
+        out.extend(itertools.product(*ranges))
     out.sort()
+    return out
+
+
+def plaquettes_near(centers: Iterable[tuple], radius: int) -> set[tuple]:
+    """The coordinates of every plaquette within max-norm radius of one of the centers.
+
+    Centers are grouped by the parities of their coordinates.  Within a
+    group, each pair of axes to be odd has a product of ranges as its
+    offsets (_offset_ranges), so that pair's plaquettes are the centers
+    grown one axis at a time, each step a set: a coordinate prefix that
+    several centers reach is extended once.
+    """
+    classes: dict = {}
+    for c in centers:
+        classes.setdefault(tuple([x & 1 for x in c]), set()).add(c)
+    out: set = set()
+    for parity, group in classes.items():
+        for ranges in _offset_ranges(parity, radius):
+            layer = group
+            for i, steps in enumerate(ranges):
+                layer = {c[:i] + (c[i] + t,) + c[i + 1:] for c in layer for t in steps}
+            out |= layer
     return out

@@ -60,7 +60,8 @@ from itertools import chain
 from operator import add, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cells import Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets
+from .cells import (Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets,
+                    plaquettes_near)
 from .operators import CubicalFamilyOp, _apply_int, _check_vars, _pair_memo
 from .poly import LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_sort_key, _mul_terms
 
@@ -471,13 +472,20 @@ def _probe_pool(op, ideal: LinearIdeal) -> list:
 
     The generators' variables and every plaquette within max-norm
     WELLDEFINED_POOL_RADIUS of a generator's plaquette, less those outside
-    op's universe.
+    op's universe.  The generator plaquettes are grouped by scale, and
+    plaquettes_near deduplicates each group's neighbours per parity class
+    as it grows them, with no tuple per (plaquette, offset) pair.
     """
     generator_vars = {v for g in ideal.generators for v in g.variables()}
-    cells = [v for v in generator_vars if isinstance(v, Cell)]
-    offsets = _class_offsets(cells, WELLDEFINED_POOL_RADIUS)
-    sites = {(v.scale, tuple(map(add, v.coords, t))) for v in cells for t in offsets[_parity(v)]}
-    pool_set = generator_vars | {Cell(scale, coords) for scale, coords in sites}
+    centers: dict = {}
+    for v in generator_vars:
+        if isinstance(v, Cell):
+            centers.setdefault(v.scale, []).append(v.coords)
+    pool_set = generator_vars | {
+        Cell(scale, coords)
+        for scale, group in centers.items()
+        for coords in plaquettes_near(group, WELLDEFINED_POOL_RADIUS)
+    }
     return sorted((v for v in pool_set if op.has_var(v)), key=lambda v: str(v))
 
 

@@ -21,6 +21,7 @@ from holoflow.cells import (
     format_cell,
     parse_cell,
     plaquette_offsets,
+    plaquettes_near,
 )
 
 from conftest import cells, cell_with_symmetry, cell_with_two_symmetries
@@ -276,6 +277,18 @@ def test_plaquette_offsets_are_the_nearby_plaquettes(d):
             want = [tuple(a - b for a, b in zip(q.coords, center.coords))
                     for q in cells_near(center, radius, dim=2)]
             assert plaquette_offsets(parity, radius) == want, (parity, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_plaquettes_near_is_every_center_plus_every_offset(data):
+    d = data.draw(st.integers(2, 4))
+    radius = data.draw(st.integers(0, 3))
+    coords = st.lists(st.integers(-5, 5), min_size=d, max_size=d).map(tuple)
+    centers = data.draw(st.lists(coords, min_size=1, max_size=6))
+    want = {tuple(a + b for a, b in zip(c, t))
+            for c in centers for t in plaquette_offsets([x & 1 for x in c], radius)}
+    assert plaquettes_near(centers, radius) == want
 
 
 @settings(max_examples=60, deadline=None)

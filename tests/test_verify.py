@@ -33,8 +33,10 @@ from holoflow.verify import (
     sphere_condition,
     violations,
     welldefined_property,
+    WELLDEFINED_POOL_RADIUS,
     _class_offsets,
     _parity,
+    _probe_pool,
 )
 
 x = Polynomial.var
@@ -474,3 +476,19 @@ def test_each_variable_is_checked_once_per_run(monkeypatch, case):
             for v in f_c.variables() | g.variables()}
     assert len(seen) > len(ideal.generators)
     assert checked == Counter(seen)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_probe_pool_is_the_pairwise_pool(d):
+    # the pool as one (plaquette, offset) tuple per pair, deduplicated afterwards
+    family = CubicalFamilyOp.main(d)
+    ideal = ideal_from_cubes(box_cells(0, (-1,) * d, (1,) * d, dim=3))
+    generator_vars = {v for g in ideal.generators for v in g.variables()}
+    cells = [v for v in generator_vars if isinstance(v, Cell)]
+    offsets = _class_offsets(cells, WELLDEFINED_POOL_RADIUS)
+    sites = {(v.scale, tuple(a + b for a, b in zip(v.coords, t)))
+             for v in cells for t in offsets[_parity(v)]}
+    pool_set = generator_vars | {Cell(scale, coords) for scale, coords in sites}
+    want = sorted((v for v in pool_set if family.has_var(v)), key=lambda v: str(v))
+    assert _probe_pool(family, ideal) == want
+    assert len(want) == {3: 240, 4: 2016}[d]
