@@ -221,7 +221,7 @@ class SphereOp(Frozen):
 
         Substituting d_i -> d_i - d_n for i < n into the (n-1)-variable form
         must reproduce the n-variable form exactly; the identity is checked
-        here on the operators' symbols before the result is returned.
+        here, on the operators' integer symbols, before the result is returned.
         """
         n = self.n
         euclid = ExplicitOp(
@@ -232,10 +232,7 @@ class SphereOp(Frozen):
                 for j in range(i, n)
             },
         )
-        if _operator_symbol(euclid, range(1, n)).substitute(
-            {i: Polynomial.var(i) - Polynomial.var(n) for i in range(1, n)}
-        ) != _operator_symbol(self, range(1, n + 1)):
-            raise AssertionError("euclidean reduction failed the substitution identity")
+        _check_euclidean(self, euclid)
         return euclid
 
     def to_json(self) -> dict:
@@ -248,18 +245,41 @@ class SphereOp(Frozen):
         return f"SphereOp(areas={[str(a) for a in self.areas]})"
 
 
-def _operator_symbol(op, variables) -> Polynomial:
-    """The quadratic form of L in commuting derivative symbols."""
-    out = Polynomial.zero()
+def _int_symbol(op, variables) -> dict:
+    """L's quadratic symbol over op.unit: (v, w) -> the integer coefficient of d_v d_w.
+
+    Keys run over the pairs v <= w in the given order; the diagonal holds
+    a_v - b_vv and a cross pair -(b_vw + b_wv).  The caller checks the variables.
+    """
     vs = list(variables)
-    for v in vs:
-        out = out + op.coeff_a(v) * Polynomial.var(v, 2)
-    for vi in vs:
-        for vj in vs:
-            b = op.coeff_b(vi, vj)
-            if b:
-                out = out - b * Polynomial.var(vi) * Polynomial.var(vj)
+    out = {}
+    for i, v in enumerate(vs):
+        out[v, v] = op.a_int(v) - op.b_int(v, v)
+        for w in vs[i + 1:]:
+            out[v, w] = -(op.b_int(v, w) + op.b_int(w, v))
     return out
+
+
+def _check_euclidean(sphere: SphereOp, euclid) -> None:
+    """Raise AssertionError unless d_i -> d_i - d_n (i < n) turns euclid's symbol into sphere's.
+
+    Both symbols are integers over their own operator's unit; the
+    substituted euclidean symbol and the sphere's are compared after each
+    is scaled to the other's unit.
+    """
+    n = sphere.n
+    target = _int_symbol(sphere, range(1, n + 1))
+    image = dict.fromkeys(target, 0)
+    for (i, j), c in _int_symbol(euclid, range(1, n)).items():
+        # (d_i - d_n)(d_j - d_n) = d_i d_j - d_i d_n - d_j d_n + d_n^2
+        image[i, j] += c
+        image[i, n] -= c
+        image[j, n] -= c
+        image[n, n] += c
+    to_sphere = euclid.unit.numerator * sphere.unit.denominator
+    to_euclid = sphere.unit.numerator * euclid.unit.denominator
+    if any(image[key] * to_sphere != c * to_euclid for key, c in target.items()):
+        raise AssertionError("euclidean reduction failed the substitution identity")
 
 
 # -- base coefficient tables at scale 0 (principal-orthant indices) ---------

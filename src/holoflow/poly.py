@@ -6,8 +6,9 @@ every identity checked downstream is exact; there is no floating-point mode.
 
 A monomial is a tuple of (variable, exponent) pairs sorted by _var_key, and
 the inner loops work on these tuples directly.  The product of two monomials
-is one linear merge of the sorted factors.  substitute() expands every term
-into one accumulator and builds a single Polynomial at the end.
+is one linear merge of the sorted factors.  substitute(), the ring
+homomorphism that changes variables, expands every term into one
+accumulator and builds a single Polynomial at the end.
 
 A LinearIdeal is spanned by degree-1 generators with zero constant term (the
 shape of all holonomy constraints here).  It is triangularized once at
@@ -15,8 +16,7 @@ construction into integer rows over one denominator; reduce() is then a
 substitution homomorphism onto normal forms, so reduce(f*g) =
 reduce(reduce(f)*reduce(g)) and reduce(f) = 0 exactly when f lies in the
 ideal.  Normal forms are computed on integers from a memo of monomial
-normal forms (_reduce_int); reduce() is its Fraction wrapper, and
-substitute() is left to the sphere operator's euclidean check.
+normal forms (_reduce_int); reduce() is its Fraction wrapper.
 """
 
 from __future__ import annotations
@@ -284,22 +284,25 @@ def format_polynomial(f: Polynomial) -> str:
     parts = []
     for m in sorted(f.terms, key=_mono_sort_key, reverse=True):
         c = f.terms[m]
-        factors = []
-        for v, e in m:
-            factors.append(_format_var(v) + (f"^{e}" if e > 1 else ""))
+        factors = _format_monomial(m)
         mag = abs(c)
         if not factors:
             body = str(mag)
         elif mag == 1:
-            body = "*".join(factors)
+            body = factors
         else:
-            body = str(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + factors
         parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
     text = ("-" if sign == "-" else "") + body
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
+
+
+def _format_monomial(m: Monomial) -> str:
+    """m's factors as format_polynomial writes them, e.g. "x1^2*x3"; "" for m = ()."""
+    return "*".join(_format_var(v) + (f"^{e}" if e > 1 else "") for v, e in m)
 
 
 def parse_polynomial(text: str):

@@ -19,8 +19,13 @@ so a pairing sum over 2k factors is an integer times unit^k.
 Each pipeline memoizes internally and neither reads the other: exp_state
 keeps the integer series per monomial m on the operator
 (ExplicitOp._series), and the integer pairing sums live on the
-CovarianceMatrix (_pairings).  verify_sphere builds one covariance matrix
-and one euclidean operator per area vector.
+CovarianceMatrix (_pairings).  verify_sphere is one checked run per area
+vector: one euclidean operator (its substitution identity checked on
+integers), one covariance matrix (its inverse-precision identity checked
+on integers), the variables checked once and one pair memo for every
+monomial.  Each monomial tuple goes straight to exp_state's kernel,
+_series_state, and to isserlis_moment, with no Polynomial; each side makes
+one Fraction per nonzero power of the coupling.
 
 The coupling normalization is the heat-kernel one: a single holonomy of
 weight a has second moment 2*a*coupling (density proportional to
@@ -40,7 +45,7 @@ from typing import Mapping, Sequence
 from ._frozen import Frozen
 
 from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo
-from .poly import Monomial, Polynomial, format_polynomial
+from .poly import Monomial, Polynomial, _format_monomial, _integer_terms, _mono_degree
 
 # The highest degree exp_state and verify_sphere accept.  A monomial's series
 # recurses once per two degrees, so this bounds the recursion depth at 128.
@@ -61,6 +66,13 @@ class LambdaPoly(Frozen):
                 if c:
                     clean[int(k)] = c
         object.__setattr__(self, "coeffs", clean)
+
+    @classmethod
+    def _of(cls, coeffs: dict[int, Fraction]) -> "LambdaPoly":
+        """The polynomial holding coeffs as given: int keys, nonzero Fraction values."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "coeffs", coeffs)
+        return f
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs.get(k, Fraction(0))
@@ -130,26 +142,37 @@ def exp_state(op, f: Polynomial) -> LambdaPoly:
     """mu_0 e^(coupling * L) applied to f, exact in the coupling.
 
     The series sum_k coupling^k / k! * mu0(L^k f) terminates after
-    floor(deg f / 2) + 1 terms because L drops degree by two.  L and mu0 are
-    linear, so mu0(L^k f) is summed from the memoized series of f's monomials.
-    Those series are integers over unit^k; each power k of the coupling
-    becomes one Fraction at the end.  Every variable of f is checked once,
-    as apply_operator checks them: L^k m has no variable m lacks.
+    floor(deg f / 2) + 1 terms because L drops degree by two.  Every
+    variable of f is checked once, as apply_operator checks them: L^k m has
+    no variable m lacks.  f is scaled to integer terms, and _series_state
+    sums the memoized series of its monomials.
     Raises ValueError when f's degree exceeds MAX_DEGREE.
     """
     if f.degree() > MAX_DEGREE:
         raise ValueError(f"degree {f.degree()} exceeds the maximum {MAX_DEGREE}")
     _check_vars(op, f.variables())
+    terms, scale = _integer_terms(f)
     # an ExplicitOp keeps its memo; other operators memoize for this call only
-    memo = getattr(op, "_series", {})
-    pairs = _pair_memo(op)
-    sums: dict[int, Fraction] = {}
-    for m, c in f.monomial_items():
+    return _series_state(op, terms.items(), scale, getattr(op, "_series", {}), _pair_memo(op))
+
+
+def _series_state(op, items, scale: int, memo: dict, pairs: tuple) -> LambdaPoly:
+    """exp_state of sum c * m / scale over the (monomial m, integer c) items.
+
+    The caller checks the variables and the degree.  L and mu0 are linear,
+    so mu0(L^k f) is summed from the series of f's monomials (_mu0_series,
+    memo and pairs as there).  Those series are integers over unit^k, so
+    the sums are integers; each nonzero power k of the coupling becomes
+    one Fraction, v * unit^k / (scale * k!).
+    """
+    sums: dict[int, int] = {}
+    for m, c in items:
         for k, value in enumerate(_mu0_series(op, m, memo, pairs)):
             if value:
                 sums[k] = sums.get(k, 0) + c * value
-    unit = op.unit
-    return LambdaPoly({k: v * unit**k / math.factorial(k) for k, v in sums.items()})
+    num, den = op.unit.numerator, op.unit.denominator
+    return LambdaPoly._of({k: Fraction(v * num**k, scale * den**k * math.factorial(k))
+                           for k, v in sums.items() if v})
 
 
 def _mu0_series(op, m: Monomial, memo: dict, pairs: tuple) -> list[int]:
@@ -265,30 +288,38 @@ def ym_covariance(areas: Sequence) -> CovarianceMatrix:
     The density on x_1..x_{n-1} (with x_n = -sum x_i) is proportional to
     exp(-sum_i x_i^2 / (4*coupling*a_i)); inverting the quadratic form gives
     E[x_i x_j] = coupling * 2(a_i delta_ij - a_i a_j).  That closed form is
-    confirmed exactly before returning: the precision matrix times twice the
-    closed form is the identity.
+    confirmed exactly before returning (_check_inverse_precision), on
+    integers: with a_i = s_i / den it is 2 c_ij / den^2, where c_ij =
+    den s_i delta_ij - s_i s_j, and those numerators go to
+    CovarianceMatrix.over as they are.
     """
-    areas = tuple(Fraction(a) for a in areas)
-    SphereOp(areas)  # validates positivity and normalization
-    n = len(areas)
-    m = n - 1
-    precision = [
-        [
-            (Fraction(1, 4 * areas[i]) if i == j else Fraction(0)) + Fraction(1, 4 * areas[n - 1])
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    closed = [[2 * (areas[i] * (1 if i == j else 0) - areas[i] * areas[j]) for j in range(m)]
-              for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if sum(precision[i][k] * 2 * closed[k][j] for k in range(m)) != int(i == j):
-                raise AssertionError("the closed-form covariance is not the inverse precision")
-    return CovarianceMatrix(
-        tuple(range(1, n)),
-        {(i + 1, j + 1): closed[i][j] for i in range(m) for j in range(i, m)},
+    sphere = SphereOp(areas)  # validates positivity and normalization
+    s, den, m = sphere._scaled, sphere._den, sphere.n - 1
+    closed = [[den * s[i] * (i == j) - s[i] * s[j] for j in range(m)] for i in range(m)]
+    _check_inverse_precision(s, den, closed)
+    return CovarianceMatrix.over(
+        tuple(range(1, m + 1)),
+        {(i + 1, j + 1): 2 * closed[i][j] for i in range(m) for j in range(i, m)},
+        den * den,
     )
+
+
+def _check_inverse_precision(s: Sequence[int], den: int, closed: list[list[int]]) -> None:
+    """Raise AssertionError unless the precision matrix times twice the closed form is the identity.
+
+    The areas are s / den and the closed form is 2 c / den^2.  The
+    precision of x_1..x_{n-1} is P_ik = delta_ik / (4 a_i) + 1 / (4 a_n) =
+    (s_n delta_ik + s_i) den / (4 s_i s_n), so entry (i, j) of P times
+    4 c / den^2 is sum_k (s_n delta_ik + s_i) c_kj / (s_i s_n den).  The
+    check compares those integer sums with delta_ij s_i s_n den.
+    """
+    m = len(closed)
+    for i in range(m):
+        precision = [s[m] * (i == k) + s[i] for k in range(m)]
+        identity = s[i] * s[m] * den
+        for j in range(m):
+            if sum(map(mul, precision, (row[j] for row in closed))) != identity * (i == j):
+                raise AssertionError("the closed-form covariance is not the inverse precision")
 
 
 def isserlis_moment(cov: CovarianceMatrix, monomial: Monomial) -> Fraction:
@@ -302,7 +333,8 @@ def isserlis_moment(cov: CovarianceMatrix, monomial: Monomial) -> Fraction:
     pairs, odd = divmod(len(factors), 2)
     if odd:
         return Fraction(0)
-    return _pairing_sum(cov, factors) * cov.unit**pairs
+    unit = cov.unit
+    return Fraction(_pairing_sum(cov, factors) * unit.numerator**pairs, unit.denominator**pairs)
 
 
 def _pairing_sum(cov: CovarianceMatrix, factors: tuple) -> int:
@@ -353,6 +385,12 @@ def _pairing_state(cov: CovarianceMatrix, f: Polynomial) -> LambdaPoly:
             k = deg // 2
             coeffs[k] = coeffs.get(k, Fraction(0)) + value
     return LambdaPoly(coeffs)
+
+
+def _monomial_moment(cov: CovarianceMatrix, m: Monomial) -> LambdaPoly:
+    """_pairing_state of the monomial m alone: isserlis_moment at power deg(m) / 2."""
+    value = isserlis_moment(cov, m)
+    return LambdaPoly._of({_mono_degree(m) // 2: value}) if value else LambdaPoly()
 
 
 @dataclass(frozen=True)
@@ -412,8 +450,12 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
 
     Every monomial of degree <= max_degree in the euclidean coordinates is
     pushed through both exp_state (with the euclidean image of the sphere
-    operator) and ym_moment's pairing step (over one covariance matrix for
-    the area vector); the report lists both values for each.
+    operator) and the pairing step (over one covariance matrix for the area
+    vector); the report lists both values for each.  The run is one pass
+    per area vector: the variables 1..n-1 are checked once, one pair memo
+    serves every monomial, and each monomial tuple goes straight to
+    exp_state's kernel (_series_state) and to isserlis_moment, with no
+    Polynomial.  Its label is format_polynomial's text of the monomial.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
@@ -422,14 +464,15 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
     areas = tuple(Fraction(a) for a in areas)
     op = SphereOp(areas).to_euclidean()
     cov = ym_covariance(areas)
+    _check_vars(op, range(1, len(areas)))
+    memo, pairs = op._series, _pair_memo(op)
     items = []
     for mono in euclidean_monomials(len(areas) - 1, max_degree):
-        f = Polynomial({mono: Fraction(1)})
         items.append(
             MomentComparison(
-                monomial=format_polynomial(f),
-                exp_state=exp_state(op, f),
-                ym_moment=_pairing_state(cov, f),
+                monomial=_format_monomial(mono) or "1",
+                exp_state=_series_state(op, ((mono, 1),), 1, memo, pairs),
+                ym_moment=_monomial_moment(cov, mono),
             )
         )
     return SphereCheckReport(areas=areas, max_degree=max_degree, items=tuple(items))

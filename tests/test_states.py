@@ -9,12 +9,20 @@ import pytest
 
 from holoflow import states
 from holoflow.cells import Cell
-from holoflow.operators import CubicalFamilyOp, SphereOp, _pair_memo, apply_operator
-from holoflow.poly import LinearIdeal, Polynomial, ideal_from_cubes
+from holoflow.operators import (
+    CubicalFamilyOp,
+    ExplicitOp,
+    SphereOp,
+    _check_euclidean,
+    _pair_memo,
+    apply_operator,
+)
+from holoflow.poly import LinearIdeal, Polynomial, format_polynomial, ideal_from_cubes
 from holoflow.states import (
     CovarianceMatrix,
     LambdaPoly,
     covariance_window,
+    euclidean_monomials,
     exp_state,
     format_lambda_poly,
     isserlis_moment,
@@ -373,6 +381,98 @@ def test_verify_sphere_builds_one_covariance_per_area_vector(monkeypatch):
     assert verify_sphere(first, 4).all_equal
     assert verify_sphere(second, 4).all_equal
     assert calls == [tuple(first), tuple(second)]
+
+
+def test_verify_sphere_items_match_the_public_routes():
+    rng = random.Random(1616)
+    for n in range(2, 7):
+        areas = rand_areas(n, rng)
+        op = SphereOp(areas).to_euclidean()  # its own memo, not verify_sphere's
+        report = verify_sphere(areas, 6)
+        monomials = list(euclidean_monomials(n - 1, 6))
+        assert len(report.items) == len(monomials)
+        for mono, item in zip(monomials, report.items):
+            f = Polynomial({mono: Fraction(1)})
+            assert item.monomial == format_polynomial(f)
+            assert item.exp_state == exp_state(op, f)
+            assert item.ym_moment == ym_moment(areas, f)
+            for value in (item.exp_state, item.ym_moment):
+                assert all(type(k) is int and type(c) is Fraction and c
+                           for k, c in value.coeffs.items())
+        assert report.all_equal
+
+
+SPHERE5 = [Fraction(w, 17) for w in (3, 5, 2, 4, 3)]
+
+
+def test_the_substitution_identity_fires_on_a_perturbed_euclidean_table():
+    sphere = SphereOp(SPHERE5)
+    euclid = sphere.to_euclidean()
+    _check_euclidean(sphere, euclid)
+    broken = [euclid.with_entry(p, q, euclid.coeff_b(p, q) + Fraction(1, 289))
+              for p, q in ((1, 1), (1, 2), (2, 4), (3, 4))]
+    broken.append(euclid.with_entry(1, 3, Fraction(1, 3)))  # a new unit
+    broken.append(ExplicitOp({**euclid.a, 2: euclid.a[2] + Fraction(1, 7)}, euclid.b))
+    # every entry halved: the same integers as the sphere's, over half its unit
+    broken.append(ExplicitOp({v: c / 2 for v, c in euclid.a.items()},
+                             {k: c / 2 for k, c in euclid.b.items()}))
+    for op in broken:
+        with pytest.raises(AssertionError, match="substitution identity"):
+            _check_euclidean(sphere, op)
+
+
+def test_the_inverse_precision_check_fires_on_a_perturbed_closed_form():
+    sphere = SphereOp(SPHERE5)
+    s, den, m = sphere._scaled, sphere._den, sphere.n - 1
+    closed = [[den * s[i] * (i == j) - s[i] * s[j] for j in range(m)] for i in range(m)]
+    states._check_inverse_precision(s, den, closed)
+    for i, j in ((0, 0), (0, 2), (3, 1)):
+        broken = [row[:] for row in closed]
+        broken[i][j] += 1
+        with pytest.raises(AssertionError, match="inverse precision"):
+            states._check_inverse_precision(s, den, broken)
+
+
+def test_both_identity_checks_run_on_every_verify_sphere_call(monkeypatch):
+    from holoflow import operators
+
+    calls = []
+    for module, name in ((operators, "_check_euclidean"), (states, "_check_inverse_precision")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    for _ in range(2):
+        assert verify_sphere(SPHERE5, 2).all_equal
+    assert calls == ["_check_euclidean", "_check_inverse_precision"] * 2
+
+
+@pytest.mark.parametrize("entry", [(1, 3), (2, 2)])
+def test_verify_sphere_flags_the_monomials_that_read_a_perturbed_entry(monkeypatch, entry):
+    clean = verify_sphere(SPHERE5, 6)
+    real = states.ym_covariance
+
+    def perturbed(areas):
+        cov = real(areas)
+        nums = {(u, v): cov.num(u, v) for u, v in itertools.combinations_with_replacement(
+            cov.variables, 2)}
+        nums[entry] += 1
+        return CovarianceMatrix.over(cov.variables, nums, cov.unit.denominator)
+
+    monkeypatch.setattr(states, "ym_covariance", perturbed)
+    report = verify_sphere(SPHERE5, 6)
+    cov = perturbed(SPHERE5)
+    u, v = entry
+    reads = []
+    for mono, item, before in zip(euclidean_monomials(4, 6), report.items, clean.items):
+        exponents = dict(mono)
+        degree = sum(exponents.values())
+        if degree % 2 == 0 and (exponents.get(u, 0) >= 2 if u == v
+                                else exponents.get(u) and exponents.get(v)):
+            reads.append(item.monomial)
+        assert item.exp_state == before.exp_state  # the series route never reads cov
+        assert item.ym_moment == states._pairing_state(cov, Polynomial({mono: 1}))
+    assert [item.monomial for item in report.mismatches] == reads
+    assert len(reads) > 20
 
 
 def test_verify_sphere_requires_degree_two():
