@@ -25,7 +25,8 @@ integers), one covariance matrix (its inverse-precision identity checked
 on integers), the variables checked once and one pair memo for every
 monomial.  Each monomial tuple goes straight to exp_state's kernel,
 _series_state, and to isserlis_moment, with no Polynomial; each side makes
-one Fraction per nonzero power of the coupling.
+one Fraction per nonzero power of the coupling.  One round of n = 3, 4, 5
+at degree 6 (322 monomials) makes 686 Fractions in all.
 
 The coupling normalization is the heat-kernel one: a single holonomy of
 weight a has second moment 2*a*coupling (density proportional to
