@@ -24,9 +24,10 @@ vector: one euclidean operator (its substitution identity checked on
 integers), one covariance matrix (its inverse-precision identity checked
 on integers), the variables checked once and one pair memo for every
 monomial.  Each monomial tuple goes straight to exp_state's kernel,
-_series_state, and to isserlis_moment, with no Polynomial; each side makes
-one Fraction per nonzero power of the coupling.  One round of n = 3, 4, 5
-at degree 6 (322 monomials) makes 686 Fractions in all.
+_series_state, and to ym_moment's, _pairing_kernel, with no Polynomial;
+the series side makes one Fraction per nonzero power of the coupling and
+the pairing side one per even monomial.  One round of n = 3, 4, 5 at
+degree 6 (322 monomials) makes 560 Fractions in all.
 
 The coupling normalization is the heat-kernel one: a single holonomy of
 weight a has second moment 2*a*coupling (density proportional to
@@ -376,22 +377,27 @@ def _pairing_state(cov: CovarianceMatrix, f: Polynomial) -> LambdaPoly:
     bad = f.variables() - allowed
     if bad:
         raise ValueError(f"variables outside x_1..x_{len(allowed)}: {sorted(bad)}")
+    return _pairing_kernel(cov, f.monomial_items())
+
+
+def _pairing_kernel(cov: CovarianceMatrix, items) -> LambdaPoly:
+    """The pairing state of sum c * m over the (monomial m, coefficient c) items.
+
+    The caller checks the variables.  Odd monomials vanish and are skipped;
+    each even one costs one Fraction, isserlis_moment's, scaled by c unless
+    c is 1, at power deg(m) / 2 of the coupling.
+    """
     coeffs: dict[int, Fraction] = {}
-    for m, c in f.monomial_items():
-        deg = sum(e for _, e in m)
+    for m, c in items:
+        deg = _mono_degree(m)
         if deg % 2:
             continue
-        value = c * isserlis_moment(cov, m)
-        if value:
-            k = deg // 2
-            coeffs[k] = coeffs.get(k, Fraction(0)) + value
-    return LambdaPoly(coeffs)
-
-
-def _monomial_moment(cov: CovarianceMatrix, m: Monomial) -> LambdaPoly:
-    """_pairing_state of the monomial m alone: isserlis_moment at power deg(m) / 2."""
-    value = isserlis_moment(cov, m)
-    return LambdaPoly._of({_mono_degree(m) // 2: value}) if value else LambdaPoly()
+        value = isserlis_moment(cov, m)
+        if c != 1:
+            value *= c
+        k = deg // 2
+        coeffs[k] = coeffs[k] + value if k in coeffs else value
+    return LambdaPoly._of({k: v for k, v in coeffs.items() if v})
 
 
 @dataclass(frozen=True)
@@ -455,8 +461,9 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
     vector); the report lists both values for each.  The run is one pass
     per area vector: the variables 1..n-1 are checked once, one pair memo
     serves every monomial, and each monomial tuple goes straight to
-    exp_state's kernel (_series_state) and to isserlis_moment, with no
-    Polynomial.  Its label is format_polynomial's text of the monomial.
+    exp_state's kernel (_series_state) and to ym_moment's (_pairing_kernel),
+    with no Polynomial.  Its label is format_polynomial's text of the
+    monomial.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
@@ -473,7 +480,7 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
             MomentComparison(
                 monomial=_format_monomial(mono) or "1",
                 exp_state=_series_state(op, ((mono, 1),), 1, memo, pairs),
-                ym_moment=_monomial_moment(cov, mono),
+                ym_moment=_pairing_kernel(cov, ((mono, 1),)),
             )
         )
     return SphereCheckReport(areas=areas, max_degree=max_degree, items=tuple(items))

@@ -322,6 +322,14 @@ def test_ym_moment_examples():
     assert ym_moment([Fraction(1, 4)] * 4, x(1) * x(2) * x(3)).is_zero()
 
 
+def test_ym_moment_sums_scaled_terms_and_drops_cancelled_powers():
+    a = [Fraction(1, 4)] * 4
+    assert ym_moment(a, x(1, 2) - x(2, 2)).is_zero()  # equal areas, equal variances
+    c11, c12 = 2 * a[0] * (1 - a[0]), -2 * a[0] * a[1]
+    f = Fraction(1, 3) * x(1, 2) - 5 * x(1) * x(2) + x(1) + Fraction(7, 2)
+    assert ym_moment(a, f) == LambdaPoly({0: Fraction(7, 2), 1: c11 / 3 - 5 * c12})
+
+
 def test_ym_moment_rejects_out_of_range_variables():
     with pytest.raises(ValueError, match="outside"):
         ym_moment([Fraction(1, 2), Fraction(1, 2)], x(2))
@@ -444,6 +452,13 @@ def test_both_identity_checks_run_on_every_verify_sphere_call(monkeypatch):
     for _ in range(2):
         assert verify_sphere(SPHERE5, 2).all_equal
     assert calls == ["_check_euclidean", "_check_inverse_precision"] * 2
+
+
+def test_verify_sphere_pairs_only_the_even_monomials(monkeypatch):
+    real, seen = states.isserlis_moment, []
+    monkeypatch.setattr(states, "isserlis_moment", lambda cov, m: seen.append(m) or real(cov, m))
+    assert verify_sphere(SPHERE5, 6).all_equal
+    assert seen == [m for m in euclidean_monomials(4, 6) if sum(e for _, e in m) % 2 == 0]
 
 
 @pytest.mark.parametrize("entry", [(1, 3), (2, 2)])
