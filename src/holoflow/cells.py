@@ -42,7 +42,7 @@ class Cell(namedtuple("Cell", "scale coords")):
     @property
     def dim(self) -> int:
         """Cell dimension: the number of odd coordinates."""
-        return sum(1 for c in self.coords if c & 1)
+        return sum([c & 1 for c in self.coords])
 
     @property
     def plane(self) -> tuple[int, int]:

@@ -24,14 +24,14 @@ multiply the stored table value.  Reflections through an axis the moving
 plaquette's plane contains reverse its orientation; this is where all the
 signs come from.
 
-Lookups run that map backwards.  Almost every b_pq is zero, so a family
-keeps one sparse row per coordinate-parity class of p, offset q - p ->
-signed scale-0 value, holding only the nonzero entries.  A row is built by
-pushing each nonzero base-table entry (the family's listed support and its
-overrides) through the inverse of the canonicalization, and costs about
-the entries it holds.  It records its reach, the max-norm of the offsets
-it covers; a lookup past the reach rebuilds it at least twice as far.
-_b_table stays as the independent oracle the rows are tested against.
+Lookups run that map backwards.  Almost every b_pq is zero, so b_row(p,
+reach) gives p's sparse row, q - p -> b_int(p, q), holding only the nonzero
+entries.  A family keeps one row per coordinate-parity class of p, pushed
+from each nonzero base-table entry through the inverse of the
+canonicalization (_push_row); _b_table stays as the independent oracle the
+rows are tested against.  An ExplicitOp's rows hold its same-scale cell
+partners and are complete at any reach.  verify.py reads every gauge
+numerator from these rows.
 
 All three operators also expose their coefficients as integers over one
 unit (a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the
@@ -41,15 +41,9 @@ _apply_int, the one kernel of L: it returns L's coefficients over the unit,
 integers for integer input.  apply_operator checks the variables, runs it
 and multiplies by the unit once; exp_state's series and the
 well-definedness probes run it directly, sharing one memo of looked-up
-pair coefficients across calls (_pair_memo).  The probes know their
-finite variable pool up front, so a family reads their cross pairs from
-rows sized once for the pool; every other caller grows rows lazily.
-coeff_a/coeff_b are the checked Fraction form.  The kernel takes the
-second derivatives per monomial: lowering or dropping exponents of a sorted
-monomial tuple leaves it sorted, so each new monomial is a slice of the old
-one, and only pairs of variables that share a monomial are looked up.
-CubicalFamilyOp keeps its rows, and ExplicitOp exp_state's series memo, in
-cache slots: they only cache pure values and never enter __eq__.
+pair coefficients across calls (_pair_memo).  coeff_a/coeff_b are the
+checked Fraction form.  The rows, and ExplicitOp's exp_state series memo,
+live in cache slots: they only cache pure values and never enter __eq__.
 
 Operators are immutable and their lookups are pure, so instances may be
 shared freely within a process.
@@ -223,15 +217,12 @@ class SphereOp(Frozen):
         must reproduce the n-variable form exactly; the identity is checked
         here, on the operators' integer symbols, before the result is returned.
         """
-        n = self.n
-        euclid = ExplicitOp(
-            a={i: self.areas[i - 1] for i in range(1, n)},
-            b={
-                (i, j): self.areas[i - 1] * self.areas[j - 1]
-                for i in range(1, n)
-                for j in range(i, n)
-            },
-        )
+        # a_i = s_i den and b_ij = s_i s_j over the lcm unit 1/den^2: for a prime p | den
+        # some s_i is prime to p (den is an lcm), so one with i < n is (sum s_i = den).
+        n, s, den = self.n, self._scaled, self._den
+        euclid = ExplicitOp._over({i: s[i - 1] * den for i in range(1, n)},
+                                  {(i, j): s[i - 1] * s[j - 1] for i in range(1, n) for j in range(i, n)},
+                                  den * den)
         _check_euclidean(self, euclid)
         return euclid
 
@@ -386,14 +377,11 @@ class CubicalFamilyOp(Frozen):
     index must be three non-negative integers, the principal orthant that
     lookups read: any other index could never be read.
 
-    b_int reads the scale-0 table value from p's row, keyed on q - p
-    (b_row).  _b_table moves p to the base plaquette by a translation, so
-    its result depends on nothing but p's coordinate-parity pattern and
-    q - p, and one row serves every p of a pattern at every scale.  Rows are
-    pushed from the nonzero table entries up to a reach and regrown past
-    it; _b_table itself is the pull oracle they are tested against.  They
-    live in _memo, beside verify.py's numerator rows: empty at first,
-    shared by with_scale copies, empty again in a perturbed copy.
+    b_int reads the scale-0 table value from p's row (b_row).  _b_table
+    moves p to the base plaquette by a translation, so one row serves every
+    p of a coordinate-parity pattern at every scale.  Rows live in _memo,
+    beside verify.py's numerator rows: empty at first, shared by with_scale
+    copies, empty again in a perturbed copy.
 
     In three dimensions the resulting coefficient function is symmetric in
     (p, q).  The transverse-sum reduction prescribed for d >= 4 is not:
@@ -486,8 +474,7 @@ class CubicalFamilyOp(Frozen):
     # -- universe ------------------------------------------------------------
 
     def check_var(self, p) -> None:
-        if not (isinstance(p, Cell) and p.ambient_dim == self.d
-                and p.scale == self.scale and p.dim == 2):
+        if not self.has_var(p):
             raise ValueError(
                 f"{p!r} is not a plaquette of the scale-{self.scale} lattice on R^{self.d}"
             )
@@ -746,14 +733,25 @@ class ExplicitOp(Frozen):
     missing pairs count as zero.
 
     _series is exp_state's memo, per monomial m, of the integers
-    mu0(L^k m) / unit^k for k = 0..deg(m) // 2.  It starts empty, lives as
-    long as the instance and never enters __eq__; with_entry builds a new
-    instance (with its own unit) and an empty memo.
+    mu0(L^k m) / unit^k for k = 0..deg(m) // 2.  _rows holds the b_row of
+    every cell, built from _b_int on the first b_row call.  Both are cache
+    slots: they live as long as the instance and never enter __eq__;
+    with_entry builds a new instance (with its own unit) and empty caches.
     """
 
     variant = "explicit"
 
-    __slots__ = ("a", "b", "unit", "_a_int", "_b_int", "_series")
+    __slots__ = ("a", "b", "unit", "_a_int", "_b_int", "_series", "_rows")
+
+    @classmethod
+    def _over(cls, a_int: dict, b_int: dict, den: int) -> "ExplicitOp":
+        """Integer tables over 1/den (b_int on _pair_key pairs), kept as given; den is their lcm unit."""
+        op = object.__new__(cls)
+        for name, value in zip(cls.__slots__, ({v: Fraction(c, den) for v, c in a_int.items()},
+                                               {k: Fraction(c, den) for k, c in b_int.items()},
+                                               Fraction(1, den), a_int, b_int, {}, None)):
+            object.__setattr__(op, name, value)
+        return op
 
     def __init__(self, a: Mapping, b: Mapping):
         a_clean = {v: Fraction(c) for v, c in a.items()}
@@ -769,13 +767,11 @@ class ExplicitOp(Frozen):
             if key in b_clean and b_clean[key] != c:
                 raise ValueError(f"conflicting symmetric b-entries for {key}")
             b_clean[key] = c
-        object.__setattr__(self, "a", a_clean)
-        object.__setattr__(self, "b", b_clean)
         den = math.lcm(*(c.denominator for c in (*a_clean.values(), *b_clean.values())))
-        object.__setattr__(self, "unit", Fraction(1, den))
-        object.__setattr__(self, "_a_int", {v: int(c * den) for v, c in a_clean.items()})
-        object.__setattr__(self, "_b_int", {k: int(c * den) for k, c in b_clean.items()})
-        object.__setattr__(self, "_series", {})
+        for name, value in zip(self.__slots__, (a_clean, b_clean, Fraction(1, den),
+                                                {v: int(c * den) for v, c in a_clean.items()},
+                                                {k: int(c * den) for k, c in b_clean.items()}, {}, None)):
+            object.__setattr__(self, name, value)
 
     def check_var(self, v) -> None:
         if v not in self.a:
@@ -804,17 +800,33 @@ class ExplicitOp(Frozen):
         """b_pq over unit.  Callers check the universe."""
         return self._b_int.get(_pair_key(p, q), 0)
 
+    def b_row(self, p: Cell, reach: int) -> dict:
+        """CubicalFamilyOp.b_row's contract over the cells q at p's scale; complete at any reach.
+
+        A partner at another scale is left out, as its offset could equal a
+        same-scale q's.  The first call builds every row from _b_int.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = {}
+            for (u, v), c in self._b_int.items():
+                if c and isinstance(u, Cell) and isinstance(v, Cell) and u.scale == v.scale:
+                    t = tuple(map(sub, v.coords, u.coords))
+                    rows.setdefault(u, {})[t] = c
+                    rows.setdefault(v, {})[tuple([-x for x in t])] = c
+            object.__setattr__(self, "_rows", rows)
+        return rows.get(p, {})
+
     def apply(self, f: Polynomial) -> Polynomial:
         return apply_operator(self, f)
 
-    def support(self, p, radius: int | None = None) -> Iterator[tuple]:
+    def support(self, p, radius: int) -> Iterator[tuple]:
         self.check_var(p)
         for (u, v), c in sorted(self.b.items(), key=lambda kv: (_var_key(kv[0][0]), _var_key(kv[0][1]))):
             if u == p or v == p:
                 q = v if u == p else u
-                if radius is not None and isinstance(q, Cell):
-                    if max(abs(x - y) for x, y in zip(q.coords, p.coords)) > radius:
-                        continue
+                if isinstance(q, Cell) and max(abs(x - y) for x, y in zip(q.coords, p.coords)) > radius:
+                    continue
                 yield q, c
 
     def with_entry(self, p, q, value) -> "ExplicitOp":

@@ -10,45 +10,39 @@ Three families of checks, all exact:
   related by summation over plaquette children, a_p = sum a_p' and
   b_pq = sum b_p'q'; this is the exact-renormalization property.
 * quotient well-definedness -- reduce(L(f_c * g)) = 0 for the constraint
-  generators f_c and randomized polynomials g.  The probes run on
-  integers: the product, L (_apply_int) and the ideal's memoized integer
-  normal forms (_reduce_int).  A run keeps one pair memo; for a family its
-  cross pairs read rows sized once for the run's finite variable pool.
-  Each variable is checked against the universe once per run, before its
-  first probe.
+  generators f_c and seeded random polynomials g, run on integers
+  (welldefined_property).
 
 Lattice residuals are integers over the operator's unit, made a Fraction
 once per site; every zero reports one shared Fraction(0), which passed
 tests by identity before it compares.  A ResidualReport is a named tuple
-(condition, site, value), so its own order is the canonical one: a sweep
-never yields two reports at one (condition, site).  Sweeps enumerate finite
-windows of sites in one process and sort the reports.  Each sweep call keeps
-one label memo, scale -> {coords: label}, so a plaquette seen from several
-centers is formatted once per sweep.  A site whose class row already holds
-its numerator costs about 2 us (a warm d=4 gauge sweep, sort included, on a
-2-core x86_64 host), less than shipping its report to another process would.
+(condition, site, value), so its own order is the canonical one.  Sweeps
+enumerate finite windows of sites in one process and sort the reports; each
+call keeps one label memo, scale -> {coords: label}.  A site whose class
+row already holds its numerator costs about 2 us (a warm d=4 gauge sweep on
+a 2-core x86_64 host), less than shipping its report to another process.
+
+Numerators read coefficient rows, b_row(p, reach): q - p -> b_int(p, q),
+nonzero entries only, which a family and an ExplicitOp both give.  Every
+gauge numerator -- at a sweep site, in gauge_residual and in
+solve_base_coefficient -- is gauge_numerator over p's row.
 
 A coefficient family is invariant under even translations of the lattice,
 and cells with one coordinate-parity pattern differ by even translations.
 So a gauge numerator depends only on the cube's parity pattern and the
 offset p - cube, and a compatibility numerator only on p's pattern and
-q - p (children of translated plaquettes are translated by an even vector
-too).  Sweeps list the offsets of each parity class once per call,
+q - p.  Sweeps list the offsets of each parity class once per call,
 enumerate sites as center + offset, and keep one row per class, offset ->
-numerator, under ("gauge", pattern) or ("compat", pattern) in the family's
-memo beside b_int's rows: scale-free, shared by with_scale copies, never
-in __eq__, empty in a perturbed copy.  Numerators read the family's
-coefficient rows (b_row) directly.  A family's row misses build no Cell.
-A gauge miss reads p's row at the cube's face offsets less t, since
-q - p = (q - cube) - t.  A compat miss reads p's row too: children sit at
-2u + e, so every child pair of (p, q) has q' - p' = 2(q - p) + (e_q - e_p),
-and p's children share p's parity pattern.  compat_b is therefore one
-stencil on p's row, 4 B(t) - sum m B(2t + s) over the multiset of steps
-s = e_q - e_p, which cells.children gives once per plane of q; q = p + t is
-a plaquette by construction.  An ExplicitOp is not translation invariant
-and its universe is finite; it gets a fresh row per chunk, which never
-hits, and each of its sites builds its Cell and is checked against the
-universe.
+numerator; _class_row is the one place here that tests the operator's
+class.  A family's class rows live in its memo, under ("gauge", pattern) or
+("compat", pattern) beside its coefficient rows.  An ExplicitOp is not
+translation invariant, so it gets a fresh row per chunk, which never hits.
+A gauge miss builds p, checks it with has_var and reads p's row at the
+cube's face offsets less t, since q - p = (q - cube) - t.  A compat miss
+reads p's row too: every child pair of (p, q) has q' - p' = 2(q - p) +
+(e_q - e_p), and p's children share p's parity pattern, so compat_b is one
+stencil on p's row, 4 B(t) - sum m B(2t + s) over the steps s = e_q - e_p
+that cells.children gives once per plane of q.
 """
 
 from __future__ import annotations
@@ -96,10 +90,19 @@ def violations(reports: Iterable[ResidualReport]) -> list[ResidualReport]:
 # -- gauge invariance ---------------------------------------------------------
 
 
-def gauge_numerator(op, faces: SignedChain, p: Cell) -> int:
-    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit; the caller checks p and the faces dc."""
-    b_int = op.b_int
-    return faces.coefficient(p) * op.a_int(p) - sum(s * b_int(p, q) for q, s in faces.items())
+def gauge_numerator(a: int, lead: int, row: dict, steps: Iterable[tuple[tuple, int]]) -> int:
+    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit, with a = A(p), lead = <dc,p>, p's b_row
+    and the faces' steps (q - p, <dc,q>).  The caller checks p and the faces."""
+    get = row.get
+    return lead * a - sum([s * get(f, 0) for f, s in steps])
+
+
+def _row_steps(op, faces: SignedChain, p: Cell) -> tuple[dict, list[tuple[tuple, int]]]:
+    """p's row and the steps (q - p, <dc,q>) of the faces dc, once p and each face are checked."""
+    for q in (p, *faces.cells()):
+        op.check_var(q)
+    steps = [(tuple(map(sub, q.coords, p.coords)), s) for q, s in faces.items()]
+    return op.b_row(p, max(max(map(abs, f)) for f, _ in steps)), steps
 
 
 def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
@@ -109,9 +112,8 @@ def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
     if cube.scale != p.scale:
         raise ValueError(f"scale mismatch: {cube} vs {p}")
     faces = boundary(cube)
-    for q in (p, *faces.cells()):
-        op.check_var(q)
-    return gauge_numerator(op, faces, p) * op.unit
+    row, steps = _row_steps(op, faces, p)
+    return gauge_numerator(op.a_int(p), faces.coefficient(p), row, steps) * op.unit
 
 
 def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
@@ -126,10 +128,8 @@ def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
     lead = faces.coefficient(p)
     if lead == 0:
         raise ValueError(f"{p} is not a face of {cube}")
-    total = Fraction(0)
-    for q, s in faces.items():
-        total += s * op.coeff_b(p, q)
-    return total / lead
+    row, steps = _row_steps(op, faces, p)
+    return -gauge_numerator(0, 0, row, steps) * op.unit / lead
 
 
 def default_cubes(d: int, scale: int) -> list[Cell]:
@@ -146,29 +146,20 @@ def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
 
 def _gauge_chunk(op, cube: Cell, offsets: Sequence[tuple], reach: int,
                  labels: dict) -> list[ResidualReport]:
-    """Gauge reports at (cube, cube + t); reach bounds f - t for every face offset f.
-
-    A family's miss reads p's row, fetched once per parity pattern of t, at f - t.
-    """
+    """Gauge reports at (cube, cube + t); reach bounds f - t for every face offset f."""
     faces = boundary(cube)
     if not all(op.has_var(q) for q in faces.cells()):
         return []
-    if isinstance(op, CubicalFamilyOp):
-        u, a0 = cube.coords, op.a0
-        steps = [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
-        lead, rows = dict(steps), {}
+    scale, u = cube.scale, cube.coords
+    steps = [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
+    lead = dict(steps)
 
-        def numerator(t: tuple) -> int:
-            pattern = tuple([x & 1 for x in t])
-            row = rows.get(pattern)
-            if row is None:
-                row = rows[pattern] = op.b_row(Cell(cube.scale, map(add, u, t)), reach)
-            return lead.get(t, 0) * a0 - sum(s * row.get(tuple(map(sub, f, t)), 0)
-                                             for f, s in steps)
-    else:
-        def numerator(t: tuple) -> int | None:
-            p = Cell(cube.scale, map(add, cube.coords, t))
-            return gauge_numerator(op, faces, p) if op.has_var(p) else None
+    def numerator(t: tuple) -> int | None:
+        p = Cell(scale, map(add, u, t))
+        if not op.has_var(p):
+            return None
+        return gauge_numerator(op.a_int(p), lead.get(t, 0), op.b_row(p, reach),
+                               [(tuple(map(sub, f, t)), s) for f, s in steps])
 
     return _class_reports(_class_row(op, ("gauge", _parity(cube))), "gauge", cube, offsets,
                           op.unit, numerator, labels)
@@ -188,20 +179,15 @@ def _class_offsets(centers: Iterable[Cell], radius: int) -> dict:
     Which coordinates of c + t are odd depends only on c's pattern, so one
     list serves every center of it.
     """
-    out: dict = {}
-    for c in centers:
-        key = _parity(c)
-        if key not in out:
-            out[key] = plaquette_offsets(key, radius)
-    return out
+    return {key: plaquette_offsets(key, radius) for key in {_parity(c) for c in centers}}
 
 
 def _class_row(op, key: tuple) -> dict:
     """offset -> numerator for one translation class of a sweep condition.
 
-    A family's row lives in its memo, so it serves every center of the class
-    at every scale.  Any other operator gets a fresh row that one chunk never
-    hits, since a chunk's offsets are distinct.
+    The module's one translation-invariance decision: a family's row lives in
+    its memo and serves every center of the class at every scale.  Any other
+    operator gets a fresh row, which one chunk's distinct offsets never hit.
     """
     if isinstance(op, CubicalFamilyOp):
         return op._memo.setdefault(key, {})

@@ -2,7 +2,15 @@
 
 import hypothesis.strategies as st
 
-from holoflow.cells import Cell, SignedSymmetry
+from holoflow.cells import Cell, SignedSymmetry, box_cells
+from holoflow.operators import ExplicitOp
+
+
+def explicit_tables(fam, lo: int, hi: int) -> ExplicitOp:
+    """fam's coefficients on the plaquettes of the box [lo, hi]^d at fam's scale."""
+    plaquettes = list(box_cells(fam.scale, (lo,) * fam.d, (hi,) * fam.d, dim=2))
+    b = {(p, q): fam.coeff_b(p, q) for i, p in enumerate(plaquettes) for q in plaquettes[i:]}
+    return ExplicitOp({p: fam.coeff_a(p) for p in plaquettes}, {k: v for k, v in b.items() if v})
 
 
 @st.composite

@@ -41,7 +41,7 @@ from holoflow.verify import (
     gauge_numerator,
 )
 
-from conftest import symmetries
+from conftest import explicit_tables, symmetries
 
 x = Polynomial.var
 
@@ -579,6 +579,39 @@ def test_explicit_op_universe_and_sparsity():
         ExplicitOp(a={1: 1}, b={(1, 2): 1})
 
 
+def test_explicit_rows_equal_b_int_entry_by_entry():
+    op = explicit_tables(MAIN3, -2, 2)
+    far = Cell(1, (1, 1, 0))  # a face's coordinates, one scale finer
+    a = {**op.a, far: Fraction(1, 3), 7: Fraction(1)}
+    b = {**op.b, (BASE3, far): Fraction(5, 2), (far, far): Fraction(1, 2), (7, BASE3): 4,
+         (BASE3, Cell(0, (1, 1, 2))): 0}
+    op = ExplicitOp(a, b)
+    cells = [v for v in op.variables() if isinstance(v, Cell)]
+    for p in cells:
+        row = op.b_row(p, 0)
+        same = {tuple(y - x for x, y in zip(p.coords, q.coords)): q for q in cells if q.scale == p.scale}
+        assert set(row) <= set(same) and all(row.values())
+        for t, q in same.items():
+            assert row.get(t, 0) == op.b_int(p, q) == op.b_int(q, p)
+        assert row.get((0,) * 3, 0) == op.b_int(p, p)
+    assert op.b_row(BASE3, 0)[(0, 0, 0)] * op.unit == MAIN3.coeff_b(BASE3, BASE3)
+    assert op.b_row(far, 0) == {(0, 0, 0): op.b_int(far, far)}  # BASE3 is at another scale
+    assert op._rows is not None and op == ExplicitOp(a, b)
+
+
+def test_euclidean_tables_are_the_area_products():
+    rng = random.Random(5)
+    for n in (2, 3, 4, 5, 6):
+        weights = [rng.randint(1, 20) for _ in range(n)]
+        sphere = SphereOp([Fraction(w, sum(weights)) for w in weights])
+        euclid = sphere.to_euclidean()
+        want = ExplicitOp({i: sphere.areas[i - 1] for i in range(1, n)},
+                          {(i, j): sphere.areas[i - 1] * sphere.areas[j - 1]
+                           for i in range(1, n) for j in range(i, n)})
+        assert euclid == want
+        assert (euclid.unit, euclid._a_int, euclid._b_int) == (want.unit, want._a_int, want._b_int)
+
+
 def test_sphere_validation():
     with pytest.raises(ValueError, match="sum to 1"):
         SphereOp([Fraction(1, 2), Fraction(1, 4)])
@@ -666,17 +699,24 @@ def test_memo_stays_out_of_equality():
 
 def test_gauge_numerator_matches_fraction_residual():
     faulty = MAIN3.perturbed("alpha", (0, 0, 1), 1).with_scale(1)
-    for fam in (faulty, ALT3.with_scale(-1), MAIN4):
-        pad = (0,) * (fam.d - 3)
+    explicit = explicit_tables(MAIN3, -4, 4).with_entry(BASE3, Cell(0, (0, 1, 1)), 3)
+    cases = [(fam, fam.d, fam.scale, fam.window_plaquettes(2))
+             for fam in (faulty, ALT3.with_scale(-1), MAIN4)]
+    cases.append((explicit, 3, 0, MAIN3.window_plaquettes(2)))
+    for op, d, scale, plaquettes in cases:
+        pad = (0,) * (d - 3)
         nonzero = 0
-        for cube in (Cell(fam.scale, (1, 1, 1) + pad), Cell(fam.scale, (3, -1, 1) + pad)):
+        for cube in (Cell(scale, (1, 1, 1) + pad), Cell(scale, (3, -1, 1) + pad)):
             faces = boundary(cube)
-            for p in fam.window_plaquettes(2):
-                want = faces.coefficient(p) * fam.coeff_a(p) - sum(
-                    s * fam.coeff_b(p, q) for q, s in faces.items())
-                assert gauge_numerator(fam, faces, p) * fam.unit == want
+            for p in plaquettes:
+                want = faces.coefficient(p) * op.coeff_a(p) - sum(
+                    s * op.coeff_b(p, q) for q, s in faces.items())
+                steps = [(tuple(b - a for a, b in zip(p.coords, q.coords)), s)
+                         for q, s in faces.items()]
+                row = op.b_row(p, max(max(map(abs, f)) for f, _ in steps))
+                assert gauge_numerator(op.a_int(p), faces.coefficient(p), row, steps) * op.unit == want
                 nonzero += want != 0
-        assert nonzero > 0 if fam is faulty else nonzero == 0
+        assert nonzero > 0 if op is faulty or op is explicit else nonzero == 0
 
 
 def test_compat_numerators_match_fraction_residuals():

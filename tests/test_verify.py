@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from holoflow.cells import Cell, box_cells, cells_near, children, format_cell, parse_cell
+from holoflow.cells import Cell, boundary, box_cells, cells_near, children, format_cell, parse_cell
 from holoflow import verify
 from holoflow.operators import (
     CubicalFamilyOp,
@@ -39,6 +39,8 @@ from holoflow.verify import (
     _probe_pool,
 )
 
+from conftest import explicit_tables
+
 x = Polynomial.var
 
 MAIN3 = CubicalFamilyOp.main(3)
@@ -59,8 +61,15 @@ def test_gauge_residual_vanishes_at_reference_sites():
 def test_base_coefficient_is_forced():
     assert solve_base_coefficient(MAIN3, CUBE, BASE3) == 12
     assert solve_base_coefficient(ALT3, CUBE, BASE3) == 1
+    assert solve_base_coefficient(explicit_tables(MAIN3, 0, 2), CUBE, BASE3) == 12
     with pytest.raises(ValueError, match="not a face"):
         solve_base_coefficient(MAIN3, CUBE, Cell(0, (5, 5, 0)))
+    with pytest.raises(ValueError, match="3-cell"):
+        solve_base_coefficient(MAIN3, BASE3, BASE3)
+    with pytest.raises(ValueError, match="scale-0 lattice"):
+        solve_base_coefficient(MAIN3, Cell(1, CUBE.coords), Cell(1, BASE3.coords))
+    with pytest.raises(ValueError, match="universe"):
+        solve_base_coefficient(explicit_tables(MAIN3, 0, 1), CUBE, BASE3)
 
 
 def test_gauge_residual_input_validation():
@@ -77,20 +86,44 @@ def test_gauge_sweep_is_clean_and_sorted():
 
 
 def test_explicit_fault_breaks_gauge_invariance():
-    plaquettes = list(box_cells(0, (-2, -2, -2), (3, 3, 3), dim=2))
-    a = {p: MAIN3.coeff_a(p) for p in plaquettes}
-    b = {}
-    for i, p in enumerate(plaquettes):
-        for q in plaquettes[i:]:
-            v = MAIN3.coeff_b(p, q)
-            if v:
-                b[(p, q)] = v
-    clean = ExplicitOp(a, b)
+    clean = explicit_tables(MAIN3, -2, 3)
     clean_reports = gauge_sweep(clean, [CUBE], 2)
     assert clean_reports and not violations(clean_reports)
 
     broken = clean.with_entry(BASE3, Cell(0, (0, 1, 1)), Fraction(3))
     assert violations(gauge_sweep(broken, [CUBE], 2))
+
+
+def test_explicit_tables_sweep_like_the_family_at_their_sites():
+    cubes = default_cubes(3, 0)
+    explicit = gauge_sweep(explicit_tables(MAIN3, -3, 2), cubes, 2)
+    family = {r.site: r for r in gauge_sweep(MAIN3, cubes, 2)}
+    assert explicit and len(explicit) < len(family)
+    assert all(family[r.site] == r for r in explicit)
+
+
+def test_explicit_fault_violations_are_the_nonzero_single_site_residuals():
+    op = explicit_tables(MAIN3, -3, 3).with_entry(BASE3, Cell(0, (0, 1, 1)), 3)
+    reports = gauge_sweep(op, default_cubes(3, 0), 2)
+    bad = violations(reports)
+    assert bad and len(bad) < len(reports)
+    assert bad == [r for r in reports if gauge_residual(op, *map(parse_cell, r.site)) != 0]
+
+
+def test_cross_scale_entry_changes_no_gauge_report():
+    # each finer cell sits at a face's coordinates, so its offset from
+    # another face is a same-scale offset of the face's row
+    op = explicit_tables(MAIN3, -3, 3)
+    fine = [Cell(1, q.coords) for q in boundary(CUBE).cells()]
+    a = {**op.a, **dict.fromkeys(fine, 1)}
+    plain = ExplicitOp(a, op.b)
+    crossed = ExplicitOp(a, {**op.b, **{(p, c): 5 + i for i, c in enumerate(fine)
+                                        for p in boundary(CUBE).cells()}})
+    cubes = default_cubes(3, 0)
+    assert gauge_sweep(crossed, cubes, 2) == gauge_sweep(plain, cubes, 2)
+    for p in boundary(CUBE).cells():
+        assert gauge_residual(crossed, CUBE, p) == gauge_residual(plain, CUBE, p) == 0
+        assert solve_base_coefficient(crossed, CUBE, p) == solve_base_coefficient(plain, CUBE, p)
 
 
 # -- the index-space identity vs the canonicalized lookup ----------------------
