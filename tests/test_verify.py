@@ -329,6 +329,35 @@ def test_explicit_op_sites_never_share_a_row():
     assert not hasattr(op, "_memo")
 
 
+def test_family_gauge_sweep_reports_only_its_own_scale():
+    # a family's translation classes are per scale: cubes at another scale
+    # share every parity pattern with the family's cubes but lie outside it
+    inside, outside = default_cubes(3, 0), default_cubes(3, 1)
+    want = gauge_sweep(_fresh(MAIN3, 0), inside, 2)
+    assert want
+    for cubes in (outside + inside, inside + outside):
+        assert gauge_sweep(_fresh(MAIN3, 0), cubes, 2) == want
+    assert gauge_sweep(_fresh(MAIN3, 0), outside, 2) == []
+
+
+def test_explicit_cubes_of_one_pattern_are_separate_classes():
+    # both cubes have parity pattern (1,1,1); only [1,1,1] has every face in
+    # the box, since [5,1,1] has the face [6,1,1]
+    op = explicit_tables(MAIN3, 0, 4).with_entry(BASE3, Cell(0, (0, 1, 1)), 3)
+    inside, outside = CUBE, Cell(0, (5, 1, 1))
+    assert _parity(inside) == _parity(outside)
+    assert all(op.has_var(q) for q in boundary(inside).cells())
+    assert not all(op.has_var(q) for q in boundary(outside).cells())
+    for cubes in ([inside, outside], [outside, inside]):
+        reports = gauge_sweep(op, cubes, 2)
+        assert {r.site[0] for r in reports} == {str(inside)}
+        assert {r.site[1] for r in reports} == {str(p) for p in cells_near(inside, 2, dim=2)
+                                                if op.has_var(p)}
+        assert violations(reports)
+        for r in reports:
+            assert r.value == gauge_residual(op, *map(parse_cell, r.site))
+
+
 def _single_site_value(fam, report: ResidualReport) -> Fraction:
     cells = [parse_cell(label) for label in report.site]
     if report.condition == "gauge":
