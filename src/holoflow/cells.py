@@ -14,6 +14,7 @@ shared freely.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
@@ -390,6 +391,11 @@ def plaquette_offsets(parity: Sequence[int], radius: int) -> list[tuple[int, ...
         out.extend(itertools.product(*ranges))
     out.sort()
     return out
+
+
+def plaquette_offset_count(parity: Sequence[int], radius: int) -> int:
+    """len(plaquette_offsets(parity, radius)), from the lengths of the ranges, enumerating nothing."""
+    return sum(math.prod(map(len, ranges)) for ranges in _offset_ranges(parity, radius))
 
 
 def plaquettes_near(centers: Iterable[tuple], radius: int) -> set[tuple]:

@@ -34,12 +34,14 @@ from .states import (
     ym_moment,
 )
 from .verify import (
+    MAX_SWEEP_SITES,
     ResidualReport,
     base_plaquettes,
     child_interaction_sum,
     compat_sweep,
     default_cubes,
     gauge_sweep,
+    sweep_sites,
     violations,
     welldefined_property,
 )
@@ -218,6 +220,17 @@ def _explicit_cubes(op) -> list[Cell]:
     return list(box_cells(cells[0].scale, lo, hi, dim=3))
 
 
+def _check_sweep_size(sweeps: list[tuple], window: int) -> None:
+    """Reject a command whose sweeps, together, have more than MAX_SWEEP_SITES sites.
+
+    The count is closed-form, so an oversized window exits 2 before anything is enumerated.
+    """
+    sites = sum(sweep_sites(centers, window) for _, centers in sweeps)
+    if sites > MAX_SWEEP_SITES:
+        raise click.UsageError(f"--window {window} gives {sites} sweep sites, above the maximum"
+                               f" {MAX_SWEEP_SITES}; use a smaller --window or fewer --scales")
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -238,16 +251,16 @@ def verify_invariance(op_text, d, window, scales, fmt, out, decimal):
     scale_list = _parse_scales(scales)
     if len(scale_list) > 1 and not isinstance(op, CubicalFamilyOp):
         raise click.UsageError("an explicit operator has one finite universe; sweep one scale")
-    reports: list[ResidualReport] = []
     if isinstance(op, CubicalFamilyOp):
-        for s in scale_list:
-            reports.extend(gauge_sweep(op.with_scale(s), default_cubes(op.d, s), window))
+        sweeps = [(op.with_scale(s), default_cubes(op.d, s)) for s in scale_list]
     else:
         cubes = _explicit_cubes(op)
         if cubes and cubes[0].scale != scale_list[0]:
             raise click.UsageError(f"the explicit operator's universe is at scale"
                                    f" {cubes[0].scale}, not {scale_list[0]}")
-        reports.extend(gauge_sweep(op, cubes, window))
+        sweeps = [(op, cubes)]
+    _check_sweep_size(sweeps, window)
+    reports = [r for scoped, cubes in sweeps for r in gauge_sweep(scoped, cubes, window)]
     _render_residuals("verify-invariance", op, {"window": window, "scales": scale_list},
                       reports, fmt, out, decimal)
 
@@ -268,6 +281,8 @@ def verify_compat(op_text, d, window, scales, fmt, out, decimal):
     if not isinstance(op, CubicalFamilyOp):
         raise click.UsageError("compatibility sweeps need a coefficient family operator")
     scale_list = _parse_scales(scales)
+    sweeps = [(op.with_scale(s), base_plaquettes(op.d, s)) for s in scale_list]
+    _check_sweep_size(sweeps, window)
     prefix = []
     if fmt == "text" and op.d == 3:
         # p's scale-free row, fetched at the reach of both prefix and sweeps, is pushed once
@@ -279,9 +294,7 @@ def verify_compat(op_text, d, window, scales, fmt, out, decimal):
             total = child_interaction_sum(coarse, p, Cell(-1, q))
             prefix.append(f"  sum over children for ({format_cell(p)}, {format_cell(Cell(-1, q))})"
                           f" [offset {label}] = {total}")
-    reports: list[ResidualReport] = []
-    for s in scale_list:
-        reports.extend(compat_sweep(op.with_scale(s), base_plaquettes(op.d, s), window))
+    reports = [r for scoped, plaquettes in sweeps for r in compat_sweep(scoped, plaquettes, window)]
     _render_residuals("verify-compat", op, {"window": window, "scales": scale_list},
                       reports, fmt, out, decimal, prefix)
 

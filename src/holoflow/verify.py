@@ -14,13 +14,12 @@ Three families of checks, all exact:
   (welldefined_property).
 
 Lattice residuals are integers over the operator's unit, made a Fraction
-once per site; every zero reports one shared Fraction(0), which passed
-tests by identity before it compares.  A ResidualReport is a named tuple
-(condition, site, value), so its own order is the canonical one.  Sweeps
-enumerate finite windows of sites in one process and sort the reports; each
-call keeps one label memo, scale -> {coords: label}.  A site whose class
-row already holds its numerator costs about 2 us (a warm d=4 gauge sweep on
-a 2-core x86_64 host), less than shipping its report to another process.
+once per class and offset; every zero reports one shared Fraction(0), which
+passed tests by identity before it compares.  A ResidualReport is a named
+tuple (condition, site, value), so its own order is the canonical one.
+Sweeps enumerate finite windows of sites in one process and sort the
+reports; MAX_SWEEP_SITES bounds a sweep, counted in closed form before any
+site is listed.
 
 Numerators read coefficient rows, b_row(p, reach): q - p -> b_int(p, q),
 nonzero entries only, which a family and an ExplicitOp both give.  Every
@@ -30,19 +29,28 @@ solve_base_coefficient -- is gauge_numerator over p's row.
 A coefficient family is invariant under even translations of the lattice,
 and cells with one coordinate-parity pattern differ by even translations.
 So a gauge numerator depends only on the cube's parity pattern and the
-offset p - cube, and a compatibility numerator only on p's pattern and
-q - p.  Sweeps list the offsets of each parity class once per call,
-enumerate sites as center + offset, and keep one row per class, offset ->
-numerator; _class_row is the one place here that tests the operator's
-class.  A family's class rows live in its memo, under ("gauge", pattern) or
-("compat", pattern) beside its coefficient rows.  An ExplicitOp is not
-translation invariant, so it gets a fresh row per chunk, which never hits.
-A gauge miss builds p, checks it with has_var and reads p's row at the
-cube's face offsets less t, since q - p = (q - cube) - t.  A compat miss
-reads p's row too: every child pair of (p, q) has q' - p' = 2(q - p) +
+offset t = p - cube, and a compatibility numerator only on p's pattern and
+q - p.  _classes names a center's translation class, (scale, pattern) for a
+family and the cell itself for any other operator; it is the one place here
+that tests the operator's class.  Each sweep call lists the offsets of each
+parity pattern once and computes, on the first chunk of each class, the
+class's table: the faces' universe check, the faces' steps and the
+reported value at every offset.  Every later chunk of the class only labels
+its sites (one label memo per scale, coords -> label) and builds their
+reports; a site costs about 2 us that way (a warm d=4 gauge sweep, sorting
+included, on a 2-core x86_64 host), less than shipping its report to
+another process.  The integer numerators behind the tables live in class
+rows, offset -> numerator: a family's in its memo under ("gauge", pattern)
+or ("compat", pattern), scale-free and shared by every class of the
+pattern at every scale, an ExplicitOp's in a fresh row per class.
+A gauge row miss reads its partner p = cube + t from a per-sweep memo under
+p's class, (a_int(p), b_row(p, reach)) or outside the universe, so a family
+builds p, checks it and fetches its row once per pattern of p, and reads
+that row at the face offsets less t, since q - p = (q - cube) - t.  A compat
+miss reads p's row too: every child pair of (p, q) has q' - p' = 2(q - p) +
 (e_q - e_p), and p's children share p's parity pattern, so compat_b is one
-stencil on p's row, 4 B(t) - sum m B(2t + s) over the steps s = e_q - e_p
-that cells.children gives once per plane of q.
+stencil on p's row, 4 B(t) - sum m B(2t + s) over the steps s = e_q - e_p,
+which _child_steps derives from the planes of p and q.
 """
 
 from __future__ import annotations
@@ -54,8 +62,8 @@ from itertools import chain
 from operator import add, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cells import (Cell, SignedChain, boundary, box_cells, children, format_cell, plaquette_offsets,
-                    plaquettes_near)
+from .cells import (Cell, SignedChain, boundary, box_cells, children, format_cell,
+                    plaquette_offset_count, plaquette_offsets, plaquettes_near)
 from .operators import CubicalFamilyOp, _apply_int, _check_vars, _pair_memo
 from .poly import LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_sort_key, _mul_terms
 
@@ -90,19 +98,30 @@ def violations(reports: Iterable[ResidualReport]) -> list[ResidualReport]:
 # -- gauge invariance ---------------------------------------------------------
 
 
-def gauge_numerator(a: int, lead: int, row: dict, steps: Iterable[tuple[tuple, int]]) -> int:
-    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit, with a = A(p), lead = <dc,p>, p's b_row
-    and the faces' steps (q - p, <dc,q>).  The caller checks p and the faces."""
+def gauge_numerator(a: int, lead: int, row: dict, faces: Iterable[tuple[tuple, int]],
+                    t: tuple) -> int:
+    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit, with a = A(p), lead = <dc,p>, p's b_row,
+    the faces (q - cube, <dc,q>) and t = p - cube, so that q - p = (q - cube) - t.  The caller
+    checks p and the faces."""
     get = row.get
-    return lead * a - sum([s * get(f, 0) for f, s in steps])
+    return lead * a - sum([s * get(tuple(map(sub, f, t)), 0) for f, s in faces])
 
 
-def _row_steps(op, faces: SignedChain, p: Cell) -> tuple[dict, list[tuple[tuple, int]]]:
-    """p's row and the steps (q - p, <dc,q>) of the faces dc, once p and each face are checked."""
+def _face_steps(cube: Cell) -> tuple[SignedChain, list[tuple[tuple, int]]]:
+    """The faces dc and their steps (q - cube, <dc,q>)."""
+    faces = boundary(cube)
+    u = cube.coords
+    return faces, [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
+
+
+def _site_terms(op, cube: Cell, p: Cell) -> tuple[SignedChain, dict, list, tuple]:
+    """The faces, p's row, the faces' steps and t = p - cube, once p and each face are checked."""
+    faces, steps = _face_steps(cube)
     for q in (p, *faces.cells()):
         op.check_var(q)
-    steps = [(tuple(map(sub, q.coords, p.coords)), s) for q, s in faces.items()]
-    return op.b_row(p, max(max(map(abs, f)) for f, _ in steps)), steps
+    t = tuple(map(sub, p.coords, cube.coords))
+    reach = max(abs(x - y) for f, _ in steps for x, y in zip(f, t))
+    return faces, op.b_row(p, reach), steps, t
 
 
 def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
@@ -111,9 +130,8 @@ def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
         raise ValueError(f"{cube} is not a 3-cell")
     if cube.scale != p.scale:
         raise ValueError(f"scale mismatch: {cube} vs {p}")
-    faces = boundary(cube)
-    row, steps = _row_steps(op, faces, p)
-    return gauge_numerator(op.a_int(p), faces.coefficient(p), row, steps) * op.unit
+    faces, row, steps, t = _site_terms(op, cube, p)
+    return gauge_numerator(op.a_int(p), faces.coefficient(p), row, steps, t) * op.unit
 
 
 def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
@@ -124,12 +142,11 @@ def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
     """
     if cube.dim != 3:
         raise ValueError(f"{cube} is not a 3-cell")
-    faces = boundary(cube)
-    lead = faces.coefficient(p)
+    lead = boundary(cube).coefficient(p)
     if lead == 0:
         raise ValueError(f"{p} is not a face of {cube}")
-    row, steps = _row_steps(op, faces, p)
-    return -gauge_numerator(0, 0, row, steps) * op.unit / lead
+    _, row, steps, t = _site_terms(op, cube, p)
+    return -gauge_numerator(0, 0, row, steps, t) * op.unit / lead
 
 
 def default_cubes(d: int, scale: int) -> list[Cell]:
@@ -139,89 +156,134 @@ def default_cubes(d: int, scale: int) -> list[Cell]:
 
 def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
     """Gauge residuals for every site; sorted canonically."""
-    offsets, labels = _class_offsets(cubes, radius), {}
-    return _sweep(_gauge_chunk(op, cube, offsets[_parity(cube)], radius + 1, labels)
-                  for cube in cubes)
+    offsets, (class_key, class_row) = _class_offsets(cubes, radius), _classes(op)
+    classes: dict = {}
+    partners: dict = {}
+    labels: dict = {}
+
+    def chunk(cube: Cell) -> list[ResidualReport]:
+        key = class_key(cube.scale, cube.coords)
+        values = classes.get(key)
+        if values is None:
+            values = classes[key] = _gauge_values(op, cube, offsets[_parity(cube)], radius + 1,
+                                                  class_row("gauge", key), class_key, partners)
+        return _site_reports("gauge", cube, format_cell(cube), values, labels)
+
+    return _sweep(map(chunk, cubes))
 
 
-def _gauge_chunk(op, cube: Cell, offsets: Sequence[tuple], reach: int,
-                 labels: dict) -> list[ResidualReport]:
-    """Gauge reports at (cube, cube + t); reach bounds f - t for every face offset f."""
-    faces = boundary(cube)
-    if not all(op.has_var(q) for q in faces.cells()):
+def _gauge_values(op, cube: Cell, offsets: Sequence[tuple], reach: int, row: dict,
+                  class_key: Callable, partners: dict) -> list[tuple[tuple, Fraction]]:
+    """(t, residual) at (cube, cube + t) for each offset t of cube's class with cube + t in the
+    universe, in offset order; none when a face is outside it.
+
+    row is the class row, offset -> numerator; a miss reads the partner
+    p = cube + t from partners, the sweep's memo class_key(p) -> (a_int(p),
+    b_row(p, reach)), or None for a p outside the universe.  reach bounds
+    f - t for every face offset f.
+    """
+    faces, steps = _face_steps(cube)
+    if not all(map(op.has_var, faces.cells())):
         return []
-    scale, u = cube.scale, cube.coords
-    steps = [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
+    scale, u, unit = cube.scale, cube.coords, op.unit
     lead = dict(steps)
+    out = []
+    for t in offsets:
+        n = row.get(t)
+        if n is None:
+            v = tuple(map(add, u, t))
+            key = class_key(scale, v)
+            if key in partners:
+                partner = partners[key]
+            else:
+                p = Cell(scale, v)
+                partner = partners[key] = (op.a_int(p), op.b_row(p, reach)) if op.has_var(p) else None
+            if partner is None:
+                continue
+            n = row[t] = gauge_numerator(partner[0], lead.get(t, 0), partner[1], steps, t)
+        out.append((t, n * unit if n else _ZERO))
+    return out
 
-    def numerator(t: tuple) -> int | None:
-        p = Cell(scale, map(add, u, t))
-        if not op.has_var(p):
-            return None
-        return gauge_numerator(op.a_int(p), lead.get(t, 0), op.b_row(p, reach),
-                               [(tuple(map(sub, f, t)), s) for f, s in steps])
 
-    return _class_reports(_class_row(op, ("gauge", _parity(cube))), "gauge", cube, offsets,
-                          op.unit, numerator, labels)
-
-
-# -- the sweep kernel: one numerator per translation class and offset --------
+# -- the sweep kernel: one table per translation class -----------------------
 
 
 def _parity(c: Cell) -> tuple[int, ...]:
     return tuple([x & 1 for x in c.coords])
 
 
-def _class_offsets(centers: Iterable[Cell], radius: int) -> dict:
+MAX_SWEEP_SITES = 1_500_000
+
+
+def sweep_sites(centers: Iterable[Cell], radius: int) -> int:
+    """The (center, plaquette) pairs within max-norm radius of the centers, counted in
+    closed form: a gauge sweep's sites, a compat sweep's compat_b sites."""
+    return sum(n * plaquette_offset_count(key, radius)
+               for key, n in Counter(map(_parity, centers)).items())
+
+
+def _class_offsets(centers: Sequence[Cell], radius: int) -> dict:
     """For each parity pattern among centers, the offsets t with c + t a
     plaquette within max-norm radius of a center c of that pattern.
 
     Which coordinates of c + t are odd depends only on c's pattern, so one
-    list serves every center of it.
+    list serves every center of it.  A sweep of more than MAX_SWEEP_SITES
+    sites raises ValueError before any list is built.
     """
+    sites = sweep_sites(centers, radius)
+    if sites > MAX_SWEEP_SITES:
+        raise ValueError(f"{sites} sweep sites exceed the maximum {MAX_SWEEP_SITES}")
     return {key: plaquette_offsets(key, radius) for key in {_parity(c) for c in centers}}
 
 
-def _class_row(op, key: tuple) -> dict:
-    """offset -> numerator for one translation class of a sweep condition.
+def _classes(op) -> tuple[Callable, Callable]:
+    """op's translation classes: (class_key, class_row).
 
-    The module's one translation-invariance decision: a family's row lives in
-    its memo and serves every center of the class at every scale.  Any other
-    operator gets a fresh row, which one chunk's distinct offsets never hit.
+    class_key(scale, coords) names the class of a cell: every cell of it has
+    the same sweep values at the same offsets.  class_row(condition, key) is
+    the class's offset -> numerator row.  A family is invariant under even
+    translations, and cells with one coordinate-parity pattern differ by one,
+    so its class is (scale, pattern), the scale naming the universe; its rows
+    are scale-free and live in its memo under (condition, pattern), serving
+    every class of the pattern at every scale.  Any other operator's class is
+    the cell itself, with a fresh row.  This is the module's one test of the
+    operator's class.
     """
     if isinstance(op, CubicalFamilyOp):
-        return op._memo.setdefault(key, {})
-    return {}
+        memo = op._memo
+        return (lambda scale, coords: (scale, tuple([x & 1 for x in coords])),
+                lambda condition, key: memo.setdefault((condition, key[1]), {}))
+    return Cell, lambda condition, key: {}
 
 
-def _class_reports(row: dict, condition: str, center: Cell, offsets: Sequence[tuple],
-                   unit: Fraction, numerator: Callable[[tuple], int | None],
-                   labels: dict) -> list[ResidualReport]:
-    """Reports at (center, center + t) for each offset t, reading numerators from row.
+class _Labels(dict):
+    """coords -> plaquette label at one scale, formatted on first use."""
 
-    numerator(t) runs only on a row miss; it returns None for a site outside
-    the operator's universe, which gets no report.  labels is the sweep's
-    memo, scale -> {coords: label}: a plaquette seen from several centers
-    is formatted once per sweep.
+    __slots__ = ("tail",)
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.tail = "]@" + str(scale)
+
+    def __missing__(self, coords: tuple) -> str:
+        label = self[coords] = "[" + ",".join(map(str, coords)) + self.tail
+        return label
+
+
+def _site_reports(condition: str, center: Cell, head: str, values: Sequence[tuple],
+                  labels: dict) -> list[ResidualReport]:
+    """Reports at (center, center + t) for the (t, value) pairs of center's class.
+
+    labels is the sweep's memo, scale -> _Labels: a plaquette seen from
+    several centers is formatted once per sweep.
     """
     scale, u = center.scale, center.coords
-    head, tail = format_cell(center), "]@" + str(scale)
-    seen = labels.setdefault(scale, {})
+    seen = labels.get(scale)
+    if seen is None:
+        seen = labels[scale] = _Labels(scale)
     new = tuple.__new__
-    out = []
-    for t in offsets:
-        n = row.get(t)
-        if n is None:
-            n = numerator(t)
-            if n is None:
-                continue
-            row[t] = n
-        coords = tuple(map(add, u, t))
-        label = seen.get(coords)
-        if label is None:
-            label = seen[coords] = "[" + ",".join(map(str, coords)) + tail
-        out.append(new(ResidualReport, (condition, (head, label), n * unit if n else _ZERO)))
-    return out
+    return [new(ResidualReport, (condition, (head, seen[tuple(map(add, u, t))]), value))
+            for t, value in values]
 
 
 def _sweep(parts: Iterable[list[ResidualReport]]) -> list[ResidualReport]:
@@ -306,17 +368,24 @@ def sphere_condition(op) -> list[Fraction]:
 # -- multiscale compatibility -------------------------------------------------
 
 
-def _child_steps(p: Cell, q: Cell) -> list[tuple[tuple, int]]:
-    """The 16 child-pair offsets of (p, q), less 2(q - p), as (step, count) pairs.
+def _child_steps(p_pattern: Sequence[int], q_pattern: Sequence[int]) -> list[tuple[tuple, int]]:
+    """The 16 steps e_q - e_p of the child pairs of plaquettes p and q, as (step, count) pairs,
+    from the parity patterns of p and q.
 
-    Children sit at 2u + e, so q' - p' = 2(q - p) + (e_q - e_p): the steps
-    depend only on the planes of p and q.
+    The children of a plaquette u in the plane of axes a, b sit at 2u + e
+    with e = +-e_a +-e_b, so every child pair has q' - p' = 2(q - p) + (e_q -
+    e_p): the steps depend only on the two planes.
     """
-    t2 = [2 * (b - a) for a, b in zip(p.coords, q.coords)]
-    q_kids = children(q)
-    steps = Counter(tuple(map(sub, map(sub, qc.coords, pc.coords), t2))
-                    for pc in children(p) for qc in q_kids)
-    return list(steps.items())
+    def corners(pattern):
+        a, b = [i for i, x in enumerate(pattern) if x]
+        for sa, sb in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            e = [0] * len(pattern)
+            e[a], e[b] = sa, sb
+            yield e
+
+    q_corners = list(corners(q_pattern))
+    return list(Counter(tuple(map(sub, eq, ep)) for ep in corners(p_pattern)
+                        for eq in q_corners).items())
 
 
 def _compat_b(row: dict, t: tuple, steps) -> int:
@@ -327,7 +396,7 @@ def _compat_b(row: dict, t: tuple, steps) -> int:
     """
     get = row.get
     t2 = [2 * x for x in t]
-    return 4 * get(t, 0) - sum(m * get(tuple(map(add, t2, e)), 0) for e, m in steps)
+    return 4 * get(t, 0) - sum([m * get(tuple(map(add, t2, e)), 0) for e, m in steps])
 
 
 def compat_residual_a(family: CubicalFamilyOp, p: Cell) -> Fraction:
@@ -344,7 +413,7 @@ def compat_residual_b(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
     family.check_var(q)
     t = tuple(map(sub, q.coords, p.coords))
     row = family.b_row(p, 2 * max(map(abs, t)) + 2)
-    return _compat_b(row, t, _child_steps(p, q)) * (family.unit / 4)
+    return _compat_b(row, t, _child_steps(_parity(p), _parity(q))) * (family.unit / 4)
 
 
 def child_interaction_sum(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
@@ -360,37 +429,46 @@ def base_plaquettes(d: int, scale: int) -> list[Cell]:
 def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],
                  radius: int) -> list[ResidualReport]:
     """Both compatibility residuals over (p, q) windows; sorted canonically."""
-    offsets, labels = _class_offsets(plaquettes, radius), {}
-    return _sweep(_compat_chunk(family, p, offsets[_parity(p)], radius, labels)
-                  for p in plaquettes)
+    offsets, (class_key, class_row) = _class_offsets(plaquettes, radius), _classes(family)
+    classes: dict = {}
+    labels: dict = {}
+
+    def chunk(p: Cell) -> list[ResidualReport]:
+        key = class_key(p.scale, p.coords)
+        entry = classes.get(key)
+        if entry is None:
+            entry = classes[key] = _compat_values(family, p, offsets[_parity(p)], 2 * radius + 2,
+                                                  class_row("compat", key))
+        head = format_cell(p)
+        return [ResidualReport("compat_a", (head,), entry[0]),
+                *_site_reports("compat_b", p, head, entry[1], labels)]
+
+    return _sweep(map(chunk, plaquettes))
 
 
-def _compat_chunk(family: CubicalFamilyOp, p: Cell, offsets: Sequence[tuple],
-                  radius: int, labels: dict) -> list[ResidualReport]:
-    """compat_a at p and compat_b at p + t for each offset t.
+def _compat_values(family: CubicalFamilyOp, p: Cell, offsets: Sequence[tuple], reach: int,
+                   row: dict) -> tuple[Fraction, list[tuple[tuple, Fraction]]]:
+    """compat_a at p, and (t, compat_b at p + t) for each offset t of p's class.
 
     Each q = p + t is a plaquette by the offsets' construction, so neither q
-    nor its children are built: t's parity pattern picks q's plane, whose
-    child steps are taken on the plane's first row miss from its plaquette
-    among base_plaquettes, the one with coordinates pattern xor (t & 1).  A
-    chunk whose class row is warm takes none.
+    nor its children are built: q's parity pattern is p's xor t's, and the
+    child steps of each plane of q come from _child_steps on the first miss
+    of the class row that needs them.
     """
-    out = [ResidualReport("compat_a", (format_cell(p),), compat_residual_a(family, p))]
-    row = family.b_row(p, 2 * radius + 2)
-    pattern = _parity(p)
+    a_value = compat_residual_a(family, p)
+    b_row, unit, pattern = family.b_row(p, reach), family.unit / 4, _parity(p)
     steps: dict = {}
-
-    def numerator(t: tuple) -> int:
-        plane = tuple([x & 1 for x in t])
-        plane_steps = steps.get(plane)
-        if plane_steps is None:
-            q = Cell(p.scale, tuple(map(xor, pattern, plane)))
-            plane_steps = steps[plane] = _child_steps(p, q)
-        return _compat_b(row, t, plane_steps)
-
-    out += _class_reports(_class_row(family, ("compat", pattern)), "compat_b", p, offsets,
-                          family.unit / 4, numerator, labels)
-    return out
+    out = []
+    for t in offsets:
+        n = row.get(t)
+        if n is None:
+            plane = tuple([x & 1 for x in t])
+            plane_steps = steps.get(plane)
+            if plane_steps is None:
+                plane_steps = steps[plane] = _child_steps(pattern, tuple(map(xor, pattern, plane)))
+            n = row[t] = _compat_b(b_row, t, plane_steps)
+        out.append((t, n * unit if n else _ZERO))
+    return a_value, out
 
 
 # -- quotient well-definedness ------------------------------------------------

@@ -16,9 +16,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 
 from holoflow.cells import Cell, boundary, box_cells
+from holoflow import cli
 from holoflow.cli import main
 from holoflow.operators import CubicalFamilyOp, ExplicitOp
 from holoflow.states import MAX_DEGREE
+from holoflow.verify import MAX_SWEEP_SITES
 
 
 @pytest.fixture()
@@ -545,6 +547,28 @@ def test_jobs_must_be_positive(runner, args, env):
     assert "checked" not in result.output
 
 
+@pytest.mark.parametrize("args, sites", [
+    (("verify-invariance", "--d", "4", "--scales", "-1,0,1", "--window", "1"), 2880),
+    (("verify-compat", "--d", "3", "--scales", "-1,0", "--window", "2"), 306),
+])
+def test_sweep_sites_above_the_bound_are_a_usage_error(runner, monkeypatch, args, sites):
+    # the command's sites across its scales; compat_a sites are not counted
+    monkeypatch.setattr(cli, "MAX_SWEEP_SITES", sites)
+    assert invoke(runner, *args).exit_code == 0
+    monkeypatch.setattr(cli, "MAX_SWEEP_SITES", sites - 1)
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert f"gives {sites} sweep sites, above the maximum {sites - 1}" in result.output
+    assert "checked" not in result.output
+
+
+@pytest.mark.parametrize("command", ["verify-invariance", "verify-compat"])
+def test_a_huge_window_exits_before_sweeping(runner, command):
+    result = runner.invoke(main, [command, "--window", str(10**9), "--scales", "0,1"])
+    assert_usage_error(result)
+    assert f"above the maximum {MAX_SWEEP_SITES}" in result.output
+
+
 @pytest.mark.parametrize("args", [
     ("covariance", "--window", "1", "--format", "csv"),
     ("verify-invariance", "--op", FAULT_OP, "--window", "1"),
@@ -667,7 +691,10 @@ def cli_arguments(draw):
     for option in SIZED_OPTIONS[command]:
         if option in ("--jobs", "--decimal") and draw(st.booleans()):
             continue
-        args += [option, draw(st.sampled_from(["-1", "0", "1", "2"]))]
+        values = ["-1", "0", "1", "2"]
+        if option == "--window" and command.startswith("verify-"):
+            values.append(str(10**6))  # above the sweep bound: rejected before any site
+        args += [option, draw(st.sampled_from(values))]
     op = draw(st.sampled_from([None, *OP_SPECS]))
     if command != "sphere-check" and op is not None:
         args += ["--op", op]

@@ -711,10 +711,12 @@ def test_gauge_numerator_matches_fraction_residual():
             for p in plaquettes:
                 want = faces.coefficient(p) * op.coeff_a(p) - sum(
                     s * op.coeff_b(p, q) for q, s in faces.items())
-                steps = [(tuple(b - a for a, b in zip(p.coords, q.coords)), s)
+                steps = [(tuple(b - a for a, b in zip(cube.coords, q.coords)), s)
                          for q, s in faces.items()]
-                row = op.b_row(p, max(max(map(abs, f)) for f, _ in steps))
-                assert gauge_numerator(op.a_int(p), faces.coefficient(p), row, steps) * op.unit == want
+                t = tuple(b - a for a, b in zip(cube.coords, p.coords))
+                row = op.b_row(p, max(abs(x - y) for f, _ in steps for x, y in zip(f, t)))
+                assert (gauge_numerator(op.a_int(p), faces.coefficient(p), row, steps, t)
+                        * op.unit == want)
                 nonzero += want != 0
         assert nonzero > 0 if op is faulty or op is explicit else nonzero == 0
 

@@ -217,6 +217,34 @@ def test_compat_detects_broken_scaling():
     assert violations(reports)
 
 
+def _child_steps_from_cells(p: Cell, q: Cell) -> Counter:
+    """The child-pair offsets of (p, q) less 2(q - p), walked over cells.children."""
+    t2 = [2 * (b - a) for a, b in zip(p.coords, q.coords)]
+    return Counter(tuple(y - x - s for x, y, s in zip(pc.coords, qc.coords, t2))
+                   for pc in children(p) for qc in children(q))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_child_steps_from_planes_match_the_children(d):
+    planes = list(_patterns(d, 2))
+    for p_pattern, q_pattern in itertools.product(planes, repeat=2):
+        steps = verify._child_steps(p_pattern, q_pattern)
+        assert len(steps) == len(dict(steps))
+        assert Counter(dict(steps)) == _child_steps_from_cells(Cell(0, p_pattern), Cell(0, q_pattern))
+        # the steps depend on the planes only, not on where p and q sit
+        far = Cell(1, tuple(x + 2 * i - 6 for i, x in enumerate(q_pattern)))
+        assert Counter(dict(steps)) == _child_steps_from_cells(Cell(1, p_pattern), far)
+
+
+def test_compat_residuals_and_sweeps_share_the_child_steps(monkeypatch):
+    calls = _count_calls(monkeypatch, verify, "_child_steps")
+    compat_residual_b(MAIN3, BASE3, Cell(0, (0, 1, 1)))
+    assert calls == {True: 1}
+    calls.clear()
+    assert compat_sweep(_fresh(MAIN3, 0), [BASE3], 1)
+    assert calls == {True: 3}  # one per plane of q
+
+
 # -- one numerator per translation class -------------------------------------------
 
 
@@ -241,6 +269,28 @@ def test_class_offsets_enumerate_exactly_the_nearby_plaquettes(d):
                     shifted = [Cell(0, tuple(a + b for a, b in zip(c.coords, t)))
                                for t in offsets[_parity(c)]]
                     assert shifted == list(cells_near(c, radius, dim=2))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_sweep_sites_count_the_offsets_without_enumerating(d):
+    for centers in (default_cubes(d, 0), base_plaquettes(d, 0), [CUBE] if d == 3 else []):
+        offsets = _class_offsets(centers, 2)
+        want = sum(len(offsets[_parity(c)]) for c in centers)
+        assert verify.sweep_sites(centers, 2) == want
+    assert verify.sweep_sites(default_cubes(4, 0), 6) * 3 <= verify.MAX_SWEEP_SITES
+
+
+@pytest.mark.parametrize("sweep", [gauge_sweep, compat_sweep])
+def test_a_sweep_above_the_bound_raises_before_enumerating(monkeypatch, sweep):
+    centers = default_cubes(3, 0) if sweep is gauge_sweep else base_plaquettes(3, 0)
+    sites = verify.sweep_sites(centers, 2)
+    monkeypatch.setattr(verify, "MAX_SWEEP_SITES", sites)
+    assert sweep(_fresh(MAIN3, 0), centers, 2)
+    monkeypatch.setattr(verify, "MAX_SWEEP_SITES", sites - 1)
+    offsets = _count_calls(monkeypatch, verify, "plaquette_offsets")
+    with pytest.raises(ValueError, match=f"{sites} sweep sites exceed the maximum {sites - 1}"):
+        sweep(_fresh(MAIN3, 0), centers, 2)
+    assert not offsets
 
 
 def _identities(fam, kind: str) -> int:
@@ -356,6 +406,49 @@ def test_explicit_cubes_of_one_pattern_are_separate_classes():
         assert violations(reports)
         for r in reports:
             assert r.value == gauge_residual(op, *map(parse_cell, r.site))
+
+
+def _count_calls(monkeypatch, owner, name: str, record=lambda *args: True) -> Counter:
+    """Count owner.name's calls, keyed by record(*args), from now on."""
+    calls = Counter()
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls[record(*args)] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_each_gauge_class_is_computed_once_per_sweep(monkeypatch):
+    # verify-invariance --d 4 --scales -1,0,1 --window 1: 120 identities, all
+    # at the first scale; the later scales read the family's class rows
+    calls = _count_calls(monkeypatch, verify, "gauge_numerator")
+    fam = CubicalFamilyOp.main(4)
+    for scale, want in ((-1, 120), (0, 120), (1, 120)):
+        assert len(gauge_sweep(fam.with_scale(scale), default_cubes(4, scale), 1)) == 960
+        assert sum(calls.values()) == want
+
+
+def test_a_fault_sweep_computes_each_class_offset_once(monkeypatch):
+    # the benchmark's fault sweep: 8 cubes of one class at window 5, 3,600 sites
+    calls = _count_calls(monkeypatch, verify, "gauge_numerator")
+    reports = gauge_sweep(MAIN3.perturbed("beta", (1, 0, 0), 1), default_cubes(3, 0), 5)
+    assert len(reports) == 3600 and violations(reports)
+    assert sum(calls.values()) == 450
+
+
+@pytest.mark.parametrize("fam", SWEPT_FAMILIES, ids=["d4", "alt3", "perturbed"])
+def test_a_family_sweep_fetches_one_partner_row_per_pattern(monkeypatch, fam):
+    # cold, each pattern's row is fetched once; warm, the class rows need none
+    rows = _count_calls(monkeypatch, CubicalFamilyOp, "b_row", lambda op, p, reach: _parity(p))
+    cold = _fresh(fam, 0)
+    for scale, fetches in ((-1, {p: 1 for p in _patterns(fam.d, 2)}), (0, {})):
+        cubes = default_cubes(fam.d, scale) + [Cell(scale, (3,) * 3 + (0,) * (fam.d - 3))]
+        rows.clear()
+        assert gauge_sweep(cold.with_scale(scale), cubes, 2)
+        assert rows == fetches
 
 
 def _single_site_value(fam, report: ResidualReport) -> Fraction:
