@@ -217,6 +217,19 @@ def test_compat_detects_broken_scaling():
     assert violations(reports)
 
 
+def _count_calls(monkeypatch, owner, name: str, record=lambda *args: True) -> Counter:
+    """Count owner.name's calls, keyed by record(*args), from now on."""
+    calls = Counter()
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls[record(*args)] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def _child_steps_from_cells(p: Cell, q: Cell) -> Counter:
     """The child-pair offsets of (p, q) less 2(q - p), walked over cells.children."""
     t2 = [2 * (b - a) for a, b in zip(p.coords, q.coords)]
@@ -298,10 +311,14 @@ def _identities(fam, kind: str) -> int:
 
 
 @pytest.mark.parametrize("d, window, sites, identities", [(4, 1, 2880, 120), (3, 6, 21168, 882)])
-def test_gauge_sweep_computes_each_identity_once(d, window, sites, identities):
+def test_gauge_sweep_computes_each_identity_once(monkeypatch, d, window, sites, identities):
+    # every identity at the first scale; the later scales read the family's class rows
+    calls = _count_calls(monkeypatch, verify, "gauge_numerator")
     fam = CubicalFamilyOp.main(d)
-    checked = sum(len(gauge_sweep(fam.with_scale(s), default_cubes(d, s), window))
-                  for s in (-1, 0, 1))
+    checked = 0
+    for s in (-1, 0, 1):
+        checked += len(gauge_sweep(fam.with_scale(s), default_cubes(d, s), window))
+        assert sum(calls.values()) == identities
     assert checked == sites
     assert _identities(fam, "gauge") == identities
 
@@ -406,29 +423,6 @@ def test_explicit_cubes_of_one_pattern_are_separate_classes():
         assert violations(reports)
         for r in reports:
             assert r.value == gauge_residual(op, *map(parse_cell, r.site))
-
-
-def _count_calls(monkeypatch, owner, name: str, record=lambda *args: True) -> Counter:
-    """Count owner.name's calls, keyed by record(*args), from now on."""
-    calls = Counter()
-    fn = getattr(owner, name)
-
-    def counted(*args):
-        calls[record(*args)] += 1
-        return fn(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
-def test_each_gauge_class_is_computed_once_per_sweep(monkeypatch):
-    # verify-invariance --d 4 --scales -1,0,1 --window 1: 120 identities, all
-    # at the first scale; the later scales read the family's class rows
-    calls = _count_calls(monkeypatch, verify, "gauge_numerator")
-    fam = CubicalFamilyOp.main(4)
-    for scale, want in ((-1, 120), (0, 120), (1, 120)):
-        assert len(gauge_sweep(fam.with_scale(scale), default_cubes(4, scale), 1)) == 960
-        assert sum(calls.values()) == want
 
 
 def test_a_fault_sweep_computes_each_class_offset_once(monkeypatch):
