@@ -394,7 +394,7 @@ def plaquette_offsets(parity: Sequence[int], radius: int) -> list[tuple[int, ...
 
 
 def plaquette_offset_count(parity: Sequence[int], radius: int) -> int:
-    """len(plaquette_offsets(parity, radius)), from the lengths of the ranges, enumerating nothing."""
+    """len(plaquette_offsets(parity, radius)) from the ranges' lengths, enumerating nothing."""
     return sum(math.prod(map(len, ranges)) for ranges in _offset_ranges(parity, radius))
 
 
