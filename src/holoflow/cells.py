@@ -358,6 +358,23 @@ def box_cells(
             yield Cell(scale, u)
 
 
+def box_cell_count(lo: Sequence[int], hi: Sequence[int], dim: int) -> int:
+    """The number of cells box_cells(scale, lo, hi, dim) yields, enumerating nothing.
+
+    Axis by axis, counts[k] is the number of coordinate prefixes with k odd
+    entries; an axis range holding `odd` odd and `even` even integers sends
+    it to counts[k] * even + counts[k - 1] * odd.
+    """
+    counts = [1] + [0] * dim
+    for a, b in zip(lo, hi):
+        if b < a:
+            return 0
+        odd = (b + 1) // 2 - a // 2
+        even = b - a + 1 - odd
+        counts = [counts[k] * even + (counts[k - 1] * odd if k else 0) for k in range(dim + 1)]
+    return counts[dim]
+
+
 def cells_near(center: Cell, radius: int, dim: int) -> Iterator[Cell]:
     """Cells of a given dimension within max-norm distance radius of center."""
     lo = tuple(c - radius for c in center.coords)

@@ -22,9 +22,9 @@ from typing import NoReturn
 import click
 from click.core import ParameterSource
 
-from .cells import Cell, boundary, box_cells, format_cell
+from .cells import Cell, box_cell_count, box_cells, format_cell
 from .operators import CubicalFamilyOp, SphereOp, operator_from_json
-from .poly import LinearIdeal, Polynomial, ideal_from_cubes, parse_polynomial
+from .poly import LinearIdeal, Polynomial, bianchi_form, parse_polynomial
 from .states import (
     covariance_window,
     exp_state,
@@ -35,6 +35,7 @@ from .states import (
 )
 from .verify import (
     MAX_SWEEP_SITES,
+    MAX_WELLDEFINED_PROBES,
     ResidualReport,
     base_plaquettes,
     child_interaction_sum,
@@ -97,15 +98,20 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
     else:
         spec, shorthand = {"variant": "cubical", "d": d, "scale": scale}, True
     if not shorthand:
-        ctx = click.get_current_context()
-        for name in ("d", "scale"):
-            if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
-                raise click.UsageError(f"--{name} is not read for this operator: a JSON spec"
-                                       " or a sphere operator fixes its own universe")
+        _refuse_given(("d", "scale"), "a JSON spec or a sphere operator fixes its own universe")
     try:
         return operator_from_json(spec)
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
         raise click.UsageError(f"invalid operator spec: {e}")
+
+
+def _refuse_given(names: Sequence[str], reason: str) -> None:
+    """A usage error for the first of these options given on the command line, which the
+    operator does not read; their defaults pass."""
+    ctx = click.get_current_context()
+    for name in names:
+        if ctx.get_parameter_source(name) is ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"--{name} is not read for this operator: {reason}")
 
 
 def _parse_scales(text: str) -> list[int]:
@@ -209,15 +215,22 @@ def _require_lattice_op(op):
     return op
 
 
-def _explicit_cubes(op) -> list[Cell]:
-    """The 3-cells of the box spanned by an explicit operator's cell variables, at their scale."""
+def _explicit_box(op) -> tuple | None:
+    """(scale, lo, hi) of the box spanned by an explicit operator's cell variables, or None
+    when it has none."""
     cells = [v for v in op.variables() if isinstance(v, Cell)]
     if not cells:
-        return []
+        return None
     d = cells[0].ambient_dim
     lo = tuple(min(c.coords[i] for c in cells) for i in range(d))
     hi = tuple(max(c.coords[i] for c in cells) for i in range(d))
-    return list(box_cells(cells[0].scale, lo, hi, dim=3))
+    return cells[0].scale, lo, hi
+
+
+def _explicit_cubes(op) -> list[Cell]:
+    """The 3-cells of the box spanned by an explicit operator's cell variables, at their scale."""
+    box = _explicit_box(op)
+    return [] if box is None else list(box_cells(*box, dim=3))
 
 
 def _check_sweep_size(sweeps: list[tuple], window: int) -> None:
@@ -229,6 +242,18 @@ def _check_sweep_size(sweeps: list[tuple], window: int) -> None:
     if sites > MAX_SWEEP_SITES:
         raise click.UsageError(f"--window {window} gives {sites} sweep sites, above the maximum"
                                f" {MAX_SWEEP_SITES}; use a smaller --window or fewer --scales")
+
+
+def _check_probe_count(trials: int, generators: int) -> None:
+    """Reject a welldefined run of more than MAX_WELLDEFINED_PROBES probes, trials x generators.
+
+    A lattice ideal's generators are at most the 3-cells of its box, counted in closed form,
+    so an oversized --window or --trials exits 2 before any cell is listed.
+    """
+    probes = trials * generators
+    if probes > MAX_WELLDEFINED_PROBES:
+        raise click.UsageError(f"--trials {trials} with {generators} generators gives {probes}"
+                               f" probes, above the maximum {MAX_WELLDEFINED_PROBES}")
 
 
 # -- commands -----------------------------------------------------------------
@@ -463,18 +488,24 @@ def covariance(op_text, d, scale, window, psd, fmt, out, decimal):
 def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
     """Check reduce(L(f_c * g)) = 0 on seeded random g; exit 0 iff all vanish."""
     op = _resolve_operator(op_text, d, scale, areas)
+    if not isinstance(op, CubicalFamilyOp):
+        _refuse_given(("window",), "a sphere or explicit operator's ideal comes from its"
+                                   " own universe")
     if isinstance(op, SphereOp):
-        constraint = Polynomial.linear({i: 1 for i in range(1, op.n + 1)})
-        ideal = LinearIdeal([constraint])
+        _check_probe_count(trials, 1)
+        ideal = LinearIdeal([Polynomial.linear({i: 1 for i in range(1, op.n + 1)})])
     else:
         if isinstance(op, CubicalFamilyOp):
-            cubes = list(box_cells(op.scale, (-window,) * op.d, (window,) * op.d, dim=3))
+            box = (op.scale, (-window,) * op.d, (window,) * op.d)
         else:
-            cubes = _explicit_cubes(op)
-        cubes = [c for c in cubes if all(op.has_var(q) for q in boundary(c).cells())]
-        if not cubes:
+            box = _explicit_box(op)
+        if box is not None:
+            _check_probe_count(trials, box_cell_count(box[1], box[2], 3))
+            forms = [bianchi_form(c) for c in box_cells(*box, dim=3)]
+            forms = [f for f in forms if all(map(op.has_var, f.variables()))]
+        if box is None or not forms:
             raise click.UsageError("no 3-cells with all faces inside the operator universe")
-        ideal = ideal_from_cubes(cubes)
+        ideal = LinearIdeal(forms)
     reports = welldefined_property(op, ideal, trials=trials, seed=seed)
     config = {"trials": trials, "seed": seed, "generators": len(ideal.generators)}
     _render_residuals("welldefined", op, config, reports, fmt, out)

@@ -532,6 +532,18 @@ class CubicalFamilyOp(Frozen):
             held = self._memo[parity] = (reach, self._push_row(*plane, reach))
         return held[1]
 
+    def class_rows(self, plaquettes: Iterable[Cell], reach: int) -> dict:
+        """p -> b_row(p, reach) for each plaquette, with one b_row call per parity class."""
+        rows: dict = {}
+        out = {}
+        for p in plaquettes:
+            key = tuple([c & 1 for c in p.coords])
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = self.b_row(p, reach)
+            out[p] = row
+        return out
+
     def sized_cross(self, pool: Iterable) -> Callable:
         """(p, q) -> b_int(p, q) + b_int(q, p) for p and q in pool, read from rows sized once.
 
@@ -543,7 +555,7 @@ class CubicalFamilyOp(Frozen):
         finite and small, since the rows reach across all of it.
         """
         spread = max((max(c) - min(c) for c in zip(*(p.coords for p in pool))), default=0)
-        table = {p: (p.coords, self.b_row(p, spread)) for p in pool}
+        table = {p: (p.coords, row) for p, row in self.class_rows(pool, spread).items()}
 
         def cross_int(p: Cell, q: Cell) -> int:
             u, row_p = table[p]

@@ -6,9 +6,12 @@ every identity checked downstream is exact; there is no floating-point mode.
 
 A monomial is a tuple of (variable, exponent) pairs sorted by _var_key, and
 the inner loops work on these tuples directly.  The product of two monomials
-is one linear merge of the sorted factors.  substitute(), the ring
-homomorphism that changes variables, expands every term into one
-accumulator and builds a single Polynomial at the end.
+is one linear merge of the sorted factors.  _var_key's order is the native
+one within each type, so the merge compares two cells as tuples and two ints
+as ints; only an int against a cell goes through _var_key, which puts the
+int first.  substitute(), the ring homomorphism that changes variables,
+expands every term into one accumulator and builds a single Polynomial at
+the end.
 
 A LinearIdeal is spanned by degree-1 generators with zero constant term (the
 shape of all holonomy constraints here).  It is triangularized once at
@@ -57,30 +60,34 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     out = []
     i = j = 0
     n1, n2 = len(m1), len(m2)
-    k1, k2 = _var_key(m1[0][0]), _var_key(m2[0][0])
+    v1, v2 = m1[0][0], m2[0][0]
     while True:
-        if k1 < k2:
+        if v1 == v2:
+            out.append((v1, m1[i][1] + m2[j][1]))
+            i += 1
+            j += 1
+            if i == n1:
+                return (*out, *m2[j:])
+            if j == n2:
+                return (*out, *m1[i:])
+            v1, v2 = m1[i][0], m2[j][0]
+            continue
+        try:
+            first = v1 < v2
+        except TypeError:  # an int against a cell
+            first = _var_key(v1) < _var_key(v2)
+        if first:
             out.append(m1[i])
             i += 1
             if i == n1:
                 return (*out, *m2[j:])
-            k1 = _var_key(m1[i][0])
-        elif k2 < k1:
+            v1 = m1[i][0]
+        else:
             out.append(m2[j])
             j += 1
             if j == n2:
                 return (*out, *m1[i:])
-            k2 = _var_key(m2[j][0])
-        else:
-            v, e = m1[i]
-            out.append((v, e + m2[j][1]))
-            i += 1
-            j += 1
-            if i == n1:
-                return (*out, *m2[j:])
-            if j == n2:
-                return (*out, *m1[i:])
-            k1, k2 = _var_key(m1[i][0]), _var_key(m2[j][0])
+            v2 = m2[j][0]
 
 
 def _mul_terms(t1: Mapping, t2: Mapping) -> dict:
@@ -401,8 +408,13 @@ class LinearIdeal(Frozen):
     Triangularization eliminates, for each independent generator, its largest
     variable in the declared total order (index order for integer variables,
     (scale, coords) order for cells), and back-substitutes fully, so no
-    leading variable appears on a right-hand side.  The rows are then stored
-    as integer linear forms over one denominator den, the lcm of their
+    leading variable appears on a right-hand side.  Construction keeps an
+    index from each variable to the leads whose right-hand side holds it, so
+    a new lead is back-substituted into just those rows, not into every row
+    of the system.  Each generator enters scaled to integer coefficients,
+    and a pivot of 1 or -1 divides without a Fraction, so the cube and
+    sphere ideals are eliminated on integers.  The rows are then stored as
+    integer linear forms over one denominator den, the lcm of their
     denominators: leading variable v = _rows[v] / den.  den is 1 for the
     cube and sphere ideals.
 
@@ -426,8 +438,10 @@ class LinearIdeal(Frozen):
             if g.eval_zero():
                 raise ValueError(f"generator has a constant term: {g}")
         subst: dict = {}
+        holders: dict = {}
         for g in gens:
-            _insert(subst, {v: c for m, c in g.terms.items() for v, _ in m})
+            terms, _ = _integer_terms(g)
+            _insert(subst, holders, {v: n for m, n in terms.items() for v, _ in m})
         den = math.lcm(*(c.denominator for rhs in subst.values() for c in rhs.values()))
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "den", den)
@@ -509,26 +523,39 @@ class LinearIdeal(Frozen):
         return f"LinearIdeal(rank={self.rank}, generators={len(self.generators)})"
 
 
-def _insert(subst: dict, form: dict) -> None:
-    """Add one linear form to a fully back-substituted triangular system."""
+def _insert(subst: dict, holders: dict, form: dict) -> None:
+    """Add one linear form to a fully back-substituted triangular system.
+
+    holders maps each variable to the set of leading variables whose
+    right-hand side holds it; a new lead is substituted into those rows only.
+    """
     for v in [v for v in form if v in subst]:
         c = form.pop(v)
         for w, cw in subst[v].items():
-            form[w] = form.get(w, Fraction(0)) + c * cw
+            form[w] = form.get(w, 0) + c * cw
     form = {v: c for v, c in form.items() if c}
     if not form:
         return
     lead = max(form, key=_var_key)
     coef = form.pop(lead)
-    rhs = {w: -cw / coef for w, cw in form.items()}
-    for other in subst.values():
-        if lead in other:
-            c = other.pop(lead)
-            for w, cw in rhs.items():
-                other[w] = other.get(w, Fraction(0)) + c * cw
-            for w in [w for w, cw in other.items() if not cw]:
+    if coef == 1 or coef == -1:  # its own inverse: integer coefficients stay integers
+        rhs = {w: -cw * coef for w, cw in form.items()}
+    else:
+        rhs = {w: Fraction(-cw, coef) for w, cw in form.items()}
+    for u in holders.pop(lead, ()):
+        other = subst[u]
+        c = other.pop(lead)
+        for w, cw in rhs.items():
+            other[w] = other.get(w, 0) + c * cw
+        for w in rhs:
+            if other[w]:
+                holders.setdefault(w, set()).add(u)
+            else:
                 del other[w]
+                holders[w].discard(u)
     subst[lead] = rhs
+    for w in rhs:
+        holders.setdefault(w, set()).add(lead)
 
 
 def _integer_terms(f: Polynomial) -> tuple[dict, int]:

@@ -500,9 +500,10 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
         family.check_var(p)
     unit = family.unit
     scale = 2 * unit.numerator
+    rows = family.class_rows(plaquettes, 2 * radius)
     nums = {}
     for i, p in enumerate(plaquettes):
-        u, row = p.coords, family.b_row(p, 2 * radius)
+        u, row = p.coords, rows[p]
         for q in plaquettes[i:]:
             value = -row.get(tuple(map(sub, q.coords, u)), 0)
             if q is p:

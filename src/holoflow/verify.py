@@ -65,7 +65,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .cells import (Cell, SignedChain, boundary, box_cells, children, format_cell,
                     plaquette_offset_count, plaquette_offsets, plaquettes_near)
 from .operators import CubicalFamilyOp, _apply_int, _check_vars, _pair_memo
-from .poly import LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_sort_key, _mul_terms
+from .poly import (LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_from_dict,
+                   _mono_sort_key, _mul_terms)
 
 
 _ZERO = Fraction(0)
@@ -213,6 +214,7 @@ def _parity(c: Cell) -> tuple[int, ...]:
 
 
 MAX_SWEEP_SITES = 1_500_000
+MAX_WELLDEFINED_PROBES = 20_000
 
 
 def sweep_sites(centers: Iterable[Cell], radius: int) -> int:
@@ -550,14 +552,23 @@ def _probe_pool(op, ideal: LinearIdeal) -> list:
         for scale, group in centers.items()
         for coords in plaquettes_near(group, WELLDEFINED_POOL_RADIUS)
     }
-    return sorted((v for v in pool_set if op.has_var(v)), key=lambda v: str(v))
+    return sorted(filter(op.has_var, pool_set), key=str)
 
 
 def _random_polynomial(rng: random.Random, pool: list) -> Polynomial:
-    f = Polynomial.zero()
+    """A seeded random polynomial over pool, its term map built directly.
+
+    Each of one to WELLDEFINED_MAX_TERMS terms is a coefficient n/k times up
+    to WELLDEFINED_MAX_DEGREE variables drawn from pool; terms that cancel
+    are dropped by Polynomial.
+    """
+    terms: dict = {}
     for _ in range(rng.randint(1, WELLDEFINED_MAX_TERMS)):
-        term = Polynomial.const(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+        c = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        powers: dict = {}
         for _ in range(rng.randint(0, WELLDEFINED_MAX_DEGREE)):
-            term = term * Polynomial.var(rng.choice(pool))
-        f = f + term
-    return f
+            v = rng.choice(pool)
+            powers[v] = powers.get(v, 0) + 1
+        m = _mono_from_dict(powers)
+        terms[m] = terms.get(m, 0) + c
+    return Polynomial(terms)

@@ -14,6 +14,7 @@ from holoflow.cells import (
     act_chain,
     boundary,
     boundary_of_chain,
+    box_cell_count,
     box_cells,
     cell_dimension,
     cells_near,
@@ -302,3 +303,13 @@ def test_box_cells_come_in_cell_order(data):
     scale = data.draw(st.integers(-2, 2))
     listed = list(box_cells(scale, lo, hi, dim=dim))
     assert listed == sorted(listed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_box_cell_count_counts_box_cells(data):
+    d = data.draw(st.integers(1, 4))
+    lo = data.draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d))
+    hi = [a + data.draw(st.integers(-1, 4)) for a in lo]
+    dim = data.draw(st.integers(0, d + 1))
+    assert box_cell_count(lo, hi, dim) == sum(1 for _ in box_cells(0, lo, hi, dim=dim))

@@ -20,7 +20,7 @@ from holoflow import cli
 from holoflow.cli import main
 from holoflow.operators import CubicalFamilyOp, ExplicitOp
 from holoflow.states import MAX_DEGREE
-from holoflow.verify import MAX_SWEEP_SITES
+from holoflow.verify import MAX_SWEEP_SITES, MAX_WELLDEFINED_PROBES
 
 
 @pytest.fixture()
@@ -167,7 +167,11 @@ def test_lattice_options_with_a_json_spec_are_usage_errors(runner, command, extr
     ("verify-compat", "--op", '{"variant":"cubical"}', "--window", "1", "--d", "3"),
     ("moments", "--areas", "1/2,1/2", "--poly", "x1^2", "--scale", "1"),
     ("welldefined", "--op", "sphere", "--areas", "1/2,1/2", "--trials", "1", "--d", "3"),
-], ids=["invariance-spec-d", "compat-spec-d", "moments-areas-scale", "welldefined-sphere-d"])
+    ("welldefined", "--op", "sphere", "--areas", "1/2,1/2", "--trials", "2", "--window", "3"),
+    ("welldefined", "--areas", "1/2,1/2", "--trials", "1", "--window", "1"),
+    ("welldefined", "--op", CUBE_FACES_OP, "--trials", "1", "--window", "1"),
+], ids=["invariance-spec-d", "compat-spec-d", "moments-areas-scale", "welldefined-sphere-d",
+        "welldefined-sphere-window", "welldefined-areas-window", "welldefined-explicit-window"])
 def test_lattice_options_with_a_spec_or_a_sphere_are_usage_errors(runner, args):
     result = runner.invoke(main, list(args))
     assert_usage_error(result)
@@ -567,6 +571,39 @@ def test_a_huge_window_exits_before_sweeping(runner, command):
     result = runner.invoke(main, [command, "--window", str(10**9), "--scales", "0,1"])
     assert_usage_error(result)
     assert f"above the maximum {MAX_SWEEP_SITES}" in result.output
+
+
+@pytest.mark.parametrize("args, probes", [
+    (("welldefined", "--d", "3", "--trials", "3"), 24),
+    (("welldefined", "--d", "4", "--window", "2", "--trials", "1"), 96),
+    (("welldefined", "--op", "sphere", "--areas", "1/2,1/4,1/4", "--trials", "5"), 5),
+    (("welldefined", "--op", CUBE_FACES_OP, "--trials", "4"), 4),
+], ids=["d3", "d4-window2", "sphere", "explicit"])
+def test_welldefined_probes_above_the_bound_are_a_usage_error(runner, monkeypatch, args, probes):
+    # trials x the 3-cells of the ideal's box (a d=4 window of 2 keeps 80 of its 96)
+    monkeypatch.setattr(cli, "MAX_WELLDEFINED_PROBES", probes)
+    assert runner.invoke(main, list(args)).exit_code in (0, 1)
+    monkeypatch.setattr(cli, "MAX_WELLDEFINED_PROBES", probes - 1)
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert f"gives {probes} probes, above the maximum {probes - 1}" in result.output
+    assert "checked" not in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ("--d", "4", "--window", "12", "--trials", "1"),
+    ("--window", str(10**9), "--trials", "1"),
+    ("--trials", str(MAX_WELLDEFINED_PROBES + 1), "--op", "sphere", "--areas", "1/2,1/2"),
+], ids=["d4-window12", "huge-window", "sphere-trials"])
+def test_an_oversized_welldefined_run_exits_before_listing_a_cell(runner, monkeypatch, args):
+    def unlisted(*_):
+        raise AssertionError("a cell was listed")
+
+    monkeypatch.setattr(cli, "box_cells", unlisted)
+    monkeypatch.setattr(cli, "bianchi_form", unlisted)
+    result = runner.invoke(main, ["welldefined", *args])
+    assert_usage_error(result)
+    assert f"above the maximum {MAX_WELLDEFINED_PROBES}" in result.output
 
 
 @pytest.mark.parametrize("args", [

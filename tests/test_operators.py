@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from holoflow.operators import (
     operator_from_json,
 )
 from holoflow.poly import Polynomial, ideal_from_cubes
-from holoflow.states import exp_state
+from holoflow.states import covariance_window, exp_state
 from holoflow.verify import (
     _probe_pool,
     base_plaquettes,
@@ -895,6 +896,25 @@ def test_sized_pair_table_matches_two_lookups(fam):
         for q in pool:
             assert cross_int(p, q) == lazy.b_int(p, q) + lazy.b_int(q, p), (p, q)
     assert all(sized._memo[key] is held for key, held in rows.items())  # none regrew
+
+
+@pytest.mark.parametrize("fam", [MAIN3, MAIN4], ids=repr)
+@pytest.mark.parametrize("caller", ["sized_cross", "covariance_window"])
+def test_rows_are_fetched_once_per_parity_class(monkeypatch, fam, caller):
+    fam = _fresh(fam)
+    if caller == "sized_cross":
+        plaquettes = _window1_pool(fam)
+        run = lambda: fam.sized_cross(plaquettes)
+    else:
+        plaquettes = fam.window_plaquettes(1)
+        run = lambda: covariance_window(fam, 1)
+    fetched = Counter()
+    b_row = CubicalFamilyOp.b_row
+    monkeypatch.setattr(CubicalFamilyOp, "b_row", lambda self, p, reach: fetched.update(
+        [tuple(c & 1 for c in p.coords)]) or b_row(self, p, reach))
+    run()
+    assert fetched == Counter({tuple(c & 1 for c in p.coords) for p in plaquettes})
+    assert len(plaquettes) > len(fetched)
 
 
 def test_sized_pair_table_reads_both_orientations_at_d4():

@@ -1,14 +1,15 @@
 """Polynomial ring, formal derivatives, and linear ideal reduction."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from holoflow.cells import Cell
+from holoflow.cells import Cell, box_cells
 from holoflow.poly import (
     LinearIdeal,
     Polynomial,
@@ -148,6 +149,66 @@ monomials = st.dictionaries(variables, st.integers(1, 4), max_size=5).map(
 @given(monomials, monomials)
 def test_mono_mul_is_the_sorted_dict_product(m1, m2):
     assert _mono_mul(m1, m2) == dict_mono_mul(m1, m2) == _mono_mul(m2, m1)
+
+
+def var_key_merge(m1, m2):
+    """The merge with _var_key computed for every variable it compares."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    k1, k2 = _var_key(m1[0][0]), _var_key(m2[0][0])
+    while True:
+        if k1 < k2:
+            out.append(m1[i])
+            i += 1
+            if i == n1:
+                return (*out, *m2[j:])
+            k1 = _var_key(m1[i][0])
+        elif k2 < k1:
+            out.append(m2[j])
+            j += 1
+            if j == n2:
+                return (*out, *m1[i:])
+            k2 = _var_key(m2[j][0])
+        else:
+            v, e = m1[i]
+            out.append((v, e + m2[j][1]))
+            i += 1
+            j += 1
+            if i == n1:
+                return (*out, *m2[j:])
+            if j == n2:
+                return (*out, *m1[i:])
+            k1, k2 = _var_key(m1[i][0]), _var_key(m2[j][0])
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Two monomials of int and cell variables, the second sharing some of the first's."""
+    m1 = draw(monomials)
+    powers = draw(st.dictionaries(variables, st.integers(1, 4), max_size=4))
+    for v, _ in draw(st.lists(st.sampled_from(m1), unique=True) if m1 else st.just([])):
+        powers[v] = draw(st.integers(1, 4))
+    return m1, tuple(sorted(powers.items(), key=lambda p: _var_key(p[0])))
+
+
+MIXED = ((2, 1), (5, 3), (Cell(-1, (1, 1, 0)), 2), (Cell(0, (0, 1, 1)), 1))
+
+
+@settings(max_examples=300)
+@given(monomial_pairs())
+@example(((), ()))
+@example((MIXED, ()))
+@example((MIXED, ((5, 1), (Cell(-1, (1, 1, 0)), 1), (Cell(1, (1, 0, 1)), 2))))
+@example((((Cell(0, (0, 1, 1)), 1),), ((1, 1),)))
+def test_native_order_merge_matches_the_var_key_merge(pair):
+    m1, m2 = pair
+    assert _mono_mul(m1, m2) == var_key_merge(m1, m2)
+    assert _mono_mul(m2, m1) == var_key_merge(m2, m1)
 
 
 @settings(max_examples=80, deadline=None)
@@ -320,6 +381,85 @@ def test_integer_reduction_is_scaled_by_den_to_the_depth(f, extra):
     assert all(type(n) is int for n in normal.values())
     scaled = Polynomial({m: Fraction(n, 12 * 6**depth) for m, n in normal.items()})
     assert scaled == DEN6_IDEAL.reduce(f)
+
+
+def full_scan_insert(subst, form):
+    """Add a linear form to the triangular system on Fractions, scanning every row for the
+    new lead."""
+    for v in [v for v in form if v in subst]:
+        c = form.pop(v)
+        for w, cw in subst[v].items():
+            form[w] = form.get(w, Fraction(0)) + c * cw
+    form = {v: c for v, c in form.items() if c}
+    if not form:
+        return
+    lead = max(form, key=_var_key)
+    coef = form.pop(lead)
+    rhs = {w: -cw / coef for w, cw in form.items()}
+    for other in subst.values():
+        if lead in other:
+            c = other.pop(lead)
+            for w, cw in rhs.items():
+                other[w] = other.get(w, Fraction(0)) + c * cw
+            for w in [w for w, cw in other.items() if not cw]:
+                del other[w]
+    subst[lead] = rhs
+
+
+def full_scan_rows(generators):
+    """(den, rows) of LinearIdeal(generators) by full_scan_insert, each row's items in order."""
+    subst = {}
+    for g in generators:
+        full_scan_insert(subst, {v: c for m, c in g.terms.items() for v, _ in m})
+    den = math.lcm(*(c.denominator for rhs in subst.values() for c in rhs.values()))
+    return den, [(v, [(((w, 1),), c.numerator * (den // c.denominator)) for w, c in rhs.items()])
+                 for v, rhs in subst.items()]
+
+
+def _cube_forms(d, window):
+    return [bianchi_form(c) for c in box_cells(0, (-window,) * d, (window,) * d, dim=3)]
+
+
+# generators whose later members depend on earlier ones, with pivots other than +-1
+DEPENDENT_FORMS = [Polynomial.linear(form) for form in (
+    {1: 2, 2: -1, 4: 3}, {2: 1, 3: 1, 4: -3}, {1: 2, 3: 1, 4: 0}, {1: Fraction(1, 2), 3: 5},
+    {1: 4, 2: -2, 4: 6}, {2: 3, 5: Fraction(-2, 3)})]
+# x5 = -x4 gains x1 and x2 when x4 = -x1 - x2 enters, then loses x2 to x2 = -2 x1
+GROWING_ROW_FORMS = [Polynomial.linear(form) for form in (
+    {4: 1, 5: 1}, {1: 1, 2: 1, 4: 1}, {1: 2, 2: 1})]
+IDEAL_GENERATORS = {
+    **{f"cubes-d{d}-w{w}": _cube_forms(d, w)
+       for d, w in [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]},
+    **{f"sphere-{n}": [Polynomial.linear({i: 1 for i in range(1, n + 1)})] for n in (2, 3, 5)},
+    "dependent": DEPENDENT_FORMS,
+    "growing-row": GROWING_ROW_FORMS,
+    "dependent-cubes": [*_cube_forms(3, 1), *_cube_forms(3, 1)[:3],
+                        _cube_forms(3, 1)[0] + _cube_forms(3, 1)[1]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(IDEAL_GENERATORS))
+def test_indexed_elimination_matches_the_full_scan(case):
+    generators = IDEAL_GENERATORS[case]
+    ideal = LinearIdeal(generators)
+    den, rows = full_scan_rows(generators)
+    assert ideal.den == den
+    assert [(v, list(row.items())) for v, row in ideal._rows.items()] == rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(1, 6), st.fractions(-3, 3, max_denominator=3),
+                                min_size=1, max_size=4), max_size=5),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-2, 2)), max_size=3))
+def test_indexed_elimination_matches_the_full_scan_on_drawn_forms(forms, combos):
+    generators = [Polynomial.linear(form) for form in forms]
+    # dependent members: c * g_i + g_j for earlier generators
+    generators += [generators[i] * c + generators[j] for i, j, c in combos
+                   if i < len(generators) and j < len(generators)]
+    ideal = LinearIdeal(generators)
+    den, rows = full_scan_rows(generators)
+    assert ideal.den == den
+    assert [(v, list(row.items())) for v, row in ideal._rows.items()] == rows
 
 
 def test_reduce_is_idempotent_morphism_with_ideal_kernel():

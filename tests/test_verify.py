@@ -1,6 +1,7 @@
 """Residual checks: gauge descent, scale compatibility, well-definedness."""
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -33,10 +34,13 @@ from holoflow.verify import (
     sphere_condition,
     violations,
     welldefined_property,
+    WELLDEFINED_MAX_DEGREE,
+    WELLDEFINED_MAX_TERMS,
     WELLDEFINED_POOL_RADIUS,
     _class_offsets,
     _parity,
     _probe_pool,
+    _random_polynomial,
 )
 
 from conftest import explicit_tables
@@ -548,6 +552,41 @@ def _record_draws(monkeypatch) -> list:
     monkeypatch.setattr(verify, "_random_polynomial",
                         lambda rng, pool: draws.append(draw(rng, pool)) or draws[-1])
     return draws
+
+
+def polynomial_draw(rng, pool) -> Polynomial:
+    """The random polynomial as a sum of Polynomial products, in the rng calls'
+    order: the oracle for _random_polynomial's term map."""
+    f = Polynomial.zero()
+    for _ in range(rng.randint(1, WELLDEFINED_MAX_TERMS)):
+        term = Polynomial.const(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+        for _ in range(rng.randint(0, WELLDEFINED_MAX_DEGREE)):
+            term = term * Polynomial.var(rng.choice(pool))
+        f = f + term
+    return f
+
+
+# a one- or two-variable pool repeats monomials, so terms cancel and come back
+DRAW_POOLS = {
+    "window1-cells": _probe_pool(MAIN3, ideal_from_cubes(default_cubes(3, 0))),
+    "two-cells": [Cell(0, (1, 1, 0)), Cell(-1, (0, 1, 1))],
+    "ints": [1, 2, 3, 4, 5],
+    "one-int": [7],
+}
+
+
+@pytest.mark.parametrize("pool", sorted(DRAW_POOLS))
+def test_drawn_term_maps_match_the_polynomial_draw(pool):
+    pool, cancelled = DRAW_POOLS[pool], 0
+    for seed in range(300):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            g, expected = _random_polynomial(rng, pool), polynomial_draw(oracle, pool)
+            assert list(g.terms.items()) == list(expected.terms.items())
+            cancelled += not g.terms
+        assert rng.getstate() == oracle.getstate()
+    if len(pool) == 1:
+        assert cancelled  # a draw whose every term cancelled
 
 
 def _fraction_route(op, ideal, draws) -> list:
