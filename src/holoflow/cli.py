@@ -499,11 +499,12 @@ def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
             box = (op.scale, (-window,) * op.d, (window,) * op.d)
         else:
             box = _explicit_box(op)
+        forms = []
         if box is not None:
             _check_probe_count(trials, box_cell_count(box[1], box[2], 3))
             forms = [bianchi_form(c) for c in box_cells(*box, dim=3)]
-            forms = [f for f in forms if all(map(op.has_var, f.variables()))]
-        if box is None or not forms:
+        forms = [f for f in forms if all(map(op.has_var, f.variables()))]
+        if not forms:
             raise click.UsageError("no 3-cells with all faces inside the operator universe")
         ideal = LinearIdeal(forms)
     reports = welldefined_property(op, ideal, trials=trials, seed=seed)

@@ -214,6 +214,7 @@ def _parity(c: Cell) -> tuple[int, ...]:
 
 
 MAX_SWEEP_SITES = 1_500_000
+# welldefined's probes, trials x generators; the CLI counts them before listing a cell
 MAX_WELLDEFINED_PROBES = 20_000
 
 
