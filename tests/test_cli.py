@@ -580,7 +580,7 @@ def test_a_huge_window_exits_before_sweeping(runner, command):
     (("welldefined", "--op", CUBE_FACES_OP, "--trials", "4"), 4),
 ], ids=["d3", "d4-window2", "sphere", "explicit"])
 def test_welldefined_probes_above_the_bound_are_a_usage_error(runner, monkeypatch, args, probes):
-    # trials x the 3-cells of the ideal's box (a d=4 window of 2 keeps 80 of its 96)
+    # trials x the 3-cells of the ideal's box, or x 1 for a sphere
     monkeypatch.setattr(cli, "MAX_WELLDEFINED_PROBES", probes)
     assert runner.invoke(main, list(args)).exit_code in (0, 1)
     monkeypatch.setattr(cli, "MAX_WELLDEFINED_PROBES", probes - 1)
