@@ -10,13 +10,10 @@ and the Gaussian Yang-Mills moments on the two-sphere.
 
 from .cells import (
     Cell,
-    SignedChain,
     SignedSymmetry,
     act,
-    act_chain,
     boundary,
     box_cells,
-    cell_dimension,
     cells_near,
     children,
     format_cell,

@@ -6,19 +6,19 @@ cell's dimension equals the number of odd entries of u: all-even vectors are
 vertices, one odd entry an edge, two a plaquette, three a cube, and so on.
 
 Cells and lattice symmetries are named tuples: equality, hashing and the
-cell order (scale, then coordinates) are the tuple's, and box_cells yields
-cells in that order.  Everything here is immutable and pure; values can be
-shared freely.
+cell order (scale, then coordinates) are the tuple's.  A chain is a plain
+dict, cell -> integer coefficient, holding nonzero entries only.  Boxes are
+listed and counted per set of odd axes (_box_ranges), so box_cells costs
+time in proportion to the cells it yields and box_cell_count lists nothing.
+Everything here is pure; values can be shared freely.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-import math
 from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
-
-from ._frozen import Frozen
 
 
 class Cell(namedtuple("Cell", "scale coords")):
@@ -48,16 +48,13 @@ class Cell(namedtuple("Cell", "scale coords")):
     @property
     def plane(self) -> tuple[int, int]:
         """The ordered pair of odd-coordinate axes of a plaquette (0-based)."""
-        odd = tuple(i for i, c in enumerate(self.coords) if c & 1)
+        odd = self.odd_axes()
         if len(odd) != 2:
             raise ValueError(f"{self} is not a plaquette (dimension {self.dim})")
         return odd
 
     def odd_axes(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coords) if c & 1)
-
-    def translated(self, t: Sequence[int]) -> "Cell":
-        return Cell(self.scale, tuple(c + d for c, d in zip(self.coords, t)))
 
     def sort_key(self) -> "Cell":
         """The cell itself, which already orders by (scale, coords)."""
@@ -93,86 +90,12 @@ def parse_cell(text: str) -> Cell:
     return Cell(scale, coords)
 
 
-def cell_dimension(c: Cell) -> int:
-    return c.dim
-
-
-def require_plaquette(c: Cell) -> Cell:
-    if c.dim != 2:
-        raise ValueError(f"{c} is not a plaquette (dimension {c.dim})")
-    return c
-
-
-class SignedChain(Frozen):
-    """A formal integer combination of cells of a common dimension."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Cell, int] | None = None):
-        clean = {}
-        if terms:
-            for c, k in terms.items():
-                if k:
-                    clean[c] = int(k)
-        object.__setattr__(self, "terms", clean)
-
-    def coefficient(self, c: Cell) -> int:
-        return self.terms.get(c, 0)
-
-    def cells(self):
-        return self.terms.keys()
-
-    def items(self):
-        return self.terms.items()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SignedChain") -> "SignedChain":
-        out = dict(self.terms)
-        for c, k in other.terms.items():
-            out[c] = out.get(c, 0) + k
-        return SignedChain(out)
-
-    def __neg__(self) -> "SignedChain":
-        return SignedChain({c: -k for c, k in self.terms.items()})
-
-    def __sub__(self, other: "SignedChain") -> "SignedChain":
-        return self + (-other)
-
-    def __rmul__(self, k: int) -> "SignedChain":
-        return SignedChain({c: k * v for c, v in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, SignedChain) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"cell": format_cell(c), "coeff": self.terms[c]}
-            for c in sorted(self.terms)
-        ]
-
-    def __repr__(self):
-        if not self.terms:
-            return "SignedChain(0)"
-        parts = []
-        for c in sorted(self.terms):
-            k = self.terms[c]
-            sign = "+" if k > 0 else "-"
-            mag = "" if abs(k) == 1 else f"{abs(k)}*"
-            parts.append(f"{sign} {mag}{format_cell(c)}")
-        return "SignedChain(" + " ".join(parts).lstrip("+ ") + ")"
-
-
-def boundary(c: Cell) -> SignedChain:
-    """Homological boundary of a cell of dimension >= 1.
+def boundary(c: Cell) -> dict[Cell, int]:
+    """Homological boundary of a cell of dimension >= 1, as the chain face -> +-1.
 
     For odd-coordinate positions i_1 < ... < i_k the boundary is
-    sum_j (-1)^(j+1) ([u + e_{i_j}] - [u - e_{i_j}]), which satisfies
-    boundary(boundary(c)) = 0.
+    sum_j (-1)^(j+1) ([u + e_{i_j}] - [u - e_{i_j}]), in that order, which
+    satisfies boundary(boundary(c)) = 0.
     """
     odd = c.odd_axes()
     if not odd:
@@ -187,14 +110,7 @@ def boundary(c: Cell) -> SignedChain:
         minus[axis] -= 1
         terms[Cell(c.scale, plus)] = sign
         terms[Cell(c.scale, minus)] = -sign
-    return SignedChain(terms)
-
-
-def boundary_of_chain(chain: SignedChain) -> SignedChain:
-    out = SignedChain()
-    for c, k in chain.items():
-        out = out + k * boundary(c)
-    return out
+    return terms
 
 
 def children(p: Cell) -> frozenset[Cell]:
@@ -203,7 +119,6 @@ def children(p: Cell) -> frozenset[Cell]:
     Children carry the same plane as the parent, so their intrinsic
     orientations agree with it.
     """
-    require_plaquette(p)
     a, b = p.plane
     base = tuple(2 * c for c in p.coords)
     out = []
@@ -226,12 +141,8 @@ class SignedSymmetry(namedtuple("SignedSymmetry", "perm signs trans")):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        perm: Sequence[int],
-        signs: Sequence[int] | None = None,
-        trans: Sequence[int] | None = None,
-    ):
+    def __new__(cls, perm: Sequence[int], signs: Sequence[int] | None = None,
+                trans: Sequence[int] | None = None):
         perm = tuple(int(i) for i in perm)
         d = len(perm)
         if sorted(perm) != list(range(d)):
@@ -245,29 +156,6 @@ class SignedSymmetry(namedtuple("SignedSymmetry", "perm signs trans")):
         if any(t % 2 for t in trans):
             raise ValueError(f"translation must be even to preserve the lattice: {trans}")
         return tuple.__new__(cls, (perm, signs, trans))
-
-    @classmethod
-    def identity(cls, d: int) -> "SignedSymmetry":
-        return cls(tuple(range(d)))
-
-    @classmethod
-    def translation(cls, t: Sequence[int]) -> "SignedSymmetry":
-        return cls(tuple(range(len(t))), trans=t)
-
-    @classmethod
-    def axis_swap(cls, d: int, i: int, j: int) -> "SignedSymmetry":
-        perm = list(range(d))
-        perm[i], perm[j] = perm[j], perm[i]
-        return cls(perm)
-
-    @classmethod
-    def reflection(cls, d: int, axis: int, center: int = 0) -> "SignedSymmetry":
-        """Coordinate reflection u_axis -> center - u_axis (center even)."""
-        signs = [1] * d
-        signs[axis] = -1
-        trans = [0] * d
-        trans[axis] = center
-        return cls(tuple(range(d)), signs=signs, trans=trans)
 
     @property
     def dim(self) -> int:
@@ -336,26 +224,31 @@ def act(g: SignedSymmetry, c: Cell) -> tuple[Cell, int]:
     return image, sign
 
 
-def act_chain(g: SignedSymmetry, chain: SignedChain) -> SignedChain:
-    """Push a chain forward, cells weighted by their orientation signs."""
-    out: dict[Cell, int] = {}
-    for c, k in chain.items():
-        image, sign = act(g, c)
-        out[image] = out.get(image, 0) + sign * k
-    return SignedChain(out)
+def _box_ranges(lo: Sequence[int], hi: Sequence[int],
+                dim: int | None) -> Iterator[tuple[range, ...]]:
+    """For each set of dim axes to be odd (every set when dim is None), the
+    per-axis ranges whose product is that set's cells of the box lo..hi.
+
+    An axis of the set runs over the odd integers of [lo_i, hi_i], any other
+    over the even ones.  Different sets give disjoint products, and each
+    product comes out in coordinate order.
+    """
+    by_parity = [(range(a + (a & 1), b + 1, 2), range(a | 1, b + 1, 2)) for a, b in zip(lo, hi)]
+    axes = range(len(by_parity))
+    for k in range(len(axes) + 1) if dim is None else (dim,):
+        for odd in itertools.combinations(axes, k):
+            yield tuple(r[i in odd] for i, r in enumerate(by_parity))
 
 
-def box_cells(
-    scale: int,
-    lo: Sequence[int],
-    hi: Sequence[int],
-    dim: int | None = None,
-) -> Iterator[Cell]:
-    """All cells with lo_i <= u_i <= hi_i, optionally of a fixed dimension."""
-    ranges = [range(a, b + 1) for a, b in zip(lo, hi)]
-    for u in itertools.product(*ranges):
-        if dim is None or sum(1 for x in u if x & 1) == dim:
-            yield Cell(scale, u)
+def box_cells(scale: int, lo: Sequence[int], hi: Sequence[int],
+              dim: int | None = None) -> Iterator[Cell]:
+    """All cells with lo_i <= u_i <= hi_i, optionally of a fixed dimension, in cell order.
+
+    The products of _box_ranges are merged, so no other cell of the box is visited.
+    """
+    products = [itertools.product(*ranges) for ranges in _box_ranges(lo, hi, dim)]
+    for u in heapq.merge(*products):
+        yield Cell(scale, u)
 
 
 def box_cell_count(lo: Sequence[int], hi: Sequence[int], dim: int) -> int:
@@ -363,7 +256,8 @@ def box_cell_count(lo: Sequence[int], hi: Sequence[int], dim: int) -> int:
 
     Axis by axis, counts[k] is the number of coordinate prefixes with k odd
     entries; an axis range holding `odd` odd and `even` even integers sends
-    it to counts[k] * even + counts[k - 1] * odd.
+    it to counts[k] * even + counts[k - 1] * odd.  This costs O(d * dim),
+    where summing the products of _box_ranges would cost C(d, dim).
     """
     counts = [1] + [0] * dim
     for a, b in zip(lo, hi):
@@ -383,36 +277,26 @@ def cells_near(center: Cell, radius: int, dim: int) -> Iterator[Cell]:
 
 
 def _offset_ranges(parity: Sequence[int], radius: int) -> Iterator[tuple[range, ...]]:
-    """For each pair of axes to be odd, the per-axis ranges whose product is
-    that pair's share of plaquette_offsets(parity, radius).
-
-    t_i needs the parity that makes c_i + t_i odd on the pair and even
-    elsewhere, so each range runs over [-radius, radius] in steps of 2.
-    """
-    by_parity = [range(-radius + ((radius + s) & 1), radius + 1, 2) for s in (0, 1)]
-    axes = range(len(parity))
-    for pair in itertools.combinations(axes, 2):
-        yield tuple(by_parity[parity[i] ^ (i in pair)] for i in axes)
+    """_box_ranges of the plaquettes within max-norm radius of the point parity, as offsets
+    from it: the ranges of t with c + t a plaquette, for any c with these parities."""
+    lo = [p - radius for p in parity]
+    hi = [p + radius for p in parity]
+    for ranges in _box_ranges(lo, hi, 2):
+        yield tuple(range(r.start - p, r.stop - p, 2) for r, p in zip(ranges, parity))
 
 
 def plaquette_offsets(parity: Sequence[int], radius: int) -> list[tuple[int, ...]]:
     """The offsets t with max-norm at most radius that move a cell whose
     coordinates have these parities onto a plaquette, in lexicographic order.
 
-    That is cells_near(c, radius, dim=2) as offsets from c, without the box:
-    the union over the pairs of axes to be odd of a product of per-axis
-    ranges (_offset_ranges).  Different pairs give disjoint sets.
+    That is cells_near(c, radius, dim=2) as offsets from c: the products of
+    _offset_ranges, sorted.
     """
     out = []
     for ranges in _offset_ranges(parity, radius):
         out.extend(itertools.product(*ranges))
     out.sort()
     return out
-
-
-def plaquette_offset_count(parity: Sequence[int], radius: int) -> int:
-    """len(plaquette_offsets(parity, radius)) from the ranges' lengths, enumerating nothing."""
-    return sum(math.prod(map(len, ranges)) for ranges in _offset_ranges(parity, radius))
 
 
 def plaquettes_near(centers: Iterable[tuple], radius: int) -> set[tuple]:

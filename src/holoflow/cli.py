@@ -14,7 +14,7 @@ import io
 import json
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from pathlib import Path
 from typing import NoReturn
@@ -38,11 +38,11 @@ from .verify import (
     MAX_WELLDEFINED_PROBES,
     ResidualReport,
     base_plaquettes,
+    box_sweep_sites,
     child_interaction_sum,
     compat_sweep,
     default_cubes,
     gauge_sweep,
-    sweep_sites,
     violations,
     welldefined_property,
 )
@@ -166,13 +166,26 @@ def _exact_rows(header: list[str], rows, decimal: int | None) -> list[list[str]]
     return out
 
 
-def _render_residuals(command: str, op, config: dict, reports: list[ResidualReport],
+def _tally(sweeps: Iterable[list[ResidualReport]]) -> tuple[int, list[ResidualReport]]:
+    """The site count and the violations, in order, of each sweep's reports in turn.
+
+    A sweep's reports are dropped once counted, so only its violations outlive it.
+    """
+    sites, bad = 0, []
+    for reports in sweeps:
+        sites += len(reports)
+        bad += violations(reports)
+        del reports
+    return sites, bad
+
+
+def _render_residuals(command: str, op, config: dict, sites: int, bad: list[ResidualReport],
                       fmt: str, out: str | None, decimal: int | None = None,
                       prefix: Sequence[str] = ()) -> NoReturn:
-    """Render a sweep's violations; `prefix` lines lead the text form only."""
-    if not reports:
+    """Render a count of checked sites and their violations; `prefix` lines lead the text
+    form only."""
+    if not sites:
         raise click.UsageError("nothing to check: this configuration has no sites")
-    bad = violations(reports)
 
     def fail_line(r: ResidualReport) -> str:
         line = f"FAIL {r.condition} {' '.join(r.site)} -> {r.value}"
@@ -181,12 +194,12 @@ def _render_residuals(command: str, op, config: dict, reports: list[ResidualRepo
     _render(
         fmt, out, 1 if bad else 0,
         lambda: {"command": command, "operator": op.to_json(), "config": config,
-                 "summary": {"sites": len(reports), "violations": len(bad)},
+                 "summary": {"sites": sites, "violations": len(bad)},
                  "violations": [r.to_json() for r in bad]},
         lambda: _exact_rows(["condition", "site", "value"],
                             [(r.condition, " ".join(r.site), r.value) for r in bad], decimal),
         lambda: [*prefix, *map(fail_line, bad),
-                 f"checked {len(reports)} sites: {len(bad)} violations"],
+                 f"checked {sites} sites: {len(bad)} violations"],
     )
 
 
@@ -215,30 +228,24 @@ def _require_lattice_op(op):
     return op
 
 
-def _explicit_box(op) -> tuple | None:
-    """(scale, lo, hi) of the box spanned by an explicit operator's cell variables, or None
-    when it has none."""
+def _explicit_box(op) -> tuple:
+    """(scale, lo, hi) of the box spanned by an explicit operator's cell variables; a box
+    with no axes, which holds no cell, when it has none."""
     cells = [v for v in op.variables() if isinstance(v, Cell)]
     if not cells:
-        return None
+        return None, (), ()
     d = cells[0].ambient_dim
     lo = tuple(min(c.coords[i] for c in cells) for i in range(d))
     hi = tuple(max(c.coords[i] for c in cells) for i in range(d))
     return cells[0].scale, lo, hi
 
 
-def _explicit_cubes(op) -> list[Cell]:
-    """The 3-cells of the box spanned by an explicit operator's cell variables, at their scale."""
-    box = _explicit_box(op)
-    return [] if box is None else list(box_cells(*box, dim=3))
-
-
-def _check_sweep_size(sweeps: list[tuple], window: int) -> None:
+def _check_sweep_size(sites: int, window: int) -> None:
     """Reject a command whose sweeps, together, have more than MAX_SWEEP_SITES sites.
 
-    The count is closed-form, so an oversized window exits 2 before anything is enumerated.
+    The caller counts them from the sweeps' boxes (box_sweep_sites), so an oversized
+    window exits 2 before any cell is listed.
     """
-    sites = sum(sweep_sites(centers, window) for _, centers in sweeps)
     if sites > MAX_SWEEP_SITES:
         raise click.UsageError(f"--window {window} gives {sites} sweep sites, above the maximum"
                                f" {MAX_SWEEP_SITES}; use a smaller --window or fewer --scales")
@@ -277,17 +284,19 @@ def verify_invariance(op_text, d, window, scales, fmt, out, decimal):
     if len(scale_list) > 1 and not isinstance(op, CubicalFamilyOp):
         raise click.UsageError("an explicit operator has one finite universe; sweep one scale")
     if isinstance(op, CubicalFamilyOp):
+        box_sites = box_sweep_sites((-1,) * op.d, (1,) * op.d, 3, window)
+        _check_sweep_size(len(scale_list) * box_sites, window)
         sweeps = [(op.with_scale(s), default_cubes(op.d, s)) for s in scale_list]
     else:
-        cubes = _explicit_cubes(op)
-        if cubes and cubes[0].scale != scale_list[0]:
+        scale, lo, hi = _explicit_box(op)
+        if box_cell_count(lo, hi, 3) and scale != scale_list[0]:
             raise click.UsageError(f"the explicit operator's universe is at scale"
-                                   f" {cubes[0].scale}, not {scale_list[0]}")
-        sweeps = [(op, cubes)]
-    _check_sweep_size(sweeps, window)
-    reports = [r for scoped, cubes in sweeps for r in gauge_sweep(scoped, cubes, window)]
+                                   f" {scale}, not {scale_list[0]}")
+        _check_sweep_size(box_sweep_sites(lo, hi, 3, window), window)
+        sweeps = [(op, list(box_cells(scale, lo, hi, dim=3)))]
     _render_residuals("verify-invariance", op, {"window": window, "scales": scale_list},
-                      reports, fmt, out, decimal)
+                      *_tally(gauge_sweep(scoped, cubes, window) for scoped, cubes in sweeps),
+                      fmt, out, decimal)
 
 
 @main.command("verify-compat")
@@ -306,8 +315,9 @@ def verify_compat(op_text, d, window, scales, fmt, out, decimal):
     if not isinstance(op, CubicalFamilyOp):
         raise click.UsageError("compatibility sweeps need a coefficient family operator")
     scale_list = _parse_scales(scales)
+    box_sites = box_sweep_sites((0,) * op.d, (1,) * op.d, 2, window)
+    _check_sweep_size(len(scale_list) * box_sites, window)
     sweeps = [(op.with_scale(s), base_plaquettes(op.d, s)) for s in scale_list]
-    _check_sweep_size(sweeps, window)
     prefix = []
     if fmt == "text" and op.d == 3:
         # p's scale-free row, fetched at the reach of both prefix and sweeps, is pushed once
@@ -319,9 +329,10 @@ def verify_compat(op_text, d, window, scales, fmt, out, decimal):
             total = child_interaction_sum(coarse, p, Cell(-1, q))
             prefix.append(f"  sum over children for ({format_cell(p)}, {format_cell(Cell(-1, q))})"
                           f" [offset {label}] = {total}")
-    reports = [r for scoped, plaquettes in sweeps for r in compat_sweep(scoped, plaquettes, window)]
     _render_residuals("verify-compat", op, {"window": window, "scales": scale_list},
-                      reports, fmt, out, decimal, prefix)
+                      *_tally(compat_sweep(scoped, plaquettes, window)
+                              for scoped, plaquettes in sweeps),
+                      fmt, out, decimal, prefix)
 
 
 @main.command("sphere-check")
@@ -445,7 +456,10 @@ def covariance(op_text, d, scale, window, psd, fmt, out, decimal):
         raise click.UsageError("covariance windows need a coefficient family operator")
     if fmt == "csv" and psd:
         raise click.UsageError("--psd output is text or json")
-    cov = covariance_window(op, window)
+    try:
+        cov = covariance_window(op, window)
+    except ValueError as e:
+        raise click.UsageError(str(e))
     probe = psd_probe(cov) if psd else None
 
     def entries():
@@ -499,17 +513,15 @@ def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
             box = (op.scale, (-window,) * op.d, (window,) * op.d)
         else:
             box = _explicit_box(op)
-        forms = []
-        if box is not None:
-            _check_probe_count(trials, box_cell_count(box[1], box[2], 3))
-            forms = [bianchi_form(c) for c in box_cells(*box, dim=3)]
+        _check_probe_count(trials, box_cell_count(box[1], box[2], 3))
+        forms = [bianchi_form(c) for c in box_cells(*box, dim=3)]
         forms = [f for f in forms if all(map(op.has_var, f.variables()))]
         if not forms:
             raise click.UsageError("no 3-cells with all faces inside the operator universe")
         ideal = LinearIdeal(forms)
     reports = welldefined_property(op, ideal, trials=trials, seed=seed)
     config = {"trials": trials, "seed": seed, "generators": len(ideal.generators)}
-    _render_residuals("welldefined", op, config, reports, fmt, out)
+    _render_residuals("welldefined", op, config, len(reports), violations(reports), fmt, out)
 
 
 if __name__ == "__main__":

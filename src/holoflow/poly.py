@@ -570,7 +570,7 @@ def bianchi_form(cube: Cell) -> Polynomial:
 
     if cube.dim != 3:
         raise ValueError(f"{cube} is not a 3-cell (dimension {cube.dim})")
-    return Polynomial.linear({p: k for p, k in boundary(cube).items()})
+    return Polynomial.linear(boundary(cube))
 
 
 def ideal_from_cubes(cubes: Iterable[Cell]) -> LinearIdeal:

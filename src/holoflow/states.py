@@ -46,12 +46,16 @@ from typing import Mapping, Sequence
 
 from ._frozen import Frozen
 
+from .cells import box_cell_count
 from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo
 from .poly import Monomial, Polynomial, _format_monomial, _integer_terms, _mono_degree
 
 # The highest degree exp_state and verify_sphere accept.  A monomial's series
 # recurses once per two degrees, so this bounds the recursion depth at 128.
 MAX_DEGREE = 256
+# The most plaquettes covariance_window lists.  Its matrix has a square of
+# entries: a d=3 window of radius 8 (1,728 plaquettes) prints about 3 M lines.
+MAX_WINDOW_PLAQUETTES = 1_000
 
 
 class LambdaPoly(Frozen):
@@ -493,8 +497,14 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
     the family's scale, in canonical cell order.  Each is checked against
     the universe once; an entry is 2 (a_int delta_pq - b_int) times the
     unit, with b_int read from p's row.  The entries stay integers, over
-    the unit's denominator, for CovarianceMatrix.over to normalize.
+    the unit's denominator, for CovarianceMatrix.over to normalize.  A window
+    of more than MAX_WINDOW_PLAQUETTES plaquettes raises ValueError before any
+    is listed.
     """
+    size = box_cell_count((-radius,) * family.d, (radius,) * family.d, 2)
+    if size > MAX_WINDOW_PLAQUETTES:
+        raise ValueError(f"window {radius} holds {size} plaquettes, above the maximum"
+                         f" {MAX_WINDOW_PLAQUETTES}")
     plaquettes = family.window_plaquettes(radius)
     for p in plaquettes:
         family.check_var(p)

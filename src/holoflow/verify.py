@@ -62,8 +62,8 @@ from itertools import chain
 from operator import add, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cells import (Cell, SignedChain, boundary, box_cells, children, format_cell,
-                    plaquette_offset_count, plaquette_offsets, plaquettes_near)
+from .cells import (Cell, boundary, box_cell_count, box_cells, children, format_cell,
+                    plaquette_offsets, plaquettes_near)
 from .operators import CubicalFamilyOp, _apply_int, _check_vars, _pair_memo
 from .poly import (LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_from_dict,
                    _mono_sort_key, _mul_terms)
@@ -108,17 +108,17 @@ def gauge_numerator(a: int, lead: int, row: dict, faces: Iterable[tuple[tuple, i
     return lead * a - sum([s * get(tuple(map(sub, f, t)), 0) for f, s in faces])
 
 
-def _face_steps(cube: Cell) -> tuple[SignedChain, list[tuple[tuple, int]]]:
+def _face_steps(cube: Cell) -> tuple[dict, list[tuple[tuple, int]]]:
     """The faces dc and their steps (q - cube, <dc,q>)."""
     faces = boundary(cube)
     u = cube.coords
     return faces, [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
 
 
-def _site_terms(op, cube: Cell, p: Cell) -> tuple[SignedChain, dict, list, tuple]:
+def _site_terms(op, cube: Cell, p: Cell) -> tuple[dict, dict, list, tuple]:
     """The faces, p's row, the faces' steps and t = p - cube, once p and each face are checked."""
     faces, steps = _face_steps(cube)
-    for q in (p, *faces.cells()):
+    for q in (p, *faces):
         op.check_var(q)
     t = tuple(map(sub, p.coords, cube.coords))
     reach = max(abs(x - y) for f, _ in steps for x, y in zip(f, t))
@@ -132,7 +132,7 @@ def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
     if cube.scale != p.scale:
         raise ValueError(f"scale mismatch: {cube} vs {p}")
     faces, row, steps, t = _site_terms(op, cube, p)
-    return gauge_numerator(op.a_int(p), faces.coefficient(p), row, steps, t) * op.unit
+    return gauge_numerator(op.a_int(p), faces.get(p, 0), row, steps, t) * op.unit
 
 
 def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
@@ -143,7 +143,7 @@ def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
     """
     if cube.dim != 3:
         raise ValueError(f"{cube} is not a 3-cell")
-    lead = boundary(cube).coefficient(p)
+    lead = boundary(cube).get(p, 0)
     if lead == 0:
         raise ValueError(f"{p} is not a face of {cube}")
     _, row, steps, t = _site_terms(op, cube, p)
@@ -184,7 +184,7 @@ def _gauge_values(op, cube: Cell, offsets: Sequence[tuple], reach: int, row: dic
     f - t for every face offset f.
     """
     faces, steps = _face_steps(cube)
-    if not all(map(op.has_var, faces.cells())):
+    if not all(map(op.has_var, faces)):
         return []
     scale, u, unit = cube.scale, cube.coords, op.unit
     lead = dict(steps)
@@ -218,11 +218,24 @@ MAX_SWEEP_SITES = 1_500_000
 MAX_WELLDEFINED_PROBES = 20_000
 
 
+def _offset_count(parity: Sequence[int], radius: int) -> int:
+    """len(plaquette_offsets(parity, radius)): the plaquettes of the box around the point parity."""
+    return box_cell_count([x - radius for x in parity], [x + radius for x in parity], 2)
+
+
 def sweep_sites(centers: Iterable[Cell], radius: int) -> int:
     """The (center, plaquette) pairs within max-norm radius of the centers, counted in
     closed form: a gauge sweep's sites, a compat sweep's compat_b sites."""
-    return sum(n * plaquette_offset_count(key, radius)
-               for key, n in Counter(map(_parity, centers)).items())
+    return sum(n * _offset_count(key, radius) for key, n in Counter(map(_parity, centers)).items())
+
+
+def box_sweep_sites(lo: Sequence[int], hi: Sequence[int], dim: int, radius: int) -> int:
+    """sweep_sites over the dim-cells of the box lo..hi, counted without listing one.
+
+    A center's count depends only on d and its dimension, so each center has as
+    many as the point (1,...,1,0,...,0) with dim ones.
+    """
+    return box_cell_count(lo, hi, dim) * _offset_count([1] * dim + [0] * (len(lo) - dim), radius)
 
 
 def _class_offsets(centers: Sequence[Cell], radius: int) -> dict:

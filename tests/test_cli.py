@@ -19,8 +19,10 @@ from holoflow.cells import Cell, boundary, box_cells
 from holoflow import cli
 from holoflow.cli import main
 from holoflow.operators import CubicalFamilyOp, ExplicitOp
+from holoflow import states
 from holoflow.states import MAX_DEGREE
-from holoflow.verify import MAX_SWEEP_SITES, MAX_WELLDEFINED_PROBES
+from holoflow.verify import (MAX_SWEEP_SITES, MAX_WELLDEFINED_PROBES, base_plaquettes,
+                             default_cubes, sweep_sites)
 
 
 @pytest.fixture()
@@ -50,7 +52,7 @@ def explicit_window_spec(perturb=None):
 
 
 # the six faces of one scale-0 cube, with no interactions: every gauge site fails
-CUBE_FACES_OP = json.dumps(ExplicitOp({p: 12 for p in boundary(Cell(0, (1, 1, 1))).cells()},
+CUBE_FACES_OP = json.dumps(ExplicitOp({p: 12 for p in boundary(Cell(0, (1, 1, 1)))},
                                       {}).to_json())
 
 
@@ -573,6 +575,63 @@ def test_a_huge_window_exits_before_sweeping(runner, command):
     assert f"above the maximum {MAX_SWEEP_SITES}" in result.output
 
 
+# two cells 160 apart span a box of 524,880 cubes
+FAR_CELLS_OP = json.dumps(ExplicitOp({Cell(0, (1, 1, 0)): 12, Cell(0, (161, 161, 160)): 12},
+                                     {}).to_json())
+
+
+@pytest.mark.parametrize("args", [
+    ("verify-invariance", "--d", "15", "--window", "1"),
+    ("verify-invariance", "--op", FAR_CELLS_OP, "--window", "6"),
+    ("verify-compat", "--d", "15", "--window", "20"),
+], ids=["d15", "far-cells", "compat-d15"])
+def test_an_oversized_sweep_exits_before_listing_a_cell(runner, monkeypatch, args):
+    def unlisted(*_, **__):
+        raise AssertionError("a cell was listed")
+
+    for name in ("default_cubes", "base_plaquettes", "box_cells"):
+        monkeypatch.setattr(cli, name, unlisted)
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert f"above the maximum {MAX_SWEEP_SITES}" in result.output
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_sweep_counts_from_the_box_equal_the_listed_centers(runner, monkeypatch, d):
+    # with the bound at 0 every run exits 2 and names the count it made from the box
+    monkeypatch.setattr(cli, "MAX_SWEEP_SITES", 0)
+    for command, centers in (("verify-invariance", default_cubes(d, 0)),
+                             ("verify-compat", base_plaquettes(d, 0))):
+        for window in (1, 2, 3):
+            result = runner.invoke(main, [command, "--d", str(d), "--window", str(window)])
+            assert_usage_error(result)
+            assert f"gives {sweep_sites(centers, window)} sweep sites," in result.output
+
+
+@pytest.mark.parametrize("args, plaquettes", [
+    (("covariance", "--window", "1", "--format", "csv"), 12),
+    (("covariance", "--d", "4", "--window", "1", "--psd"), 24),
+], ids=["d3", "d4-psd"])
+def test_covariance_windows_above_the_bound_are_a_usage_error(runner, monkeypatch, args,
+                                                              plaquettes):
+    monkeypatch.setattr(states, "MAX_WINDOW_PLAQUETTES", plaquettes)
+    assert invoke(runner, *args).exit_code == 0
+    monkeypatch.setattr(states, "MAX_WINDOW_PLAQUETTES", plaquettes - 1)
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert f"holds {plaquettes} plaquettes, above the maximum {plaquettes - 1}" in result.output
+
+
+def test_a_huge_covariance_window_exits_before_listing_a_plaquette(runner, monkeypatch):
+    def unlisted(*_):
+        raise AssertionError("a plaquette was listed")
+
+    monkeypatch.setattr(CubicalFamilyOp, "window_plaquettes", unlisted)
+    result = runner.invoke(main, ["covariance", "--window", str(10**6)])
+    assert_usage_error(result)
+    assert f"above the maximum {states.MAX_WINDOW_PLAQUETTES}" in result.output
+
+
 @pytest.mark.parametrize("args, probes", [
     (("welldefined", "--d", "3", "--trials", "3"), 24),
     (("welldefined", "--d", "4", "--window", "2", "--trials", "1"), 96),
@@ -709,16 +768,18 @@ OP_SPECS = [
     FLOAT_EXPLICIT_OP, NON_OBJECT_A_OP, MIXED_DIM_OP, CUBE_FACES_OP,
 ]
 # --d and --scale choose a cubical family; drawn or left out.  --d 4 is left
-# out: a d=4 covariance window of 2 with --psd takes tens of seconds.
+# out: a d=4 covariance window of 2 with --psd takes tens of seconds.  --d 15
+# is drawn for verify-invariance only, whose sweep is then over the site bound
+# at every window; a d=15 compat sweep is under it and runs for minutes.
+D_VALUES, SCALE_VALUES = ["2", "3"], ["-1", "0", "1"]
 LATTICE_OPTIONS = {
-    "verify-invariance": ("--d",),
-    "verify-compat": ("--d",),
-    "covariance": ("--d", "--scale"),
-    "welldefined": ("--d", "--scale"),
-    "tables": ("--d", "--scale"),
-    "moments": ("--d", "--scale"),
+    "verify-invariance": {"--d": [*D_VALUES, "15"]},
+    "verify-compat": {"--d": D_VALUES},
+    "covariance": {"--d": D_VALUES, "--scale": SCALE_VALUES},
+    "welldefined": {"--d": D_VALUES, "--scale": SCALE_VALUES},
+    "tables": {"--d": D_VALUES, "--scale": SCALE_VALUES},
+    "moments": {"--d": D_VALUES, "--scale": SCALE_VALUES},
 }
-LATTICE_VALUES = {"--d": ["2", "3"], "--scale": ["-1", "0", "1"]}
 
 
 @st.composite
@@ -729,8 +790,9 @@ def cli_arguments(draw):
         if option in ("--jobs", "--decimal") and draw(st.booleans()):
             continue
         values = ["-1", "0", "1", "2"]
-        if option == "--window" and command.startswith("verify-"):
-            values.append(str(10**6))  # above the sweep bound: rejected before any site
+        if option == "--window" and command in ("verify-invariance", "verify-compat",
+                                                 "covariance"):
+            values.append(str(10**6))  # above the site or plaquette bound: rejected unlisted
         args += [option, draw(st.sampled_from(values))]
     op = draw(st.sampled_from([None, *OP_SPECS]))
     if command != "sphere-check" and op is not None:
@@ -742,9 +804,9 @@ def cli_arguments(draw):
                                                  "x1^4000"]))]
     if command == "covariance" and draw(st.booleans()):
         args.append("--psd")
-    for option in LATTICE_OPTIONS.get(command, ()):
+    for option, choices in LATTICE_OPTIONS.get(command, {}).items():
         if draw(st.booleans()):
-            args += [option, draw(st.sampled_from(LATTICE_VALUES[option]))]
+            args += [option, draw(st.sampled_from(choices))]
     if command == "verify-invariance" and draw(st.booleans()):
         args += ["--scales", draw(st.sampled_from(["0", "5", "0,1"]))]
     return args

@@ -519,6 +519,20 @@ def test_covariance_window_matches_the_checked_fraction_form(family):
             assert cov.entry(p, q) == cov.entry(q, p) == want
 
 
+def test_a_window_above_the_bound_raises_before_listing(monkeypatch):
+    # 12 plaquettes in the d=3 window of radius 1
+    monkeypatch.setattr(states, "MAX_WINDOW_PLAQUETTES", 12)
+    assert covariance_window(MAIN3, 1).size == 12
+    monkeypatch.setattr(states, "MAX_WINDOW_PLAQUETTES", 11)
+
+    def unlisted(*_):
+        raise AssertionError("a plaquette was listed")
+
+    monkeypatch.setattr(CubicalFamilyOp, "window_plaquettes", unlisted)
+    with pytest.raises(ValueError, match="window 1 holds 12 plaquettes, above the maximum 11"):
+        covariance_window(MAIN3, 1)
+
+
 def test_covariance_window_matches_exp_state():
     cov = covariance_window(MAIN3, 1)
     for p in cov.variables[:4]:

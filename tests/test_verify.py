@@ -118,14 +118,14 @@ def test_cross_scale_entry_changes_no_gauge_report():
     # each finer cell sits at a face's coordinates, so its offset from
     # another face is a same-scale offset of the face's row
     op = explicit_tables(MAIN3, -3, 3)
-    fine = [Cell(1, q.coords) for q in boundary(CUBE).cells()]
+    fine = [Cell(1, q.coords) for q in boundary(CUBE)]
     a = {**op.a, **dict.fromkeys(fine, 1)}
     plain = ExplicitOp(a, op.b)
     crossed = ExplicitOp(a, {**op.b, **{(p, c): 5 + i for i, c in enumerate(fine)
-                                        for p in boundary(CUBE).cells()}})
+                                        for p in boundary(CUBE)}})
     cubes = default_cubes(3, 0)
     assert gauge_sweep(crossed, cubes, 2) == gauge_sweep(plain, cubes, 2)
-    for p in boundary(CUBE).cells():
+    for p in boundary(CUBE):
         assert gauge_residual(crossed, CUBE, p) == gauge_residual(plain, CUBE, p) == 0
         assert solve_base_coefficient(crossed, CUBE, p) == solve_base_coefficient(plain, CUBE, p)
 
@@ -297,6 +297,18 @@ def test_sweep_sites_count_the_offsets_without_enumerating(d):
     assert verify.sweep_sites(default_cubes(4, 0), 6) * 3 <= verify.MAX_SWEEP_SITES
 
 
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_box_sweep_sites_count_the_listed_centers(d):
+    # default cubes, base plaquettes and two explicit boxes, one with an empty axis
+    boxes = [((-1,) * d, (1,) * d, 3), ((0,) * d, (1,) * d, 2),
+             ((-2,) + (0,) * (d - 1), (3, 2) + (1,) * (d - 2), 3),
+             ((1,) * d, (4, 0) + (5,) * (d - 2), 3)]
+    for lo, hi, dim in boxes:
+        centers = list(box_cells(0, lo, hi, dim=dim))
+        for window in (1, 2, 3):
+            assert verify.box_sweep_sites(lo, hi, dim, window) == verify.sweep_sites(centers, window)
+
+
 @pytest.mark.parametrize("sweep", [gauge_sweep, compat_sweep])
 def test_a_sweep_above_the_bound_raises_before_enumerating(monkeypatch, sweep):
     centers = default_cubes(3, 0) if sweep is gauge_sweep else base_plaquettes(3, 0)
@@ -417,8 +429,8 @@ def test_explicit_cubes_of_one_pattern_are_separate_classes():
     op = explicit_tables(MAIN3, 0, 4).with_entry(BASE3, Cell(0, (0, 1, 1)), 3)
     inside, outside = CUBE, Cell(0, (5, 1, 1))
     assert _parity(inside) == _parity(outside)
-    assert all(op.has_var(q) for q in boundary(inside).cells())
-    assert not all(op.has_var(q) for q in boundary(outside).cells())
+    assert all(op.has_var(q) for q in boundary(inside))
+    assert not all(op.has_var(q) for q in boundary(outside))
     for cubes in ([inside, outside], [outside, inside]):
         reports = gauge_sweep(op, cubes, 2)
         assert {r.site[0] for r in reports} == {str(inside)}
