@@ -5,7 +5,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from holoflow.cells import Cell, boundary, box_cells, cells_near, children, format_cell, parse_cell
 from holoflow import verify
@@ -513,6 +515,111 @@ def test_labels_never_cross_a_scale_or_a_sweep():
     for r in reports:
         head, label = map(parse_cell, r.site)
         assert r.site[1] == format_cell(Cell(head.scale, label.coords))
+
+
+# -- sweep order and site keys ------------------------------------------------------
+
+
+def _gauge_oracle(op, cubes, radius: int) -> list[ResidualReport]:
+    """Every gauge site's report built on its own, then sorted."""
+    return sorted(ResidualReport("gauge", (format_cell(c), format_cell(p)),
+                                 gauge_residual(op, c, p))
+                  for c in cubes if all(map(op.has_var, boundary(c)))
+                  for p in cells_near(c, radius, dim=2) if op.has_var(p))
+
+
+def _compat_oracle(fam, plaquettes, radius: int) -> list[ResidualReport]:
+    """Every compatibility site's report built on its own, then sorted."""
+    return sorted([ResidualReport("compat_a", (format_cell(p),), compat_residual_a(fam, p))
+                   for p in plaquettes]
+                  + [ResidualReport("compat_b", (format_cell(p), format_cell(q)),
+                                    compat_residual_b(fam, p, q))
+                     for p in plaquettes for q in cells_near(p, radius, dim=2)])
+
+
+def _orders(centers: list) -> list[list]:
+    """centers as given, reversed, and shuffled with one of them twice."""
+    shuffled = centers + centers[:1]
+    random.Random(7).shuffle(shuffled)
+    return [centers, centers[::-1], shuffled]
+
+
+# coordinates pass -10 and 10, where string order is not numeric order ("[-1," < "[-10," < "[-2,")
+WIDE_CUBES = [Cell(0, (9, -11, 1)), Cell(0, (-9, 9, -1)), Cell(0, (1, 1, 9)), CUBE]
+WIDE_PLAQUETTES = [Cell(0, (9, -11, 0)), Cell(0, (-10, 9, -1)), Cell(0, (11, 0, -9)), BASE3]
+FAULTY3 = MAIN3.perturbed("beta", (1, 0, 0), 1)
+
+
+@pytest.mark.parametrize("cubes, radius", [(default_cubes(3, 0), 2), (WIDE_CUBES, 3)],
+                         ids=["default", "wide"])
+def test_gauge_sweep_matches_the_sorted_oracle_in_any_center_order(cubes, radius):
+    want = _gauge_oracle(FAULTY3, cubes, radius)
+    assert violations(want)
+    for order in _orders(cubes):
+        want_here = want if len(order) == len(cubes) else _gauge_oracle(FAULTY3, order, radius)
+        assert gauge_sweep(_fresh(FAULTY3, 0), order, radius) == want_here
+
+
+@pytest.mark.parametrize("plaquettes, radius", [(base_plaquettes(3, 0), 2), (WIDE_PLAQUETTES, 2)],
+                         ids=["default", "wide"])
+def test_compat_sweep_matches_the_sorted_oracle_in_any_center_order(plaquettes, radius):
+    fam = MAIN3.perturbed("beta", (2, 1, 0), 1)
+    want = _compat_oracle(fam, plaquettes, radius)
+    assert violations(want)
+    for order in _orders(plaquettes):
+        want_here = want if len(order) == len(plaquettes) else _compat_oracle(fam, order, radius)
+        assert compat_sweep(_fresh(fam, 0), order, radius) == want_here
+
+
+def test_an_explicit_sweep_over_two_scales_matches_the_sorted_oracle():
+    tables = [explicit_tables(FAULTY3.with_scale(s), -3, 3) for s in (0, 1)]
+    op = ExplicitOp({**tables[0].a, **tables[1].a}, {**tables[0].b, **tables[1].b})
+    cubes = default_cubes(3, 1) + default_cubes(3, 0)
+    want = _gauge_oracle(op, cubes, 2)
+    assert {parse_cell(r.site[0]).scale for r in want} == {0, 1} and violations(want)
+    for order in _orders(cubes):
+        want_here = want if len(order) == len(cubes) else _gauge_oracle(op, order, 2)
+        assert gauge_sweep(op, order, 2) == want_here
+
+
+@pytest.mark.parametrize("sweep, centers",
+                         [(gauge_sweep, WIDE_CUBES + default_cubes(3, 0)),
+                          (compat_sweep, WIDE_PLAQUETTES + base_plaquettes(3, 0))],
+                         ids=["gauge", "compat"])
+def test_sweeps_emit_distinct_centers_already_sorted(monkeypatch, sweep, centers):
+    # the final sort only orders duplicate centers; distinct ones arrive as one run
+    centers = list(dict.fromkeys(centers))
+    received = []
+    sort = verify._sweep
+
+    def capture(parts):
+        received[:] = list(itertools.chain.from_iterable(parts))
+        return sort([received])
+
+    monkeypatch.setattr(verify, "_sweep", capture)
+    for order in _orders(centers)[:2]:
+        reports = sweep(_fresh(FAULTY3, 0), order, 2)
+        assert received == reports and len(reports) > len(centers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_site_keys_add_and_separate_the_sweep_box(data):
+    d = data.draw(st.integers(1, 6), label="d")
+    radius = data.draw(st.integers(0, 6), label="radius")
+    point = st.lists(st.integers(-12, 12), min_size=d, max_size=d).map(tuple)
+    centers = data.draw(st.lists(point, min_size=1, max_size=4), label="centers")
+    radix = verify._site_radix([Cell(0, c) for c in centers], radius)
+    bound = radix // 2  # R: every site coordinate of the sweep lies in [-R, R]
+    offset = st.lists(st.integers(-radius, radius), min_size=d, max_size=d).map(tuple)
+    in_box = st.lists(st.integers(-bound, bound), min_size=d, max_size=d).map(tuple)
+    key = lambda coords: verify._site_key(coords, radix)
+    u, t = data.draw(st.sampled_from(centers), label="u"), data.draw(offset, label="t")
+    assert key(u) + key(t) == key(tuple(map(sum, zip(u, t))))
+    v, w = data.draw(in_box, label="v"), data.draw(in_box, label="w")
+    assert (key(v) == key(w)) == (v == w)
+    labels = verify._Labels(2, d, radix)
+    assert labels[key(v)] == format_cell(Cell(2, v))
 
 
 # -- quotient well-definedness ------------------------------------------------------
