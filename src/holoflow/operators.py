@@ -24,6 +24,10 @@ multiply the stored table value.  Reflections through an axis the moving
 plaquette's plane contains reverse its orientation; this is where all the
 signs come from.
 
+Each family's tables are stated once, as point and ray rules in _FAMILIES;
+_entry reads a table value from them, and _nonzero lists their points
+within index bounds.
+
 Lookups run that map backwards.  Almost every b_pq is zero, so b_row(p,
 reach) gives p's sparse row, q - p -> b_int(p, q), holding only the nonzero
 entries.  A family keeps one row per coordinate-parity class of p, pushed
@@ -275,68 +279,53 @@ def _check_euclidean(sphere: SphereOp, euclid) -> None:
 
 # -- base coefficient tables at scale 0 (principal-orthant indices) ---------
 
-
-def _alpha_main(i: int, j: int, k: int) -> int:
-    if i == 0 and j == 0:
-        return 2 if k == 0 else -2
-    if i == j == k:
-        return -2
-    return 0
-
-
-def _beta_main(i: int, j: int, k: int) -> int:
-    if k == 0:
-        if j == 0:
-            return {0: 2, 1: -2}.get(i, 0)
-        if j == 1:
-            return {0: 1, 1: -1}.get(i, 0)
-        return 0
-    if i == k + 1 and j in (k, k + 1):
-        return -1
-    return 0
-
-
-def _alpha_alt(i: int, j: int, k: int) -> int:
-    return -1 if i == 0 and j == 0 and k != 0 else 0
-
-
-def _beta_alt(i: int, j: int, k: int) -> int:
-    return 0
-
-
-# The supports list, for index bounds (ni, nj, nk), every principal-orthant
-# index within them at which the table beside them can be nonzero.  They are
-# a second statement of each table; the row tests hold the two together.
-
-
-def _alpha_main_support(ni: int, nj: int, nk: int) -> Iterator[tuple]:
-    for k in range(nk + 1):
-        yield 0, 0, k
-    for i in range(1, min(ni, nj, nk) + 1):
-        yield i, i, i
-
-
-def _beta_main_support(ni: int, nj: int, nk: int) -> Iterator[tuple]:
-    for k in range(nk + 1):
-        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)) if k == 0 else ((k + 1, k), (k + 1, k + 1)):
-            if i <= ni and j <= nj:
-                yield i, j, k
-
-
-def _alpha_alt_support(ni: int, nj: int, nk: int) -> Iterator[tuple]:
-    for k in range(1, nk + 1):
-        yield 0, 0, k
-
-
-def _beta_alt_support(ni: int, nj: int, nk: int) -> Iterator[tuple]:
-    return iter(())
-
-
-# variant -> (a0, alpha table, beta table, alpha support, beta support)
+# variant -> its a0 and the rules (base, step, value) of its alpha and beta
+# tables.  A rule with step None is the one point base; any other rule is the
+# ray base + n*step for every n >= 0.  Steps are non-negative, and no index
+# is covered by two rules of one table.  An index that no rule covers is 0.
 _FAMILIES = {
-    "cubical": (12, _alpha_main, _beta_main, _alpha_main_support, _beta_main_support),
-    "alt3": (1, _alpha_alt, _beta_alt, _alpha_alt_support, _beta_alt_support),
+    "cubical": {
+        "a0": 12,
+        "alpha": (((0, 0, 0), None, 2),
+                  ((0, 0, 1), (0, 0, 1), -2),
+                  ((1, 1, 1), (1, 1, 1), -2)),
+        "beta": (((0, 0, 0), None, 2),
+                 ((1, 0, 0), None, -2),
+                 ((0, 1, 0), None, 1),
+                 ((1, 1, 0), None, -1),
+                 ((2, 1, 1), (1, 1, 1), -1),
+                 ((2, 2, 1), (1, 1, 1), -1)),
+    },
+    "alt3": {
+        "a0": 1,
+        "alpha": (((0, 0, 1), (0, 0, 1), -1),),
+        "beta": (),
+    },
 }
+
+
+def _rule_value(rule: tuple, index: tuple) -> int:
+    """The rule's value at index if the rule covers it, else 0."""
+    base, step, value = rule
+    if step is None:
+        return value if index == base else 0
+    axis = next(a for a, s in enumerate(step) if s)
+    n = (index[axis] - base[axis]) // step[axis]
+    return value if n >= 0 and all(b + n * s == x for b, s, x in zip(base, step, index)) else 0
+
+
+def _rule_points(rule: tuple, ni: int, nj: int, nk: int) -> Iterator[tuple[tuple, int]]:
+    """(index, value) for each point of the rule within the index bounds.
+
+    A step is non-negative, so a ray that leaves the bounds never returns.
+    """
+    base, step, value = rule
+    index = base
+    while index[0] <= ni and index[1] <= nj and index[2] <= nk:
+        yield index, value
+        if step is None:
+            return
+        index = tuple(map(add, index, step))
 
 
 def _mirrored(c: int) -> tuple:
@@ -372,8 +361,10 @@ class CubicalFamilyOp(Frozen):
     reduces to the d=3 table by summing the transverse offsets.  Every
     coefficient at scale n is 4^-n times its scale-0 value.
 
-    table_overrides maps ("alpha", (i,j,k)) / ("beta", (i,j,k)) / ("a0",)
-    to replacement integers; it exists for fault-injection experiments.  An
+    The tables are the family's rules in _FAMILIES.  table_overrides maps
+    ("alpha", (i,j,k)) / ("beta", (i,j,k)) / ("a0",) to replacement
+    integers; it exists for fault-injection experiments.  An alpha or beta
+    override is one more point, which takes precedence over the rules.  An
     index must be three non-negative integers, the principal orthant that
     lookups read: any other index could never be read.
 
@@ -404,7 +395,7 @@ class CubicalFamilyOp(Frozen):
         if d < 3:
             raise ValueError("cubical families need d >= 3")
         overrides = dict(table_overrides) if table_overrides else {}
-        for key in overrides:
+        for key, value in overrides.items():
             if not (key == ("a0",) or (len(key) == 2 and key[0] in ("alpha", "beta"))):
                 raise ValueError(f"bad table override key {key!r}")
             if key[0] != "a0" and not _orthant_index(key[1]):
@@ -412,6 +403,9 @@ class CubicalFamilyOp(Frozen):
                     f"{key[0]} override index {key[1]!r} is not three non-negative "
                     "integers; lookups never read it"
                 )
+            # 2.5 would make float residuals, and True is no table value
+            if type(value) is not int:
+                raise ValueError(f"{key[0]} override value {value!r} is not an integer")
         object.__setattr__(self, "d", int(d))
         object.__setattr__(self, "scale", int(scale))
         object.__setattr__(self, "variant", variant)
@@ -437,9 +431,8 @@ class CubicalFamilyOp(Frozen):
         if kind == "a0":
             key, base = ("a0",), self.a0
         elif kind in ("alpha", "beta"):
-            i, j, k = index
-            key = (kind, (i, j, k))
-            base = self._alpha3(i, j, k) if kind == "alpha" else self._beta3(i, j, k)
+            key = (kind, tuple(index))
+            base = self._entry(*key) if _orthant_index(key[1]) else 0  # the copy rejects the index
         else:
             raise ValueError(f"unknown table kind {kind!r}")
         overrides = dict(self.table_overrides)
@@ -452,19 +445,18 @@ class CubicalFamilyOp(Frozen):
     def a0(self) -> int:
         if ("a0",) in self.table_overrides:
             return self.table_overrides[("a0",)]
-        return _FAMILIES[self.variant][0]
+        return _FAMILIES[self.variant]["a0"]
 
-    def _alpha3(self, i: int, j: int, k: int) -> int:
-        override = self.table_overrides.get(("alpha", (i, j, k)))
+    def _entry(self, kind: str, index: tuple) -> int:
+        """The alpha or beta table value at a principal-orthant index: its override, else the rules'."""
+        override = self.table_overrides.get((kind, index))
         if override is not None:
             return override
-        return _FAMILIES[self.variant][1](i, j, k)
-
-    def _beta3(self, i: int, j: int, k: int) -> int:
-        override = self.table_overrides.get(("beta", (i, j, k)))
-        if override is not None:
-            return override
-        return _FAMILIES[self.variant][2](i, j, k)
+        for rule in _FAMILIES[self.variant][kind]:
+            value = _rule_value(rule, index)
+            if value:
+                return value
+        return 0
 
     @property
     def unit(self) -> Fraction:
@@ -627,19 +619,20 @@ class CubicalFamilyOp(Frozen):
         return row
 
     def _nonzero(self, kind: str, ni: int, nj: int, nk: int) -> Iterator[tuple[tuple, int]]:
-        """((i, j, k), value) for every nonzero alpha or beta entry within the index bounds."""
-        if kind == "alpha":
-            table, support = self._alpha3, _FAMILIES[self.variant][3]
-        else:
-            table, support = self._beta3, _FAMILIES[self.variant][4]
-        indices = dict.fromkeys(support(ni, nj, nk))
-        for key in self.table_overrides:
+        """((i, j, k), value) for every nonzero alpha or beta entry within the index bounds.
+
+        The entries are the rules' points, each replaced by its override if
+        it has one, and then the other overrides.
+        """
+        entries = {}
+        for rule in _FAMILIES[self.variant][kind]:
+            entries.update(_rule_points(rule, ni, nj, nk))
+        for key, value in self.table_overrides.items():
             if key[0] == kind:
                 i, j, k = key[1]
                 if i <= ni and j <= nj and k <= nk:
-                    indices[key[1]] = None
-        for index in indices:
-            value = table(*index)
+                    entries[key[1]] = value
+        for index, value in entries.items():
             if value:
                 yield index, value
 
@@ -669,7 +662,7 @@ class CubicalFamilyOp(Frozen):
             i = abs(v[0] - 1) // 2
             j = abs(v[1] - 1) // 2
             k = sum(abs(c) // 2 for c in v[2:])
-            return sign * self._alpha3(i, j, k)
+            return sign * self._entry("alpha", (i, j, k))
 
         if na >= 2:
             # disjoint planes never interact (possible only for d >= 4)
@@ -699,7 +692,7 @@ class CubicalFamilyOp(Frozen):
             k = -1 - k
             sign = -sign
         k += sum(abs(c) // 2 for c in v[3:])
-        return sign * self._beta3(i, j, k)
+        return sign * self._entry("beta", (i, j, k))
 
     def apply(self, f: Polynomial) -> Polynomial:
         return apply_operator(self, f)
@@ -884,28 +877,25 @@ def operator_from_json(spec: Mapping):
         raise ValueError("operator spec needs a 'variant' field") from None
     if variant == "sphere":
         return SphereOp([_json_exact("area", a) for a in spec["areas"]])
-    if variant == "cubical":
-        op = CubicalFamilyOp.main(d=_json_int("d", spec.get("d", 3)),
-                                  scale=_json_int("scale", spec.get("scale", 0)))
-    elif variant == "alt3":
-        op = CubicalFamilyOp(_json_int("d", spec.get("d", 3)),
-                             _json_int("scale", spec.get("scale", 0)), "alt3")
-    elif variant == "explicit":
+    if variant in ("cubical", "alt3"):
+        overrides = {}
+        for index, kind, value in spec.get("overrides", []):
+            if kind == "a0" and index != []:
+                raise ValueError(f"a0 override index {index!r} is not []")
+            key = ("a0",) if kind == "a0" else (kind, tuple(index))
+            if key in overrides:
+                raise ValueError(f"{kind!r} override at {index!r} is given twice")
+            overrides[key] = value
+        return CubicalFamilyOp(_json_int("d", spec.get("d", 3)),
+                               _json_int("scale", spec.get("scale", 0)), variant, overrides)
+    if variant == "explicit":
         if not isinstance(spec["a"], Mapping):
             raise ValueError(f"explicit 'a' {spec['a']!r} is not an object of cell -> value")
         a = {_var_from_text(k): _json_exact("a entry", v) for k, v in spec["a"].items()}
         b = {(_var_from_text(p), _var_from_text(q)): _json_exact("b entry", v)
              for p, q, v in spec.get("b", [])}
         return ExplicitOp(a, b)
-    else:
-        raise ValueError(f"unknown operator variant {variant!r}")
-    for index, kind, value in spec.get("overrides", []):
-        _json_int("override value", value)
-        key = ("a0",) if kind == "a0" else (kind, tuple(index))
-        overrides = dict(op.table_overrides)
-        overrides[key] = value
-        op = CubicalFamilyOp(op.d, op.scale, op.variant, overrides)
-    return op
+    raise ValueError(f"unknown operator variant {variant!r}")
 
 
 def _json_int(name: str, value) -> int:

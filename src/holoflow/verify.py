@@ -371,7 +371,7 @@ def alpha_extended(family: CubicalFamilyOp, i: int, j: int, k: int) -> int:
     """Base-plane interaction table extended to all integers by reflections."""
     if family.d != 3:
         raise ValueError("index-space tables are three-dimensional")
-    return family._alpha3(abs(i), abs(j), abs(k))
+    return family._entry("alpha", (abs(i), abs(j), abs(k)))
 
 
 def beta_extended(family: CubicalFamilyOp, i: int, j: int, k: int) -> int:
@@ -392,7 +392,7 @@ def beta_extended(family: CubicalFamilyOp, i: int, j: int, k: int) -> int:
     if k < 0:
         k = -1 - k
         sign = -sign
-    return sign * family._beta3(i, j, k)
+    return sign * family._entry("beta", (i, j, k))
 
 
 def invariance_table_residual(family: CubicalFamilyOp, i: int, j: int, k: int) -> Fraction:

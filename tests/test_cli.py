@@ -116,6 +116,19 @@ def test_invariance_rejects_unread_override(runner, override):
     assert "never read" in result.output
 
 
+REPEATED_OVERRIDE_OP = '{"variant":"cubical","overrides":[[[0,0,0],"alpha",1],[[0,0,0],"alpha",3]]}'
+INDEXED_A0_OP = '{"variant":"cubical","overrides":[[[1,2,3],"a0",5]]}'
+
+
+@pytest.mark.parametrize("spec, reason", [(REPEATED_OVERRIDE_OP, "given twice"),
+                                          (INDEXED_A0_OP, "a0 override index")])
+def test_ambiguous_overrides_are_usage_errors(runner, spec, reason):
+    # the last of two values would win silently, and an a0 index would be dropped
+    result = runner.invoke(main, ["verify-invariance", "--op", spec, "--window", "1"])
+    assert_usage_error(result)
+    assert reason in result.output
+
+
 def test_invariance_without_complete_cells_is_not_a_pass(runner, tmp_path):
     path = tmp_path / "lone.json"
     path.write_text(json.dumps(ExplicitOp(a={Cell(0, (1, 1, 0)): 12}, b={}).to_json()))
@@ -765,6 +778,7 @@ OP_SPECS = [
     '{"variant":"cubical","overrides":[[[0,0],"alpha",1]]}',
     '{"variant":"cubical","overrides":[[[-1,0,0],"beta",5]]}',
     '{"variant":"cubical","d":3.5,"scale":true}',
+    REPEATED_OVERRIDE_OP, INDEXED_A0_OP,
     FLOAT_EXPLICIT_OP, NON_OBJECT_A_OP, MIXED_DIM_OP, CUBE_FACES_OP,
 ]
 # --d and --scale choose a cubical family; drawn or left out.  --d 4 is left

@@ -29,6 +29,7 @@ from holoflow.operators import (
     SphereOp,
     _apply_int,
     _pair_memo,
+    _rule_points,
     apply_operator,
     operator_from_json,
 )
@@ -795,15 +796,88 @@ def test_overrides_reach_the_rows():
     assert (2, 2, 2, 0) not in _fresh(NONZERO_TO_ZERO).b_row(BASE4, 2)
 
 
+# -- the rule lists -----------------------------------------------------------------
+# The tables as they were written before the rule lists, one function per table,
+# kept as the oracle the rules are checked against.
+
+
+def _alpha_main(i, j, k):
+    if i == 0 and j == 0:
+        return 2 if k == 0 else -2
+    if i == j == k:
+        return -2
+    return 0
+
+
+def _beta_main(i, j, k):
+    if k == 0:
+        if j == 0:
+            return {0: 2, 1: -2}.get(i, 0)
+        if j == 1:
+            return {0: 1, 1: -1}.get(i, 0)
+        return 0
+    if i == k + 1 and j in (k, k + 1):
+        return -1
+    return 0
+
+
+def _alpha_alt(i, j, k):
+    return -1 if i == 0 and j == 0 and k != 0 else 0
+
+
+def _beta_alt(i, j, k):
+    return 0
+
+
+ORACLE_TABLES = {"cubical": {"alpha": _alpha_main, "beta": _beta_main},
+                 "alt3": {"alpha": _alpha_alt, "beta": _beta_alt}}
+UP_TO_12 = list(itertools.product(range(13), repeat=3))
+
+
 @pytest.mark.parametrize("variant", ["cubical", "alt3"])
-def test_supports_cover_every_nonzero_table_entry(variant):
-    _, alpha, beta, alpha_support, beta_support = _FAMILIES[variant]
-    for table, support in ((alpha, alpha_support), (beta, beta_support)):
-        listed = set(support(6, 5, 7))
-        for index in itertools.product(range(7), range(6), range(8)):
-            if table(*index):
-                assert index in listed
-        assert all(i <= 6 and j <= 5 and k <= 7 for i, j, k in listed)
+def test_rules_equal_the_written_tables(variant):
+    fam = CubicalFamilyOp(3, 0, variant)
+    for kind, table in ORACLE_TABLES[variant].items():
+        assert [fam._entry(kind, index) for index in UP_TO_12] == [table(*index) for index in UP_TO_12]
+
+
+@pytest.mark.parametrize("variant", ["cubical", "alt3"])
+def test_no_index_is_covered_by_two_rules(variant):
+    for kind in ("alpha", "beta"):
+        covered = Counter(index for rule in _FAMILIES[variant][kind]
+                          for index, _ in _rule_points(rule, 12, 12, 12))
+        assert all(n == 1 for n in covered.values()), kind
+
+
+# alpha(2,2,2) = -2 lies on a ray and becomes 0; beta(3,0,2) = 0 lies on no rule and becomes 5
+RULE_OVERRIDES = {("alpha", (2, 2, 2)): 0, ("beta", (3, 0, 2)): 5}
+
+
+@pytest.mark.parametrize("variant", ["cubical", "alt3"])
+@pytest.mark.parametrize("overrides", [None, RULE_OVERRIDES], ids=["rules", "overridden"])
+def test_nonzero_lists_a_dense_scan_within_every_bound(variant, overrides):
+    fam = CubicalFamilyOp(3, 0, variant, overrides)
+    for kind in ("alpha", "beta"):
+        dense = {index: value for index in itertools.product(range(8), repeat=3)
+                 if (value := fam._entry(kind, index))}
+        for ni, nj, nk in itertools.product(range(8), repeat=3):
+            listed = list(fam._nonzero(kind, ni, nj, nk))
+            assert len(listed) == len(dict(listed))
+            assert dict(listed) == {(i, j, k): v for (i, j, k), v in dense.items()
+                                    if i <= ni and j <= nj and k <= nk}
+
+
+@pytest.mark.parametrize("overrides", [{("alpha", (0, 0, 0)): 2.5}, {("beta", (1, 0, 0)): True},
+                                       {("a0",): 12.0}, {("a0",): False}])
+def test_override_values_must_be_integers(overrides):
+    with pytest.raises(ValueError, match="is not an integer"):
+        CubicalFamilyOp(3, table_overrides=overrides)
+
+
+@pytest.mark.parametrize("kind, index", [("alpha", (0, 0, 0)), ("a0", None)])
+def test_perturbing_by_a_non_integer_is_rejected(kind, index):
+    with pytest.raises(ValueError, match="is not an integer"):
+        MAIN3.perturbed(kind, index, 0.5)
 
 
 @st.composite
