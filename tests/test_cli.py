@@ -457,6 +457,8 @@ GOLDEN_CASES = {
     "covariance": ("covariance", "--window", "1"),
     "covariance-decimal": ("covariance", "--window", "1", "--decimal", "3"),
     "covariance-psd": ("covariance", "--window", "1", "--psd"),
+    # the first zero pivot (step 16) has dependent leading columns: every later minor is 0
+    "covariance-psd-w2": ("covariance", "--window", "2", "--psd"),
     "welldefined-sphere": ("welldefined", "--op", "sphere", "--areas", "1/2,1/4,1/4",
                            "--trials", "5"),
     "welldefined-lattice": ("welldefined", "--d", "3", "--trials", "3"),
@@ -515,6 +517,9 @@ GOLDEN = {
     ('covariance-psd', 'text'): (0, 'efc065748ca6abd8'),
     ('covariance-psd', 'json'): (0, '39f67d9e3d0f476a'),
     ('covariance-psd', 'csv'): (2, 'e3b0c44298fc1c14'),
+    ('covariance-psd-w2', 'text'): (0, '19a3f362d9aba0e5'),
+    ('covariance-psd-w2', 'json'): (0, 'b0bf47c4db851f4c'),
+    ('covariance-psd-w2', 'csv'): (2, 'e3b0c44298fc1c14'),
     ('welldefined-sphere', 'text'): (0, 'c2ea13599bcd0b55'),
     ('welldefined-sphere', 'json'): (0, '1e2ddcc27e154061'),
     ('welldefined-sphere', 'csv'): (0, '022a028102cc7d4a'),
