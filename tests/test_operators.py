@@ -788,6 +788,38 @@ def test_rows_equal_the_table_on_dense_boxes(fam):
             tuple((c + t) & 1 for c, t in zip(p.coords, t)) for t in want}
 
 
+def _plane_image(fam, pa, pb, reach):
+    """The (0,1) row read through _b_table's axis order for the plane (pa, pb).
+
+    order = (pa, pb, then the other axes ascending) sends base-frame axis k
+    to axis order[k], so offset t reads the (0,1) row at t'_k = t_{order[k]}.
+    q = p + t is odd on the axes where t's parity differs from p's plane; the
+    value changes sign exactly when those two axes, in base-frame order, are
+    descending in the original frame.
+    """
+    d = fam.d
+    order = [pa, pb] + [axis for axis in range(d) if axis not in (pa, pb)]
+    newpos = {old: new for new, old in enumerate(order)}
+    out = {}
+    for t_base, value in fam._push_row(0, 1, reach).items():
+        t = [0] * d
+        for k, c in enumerate(t_base):
+            t[order[k]] = c
+        odd = [axis for axis in range(d) if (axis in (pa, pb)) != bool(t[axis] & 1)]
+        na, nb = sorted(newpos[axis] for axis in odd)
+        out[tuple(t)] = -value if order[na] > order[nb] else value
+    return out
+
+
+@pytest.mark.parametrize("fam", [*(CubicalFamilyOp.main(d) for d in (3, 4, 5, 6)), ALT3,
+                                 CubicalFamilyOp.main(5).perturbed("beta", (2, 0, 1), 3)],
+                         ids=repr)
+def test_pushed_rows_are_the_base_plane_row_permuted(fam):
+    for reach in range(7):
+        for pa, pb in itertools.combinations(range(fam.d), 2):
+            assert fam._push_row(pa, pb, reach) == _plane_image(fam, pa, pb, reach)
+
+
 def test_overrides_reach_the_rows():
     p = BASE3
     assert _fresh(ZERO_TO_NONZERO).b_row(p, 3)[(3, 0, 1)] == 1
