@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from ._frozen import Frozen
@@ -103,8 +104,11 @@ def _mul_terms(t1: Mapping, t2: Mapping) -> dict:
     return out
 
 
+_exponent = itemgetter(1)
+
+
 def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+    return sum(map(_exponent, m))
 
 
 def _mono_sort_key(m: Monomial):

@@ -27,7 +27,15 @@ monomial.  Each monomial tuple goes straight to exp_state's kernel,
 _series_state, and to ym_moment's, _pairing_kernel, with no Polynomial;
 the series side makes one Fraction per nonzero power of the coupling and
 the pairing side one per even monomial.  One round of n = 3, 4, 5 at
-degree 6 (322 monomials) makes 560 Fractions in all.
+degree 6 (322 monomials) makes 560 Fractions in all.  The series memo is
+read in _mu0_series's loop, so a monomial's series is built by one call
+that recurses only on the children it misses.
+
+The reports are NamedTuples.  verify_sphere compares each monomial's two
+values once and stores the flag in its MomentComparison, and the
+SphereCheckReport stores all_equal, so to_json, mismatches and the CLI
+compare no polynomial again.  It counts its monomials in closed form and
+refuses more than MAX_SPHERE_MONOMIALS before listing one.
 
 The coupling normalization is the heat-kernel one: a single holonomy of
 weight a has second moment 2*a*coupling (density proportional to
@@ -39,10 +47,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._frozen import Frozen
 
@@ -53,6 +60,10 @@ from .poly import Monomial, Polynomial, _format_monomial, _integer_terms, _mono_
 # The highest degree exp_state and verify_sphere accept.  A monomial's series
 # recurses once per two degrees, so this bounds the recursion depth at 128.
 MAX_DEGREE = 256
+# The most monomials verify_sphere compares.  It lists C(n - 1 + d, d) of them
+# for n areas at degree d: 33,153 for three areas at MAX_DEGREE, 1,352,078 for
+# twelve at degree 12.
+MAX_SPHERE_MONOMIALS = 50_000
 # The most plaquettes covariance_window lists.  Its matrix has a square of
 # entries: a d=3 window of radius 8 (1,728 plaquettes) prints about 3 M lines.
 MAX_WINDOW_PLAQUETTES = 1_000
@@ -106,7 +117,7 @@ class LambdaPoly(Frozen):
         return hash(frozenset(self.coeffs.items()))
 
     def to_json(self) -> dict[str, str]:
-        return {str(k): str(self.coeffs[k]) for k in sorted(self.coeffs)}
+        return {str(k): str(c) for k, c in sorted(self.coeffs.items())}
 
     def __repr__(self):
         return f"LambdaPoly({format_lambda_poly(self)})"
@@ -173,7 +184,10 @@ def _series_state(op, items, scale: int, memo: dict, pairs: tuple) -> LambdaPoly
     """
     sums: dict[int, int] = {}
     for m, c in items:
-        for k, value in enumerate(_mu0_series(op, m, memo, pairs)):
+        series = memo.get(m)
+        if series is None:
+            series = _mu0_series(op, m, memo, pairs)
+        for k, value in enumerate(series):
             if value:
                 sums[k] = sums.get(k, 0) + c * value
     num, den = op.unit.numerator, op.unit.denominator
@@ -185,17 +199,22 @@ def _mu0_series(op, m: Monomial, memo: dict, pairs: tuple) -> list[int]:
     """[mu0(L^k m) / unit^k for k = 0..deg(m) // 2], from the series of L m's monomials.
 
     L m is unit times _apply_int's integer coefficients c2, so entry k is
-    sum c2 * (entry k - 1 of m2's series).  The caller checks m's variables.
-    pairs is _apply_int's pair memo (_pair_memo), shared by the whole series.
+    sum c2 * (entry k - 1 of m2's series), over every nonzero entry.  The
+    caller checks m's variables and that m is not in memo yet; each m2's
+    series is read from memo, and computed by recursion only on a miss.
+    The series is stored in memo and returned.  pairs is _apply_int's pair
+    memo (_pair_memo), shared by the whole series.
     """
-    series = memo.get(m)
-    if series is None:
-        series = [int(not m)] + [0] * (sum(e for _, e in m) // 2)
-        for m2, c2 in _apply_int(op, {m: 1}, pairs).items():
-            if c2:
-                for k, value in enumerate(_mu0_series(op, m2, memo, pairs), start=1):
+    series = [int(not m)] + [0] * (_mono_degree(m) // 2)
+    for m2, c2 in _apply_int(op, {m: 1}, pairs).items():
+        if c2:
+            child = memo.get(m2)
+            if child is None:
+                child = _mu0_series(op, m2, memo, pairs)
+            for k, value in enumerate(child, start=1):
+                if value:
                     series[k] += c2 * value
-        memo[m] = series
+    memo[m] = series
     return series
 
 
@@ -335,12 +354,15 @@ def isserlis_moment(cov: CovarianceMatrix, monomial: Monomial) -> Fraction:
     Each of the degree/2 pairs contributes one factor of cov.unit, applied
     once to the integer pairing sum.
     """
-    factors = tuple(v for v, e in monomial for _ in range(e))
+    factors: list = []
+    for v, e in monomial:
+        factors += [v] * e
     pairs, odd = divmod(len(factors), 2)
     if odd:
         return Fraction(0)
     unit = cov.unit
-    return Fraction(_pairing_sum(cov, factors) * unit.numerator**pairs, unit.denominator**pairs)
+    return Fraction(_pairing_sum(cov, tuple(factors)) * unit.numerator**pairs,
+                    unit.denominator**pairs)
 
 
 def _pairing_sum(cov: CovarianceMatrix, factors: tuple) -> int:
@@ -404,15 +426,13 @@ def _pairing_kernel(cov: CovarianceMatrix, items) -> LambdaPoly:
     return LambdaPoly._of({k: v for k, v in coeffs.items() if v})
 
 
-@dataclass(frozen=True)
-class MomentComparison:
+class MomentComparison(NamedTuple):
+    """One monomial's values by both routes; equal is their comparison, made once."""
+
     monomial: str
     exp_state: LambdaPoly
     ym_moment: LambdaPoly
-
-    @property
-    def equal(self) -> bool:
-        return self.exp_state == self.ym_moment
+    equal: bool
 
     def to_json(self) -> dict:
         return {
@@ -423,15 +443,13 @@ class MomentComparison:
         }
 
 
-@dataclass(frozen=True)
-class SphereCheckReport:
+class SphereCheckReport(NamedTuple):
+    """verify_sphere's items in monomial order; all_equal is whether every item's equal holds."""
+
     areas: tuple
     max_degree: int
     items: tuple
-
-    @property
-    def all_equal(self) -> bool:
-        return all(item.equal for item in self.items)
+    all_equal: bool
 
     @property
     def mismatches(self) -> list:
@@ -447,13 +465,14 @@ class SphereCheckReport:
 
 
 def euclidean_monomials(n_vars: int, max_degree: int):
-    """All monomials in x_1..x_{n_vars} of total degree <= max_degree."""
+    """All monomials in x_1..x_{n_vars} of total degree <= max_degree.
+
+    They come by degree, each degree's in the order of its sorted variable
+    combinations; a combination's distinct variables are its sorted factors.
+    """
     for deg in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(1, n_vars + 1), deg):
-            counts: dict[int, int] = {}
-            for v in combo:
-                counts[v] = counts.get(v, 0) + 1
-            yield tuple(sorted(counts.items()))
+            yield tuple([(v, combo.count(v)) for v in dict.fromkeys(combo)])
 
 
 def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
@@ -467,27 +486,31 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
     serves every monomial, and each monomial tuple goes straight to
     exp_state's kernel (_series_state) and to ym_moment's (_pairing_kernel),
     with no Polynomial.  Its label is format_polynomial's text of the
-    monomial.
+    monomial.  Each item's two values are compared once, with
+    LambdaPoly.__eq__, and the report's all_equal is read from those flags.
+    More than MAX_SPHERE_MONOMIALS monomials, C(n - 1 + max_degree,
+    max_degree) for n areas, raise ValueError before any is listed.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be at least 2")
     if max_degree > MAX_DEGREE:
         raise ValueError(f"max_degree {max_degree} exceeds the maximum {MAX_DEGREE}")
     areas = tuple(Fraction(a) for a in areas)
+    count = math.comb(len(areas) - 1 + max_degree, max_degree)
+    if count > MAX_SPHERE_MONOMIALS:
+        raise ValueError(f"{len(areas)} areas at degree {max_degree} give {count} monomials,"
+                         f" above the maximum {MAX_SPHERE_MONOMIALS}")
     op = SphereOp(areas).to_euclidean()
     cov = ym_covariance(areas)
     _check_vars(op, range(1, len(areas)))
     memo, pairs = op._series, _pair_memo(op)
     items = []
     for mono in euclidean_monomials(len(areas) - 1, max_degree):
-        items.append(
-            MomentComparison(
-                monomial=_format_monomial(mono) or "1",
-                exp_state=_series_state(op, ((mono, 1),), 1, memo, pairs),
-                ym_moment=_pairing_kernel(cov, ((mono, 1),)),
-            )
-        )
-    return SphereCheckReport(areas=areas, max_degree=max_degree, items=tuple(items))
+        series = _series_state(op, ((mono, 1),), 1, memo, pairs)
+        moment = _pairing_kernel(cov, ((mono, 1),))
+        items.append(MomentComparison(_format_monomial(mono) or "1", series, moment,
+                                      series == moment))
+    return SphereCheckReport(areas, max_degree, tuple(items), all(item.equal for item in items))
 
 
 def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
@@ -523,8 +546,7 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
     return CovarianceMatrix.over(plaquettes, nums, unit.denominator)
 
 
-@dataclass(frozen=True)
-class PsdReport:
+class PsdReport(NamedTuple):
     """Signs of the leading principal minors of a symmetric rational matrix.
 
     Report only: a sign list with no negative entries is consistent with
@@ -570,13 +592,15 @@ def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
     matrices are: each step then keeps the trailing block symmetric, so only
     its entries with j >= i are computed, and each is mirrored to (j, i).
 
-    At the first zero pivot the leading block is singular.  If the whole
-    leading columns 0..k of the original matrix are dependent, every later
-    leading block holds those columns and all later minors are zero.  They
-    are dependent exactly when their Gram matrix (the columns' pairwise dot
-    products, each column built once and each symmetric pair summed once)
-    is singular, which _det_bareiss decides.  Otherwise the
-    remaining minors are computed independently.
+    At the first zero pivot, step k, the leading block is singular.  If
+    the whole leading columns 0..k of the original matrix are dependent,
+    every later leading block holds those columns and all later minors are
+    zero.  After k steps, work[k][j] for j >= k is the bordered minor
+    det(A[{0..k-1, k}, {0..k-1, j}]), the leading k-block's nonzero minor
+    times row k reduced against rows 0..k-1.  By symmetry the columns are
+    dependent exactly when rows 0..k are, that is when that reduced row is
+    zero: when work[k][k:] is all zero.  Otherwise the remaining minors are
+    computed independently, by _det_bareiss.
     """
     n = len(matrix)
     work = [row[:] for row in matrix]
@@ -585,12 +609,7 @@ def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:
     for k in range(n):
         pivot = work[k][k]
         if pivot == 0:
-            cols = list(itertools.islice(zip(*matrix), k + 1))
-            gram = [[0] * (k + 1) for _ in cols]
-            for i, col_i in enumerate(cols):
-                for j in range(i, k + 1):
-                    gram[i][j] = gram[j][i] = sum(map(mul, col_i, cols[j]))
-            if _det_bareiss(gram) == 0:
+            if not any(work[k][k:]):
                 signs.extend([0] * (n - k))
                 return signs
             signs.append(0)

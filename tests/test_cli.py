@@ -640,6 +640,32 @@ def test_covariance_windows_above_the_bound_are_a_usage_error(runner, monkeypatc
     assert f"holds {plaquettes} plaquettes, above the maximum {plaquettes - 1}" in result.output
 
 
+def test_sphere_monomials_above_the_bound_are_a_usage_error(runner, monkeypatch):
+    # 28 monomials of degree <= 6 in the euclidean coordinates x1, x2
+    args = ("sphere-check", "--areas", "1/2,1/4,1/4", "--max-degree", "6")
+    monkeypatch.setattr(states, "MAX_SPHERE_MONOMIALS", 28)
+    assert invoke(runner, *args).exit_code == 0
+    monkeypatch.setattr(states, "MAX_SPHERE_MONOMIALS", 27)
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert "3 areas at degree 6 give 28 monomials, above the maximum 27" in result.output
+    assert "checked" not in result.output
+
+
+TWELVE_AREAS = ",".join(["1/12"] * 12)
+
+
+def test_a_huge_sphere_check_exits_before_listing_a_monomial(runner, monkeypatch):
+    def unlisted(*_):
+        raise AssertionError("a monomial was listed")
+
+    monkeypatch.setattr(states, "euclidean_monomials", unlisted)
+    result = runner.invoke(main, ["sphere-check", "--areas", TWELVE_AREAS, "--max-degree", "12"])
+    assert_usage_error(result)
+    assert f"give 1352078 monomials, above the maximum {states.MAX_SPHERE_MONOMIALS}" in (
+        result.output)
+
+
 def test_a_huge_covariance_window_exits_before_listing_a_plaquette(runner, monkeypatch):
     def unlisted(*_):
         raise AssertionError("a plaquette was listed")
@@ -812,12 +838,15 @@ def cli_arguments(draw):
         if option == "--window" and command in ("verify-invariance", "verify-compat",
                                                  "covariance"):
             values.append(str(10**6))  # above the site or plaquette bound: rejected unlisted
+        if option == "--max-degree":
+            values.append("12")  # above the monomial bound with twelve areas: rejected unlisted
         args += [option, draw(st.sampled_from(values))]
     op = draw(st.sampled_from([None, *OP_SPECS]))
     if command != "sphere-check" and op is not None:
         args += ["--op", op]
     if command == "sphere-check" or command in ("moments", "welldefined") and draw(st.booleans()):
-        args += ["--areas", draw(st.sampled_from(["1/2,1/4,1/4", "1/2,1/0", "1/3,1/3,1/3"]))]
+        args += ["--areas", draw(st.sampled_from(["1/2,1/4,1/4", "1/2,1/0", "1/3,1/3,1/3",
+                                                  TWELVE_AREAS]))]
     if command == "moments":
         args += ["--poly", draw(st.sampled_from(["x1^2*x2^2", "x[1,1,0]@0*x[0,1,1]@0", "x0+",
                                                  "x1^4000"]))]

@@ -461,9 +461,22 @@ def test_verify_sphere_pairs_only_the_even_monomials(monkeypatch):
     assert seen == [m for m in euclidean_monomials(4, 6) if sum(e for _, e in m) % 2 == 0]
 
 
+def assert_flags_match_the_values(report):
+    """Each stored flag is the comparison of the values it stands for."""
+    for item in report.items:
+        assert item.equal == (item.exp_state == item.ym_moment)
+        assert item.to_json()["equal"] is item.equal
+    assert report.all_equal == all(item.equal for item in report.items)
+    assert report.to_json()["all_equal"] is report.all_equal
+    assert report.mismatches == [item for item in report.items
+                                 if item.exp_state != item.ym_moment]
+
+
 @pytest.mark.parametrize("entry", [(1, 3), (2, 2)])
 def test_verify_sphere_flags_the_monomials_that_read_a_perturbed_entry(monkeypatch, entry):
     clean = verify_sphere(SPHERE5, 6)
+    assert_flags_match_the_values(clean)
+    assert clean.all_equal
     real = states.ym_covariance
 
     def perturbed(areas):
@@ -488,6 +501,30 @@ def test_verify_sphere_flags_the_monomials_that_read_a_perturbed_entry(monkeypat
         assert item.ym_moment == states._pairing_state(cov, Polynomial({mono: 1}))
     assert [item.monomial for item in report.mismatches] == reads
     assert len(reads) > 20
+    assert_flags_match_the_values(report)
+    assert not report.all_equal
+
+
+def test_sphere_monomials_are_counted_in_closed_form():
+    for n in range(1, 7):
+        for degree in range(2, 8):
+            assert len(list(euclidean_monomials(n - 1, degree))) == math.comb(n - 1 + degree,
+                                                                              degree)
+
+
+def test_sphere_monomials_above_the_bound_raise_before_listing(monkeypatch):
+    count = math.comb(4 + 6, 6)  # five areas at degree 6
+    monkeypatch.setattr(states, "MAX_SPHERE_MONOMIALS", count)
+    assert len(verify_sphere(SPHERE5, 6).items) == count == 210
+    monkeypatch.setattr(states, "MAX_SPHERE_MONOMIALS", count - 1)
+
+    def unlisted(*_):
+        raise AssertionError("a monomial was listed")
+
+    monkeypatch.setattr(states, "euclidean_monomials", unlisted)
+    with pytest.raises(ValueError, match="5 areas at degree 6 give 210 monomials,"
+                                         " above the maximum 209"):
+        verify_sphere(SPHERE5, 6)
 
 
 def test_verify_sphere_requires_degree_two():
@@ -587,6 +624,97 @@ def test_psd_probe_signs_are_the_leading_determinants(variant, window):
     # at window 2 both families reach a zero pivot whose leading columns are dependent
     cov = covariance_window(CubicalFamilyOp(3, 0, variant), window)
     assert psd_probe(cov).signs == leading_determinant_signs(cov)
+
+
+def _symmetric_with_leading_signs(rng, n, k, dependent):
+    """A symmetric integer matrix whose first k pivots are nonzero and whose k+1st is zero.
+
+    dependent: A = P^T S P with column k of P a combination of columns
+    0..k-1, so columns 0..k of A are dependent.  Otherwise a random
+    symmetric matrix gets the entry (k, k) that makes its Schur complement
+    zero there, all entries scaled to integers.  Drawn again until the
+    first k leading minors are nonzero and the Gram determinant of columns
+    0..k agrees with the plant.
+    """
+    while True:
+        if dependent:
+            p = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            mix = [rng.randint(-2, 2) for _ in range(k)]
+            for row in p:
+                row[k] = sum(c * x for c, x in zip(mix, row))
+            s = [rng.choice((-1, 1)) for _ in range(n)]
+            a = [[sum(p[r][i] * s[r] * p[r][j] for r in range(n)) for j in range(n)]
+                 for i in range(n)]
+        else:
+            a = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    a[i][j] = a[j][i] = rng.randint(-4, 4)
+        if any(states._det_bareiss([row[:m] for row in a[:m]]) == 0 for m in range(1, k + 1)):
+            continue
+        if not dependent:
+            head = [[Fraction(x) for x in row[:k]] for row in a[:k]]
+            border = a[k][:k]
+            # solve head * y = border by Gauss-Jordan, then schur = border . y
+            aug = [row + [Fraction(b)] for row, b in zip(head, border)]
+            for c in range(k):
+                piv = next(r for r in range(c, k) if aug[r][c])
+                aug[c], aug[piv] = aug[piv], aug[c]
+                aug[c] = [x / aug[c][c] for x in aug[c]]
+                for r in range(k):
+                    if r != c and aug[r][c]:
+                        aug[r] = [x - aug[r][c] * y for x, y in zip(aug[r], aug[c])]
+            schur = sum(b * row[k] for b, row in zip(border, aug))
+            a = [[x * schur.denominator for x in row] for row in a]
+            a[k][k] = schur.numerator
+        if _columns_dependent(a, k) == dependent:
+            return a
+
+
+def _columns_dependent(a, k):
+    """Whether columns 0..k of a are dependent: their Gram matrix is singular."""
+    cols = [col for col in zip(*a)][: k + 1]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+    return states._det_bareiss(gram) == 0
+
+
+@pytest.mark.parametrize("dependent", [True, False], ids=["dependent", "independent"])
+def test_the_zero_pivot_dependence_test_matches_the_gram_determinant(monkeypatch, dependent):
+    rng = random.Random(f"planted-{dependent}")
+    real = states._det_bareiss
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        k = rng.randint(1, n - 2)
+        a = _symmetric_with_leading_signs(rng, n, k, dependent)
+        cov = CovarianceMatrix.over(range(n), {(i, j): a[i][j] for i in range(n)
+                                               for j in range(i, n)}, 1)
+        want = leading_determinant_signs(cov)
+        assert want[k] == 0 and 0 not in want[:k]
+        calls = []
+        monkeypatch.setattr(states, "_det_bareiss", lambda m: calls.append(len(m)) or real(m))
+        assert psd_probe(cov).signs == want
+        monkeypatch.setattr(states, "_det_bareiss", real)
+        # dependent columns decide every later minor; otherwise each is computed
+        assert calls == ([] if dependent else list(range(k + 2, n + 1)))
+
+
+def test_zero_pivots_in_sparse_symmetric_matrices():
+    rng = random.Random(2323)
+    branches = set()
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.choice((0, 0, 0, 1, -1, 2))
+        cov = CovarianceMatrix.over(range(n), {(i, j): a[i][j] for i in range(n)
+                                               for j in range(i, n)}, 1)
+        signs = psd_probe(cov).signs
+        assert signs == leading_determinant_signs(cov)
+        if 0 in signs:
+            k = signs.index(0)
+            branches.add(_columns_dependent(a, k))
+    assert branches == {True, False}
 
 
 def test_psd_probe_singular_block_of_nullity_two():
