@@ -170,15 +170,17 @@ class SphereOp(Frozen):
         areas = tuple(Fraction(a) for a in areas)
         if len(areas) < 2:
             raise ValueError("need at least two plaquette areas")
-        if any(a <= 0 for a in areas):
-            raise ValueError(f"areas must be positive: {areas}")
-        if sum(areas) != 1:
-            raise ValueError(f"areas must sum to 1, got {sum(areas)}")
+        # the areas are s_i / den over the lcm den of their denominators
         den = math.lcm(*(a.denominator for a in areas))
+        scaled = tuple(a.numerator * (den // a.denominator) for a in areas)
+        if any(s <= 0 for s in scaled):
+            raise ValueError(f"areas must be positive: {areas}")
+        if sum(scaled) != den:
+            raise ValueError(f"areas must sum to 1, got {sum(areas)}")
         object.__setattr__(self, "areas", areas)
         object.__setattr__(self, "unit", Fraction(1, den * den))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_scaled", tuple(int(a * den) for a in areas))
+        object.__setattr__(self, "_scaled", scaled)
 
     @property
     def n(self) -> int:
