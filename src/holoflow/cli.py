@@ -240,6 +240,15 @@ def _explicit_box(op) -> tuple:
     return cells[0].scale, lo, hi
 
 
+def _usage_errors(fn: Callable, *args, **kwargs):
+    """fn(*args, **kwargs), with its ValueError, such as a row too wide for the operator's
+    offset keys, made a usage error (exit 2)."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        raise click.UsageError(str(e))
+
+
 def _check_sweep_size(sites: int, window: int) -> None:
     """Reject a command whose sweeps, together, have more than MAX_SWEEP_SITES sites.
 
@@ -294,8 +303,8 @@ def verify_invariance(op_text, d, window, scales, fmt, out, decimal):
                                    f" {scale}, not {scale_list[0]}")
         _check_sweep_size(box_sweep_sites(lo, hi, 3, window), window)
         sweeps = [(op, list(box_cells(scale, lo, hi, dim=3)))]
-    _render_residuals("verify-invariance", op, {"window": window, "scales": scale_list},
-                      *_tally(gauge_sweep(scoped, cubes, window) for scoped, cubes in sweeps),
+    tally = _usage_errors(_tally, (gauge_sweep(scoped, cubes, window) for scoped, cubes in sweeps))
+    _render_residuals("verify-invariance", op, {"window": window, "scales": scale_list}, *tally,
                       fmt, out, decimal)
 
 
@@ -323,15 +332,15 @@ def verify_compat(op_text, d, window, scales, fmt, out, decimal):
         # p's scale-free row, fetched at the reach of both prefix and sweeps, is pushed once
         coarse = op.with_scale(-1)
         p = Cell(-1, (1, 1, 0))
-        coarse.b_row(p, 2 * max(4, window) + 2)
+        _usage_errors(coarse.b_row, p, 2 * max(4, window) + 2)
         prefix = ["cross-scale interaction sums at scale -1 (each equals 4x its scale-0 value):"]
         for label, q in (("(1,0,0)", (2, 1, 1)), ("(2,1,1)", (4, 3, 3)), ("(2,2,1)", (4, 5, 3))):
             total = child_interaction_sum(coarse, p, Cell(-1, q))
             prefix.append(f"  sum over children for ({format_cell(p)}, {format_cell(Cell(-1, q))})"
                           f" [offset {label}] = {total}")
-    _render_residuals("verify-compat", op, {"window": window, "scales": scale_list},
-                      *_tally(compat_sweep(scoped, plaquettes, window)
-                              for scoped, plaquettes in sweeps),
+    tally = _usage_errors(_tally, (compat_sweep(scoped, plaquettes, window)
+                                   for scoped, plaquettes in sweeps))
+    _render_residuals("verify-compat", op, {"window": window, "scales": scale_list}, *tally,
                       fmt, out, decimal, prefix)
 
 
@@ -388,7 +397,8 @@ def tables(op_text, d, scale, radius, fmt, out):
             raise click.UsageError("explicit operator has no lattice variables to dump")
         p = cells[0]
         a_value = op.coeff_a(p)
-    rows = sorted([format_cell(p), format_cell(q), str(v)] for q, v in op.support(p, radius))
+    rows = _usage_errors(sorted, ([format_cell(p), format_cell(q), str(v)]
+                                  for q, v in op.support(p, radius)))
     _render(
         fmt, out, 0,
         lambda: {"command": "tables", "operator": op.to_json(),
@@ -519,7 +529,7 @@ def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
         if not forms:
             raise click.UsageError("no 3-cells with all faces inside the operator universe")
         ideal = LinearIdeal(forms)
-    reports = welldefined_property(op, ideal, trials=trials, seed=seed)
+    reports = _usage_errors(welldefined_property, op, ideal, trials=trials, seed=seed)
     config = {"trials": trials, "seed": seed, "generators": len(ideal.generators)}
     _render_residuals("welldefined", op, config, len(reports), violations(reports), fmt, out)
 

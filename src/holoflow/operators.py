@@ -29,13 +29,21 @@ _entry reads a table value from them, and _nonzero lists their points
 within index bounds.
 
 Lookups run that map backwards.  Almost every b_pq is zero, so b_row(p,
-reach) gives p's sparse row, q - p -> b_int(p, q), holding only the nonzero
-entries.  A family keeps one row per coordinate-parity class of p, pushed
-from each nonzero base-table entry through the inverse of the
-canonicalization (_push_row); _b_table stays as the independent oracle the
-rows are tested against.  An ExplicitOp's rows hold its same-scale cell
-partners and are complete at any reach.  verify.py reads every gauge
-numerator from these rows.
+reach) gives p's sparse row, offset_key(q - p) -> b_int(p, q), holding only
+the nonzero entries.  A row is keyed by an integer: the offset in Horner
+form, in a radix the operator owns (offset_key), so a consumer reads q - p
+as key(q) - key(p) and a child offset 2t + e as 2 key(t) + key(e), with no
+tuple built.  The digits are centred, so a key is injective, additive and
+order-preserving on the offsets whose every coordinate lies within the
+radix's capacity (key_capacity); a family's radix, 2 ** (60 // d), keeps
+keys within two CPython digits, and b_row raises ValueError for a reach
+past its capacity before it builds anything, so no key aliases.  A family
+keeps one row per coordinate-parity class of p, pushed from each nonzero
+base-table entry through the inverse of the canonicalization (_push_row);
+_b_table stays as the independent oracle the rows are tested against.  An
+ExplicitOp's radix covers its cells' coordinate span, and its rows hold its
+same-scale cell partners and are complete at any reach.  verify.py reads
+every gauge and compatibility numerator from these rows.
 
 All three operators also expose their coefficients as integers over one
 unit (a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the
@@ -45,7 +53,8 @@ _apply_int, the one kernel of L: it returns L's coefficients over the unit,
 integers for integer input.  apply_operator checks the variables, runs it
 and multiplies by the unit once; exp_state's series and the
 well-definedness probes run it directly, sharing one memo of looked-up
-pair coefficients across calls (_pair_memo).  coeff_a/coeff_b are the
+pair coefficients across calls: _pair_memo over the variables themselves,
+_index_pairs over indices into a list of them.  coeff_a/coeff_b are the
 checked Fraction form.  The rows, and ExplicitOp's exp_state series memo,
 live in cache slots: they only cache pure values and never enter __eq__.
 
@@ -67,6 +76,44 @@ from .cells import Cell, box_cells, format_cell, parse_cell
 from .poly import Polynomial, _var_key
 
 
+# A family's radix is 2 ** (_KEY_BITS // d): its offset keys stay below 2 ** 59,
+# two 30-bit CPython digits.
+_KEY_BITS = 60
+
+
+def offset_key(t: Iterable[int], radix: int) -> int:
+    """t in Horner form, sum t_i radix^(d-1-i), with the coordinates as centred digits.
+
+    On offsets whose coordinates lie within key_capacity(radix) it is
+    injective and order-preserving (keys sort as their offsets do), and it
+    is linear, so key(s + t) = key(s) + key(t) and key(-t) = -key(t).
+    """
+    key = 0
+    for x in t:
+        key = key * radix + x
+    return key
+
+
+def key_capacity(radix: int) -> int:
+    """The largest |coordinate| that offset_key(t, radix) holds without aliasing."""
+    return (radix - 1) // 2
+
+
+def decode_key(key: int, radix: int, d: int) -> tuple:
+    """The d-offset t with offset_key(t, radix) == key, t within the radix's capacity."""
+    half, coords = radix // 2, []
+    for _ in range(d):
+        x = (key + half) % radix - half
+        coords.append(x)
+        key = (key - x) // radix
+    return tuple(reversed(coords))
+
+
+def _spread(cells: Iterable[Cell]) -> int:
+    """The largest per-axis coordinate range of the cells: it bounds every offset between two."""
+    return max((max(c) - min(c) for c in zip(*(p.coords for p in cells))), default=0)
+
+
 def apply_operator(op, f: Polynomial) -> Polynomial:
     """Apply L to a polynomial: sum_p a_p d_p^2 f - sum_{p,q} b_pq d_p d_q f.
 
@@ -78,7 +125,7 @@ def apply_operator(op, f: Polynomial) -> Polynomial:
     """
     _check_vars(op, f.variables())
     unit = op.unit
-    return Polynomial({m: unit * x for m, x in _apply_int(op, f.terms, _pair_memo(op)).items()})
+    return Polynomial({m: unit * x for m, x in _apply_int(f.terms, _pair_memo(op)).items()})
 
 
 def _check_vars(op, variables) -> None:
@@ -87,22 +134,53 @@ def _check_vars(op, variables) -> None:
         op.check_var(v)
 
 
-def _pair_memo(op, pool: Iterable | None = None) -> tuple[dict, dict, Callable]:
-    """A fresh pair memo for _apply_int: (diag, cross, cross_int).
+def _pair_memo(op) -> tuple[dict, dict, Callable, Callable]:
+    """A fresh pair memo for _apply_int over op's variables: (diag, cross, diag_int, cross_int).
 
-    cross_int(p, q) is b_int(p, q) + b_int(q, p), which _apply_int computes
-    once per cross pair it meets.  By default it makes the two lookups, so
-    a family's rows grow only as far as the pairs met need.  Given the
-    finite pool of variables every later call draws from, a family reads
-    the sum from rows sized once for the pool instead (sized_cross).
+    diag_int(v) is a_int(v) - b_int(v, v) and cross_int(p, q) is b_int(p, q)
+    + b_int(q, p), each made by lookups when _apply_int first meets it, so a
+    family's rows grow only as far as the pairs met need.
     """
-    if pool is not None and isinstance(op, CubicalFamilyOp):
-        return {}, {}, op.sized_cross(pool)
-    b_int = op.b_int
-    return {}, {}, lambda p, q: b_int(p, q) + b_int(q, p)
+    a_int, b_int = op.a_int, op.b_int
+    return {}, {}, lambda v: a_int(v) - b_int(v, v), lambda p, q: b_int(p, q) + b_int(q, p)
 
 
-def _apply_int(op, terms: Mapping, pairs: tuple[dict, dict, Callable]) -> dict:
+def _index_pairs(op, variables: Sequence) -> tuple[dict, dict, Callable, Callable]:
+    """_pair_memo's contract for monomials over the indices of variables: i stands for variables[i].
+
+    A family reads cross_int(i, j) = row_i[k_j - k_i] + row_j[k_i - k_j],
+    with k_i the offset key of variable i's coordinates and row_i its
+    class's row, sized once at the _spread of the variables in its
+    universe, which bounds every offset between two of them: one push per
+    parity class, and no lookup regrows a row.  A variable outside the
+    universe gets no row; the caller checks every variable of a monomial
+    before _apply_int reads its pairs.  Any other operator makes the two
+    b_int lookups per pair.
+    """
+    a_int, b_int = op.a_int, op.b_int
+
+    def diag_int(i: int) -> int:
+        v = variables[i]
+        return a_int(v) - b_int(v, v)
+
+    if isinstance(op, CubicalFamilyOp):
+        cells = list(filter(op.has_var, variables))
+        rows, radix = op.class_rows(cells, _spread(cells)), op.radix
+        table = [(offset_key(v.coords, radix), rows[v]) if v in rows else None for v in variables]
+
+        def cross_int(i: int, j: int) -> int:
+            ki, row_i = table[i]
+            kj, row_j = table[j]
+            return row_i.get(kj - ki, 0) + row_j.get(ki - kj, 0)
+    else:
+        def cross_int(i: int, j: int) -> int:
+            p, q = variables[i], variables[j]
+            return b_int(p, q) + b_int(q, p)
+
+    return {}, {}, diag_int, cross_int
+
+
+def _apply_int(terms: Mapping, pairs: tuple[dict, dict, Callable, Callable]) -> dict:
     """L applied to {monomial: x}, as coefficients over op.unit; the caller checks the variables.
 
     Integer x give integer coefficients.  The second derivatives are taken
@@ -112,13 +190,13 @@ def _apply_int(op, terms: Mapping, pairs: tuple[dict, dict, Callable]) -> dict:
     each pair i < j of its factors.  The new monomial is a slice of the old
     tuple with one or two exponents lowered or dropped, so it stays sorted.
     Only pairs that share a monomial are looked up, each once per pair
-    memo: pairs is _pair_memo's (diag, cross, cross_int), v -> a_vv - b_vv
-    and (v, w) -> -cross_int(v, w) over op.unit, which the caller keeps for
-    as many calls on op as it likes.  Monomials whose contributions cancel
-    stay in the result with value 0.
+    memo: pairs is (diag, cross, diag_int, cross_int) from _pair_memo or
+    _index_pairs, and the memo fills v -> diag_int(v) = a_vv - b_vv and
+    (v, w) -> -cross_int(v, w) over op.unit, for as many calls on op as the
+    caller likes.  Monomials whose contributions cancel stay in the result
+    with value 0.
     """
-    a_int, b_int = op.a_int, op.b_int
-    diag, cross, cross_int = pairs
+    diag, cross, diag_int, cross_int = pairs
     out: dict = {}
     for m, x in terms.items():
         n = len(m)
@@ -127,7 +205,7 @@ def _apply_int(op, terms: Mapping, pairs: tuple[dict, dict, Callable]) -> dict:
             if ei >= 2:
                 c = diag.get(vi)
                 if c is None:
-                    c = diag[vi] = a_int(vi) - b_int(vi, vi)
+                    c = diag[vi] = diag_int(vi)
                 if c:
                     lowered = ((vi, ei - 2),) if ei > 2 else ()
                     mm = m[:i] + lowered + m[i + 1:]
@@ -331,21 +409,24 @@ def _rule_points(rule: tuple, ni: int, nj: int, nk: int) -> Iterator[tuple[tuple
 
 
 def _mirrored(c: int) -> tuple:
-    """(c, +1) and (-c, +1): a coordinate and its reflection, which flips no orientation."""
+    """(c, +1) and (-c, +1): a coordinate, or its key, and its reflection, which flips no
+    orientation."""
     return ((c, 1), (-c, 1)) if c else ((0, 1),)
 
 
-def _l1_vectors(total: int, n: int, cap: int) -> Iterator[tuple]:
-    """Every integer n-vector of L1 norm total with entries in [-cap, cap]."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    for c in range(min(total, cap) + 1):
-        for tail in _l1_vectors(total - c, n - 1, cap):
-            yield (c, *tail)
-            if c:
-                yield (-c, *tail)
+def _l1_keys(weights: Sequence[int], cap: int) -> list[list[int]]:
+    """by_norm[b]: sum c_i weights[i] for every integer vector c with entries in [-cap, cap]
+    and L1 norm b, built one axis at a time."""
+    by_norm = [[0]]
+    for w in weights:
+        grown: list = [[] for _ in range(len(by_norm) + cap)]
+        for b, keys in enumerate(by_norm):
+            grown[b] += keys
+            for c in range(1, cap + 1):
+                grown[b + c] += [k + c * w for k in keys]
+                grown[b + c] += [k - c * w for k in keys]
+        by_norm = grown
+    return by_norm
 
 
 def _orthant_index(index) -> bool:
@@ -370,7 +451,8 @@ class CubicalFamilyOp(Frozen):
     index must be three non-negative integers, the principal orthant that
     lookups read: any other index could never be read.
 
-    b_int reads the scale-0 table value from p's row (b_row).  _b_table
+    b_int reads the scale-0 table value from p's row (b_row), keyed by
+    offset_key in the family's radix, 2 ** (_KEY_BITS // d).  _b_table
     moves p to the base plaquette by a translation, so one row serves every
     p of a coordinate-parity pattern at every scale.  Rows live in _memo,
     beside verify.py's numerator rows: empty at first, shared by with_scale
@@ -386,7 +468,7 @@ class CubicalFamilyOp(Frozen):
     are unaffected.
     """
 
-    __slots__ = ("d", "scale", "variant", "table_overrides", "_memo")
+    __slots__ = ("d", "scale", "variant", "table_overrides", "radix", "_memo")
 
     def __init__(self, d: int = 3, scale: int = 0, variant: str = "cubical",
                  table_overrides: Mapping | None = None):
@@ -412,6 +494,7 @@ class CubicalFamilyOp(Frozen):
         object.__setattr__(self, "scale", int(scale))
         object.__setattr__(self, "variant", variant)
         object.__setattr__(self, "table_overrides", overrides)
+        object.__setattr__(self, "radix", 2 ** (_KEY_BITS // self.d))
         object.__setattr__(self, "_memo", {})
 
     @classmethod
@@ -474,8 +557,8 @@ class CubicalFamilyOp(Frozen):
             )
 
     def has_var(self, p) -> bool:
-        return (isinstance(p, Cell) and p.ambient_dim == self.d
-                and p.scale == self.scale and p.dim == 2)
+        return (isinstance(p, Cell) and p.scale == self.scale and len(p.coords) == self.d
+                and sum([c & 1 for c in p.coords]) == 2)
 
     def base_plaquette(self) -> Cell:
         return Cell(self.scale, (1, 1) + (0,) * (self.d - 2))
@@ -504,22 +587,28 @@ class CubicalFamilyOp(Frozen):
         b_pq = b_int(p, q) * 4^-n.  Callers check the universe.
         """
         offset = tuple(map(sub, q.coords, p.coords))
-        return self.b_row(p, max(map(abs, offset))).get(offset, 0)
+        return self.b_row(p, max(map(abs, offset))).get(offset_key(offset, self.radix), 0)
 
     def b_row(self, p: Cell, reach: int) -> dict:
-        """p's row: q - p -> b_int(p, q), holding only the nonzero values.
+        """p's row: offset_key(q - p, radix) -> b_int(p, q), holding only the nonzero values.
 
         It is complete for every offset of max-norm at most reach and may
-        hold farther ones; a lookup reads row.get(q - p, 0).  The row is
-        shared by all plaquettes with p's coordinate-parity pattern.  A row
-        of smaller reach is rebuilt at the larger of reach and twice its
-        own.
+        hold farther ones, all within key_capacity(radix); a lookup reads
+        row.get(key(q) - key(p), 0) for a q within reach.  The row is shared
+        by all plaquettes with p's coordinate-parity pattern.  A row of
+        smaller reach is rebuilt at the larger of reach and twice its own,
+        at most the capacity.  A reach past the capacity, whose offsets the
+        keys could alias, raises ValueError before any row is built.
         """
         parity = tuple([c & 1 for c in p.coords])
         held = self._memo.get(parity)
         if held is None or held[0] < reach:
+            capacity = key_capacity(self.radix)
+            if reach > capacity:
+                raise ValueError(f"a row of reach {reach} does not fit the d={self.d} offset keys,"
+                                 f" which hold a reach of at most {capacity}")
             if held is not None:
-                reach = max(reach, 2 * held[0])
+                reach = max(reach, min(2 * held[0], capacity))
             plane = [axis for axis, c in enumerate(parity) if c]
             if len(plane) != 2:
                 raise ValueError(f"{p} is not a plaquette")
@@ -538,26 +627,6 @@ class CubicalFamilyOp(Frozen):
             out[p] = row
         return out
 
-    def sized_cross(self, pool: Iterable) -> Callable:
-        """(p, q) -> b_int(p, q) + b_int(q, p) for p and q in pool, read from rows sized once.
-
-        pool holds plaquettes of the universe (callers check it, as for
-        b_int).  Each is mapped to its coordinates and its row at the pool's
-        largest per-axis coordinate range, which bounds every offset between
-        two of them: one push per parity class, and no lookup regrows a row.
-        A pair then costs two offsets and two row reads.  The pool must be
-        finite and small, since the rows reach across all of it.
-        """
-        spread = max((max(c) - min(c) for c in zip(*(p.coords for p in pool))), default=0)
-        table = {p: (p.coords, row) for p, row in self.class_rows(pool, spread).items()}
-
-        def cross_int(p: Cell, q: Cell) -> int:
-            u, row_p = table[p]
-            v, row_q = table[q]
-            return row_p.get(tuple(map(sub, v, u)), 0) + row_q.get(tuple(map(sub, u, v)), 0)
-
-        return cross_int
-
     def _push_row(self, pa: int, pb: int, reach: int) -> dict:
         """The nonzero b_int(p, q) by q - p, up to max-norm reach, for p in plane (pa, pb).
 
@@ -566,39 +635,42 @@ class CubicalFamilyOp(Frozen):
         the entry gets the entry times the orientation signs collected on
         the way.  The map is a function of the offset, so no offset is
         reached twice.  The index bounds keep every pushed offset within
-        reach; the entries cost the row's size, not its box's.  The doubled
-        transverse vectors are listed once per (budget, number of axes) and
-        reused by every pick and entry of the row.
+        reach; the entries cost the row's size, not its box's.  A key is a
+        sum of per-axis contributions, coordinate times the axis's weight in
+        the radix (offset_key is linear): each option below is one axis's
+        contribution and sign, and the doubled transverse vectors are keyed
+        once per set of transverse axes, by L1 norm (_l1_keys); every pick
+        and entry of the row adds their keys.
         """
-        d = self.d
-        rest = [axis for axis in range(d) if axis != pa and axis != pb]
+        d, radix = self.d, self.radix
+        weight = [radix ** (d - 1 - axis) for axis in range(d)]
+        rest = tuple([axis for axis in range(d) if axis != pa and axis != pb])
         half = reach // 2
         row: dict = {}
-        doubled: dict = {}
+        keyed: dict = {}
 
-        def push(value, axes, options, transverse, budget):
-            # one offset per choice of (coordinate, sign) on each axis, times
-            # twice every vector of L1 norm budget on the transverse axes
-            key = (budget, len(transverse))
-            vectors = doubled.get(key)
-            if vectors is None:
-                vectors = doubled[key] = [[2 * c for c in w] for w in _l1_vectors(*key, half)]
-            if not vectors:
+        def push(value, options, transverse, budget):
+            # one offset per choice of (key, sign) on each axis, plus twice
+            # every vector of L1 norm budget on the transverse axes
+            by_norm = keyed.get(transverse)
+            if by_norm is None:
+                by_norm = keyed[transverse] = _l1_keys([2 * weight[axis] for axis in transverse],
+                                                       half)
+            if budget >= len(by_norm):
                 return
-            t = [0] * d
+            keys = by_norm[budget]
             for picks in itertools.product(*options):
-                sign = value
-                for axis, (c, s) in zip(axes, picks):
-                    t[axis] = c
+                base, sign = 0, value
+                for c, s in picks:
+                    base += c
                     sign *= s
-                for w in vectors:
-                    for axis, c in zip(transverse, w):
-                        t[axis] = c
-                    row[tuple(t)] = sign
+                for k in keys:
+                    row[base + k] = sign
 
         # parallel planes: alpha(|t_pa|/2, |t_pb|/2, sum of |t|/2 transverse)
+        wa, wb = weight[pa], weight[pb]
         for (i, j, k), value in self._nonzero("alpha", half, half, (d - 2) * half):
-            push(value, (pa, pb), (_mirrored(2 * i), _mirrored(2 * j)), rest, k)
+            push(value, (_mirrored(2 * i * wa), _mirrored(2 * j * wb)), rest, k)
 
         # planes sharing one axis: the free p axis carries i (reflected
         # through the base plaquette's center when i >= 2, sign -1), the
@@ -606,17 +678,18 @@ class CubicalFamilyOp(Frozen):
         # sign -1) and the transverse axes the rest of k.  Sharing pa swaps
         # the base-plane axes (sign -1); o < shared reverses q (sign -1).
         far = (reach - 1) // 2
+        others = [(o, weight[o], tuple([axis for axis in rest if axis != o])) for o in rest]
         for (i, j, k), value in self._nonzero("beta", (reach + 1) // 2, half,
                                               far + (d - 3) * half):
-            free_options = [(2 * i - 1, 1)] + ([(1 - 2 * i, -1)] if i >= 2 else [])
-            shared_options = _mirrored(2 * j)
             for free, shared, swap in ((pa, pb, 1), (pb, pa, -1)):
-                for o in rest:
-                    transverse = [axis for axis in rest if axis != o]
+                wf = weight[free]
+                free_options = [((2 * i - 1) * wf, 1)] + ([((1 - 2 * i) * wf, -1)] if i >= 2 else [])
+                shared_options = _mirrored(2 * j * weight[shared])
+                for o, wo, transverse in others:
                     sign = value * swap * (-1 if o < shared else 1)
                     for ko in range(min(k, far) + 1):
-                        push(sign, (free, shared, o),
-                             (free_options, shared_options, ((2 * ko + 1, 1), (-1 - 2 * ko, -1))),
+                        push(sign, (free_options, shared_options,
+                                    (((2 * ko + 1) * wo, 1), ((-1 - 2 * ko) * wo, -1))),
                              transverse, k - ko)
         return row
 
@@ -702,11 +775,12 @@ class CubicalFamilyOp(Frozen):
     def support(self, p: Cell, radius: int) -> Iterator[tuple[Cell, Fraction]]:
         """All q with nonzero coefficient within max-norm distance radius of p, in cell order."""
         self.check_var(p)
-        u, unit = p.coords, self.unit
+        u, unit, radix, d = p.coords, self.unit, self.radix, self.d
         row = self.b_row(p, radius)
-        for t in sorted(row):
+        for key in sorted(row):  # the keys' order is the offsets'
+            t = decode_key(key, radix, d)
             if max(map(abs, t)) <= radius:
-                yield Cell(self.scale, tuple(map(add, u, t))), row[t] * unit
+                yield Cell(self.scale, tuple(map(add, u, t))), row[key] * unit
 
     def window_plaquettes(self, radius: int) -> list[Cell]:
         lo = (-radius,) * self.d
@@ -741,14 +815,16 @@ class ExplicitOp(Frozen):
 
     _series is exp_state's memo, per monomial m, of the integers
     mu0(L^k m) / unit^k for k = 0..deg(m) // 2.  _rows holds the b_row of
-    every cell, built from _b_int on the first b_row call.  Both are cache
+    every cell, built from _b_int on the first b_row call and keyed by
+    offset_key in radix, 2 _spread(cells) + 1: the keys hold every offset
+    between two cells, so a row always fits its radix.  Both are cache
     slots: they live as long as the instance and never enter __eq__;
     with_entry builds a new instance (with its own unit) and empty caches.
     """
 
     variant = "explicit"
 
-    __slots__ = ("a", "b", "unit", "_a_int", "_b_int", "_series", "_rows")
+    __slots__ = ("a", "b", "unit", "radix", "_a_int", "_b_int", "_series", "_rows")
 
     @classmethod
     def _over(cls, a_int: dict, b_int: dict, den: int) -> "ExplicitOp":
@@ -756,7 +832,8 @@ class ExplicitOp(Frozen):
         op = object.__new__(cls)
         for name, value in zip(cls.__slots__, ({v: Fraction(c, den) for v, c in a_int.items()},
                                                {k: Fraction(c, den) for k, c in b_int.items()},
-                                               Fraction(1, den), a_int, b_int, {}, None)):
+                                               Fraction(1, den), _span_radix(a_int), a_int,
+                                               b_int, {}, None)):
             object.__setattr__(op, name, value)
         return op
 
@@ -776,6 +853,7 @@ class ExplicitOp(Frozen):
             b_clean[key] = c
         den = math.lcm(*(c.denominator for c in (*a_clean.values(), *b_clean.values())))
         for name, value in zip(self.__slots__, (a_clean, b_clean, Fraction(1, den),
+                                                _span_radix(a_clean),
                                                 {v: int(c * den) for v, c in a_clean.items()},
                                                 {k: int(c * den) for k, c in b_clean.items()}, {}, None)):
             object.__setattr__(self, name, value)
@@ -815,12 +893,12 @@ class ExplicitOp(Frozen):
         """
         rows = self._rows
         if rows is None:
-            rows = {}
+            rows, radix = {}, self.radix
             for (u, v), c in self._b_int.items():
                 if c and isinstance(u, Cell) and isinstance(v, Cell) and u.scale == v.scale:
-                    t = tuple(map(sub, v.coords, u.coords))
+                    t = offset_key(map(sub, v.coords, u.coords), radix)
                     rows.setdefault(u, {})[t] = c
-                    rows.setdefault(v, {})[tuple([-x for x in t])] = c
+                    rows.setdefault(v, {})[-t] = c
             object.__setattr__(self, "_rows", rows)
         return rows.get(p, {})
 
@@ -856,6 +934,11 @@ class ExplicitOp(Frozen):
 
     def __repr__(self):
         return f"ExplicitOp({len(self.a)} variables, {len(self.b)} interactions)"
+
+
+def _span_radix(variables: Iterable) -> int:
+    """2 _spread + 1 over the cell variables: a radix whose keys hold every offset between two."""
+    return 2 * _spread([v for v in variables if isinstance(v, Cell)]) + 1
 
 
 def _pair_key(p, q):

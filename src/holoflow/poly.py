@@ -455,6 +455,27 @@ class LinearIdeal(Frozen):
         })
         object.__setattr__(self, "_memo", {})
 
+    def relabelled(self, index: Mapping) -> "LinearIdeal":
+        """The same ideal with every variable v renamed index[v], with no second elimination.
+
+        index must order the new names as _var_key orders the old ones, so
+        each row keeps its leading variable and each monomial stays sorted.
+        The generators and rows are renamed; the memo starts empty.
+        """
+        def rename(m: Monomial) -> Monomial:
+            return tuple([(index[v], e) for v, e in m])
+
+        out = object.__new__(LinearIdeal)
+        for name, value in (
+                ("generators", tuple(Polynomial({rename(m): c for m, c in g.terms.items()})
+                                     for g in self.generators)),
+                ("den", self.den),
+                ("_rows", {index[v]: {rename(m): c for m, c in row.items()}
+                           for v, row in self._rows.items()}),
+                ("_memo", {})):
+            object.__setattr__(out, name, value)
+        return out
+
     @property
     def rank(self) -> int:
         return len(self._rows)

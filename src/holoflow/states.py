@@ -48,13 +48,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul, sub
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from ._frozen import Frozen
 
 from .cells import box_cell_count
-from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo
+from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo, offset_key
 from .poly import Monomial, Polynomial, _format_monomial, _integer_terms, _mono_degree
 
 # The highest degree exp_state and verify_sphere accept.  A monomial's series
@@ -186,7 +186,7 @@ def _series_state(op, items, scale: int, memo: dict, pairs: tuple) -> LambdaPoly
     for m, c in items:
         series = memo.get(m)
         if series is None:
-            series = _mu0_series(op, m, memo, pairs)
+            series = _mu0_series(m, memo, pairs)
         for k, value in enumerate(series):
             if value:
                 sums[k] = sums.get(k, 0) + c * value
@@ -195,7 +195,7 @@ def _series_state(op, items, scale: int, memo: dict, pairs: tuple) -> LambdaPoly
                            for k, v in sums.items() if v})
 
 
-def _mu0_series(op, m: Monomial, memo: dict, pairs: tuple) -> list[int]:
+def _mu0_series(m: Monomial, memo: dict, pairs: tuple) -> list[int]:
     """[mu0(L^k m) / unit^k for k = 0..deg(m) // 2], from the series of L m's monomials.
 
     L m is unit times _apply_int's integer coefficients c2, so entry k is
@@ -203,14 +203,14 @@ def _mu0_series(op, m: Monomial, memo: dict, pairs: tuple) -> list[int]:
     caller checks m's variables and that m is not in memo yet; each m2's
     series is read from memo, and computed by recursion only on a miss.
     The series is stored in memo and returned.  pairs is _apply_int's pair
-    memo (_pair_memo), shared by the whole series.
+    memo (_pair_memo) for the operator, shared by the whole series.
     """
     series = [int(not m)] + [0] * (_mono_degree(m) // 2)
-    for m2, c2 in _apply_int(op, {m: 1}, pairs).items():
+    for m2, c2 in _apply_int({m: 1}, pairs).items():
         if c2:
             child = memo.get(m2)
             if child is None:
-                child = _mu0_series(op, m2, memo, pairs)
+                child = _mu0_series(m2, memo, pairs)
             for k, value in enumerate(child, start=1):
                 if value:
                     series[k] += c2 * value
@@ -519,7 +519,8 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
     The window holds every plaquette with all coordinates within radius at
     the family's scale, in canonical cell order.  Each is checked against
     the universe once; an entry is 2 (a_int delta_pq - b_int) times the
-    unit, with b_int read from p's row.  The entries stay integers, over
+    unit, with b_int read from p's row at key(q) - key(p), each plaquette's
+    coordinates keyed once.  The entries stay integers, over
     the unit's denominator, for CovarianceMatrix.over to normalize.  A window
     of more than MAX_WINDOW_PLAQUETTES plaquettes raises ValueError before any
     is listed.
@@ -533,12 +534,13 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
         family.check_var(p)
     unit = family.unit
     scale = 2 * unit.numerator
-    rows = family.class_rows(plaquettes, 2 * radius)
+    rows, radix = family.class_rows(plaquettes, 2 * radius), family.radix
+    keys = [offset_key(p.coords, radix) for p in plaquettes]
     nums = {}
     for i, p in enumerate(plaquettes):
-        u, row = p.coords, rows[p]
-        for q in plaquettes[i:]:
-            value = -row.get(tuple(map(sub, q.coords, u)), 0)
+        k, row = keys[i], rows[p]
+        for q, kq in zip(plaquettes[i:], keys[i:]):
+            value = -row.get(kq - k, 0)
             if q is p:
                 value += family.a_int(p)
             if value:

@@ -21,10 +21,14 @@ Sweeps enumerate finite windows of sites in one process and sort the
 reports; MAX_SWEEP_SITES bounds a sweep, counted in closed form before any
 site is listed.
 
-Numerators read coefficient rows, b_row(p, reach): q - p -> b_int(p, q),
-nonzero entries only, which a family and an ExplicitOp both give.  Every
-gauge numerator -- at a sweep site, in gauge_residual and in
-solve_base_coefficient -- is gauge_numerator over p's row.
+Numerators read coefficient rows, b_row(p, reach): offset_key(q - p) ->
+b_int(p, q), nonzero entries only, which a family and an ExplicitOp both
+give, keyed in the operator's radix.  A numerator keys its offsets once and
+then does key arithmetic: q - p is key(q - cube) - key(p - cube) for a
+gauge site and a child offset 2t + s is 2 key(t) + key(s) for a compat
+site, each within the reach its row was fetched at, so no tuple is built
+per read.  Every gauge numerator -- at a sweep site, in gauge_residual and
+in solve_base_coefficient -- is gauge_numerator over p's row.
 
 A coefficient family is invariant under even translations of the lattice,
 and cells with one coordinate-parity pattern differ by even translations.
@@ -37,7 +41,7 @@ parity pattern once, with their site keys, and computes, at the first
 center of each class, the class's table: the faces' universe check, the
 faces' steps and, at every offset t, t's site key and the reported value.
 Every later center of the class only labels its sites and builds their
-reports.  A site key is _site_key, Horner form in a radix that covers the
+reports.  A site key is offset_key, Horner form in a radix that covers the
 sweep's box, so a site's key is its center's plus t's and its label is one
 hit in a per-scale dict, key -> label, formatted on first use.  Centers are
 visited in head order and each one's reports are built in label order, so
@@ -51,11 +55,14 @@ ExplicitOp's in a fresh row per class.
 A gauge row miss reads its partner p = cube + t from a per-sweep memo under
 p's class, (a_int(p), b_row(p, reach)) or outside the universe, so a family
 builds p, checks it and fetches its row once per pattern of p, and reads
-that row at the face offsets less t, since q - p = (q - cube) - t.  A compat
-miss reads p's row too: every child pair of (p, q) has q' - p' = 2(q - p) +
-(e_q - e_p), and p's children share p's parity pattern, so compat_b is one
-stencil on p's row, 4 B(t) - sum m B(2t + s) over the steps s = e_q - e_p,
-which _child_steps derives from the planes of p and q.
+that row at the face keys less t's key, since q - p = (q - cube) - t.  A
+compat miss reads p's row too: every child pair of (p, q) has q' - p' =
+2(q - p) + (e_q - e_p), and p's children share p's parity pattern, so
+compat_b is one stencil on p's row, 4 B(t) - sum m B(2t + s) over the steps
+s = e_q - e_p, which _child_steps derives from the planes of p and q.  The
+class rows stay keyed by the offset tuple t: a sweep may list offsets past
+the radix's capacity whose partners lie outside the universe, and those
+must miss.
 """
 
 from __future__ import annotations
@@ -69,9 +76,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import (Cell, boundary, box_cell_count, box_cells, children, format_cell,
                     plaquette_offsets, plaquettes_near)
-from .operators import CubicalFamilyOp, _apply_int, _check_vars, _pair_memo
+from .operators import CubicalFamilyOp, _apply_int, _index_pairs, decode_key, offset_key
 from .poly import (LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_from_dict,
-                   _mono_sort_key, _mul_terms)
+                   _mono_sort_key, _mul_terms, _var_key)
 
 
 _ZERO = Fraction(0)
@@ -105,30 +112,30 @@ def violations(reports: Iterable[ResidualReport]) -> list[ResidualReport]:
 # -- gauge invariance ---------------------------------------------------------
 
 
-def gauge_numerator(a: int, lead: int, row: dict, faces: Iterable[tuple[tuple, int]],
-                    t: tuple) -> int:
+def gauge_numerator(a: int, lead: int, row: dict, faces: Iterable[tuple[int, int]],
+                    t: int) -> int:
     """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit, with a = A(p), lead = <dc,p>, p's b_row,
-    the faces (q - cube, <dc,q>) and t = p - cube, so that q - p = (q - cube) - t.  The caller
-    checks p and the faces."""
+    the faces (key(q - cube), <dc,q>) and t = key(p - cube), keys in op's radix, so that
+    key(q - p) = key(q - cube) - t.  The caller checks p and the faces, and fetched the row at
+    a reach that covers every q - p."""
     get = row.get
-    return lead * a - sum([s * get(tuple(map(sub, f, t)), 0) for f, s in faces])
+    return lead * a - sum([s * get(f - t, 0) for f, s in faces])
 
 
-def _face_steps(cube: Cell) -> tuple[dict, list[tuple[tuple, int]]]:
-    """The faces dc and their steps (q - cube, <dc,q>)."""
+def _face_steps(faces: dict, u: tuple, radix: int) -> list[tuple[int, int]]:
+    """The faces' steps (key(q - u), <dc,q>) from the cube's coordinates u."""
+    return [(offset_key(map(sub, q.coords, u), radix), s) for q, s in faces.items()]
+
+
+def _site_terms(op, cube: Cell, p: Cell) -> tuple[dict, dict, list, int]:
+    """The faces, p's row, the faces' steps and key(p - cube), once p and each face are checked."""
     faces = boundary(cube)
-    u = cube.coords
-    return faces, [(tuple(map(sub, q.coords, u)), s) for q, s in faces.items()]
-
-
-def _site_terms(op, cube: Cell, p: Cell) -> tuple[dict, dict, list, tuple]:
-    """The faces, p's row, the faces' steps and t = p - cube, once p and each face are checked."""
-    faces, steps = _face_steps(cube)
     for q in (p, *faces):
         op.check_var(q)
-    t = tuple(map(sub, p.coords, cube.coords))
-    reach = max(abs(x - y) for f, _ in steps for x, y in zip(f, t))
-    return faces, op.b_row(p, reach), steps, t
+    reach = max(abs(x - y) for q in faces for x, y in zip(q.coords, p.coords))
+    u, radix = cube.coords, op.radix
+    return (faces, op.b_row(p, reach), _face_steps(faces, u, radix),
+            offset_key(map(sub, p.coords, u), radix))
 
 
 def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
@@ -193,10 +200,11 @@ def _gauge_values(op, cube: Cell, offsets: Iterable[tuple[tuple, int]], reach: i
     b_row(p, reach)), or None for a p outside the universe.  reach bounds
     f - t for every face offset f.
     """
-    faces, steps = _face_steps(cube)
+    faces = boundary(cube)
     if not all(map(op.has_var, faces)):
         return []
-    scale, u, unit = cube.scale, cube.coords, op.unit
+    scale, u, unit, radix = cube.scale, cube.coords, op.unit, op.radix
+    steps = _face_steps(faces, u, radix)
     lead = dict(steps)
     out = []
     for t, k in offsets:
@@ -211,7 +219,8 @@ def _gauge_values(op, cube: Cell, offsets: Iterable[tuple[tuple, int]], reach: i
                 partner = partners[key] = (op.a_int(p), op.b_row(p, reach)) if op.has_var(p) else None
             if partner is None:
                 continue
-            n = row[t] = gauge_numerator(partner[0], lead.get(t, 0), partner[1], steps, t)
+            kt = offset_key(t, radix)
+            n = row[t] = gauge_numerator(partner[0], lead.get(kt, 0), partner[1], steps, kt)
         out.append((k, n * unit if n else _ZERO))
     return out
 
@@ -284,27 +293,23 @@ def _classes(op) -> tuple[Callable, Callable]:
 
 def _site_radix(centers: Iterable[Cell], radius: int) -> int:
     """2R + 1, with R the largest absolute coordinate of any center plus radius: every site
-    coordinate and every offset lies in [-R, R], a digit of _site_key in this radix."""
+    coordinate and every offset lies in [-R, R], a digit of offset_key in this radix."""
     return 2 * (max((abs(x) for c in centers for x in c.coords), default=0) + radius) + 1
 
 
-def _site_key(coords: Iterable[int], radix: int) -> int:
-    """coords in Horner form with digits in [-R, R], radix = 2R + 1: injective on the box
-    [-R, R]^d, and additive, so a site's key is its center's key plus its offset's."""
-    key = 0
-    for x in coords:
-        key = key * radix + x
-    return key
-
-
 def _site_keys(centers: Sequence[Cell], radius: int, offsets: dict) -> tuple[int, dict]:
-    """A sweep's radix and its offset keys: pattern -> [_site_key(t, radix) for t in offsets]."""
+    """A sweep's radix and its offset keys: pattern -> [offset_key(t, radix) for t in offsets].
+
+    In the _site_radix every site coordinate is a digit, so offset_key is
+    injective on the sweep's box, and a site's key is its center's plus its
+    offset's.
+    """
     radix = _site_radix(centers, radius)
-    return radix, {pattern: [_site_key(t, radix) for t in ts] for pattern, ts in offsets.items()}
+    return radix, {pattern: [offset_key(t, radix) for t in ts] for pattern, ts in offsets.items()}
 
 
 class _Labels(dict):
-    """_site_key(coords) -> plaquette label at one scale and dimension, formatted on first use."""
+    """offset_key(coords) -> plaquette label at one scale and dimension, formatted on first use."""
 
     __slots__ = ("radix", "d", "tail")
 
@@ -313,12 +318,7 @@ class _Labels(dict):
         self.radix, self.d, self.tail = radix, d, "]@" + str(scale)
 
     def __missing__(self, key: int) -> str:
-        radix, half, rest, coords = self.radix, self.radix // 2, key, []
-        for _ in range(self.d):
-            x = (rest + half) % radix - half
-            coords.append(x)
-            rest = (rest - x) // radix
-        label = self[key] = "[" + ",".join(map(str, reversed(coords))) + self.tail
+        label = self[key] = "[" + ",".join(map(str, decode_key(key, self.radix, self.d))) + self.tail
         return label
 
 
@@ -347,7 +347,7 @@ def _site_reports(condition: str, center: Cell, head: str, values: Sequence[tupl
     seen = labels.get((scale, len(u)))
     if seen is None:
         seen = labels[scale, len(u)] = _Labels(scale, len(u), radix)
-    base = _site_key(u, radix)
+    base = offset_key(u, radix)
     pairs = sorted([(seen[base + k], value) for k, value in values])
     new = tuple.__new__
     return [new(ResidualReport, (condition, (head, label), value)) for label, value in pairs]
@@ -459,15 +459,21 @@ def _child_steps(p_pattern: Sequence[int], q_pattern: Sequence[int]) -> list[tup
                         for eq in q_corners).items())
 
 
-def _compat_b(row: dict, t: tuple, steps) -> int:
-    """4*B(p,q) - sum B(p',q') over child pairs, with t = q - p, read from p's row.
+def _compat_b(row: dict, t: int, steps) -> int:
+    """4*B(p,q) - sum B(p',q') over child pairs, with t = key(q - p), read from p's row.
 
-    p's children have p's parity pattern, so its row serves them too; it
-    must reach 2|t| + 2.  B is scale-free, so one row serves both scales.
+    steps are the child steps (key(e), count).  p's children have p's parity
+    pattern, so its row serves them too, at key 2t + key(e); it must reach
+    2|q - p| + 2.  B is scale-free, so one row serves both scales.
     """
     get = row.get
-    t2 = [2 * x for x in t]
-    return 4 * get(t, 0) - sum([m * get(tuple(map(add, t2, e)), 0) for e, m in steps])
+    t2 = 2 * t
+    return 4 * get(t, 0) - sum([m * get(t2 + e, 0) for e, m in steps])
+
+
+def _keyed_steps(steps: Iterable[tuple[tuple, int]], radix: int) -> list[tuple[int, int]]:
+    """_child_steps' (step, count) pairs with each step keyed in the radix."""
+    return [(offset_key(e, radix), m) for e, m in steps]
 
 
 def compat_residual_a(family: CubicalFamilyOp, p: Cell) -> Fraction:
@@ -483,8 +489,9 @@ def compat_residual_b(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
     family.check_var(p)
     family.check_var(q)
     t = tuple(map(sub, q.coords, p.coords))
-    row = family.b_row(p, 2 * max(map(abs, t)) + 2)
-    return _compat_b(row, t, _child_steps(_parity(p), _parity(q))) * (family.unit / 4)
+    row, radix = family.b_row(p, 2 * max(map(abs, t)) + 2), family.radix
+    steps = _keyed_steps(_child_steps(_parity(p), _parity(q)), radix)
+    return _compat_b(row, offset_key(t, radix), steps) * (family.unit / 4)
 
 
 def child_interaction_sum(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
@@ -532,6 +539,7 @@ def _compat_values(family: CubicalFamilyOp, p: Cell, offsets: Iterable[tuple[tup
     """
     a_value = compat_residual_a(family, p)
     b_row, unit, pattern = family.b_row(p, reach), family.unit / 4, _parity(p)
+    radix = family.radix
     steps: dict = {}
     out = []
     for t, k in offsets:
@@ -540,8 +548,9 @@ def _compat_values(family: CubicalFamilyOp, p: Cell, offsets: Iterable[tuple[tup
             plane = tuple([x & 1 for x in t])
             plane_steps = steps.get(plane)
             if plane_steps is None:
-                plane_steps = steps[plane] = _child_steps(pattern, tuple(map(xor, pattern, plane)))
-            n = row[t] = _compat_b(b_row, t, plane_steps)
+                plane_steps = steps[plane] = _keyed_steps(
+                    _child_steps(pattern, tuple(map(xor, pattern, plane))), radix)
+            n = row[t] = _compat_b(b_row, offset_key(t, radix), plane_steps)
         out.append((k, n * unit if n else _ZERO))
     return a_value, out
 
@@ -572,30 +581,44 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     failing site makes a Fraction.  A variable is checked once per run, by
     the first probe that sees it; later probes check only the variables no
     earlier one has, in the same canonical order, so an error names the
-    same variable.  The pool is known before the first probe, so the run's
-    one pair memo is _pair_memo(op, pool): a family's cross pairs read rows
-    sized once for the pool, with no regrowth.
+    same variable.
+
+    The run numbers its variables once, the pool's and the generators', in
+    _var_key order, and probes over the indices: the ideal is relabelled
+    (its rows renamed, not eliminated again), the generators with it, and
+    the pool becomes its variables' indices in the same str order, so every
+    rng draw is the one the variables would get.  Index order is _var_key
+    order, so monomials merge, reduce and pick their witness as the
+    variables' would.  The pool is known before the first probe, so the
+    run's one pair memo is _index_pairs: a family's cross pairs read rows
+    sized once for the pool, with no regrowth, at key differences.
     """
     rng = random.Random(seed)
     pool = _probe_pool(op, ideal)
     if not pool:
         return []
+    variables = sorted(set(pool).union(*(f_c.variables() for f_c in ideal.generators)),
+                       key=_var_key)
+    index = {v: i for i, v in enumerate(variables)}
+    ideal = ideal.relabelled(index)
+    draw_pool = [index[v] for v in pool]
     generators = [(*_integer_terms(f_c), f_c.variables()) for f_c in ideal.generators]
-    pairs = _pair_memo(op, pool)
+    pairs = _index_pairs(op, variables)
     checked: set = set()
     unit, den = op.unit, ideal.den
     reports = []
     for t in range(trials):
-        g = _random_polynomial(rng, pool)
+        g = _random_polynomial(rng, draw_pool)
         g_terms, den_g = _integer_terms(g)
         g_vars = g.variables()
         for idx, (f_terms, den_f, f_vars) in enumerate(generators):
             value = _ZERO
             if f_terms and g_terms:
                 new = (f_vars | g_vars) - checked
-                _check_vars(op, new)
+                for i in sorted(new):
+                    op.check_var(variables[i])
                 checked |= new
-                image = _apply_int(op, _mul_terms(f_terms, g_terms), pairs)
+                image = _apply_int(_mul_terms(f_terms, g_terms), pairs)
                 depth = max(map(_mono_degree, image), default=0)
                 normal = ideal._reduce_int(image, depth)
                 survivors = [m for m, n in normal.items() if n]

@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 
 from holoflow.cells import Cell, boundary, box_cells
-from holoflow import cli
+from holoflow import cli, operators
 from holoflow.cli import main
 from holoflow.operators import CubicalFamilyOp, ExplicitOp
 from holoflow import states
@@ -858,6 +858,32 @@ def cli_arguments(draw):
     if command == "verify-invariance" and draw(st.booleans()):
         args += ["--scales", draw(st.sampled_from(["0", "5", "0,1"]))]
     return args
+
+
+# With 12 key bits a d=3 family's rows hold a reach of at most 7, with 15 at most 15: each
+# command at the widest configuration whose rows fit, and at the next one.
+KEY_CAPACITY_CASES = [
+    (12, "tables --range 7", "tables --range 8", 8),
+    (12, "covariance --window 3 --psd", "covariance --window 4 --psd", 8),
+    (15, "moments --poly x[1,1,0]@0*x[1,1,14]@0", "moments --poly x[1,1,0]@0*x[1,1,16]@0", 16),
+    (15, "welldefined --window 4 --trials 1", "welldefined --window 5 --trials 1", 16),
+    (15, "verify-invariance --window 14", "verify-invariance --window 15", 16),
+    (15, "verify-compat --window 6", "verify-compat --window 7", 16),
+    (15, "verify-compat --window 6 --format json", "verify-compat --window 7 --format json", 16),
+]
+
+
+@pytest.mark.parametrize("bits, widest, past, reach", KEY_CAPACITY_CASES,
+                         ids=[past for _, _, past, _ in KEY_CAPACITY_CASES])
+def test_a_row_past_the_offset_keys_is_a_usage_error(monkeypatch, runner, bits, widest, past, reach):
+    monkeypatch.setattr(operators, "_KEY_BITS", bits)
+    assert runner.invoke(main, widest.split()).exit_code == 0
+    result = runner.invoke(main, past.split())
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    capacity = {12: 7, 15: 15}[bits]
+    assert result.output.splitlines()[-1] == (f"Error: a row of reach {reach} does not fit the d=3"
+                                              f" offset keys, which hold a reach of at most"
+                                              f" {capacity}")
 
 
 @settings(max_examples=50, deadline=None)

@@ -28,12 +28,17 @@ from holoflow.operators import (
     ExplicitOp,
     SphereOp,
     _apply_int,
+    _index_pairs,
     _pair_memo,
     _rule_points,
     apply_operator,
+    decode_key,
+    key_capacity,
+    offset_key,
     operator_from_json,
 )
-from holoflow.poly import Polynomial, ideal_from_cubes
+from holoflow import operators
+from holoflow.poly import Polynomial, _var_key, ideal_from_cubes
 from holoflow.states import covariance_window, exp_state
 from holoflow.verify import (
     _probe_pool,
@@ -48,6 +53,27 @@ from conftest import explicit_tables, symmetries
 
 def translated(c: Cell, t) -> Cell:
     return Cell(c.scale, tuple(a + b for a, b in zip(c.coords, t)))
+
+
+def as_offsets(row: dict, radix: int, d: int) -> dict:
+    """A row with each integer key read back as its offset: the key's d base-radix digits,
+    each taken in (-radix/2, radix/2]."""
+    out = {}
+    for key, value in row.items():
+        t = []
+        for _ in range(d):
+            digit = key % radix
+            if digit > radix // 2:
+                digit -= radix
+            t.append(digit)
+            key = (key - digit) // radix
+        assert key == 0, "the key holds more than d digits"
+        out[tuple(reversed(t))] = value
+    return out
+
+
+def offsets_of(fam, row: dict) -> dict:
+    return as_offsets(row, fam.radix, fam.d)
 
 
 x = Polynomial.var
@@ -505,16 +531,19 @@ def test_apply_looks_up_only_pairs_that_share_a_monomial():
 
 
 def test_sized_apply_looks_up_only_pairs_that_share_a_monomial():
-    # the family path: cross pairs read the sized rows, memoized on the same keys
+    # the index path: cross pairs read the sized rows, memoized on the indices
     p, q, r, s = BASE3, Cell(0, (0, 1, 1)), Cell(0, (1, 0, 1)), Cell(0, (2, 1, 1))
-    pairs = _pair_memo(MAIN3, [p, q, r, s])
+    variables = sorted([p, q, r, s], key=_var_key)
+    index = {v: i for i, v in enumerate(variables)}
+    pairs = _index_pairs(MAIN3, variables)
     f = x(p) * x(q) + 3 * x(p) * x(q, 3) * x(r) + x(s, 2) + 5 * x(r)
-    out = _apply_int(MAIN3, f.terms, pairs)
-    assert Polynomial({m: c * MAIN3.unit for m, c in out.items()}) == fraction_apply(MAIN3, f)
-    diag, cross, _ = pairs
-    assert set(cross) == {(m[i][0], m[j][0]) for m in f.terms
+    out = _apply_int({tuple((index[v], e) for v, e in m): c for m, c in f.terms.items()}, pairs)
+    image = {tuple((variables[i], e) for i, e in m): c * MAIN3.unit for m, c in out.items()}
+    assert Polynomial(image) == fraction_apply(MAIN3, f)
+    diag, cross, _, _ = pairs
+    assert set(cross) == {(index[m[i][0]], index[m[j][0]]) for m in f.terms
                           for i in range(len(m)) for j in range(i + 1, len(m))}
-    assert set(diag) == {q, s}
+    assert set(diag) == {index[q], index[s]}
 
 
 def test_apply_checks_variables_that_appear_only_linearly():
@@ -594,15 +623,16 @@ def test_explicit_rows_equal_b_int_entry_by_entry():
          (BASE3, Cell(0, (1, 1, 2))): 0}
     op = ExplicitOp(a, b)
     cells = [v for v in op.variables() if isinstance(v, Cell)]
+    assert op.radix == 2 * 4 + 1  # the cells span [-2, 2] on every axis
     for p in cells:
-        row = op.b_row(p, 0)
+        row = as_offsets(op.b_row(p, 0), op.radix, 3)
         same = {tuple(y - x for x, y in zip(p.coords, q.coords)): q for q in cells if q.scale == p.scale}
         assert set(row) <= set(same) and all(row.values())
         for t, q in same.items():
             assert row.get(t, 0) == op.b_int(p, q) == op.b_int(q, p)
         assert row.get((0,) * 3, 0) == op.b_int(p, p)
-    assert op.b_row(BASE3, 0)[(0, 0, 0)] * op.unit == MAIN3.coeff_b(BASE3, BASE3)
-    assert op.b_row(far, 0) == {(0, 0, 0): op.b_int(far, far)}  # BASE3 is at another scale
+    assert op.b_row(BASE3, 0)[0] * op.unit == MAIN3.coeff_b(BASE3, BASE3)
+    assert op.b_row(far, 0) == {0: op.b_int(far, far)}  # BASE3 is at another scale
     assert op._rows is not None and op == ExplicitOp(a, b)
 
 
@@ -722,8 +752,9 @@ def test_gauge_numerator_matches_fraction_residual():
                          for q, s in faces.items()]
                 t = tuple(b - a for a, b in zip(cube.coords, p.coords))
                 row = op.b_row(p, max(abs(x - y) for f, _ in steps for x, y in zip(f, t)))
-                assert (gauge_numerator(op.a_int(p), faces.get(p, 0), row, steps, t)
-                        * op.unit == want)
+                keyed = [(offset_key(f, op.radix), s) for f, s in steps]
+                assert (gauge_numerator(op.a_int(p), faces.get(p, 0), row, keyed,
+                                        offset_key(t, op.radix)) * op.unit == want)
                 nonzero += want != 0
         assert nonzero > 0 if op is faulty or op is explicit else nonzero == 0
 
@@ -779,7 +810,7 @@ def _dense_row(fam, p, reach):
 def test_rows_equal_the_table_on_dense_boxes(fam):
     reach = 6
     for p in base_plaquettes(fam.d, 0):
-        row = _fresh(fam).b_row(p, reach)
+        row = offsets_of(fam, _fresh(fam).b_row(p, reach))
         assert all(max(map(abs, t)) <= reach for t in row)
         want = _dense_row(fam, p, reach)
         assert row == want
@@ -801,7 +832,7 @@ def _plane_image(fam, pa, pb, reach):
     order = [pa, pb] + [axis for axis in range(d) if axis not in (pa, pb)]
     newpos = {old: new for new, old in enumerate(order)}
     out = {}
-    for t_base, value in fam._push_row(0, 1, reach).items():
+    for t_base, value in offsets_of(fam, fam._push_row(0, 1, reach)).items():
         t = [0] * d
         for k, c in enumerate(t_base):
             t[order[k]] = c
@@ -817,15 +848,15 @@ def _plane_image(fam, pa, pb, reach):
 def test_pushed_rows_are_the_base_plane_row_permuted(fam):
     for reach in range(7):
         for pa, pb in itertools.combinations(range(fam.d), 2):
-            assert fam._push_row(pa, pb, reach) == _plane_image(fam, pa, pb, reach)
+            assert offsets_of(fam, fam._push_row(pa, pb, reach)) == _plane_image(fam, pa, pb, reach)
 
 
 def test_overrides_reach_the_rows():
     p = BASE3
-    assert _fresh(ZERO_TO_NONZERO).b_row(p, 3)[(3, 0, 1)] == 1
-    assert (3, 0, 1) not in _fresh(MAIN3).b_row(p, 3)
-    assert _fresh(MAIN4).b_row(BASE4, 2)[(2, 2, 2, 0)] == -2
-    assert (2, 2, 2, 0) not in _fresh(NONZERO_TO_ZERO).b_row(BASE4, 2)
+    assert offsets_of(MAIN3, _fresh(ZERO_TO_NONZERO).b_row(p, 3))[(3, 0, 1)] == 1
+    assert (3, 0, 1) not in offsets_of(MAIN3, _fresh(MAIN3).b_row(p, 3))
+    assert offsets_of(MAIN4, _fresh(MAIN4).b_row(BASE4, 2))[(2, 2, 2, 0)] == -2
+    assert (2, 2, 2, 0) not in offsets_of(MAIN4, _fresh(NONZERO_TO_ZERO).b_row(BASE4, 2))
 
 
 # -- the rule lists -----------------------------------------------------------------
@@ -940,9 +971,9 @@ def test_regrowth_gives_the_same_values_in_either_order(data):
     assert got_near == got_far[::-1]
     # the near-first row grew past the far lookup and holds what a fresh row holds
     reach = max(abs(a - b) for a, b in zip(far.coords, p.coords))
-    grown = near_first.b_row(p, reach)
+    grown = offsets_of(near_first, near_first.b_row(p, reach))
     assert {t: v for t, v in grown.items() if max(map(abs, t)) <= reach} == \
-        CubicalFamilyOp.main(d).b_row(p, reach)
+        offsets_of(near_first, CubicalFamilyOp.main(d).b_row(p, reach))
 
 
 def test_a_far_lookup_grows_the_row_at_least_twofold():
@@ -950,7 +981,67 @@ def test_a_far_lookup_grows_the_row_at_least_twofold():
     fam.b_row(BASE3, 2)
     fam.b_int(BASE3, Cell(0, (4, 1, 1)))  # offset reach 3
     reach, row = fam._memo[(1, 1, 0)]
-    assert reach == 4 and row == _dense_row(fam, BASE3, 4)
+    assert reach == 4 and offsets_of(fam, row) == _dense_row(fam, BASE3, 4)
+
+
+# -- offset keys -------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_offset_keys_add_and_keep_order_within_capacity(data):
+    d = data.draw(st.integers(3, 15), label="d")
+    radix = CubicalFamilyOp.main(d).radix
+    cap = key_capacity(radix)
+    assert radix == 2 ** (60 // d) and cap >= 7
+    assert offset_key([cap] * d, radix) < 2 ** 59  # within two 30-bit digits
+
+    def offsets(bound):
+        return st.lists(st.integers(-bound, bound), min_size=d, max_size=d).map(tuple)
+
+    key = lambda t: offset_key(t, radix)
+    s, t = data.draw(offsets(cap // 2), label="s"), data.draw(offsets(cap // 2), label="t")
+    assert key(s) + key(t) == key(tuple(a + b for a, b in zip(s, t)))
+    assert 2 * key(s) + key(t) == key(tuple(2 * a + b for a, b in zip(s, t)))
+    u, v = data.draw(offsets(cap), label="u"), data.draw(offsets(cap), label="v")
+    assert (key(u) < key(v)) == (u < v) and (key(u) == key(v)) == (u == v)
+    assert key(tuple(-x for x in u)) == -key(u)
+    assert decode_key(key(u), radix, d) == u == as_offsets({key(u): 1}, radix, d).popitem()[0]
+
+
+def test_the_widest_row_the_keys_hold_and_one_past_it(monkeypatch):
+    # with 12 key bits a d=3 family's radix is 16, whose keys hold a reach of 7
+    monkeypatch.setattr(operators, "_KEY_BITS", 12)
+    fam = CubicalFamilyOp.main(3)
+    assert (fam.radix, key_capacity(fam.radix)) == (16, 7)
+    row = fam.b_row(BASE3, 7)
+    assert offsets_of(fam, row) == _dense_row(fam, BASE3, 7)
+    corner = Cell(0, (-6, -5, 7))  # offset (-7, -6, 7): digits at both ends of the capacity
+    assert fam.b_int(BASE3, corner) == MAIN3.b_int(BASE3, corner) == 1
+    for p in (BASE3, Cell(0, (0, 1, 1))):  # a held row and one not built yet
+        with pytest.raises(ValueError, match="a row of reach 8 does not fit the d=3 offset keys,"
+                                             " which hold a reach of at most 7"):
+            fam.b_row(p, 8)
+    with pytest.raises(ValueError, match="reach 8"):
+        fam.b_int(BASE3, Cell(0, (1, 1, 8)))
+    assert list(fam._memo) == [(1, 1, 0)] and fam._memo[(1, 1, 0)][1] is row
+    # regrowth doubles a row's reach up to the capacity, not past it
+    grown = CubicalFamilyOp.main(3)
+    grown.b_row(BASE3, 4)
+    grown.b_row(BASE3, 5)
+    assert grown._memo[(1, 1, 0)][0] == 7 and grown._memo[(1, 1, 0)][1] == row
+
+
+def test_explicit_radix_covers_its_span_past_a_family_capacity():
+    # 2 ** 20 apart on one axis: a d=3 family's keys hold offsets of at most 2 ** 19 - 1
+    p, q = BASE3, Cell(0, (1, 1 + 2 ** 20, 0))
+    op = ExplicitOp({p: 1, q: 1, Cell(0, (1, 1, 2)): 1}, {(p, q): 3, (p, p): 1})
+    assert op.radix == 2 ** 21 + 1 and key_capacity(op.radix) == 2 ** 20
+    assert as_offsets(op.b_row(p, 0), op.radix, 3) == {(0, 2 ** 20, 0): 3, (0, 0, 0): 1}
+    assert as_offsets(op.b_row(q, 0), op.radix, 3) == {(0, -(2 ** 20), 0): 3}
+    assert op.b_row(Cell(0, (1, 1, 2)), 0) == {}
+    with pytest.raises(ValueError, match="does not fit"):
+        CubicalFamilyOp.main(3).b_int(p, q)
 
 
 def test_with_scale_copies_share_rows_and_perturbed_copies_start_empty():
@@ -969,8 +1060,8 @@ def test_d4_witness_read_from_the_rows():
     p = Cell(0, (0, 0, 1, 1))
     q = Cell(0, (-3, -2, -1, 0))
     fam = CubicalFamilyOp.main(4)
-    assert fam.b_row(p, 3).get((-3, -2, -2, -1), 0) == 0
-    assert fam.b_row(q, 3).get((3, 2, 2, 1), 0) == -1
+    assert offsets_of(fam, fam.b_row(p, 3)).get((-3, -2, -2, -1), 0) == 0
+    assert offsets_of(fam, fam.b_row(q, 3)).get((3, 2, 2, 1), 0) == -1
     assert (fam.b_int(p, q), fam.b_int(q, p)) == (0, -1)
 
 
@@ -982,7 +1073,7 @@ def test_support_matches_a_box_scan(fam):
     assert list(fam.support(p, 3)) == [(q, b) for q, b in box if b]  # after wider rows
 
 
-# -- rows sized once for welldefined's pool ---------------------------------------
+# -- rows sized once for welldefined's variables ---------------------------------------
 
 
 def _window1_pool(fam):
@@ -995,27 +1086,47 @@ def _window1_pool(fam):
 PERTURBED_ALPHA = operator_from_json({"variant": "cubical", "overrides": [[[0, 0, 1], "alpha", 1]]})
 
 
-@pytest.mark.parametrize("fam", [MAIN3, ALT3, MAIN3.with_scale(1), MAIN3.with_scale(-1),
-                                 PERTURBED_ALPHA], ids=repr)
-def test_sized_pair_table_matches_two_lookups(fam):
-    pool = _window1_pool(fam)
-    sized, lazy = _fresh(fam), _fresh(fam)
-    cross_int = _pair_memo(sized, pool)[2]
-    rows = dict(sized._memo)
-    assert len(rows) == 3  # one push per parity class
-    for p in pool:
-        for q in pool:
-            assert cross_int(p, q) == lazy.b_int(p, q) + lazy.b_int(q, p), (p, q)
+def _pair_cases():
+    """(operator, its welldefined variables in _var_key order, the partners j of each i to
+    check, None for all)."""
+    for fam in (MAIN3, ALT3, MAIN3.with_scale(1), MAIN3.with_scale(-1), PERTURBED_ALPHA):
+        yield fam, sorted(_window1_pool(fam), key=_var_key), None
+    # main(4)'s 2,016 variables make 4,064,256 pairs: each i against 48 seeded partners
+    variables = sorted(_window1_pool(MAIN4), key=_var_key)
+    yield MAIN4, variables, random.Random(1509).sample(range(len(variables)), 48)
+    explicit = explicit_tables(MAIN3, -2, 1).with_entry(BASE3, Cell(0, (-1, 1, 0)), 3)
+    yield explicit, explicit.variables(), None
+    sphere = SphereOp([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    yield sphere, sphere.variables(), None
+
+
+PAIR_CASES = list(_pair_cases())
+
+
+@pytest.mark.parametrize("op, variables, partners", PAIR_CASES,
+                         ids=[repr(op) for op, _, _ in PAIR_CASES])
+def test_sized_pair_table_matches_two_lookups(op, variables, partners):
+    family = isinstance(op, CubicalFamilyOp)
+    sized, lazy = (_fresh(op), _fresh(op)) if family else (op, op)
+    _, _, diag_int, cross_int = _index_pairs(sized, variables)
+    rows = dict(sized._memo) if family else {}
+    if family:
+        assert len(rows) == op.d * (op.d - 1) // 2  # one push per parity class
+    for i, p in enumerate(variables):
+        assert diag_int(i) == lazy.a_int(p) - lazy.b_int(p, p)
+        for j in range(len(variables)) if partners is None else partners:
+            q = variables[j]
+            assert cross_int(i, j) == lazy.b_int(p, q) + lazy.b_int(q, p), (p, q)
     assert all(sized._memo[key] is held for key, held in rows.items())  # none regrew
 
 
 @pytest.mark.parametrize("fam", [MAIN3, MAIN4], ids=repr)
-@pytest.mark.parametrize("caller", ["sized_cross", "covariance_window"])
+@pytest.mark.parametrize("caller", ["index_pairs", "covariance_window"])
 def test_rows_are_fetched_once_per_parity_class(monkeypatch, fam, caller):
     fam = _fresh(fam)
-    if caller == "sized_cross":
+    if caller == "index_pairs":
         plaquettes = _window1_pool(fam)
-        run = lambda: fam.sized_cross(plaquettes)
+        run = lambda: _index_pairs(fam, plaquettes)
     else:
         plaquettes = fam.window_plaquettes(1)
         run = lambda: covariance_window(fam, 1)
@@ -1029,17 +1140,29 @@ def test_rows_are_fetched_once_per_parity_class(monkeypatch, fam, caller):
 
 
 def test_sized_pair_table_reads_both_orientations_at_d4():
-    pool = _window1_pool(MAIN4)
-    cross_int = _pair_memo(_fresh(MAIN4), pool)[2]
+    variables = sorted(_window1_pool(MAIN4), key=_var_key)
+    index = {v: i for i, v in enumerate(variables)}
+    cross_int = _index_pairs(_fresh(MAIN4), variables)[3]
     lazy = _fresh(MAIN4)
     for p, q in (D4_FIRST_NONZERO, D4_FIRST_ZERO):
-        assert p in pool and q in pool
+        assert p in index and q in index
         assert sorted((lazy.b_int(p, q), lazy.b_int(q, p))) == [-1, 0]
-        assert cross_int(p, q) == cross_int(q, p) == -1
+        assert cross_int(index[p], index[q]) == cross_int(index[q], index[p]) == -1
     rng = random.Random(1503)
     for _ in range(3000):
-        p, q = rng.choice(pool), rng.choice(pool)
-        assert cross_int(p, q) == lazy.b_int(p, q) + lazy.b_int(q, p), (p, q)
+        p, q = rng.choice(variables), rng.choice(variables)
+        assert cross_int(index[p], index[q]) == lazy.b_int(p, q) + lazy.b_int(q, p), (p, q)
+
+
+def test_a_variable_outside_the_universe_gets_no_row():
+    # welldefined checks every variable before its pairs are read; a generator's
+    # variable at another scale is numbered but never fetches a row
+    outside, far = Cell(1, (1, 1, 0)), Cell(0, (3, 1, 0))
+    variables = sorted([BASE3, far, outside], key=_var_key)
+    fam = _fresh(MAIN3)
+    cross_int = _index_pairs(fam, variables)[3]
+    assert list(fam._memo) == [(1, 1, 0)]
+    assert cross_int(variables.index(BASE3), variables.index(far)) == 2 * MAIN3.b_int(BASE3, far)
 
 
 def test_only_a_family_with_a_pool_gets_sized_rows():
@@ -1050,5 +1173,5 @@ def test_only_a_family_with_a_pool_gets_sized_rows():
     exp_state(fam, f)
     assert max(reach for reach, _ in fam._memo.values()) == 1
     sphere = SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-    cross_int = _pair_memo(sphere, sphere.variables())[2]
-    assert cross_int(1, 2) == 2 * sphere.b_int(1, 2)
+    cross_int = _index_pairs(sphere, sphere.variables())[3]
+    assert cross_int(0, 1) == 2 * sphere.b_int(1, 2)

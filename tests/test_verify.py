@@ -16,9 +16,10 @@ from holoflow.operators import (
     ExplicitOp,
     SphereOp,
     apply_operator,
+    offset_key,
     operator_from_json,
 )
-from holoflow.poly import LinearIdeal, Polynomial, _mono_sort_key, ideal_from_cubes
+from holoflow.poly import LinearIdeal, Polynomial, _mono_sort_key, _var_key, ideal_from_cubes
 from holoflow.verify import (
     ResidualReport,
     alpha_extended,
@@ -613,7 +614,7 @@ def test_site_keys_add_and_separate_the_sweep_box(data):
     bound = radix // 2  # R: every site coordinate of the sweep lies in [-R, R]
     offset = st.lists(st.integers(-radius, radius), min_size=d, max_size=d).map(tuple)
     in_box = st.lists(st.integers(-bound, bound), min_size=d, max_size=d).map(tuple)
-    key = lambda coords: verify._site_key(coords, radix)
+    key = lambda coords: offset_key(coords, radix)
     u, t = data.draw(st.sampled_from(centers), label="u"), data.draw(offset, label="t")
     assert key(u) + key(t) == key(tuple(map(sum, zip(u, t))))
     v, w = data.draw(in_box, label="v"), data.draw(in_box, label="w")
@@ -665,12 +666,22 @@ def test_welldefined_reports_faults():
 
 
 def _record_draws(monkeypatch) -> list:
-    """The random polynomials welldefined_property draws from now on, in order."""
+    """The random polynomials welldefined_property draws from now on, in order, over the
+    indices it numbers its variables by."""
     draws = []
     draw = verify._random_polynomial
     monkeypatch.setattr(verify, "_random_polynomial",
                         lambda rng, pool: draws.append(draw(rng, pool)) or draws[-1])
     return draws
+
+
+def _as_variables(op, ideal, draws) -> list:
+    """The index draws read back as polynomials over the run's variables: the pool's and the
+    generators' variables, numbered in _var_key order."""
+    names = sorted(set(_probe_pool(op, ideal)).union(*(f.variables() for f in ideal.generators)),
+                   key=_var_key)
+    return [Polynomial({tuple((names[i], e) for i, e in m): c for m, c in g.terms.items()})
+            for g in draws]
 
 
 def polynomial_draw(rng, pool) -> Polynomial:
@@ -746,6 +757,10 @@ def test_integer_probes_match_the_fraction_route(monkeypatch, case):
     draws = _record_draws(monkeypatch)
     reports = welldefined_property(op, ideal, trials=trials, seed=seed)
     assert len(draws) == trials
+    draws = _as_variables(op, ideal, draws)
+    # the same rng draws as over the pool of variables itself, in its str order
+    rng, pool = random.Random(seed), _probe_pool(op, ideal)
+    assert draws == [polynomial_draw(rng, pool) for _ in range(trials)]
     assert reports == _fraction_route(op, ideal, draws)
     assert all(type(r.value) is Fraction for r in reports)
     failures = len(violations(reports))
@@ -766,7 +781,7 @@ def test_out_of_universe_generator_raises_as_the_fraction_route(monkeypatch, op,
     with pytest.raises(ValueError) as integer_route:
         welldefined_property(op, ideal, trials=1, seed=0)
     with pytest.raises(ValueError) as fraction_route:
-        _fraction_route(op, ideal, draws)
+        _fraction_route(op, ideal, _as_variables(op, ideal, draws))
     assert str(integer_route.value) == str(fraction_route.value)
 
 
@@ -779,7 +794,8 @@ def test_each_variable_is_checked_once_per_run(monkeypatch, case):
     monkeypatch.setattr(CubicalFamilyOp, "check_var",
                         lambda self, p: checked.update([p]) or check_var(self, p))
     welldefined_property(op, ideal, trials=12, seed=seed)
-    seen = {v for g in draws if g.terms for f_c in ideal.generators if f_c.terms
+    seen = {v for g in _as_variables(op, ideal, draws) if g.terms
+            for f_c in ideal.generators if f_c.terms
             for v in f_c.variables() | g.variables()}
     assert len(seen) > len(ideal.generators)
     assert checked == Counter(seen)
