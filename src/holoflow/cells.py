@@ -10,6 +10,9 @@ cell order (scale, then coordinates) are the tuple's.  A chain is a plain
 dict, cell -> integer coefficient, holding nonzero entries only.  Boxes are
 listed and counted per set of odd axes (_box_ranges), so box_cells costs
 time in proportion to the cells it yields and box_cell_count lists nothing.
+A coordinate or offset vector can be keyed by one integer, its Horner form
+with centred digits (offset_key), which is linear, so keys add as the
+vectors do; coefficient rows, sweep sites and plaquettes_near use it.
 Everything here is pure; values can be shared freely.
 """
 
@@ -269,6 +272,34 @@ def box_cell_count(lo: Sequence[int], hi: Sequence[int], dim: int) -> int:
     return counts[dim]
 
 
+def offset_key(t: Iterable[int], radix: int) -> int:
+    """t in Horner form, sum t_i radix^(d-1-i), with the coordinates as centred digits.
+
+    On offsets whose coordinates lie within key_capacity(radix) it is
+    injective and order-preserving (keys sort as their offsets do), and it
+    is linear, so key(s + t) = key(s) + key(t) and key(-t) = -key(t).
+    """
+    key = 0
+    for x in t:
+        key = key * radix + x
+    return key
+
+
+def key_capacity(radix: int) -> int:
+    """The largest |coordinate| that offset_key(t, radix) holds without aliasing."""
+    return (radix - 1) // 2
+
+
+def decode_key(key: int, radix: int, d: int) -> tuple:
+    """The d-offset t with offset_key(t, radix) == key, t within the radix's capacity."""
+    half, coords = radix // 2, []
+    for _ in range(d):
+        x = (key + half) % radix - half
+        coords.append(x)
+        key = (key - x) // radix
+    return tuple(reversed(coords))
+
+
 def cells_near(center: Cell, radius: int, dim: int) -> Iterator[Cell]:
     """Cells of a given dimension within max-norm distance radius of center."""
     lo = tuple(c - radius for c in center.coords)
@@ -305,17 +336,26 @@ def plaquettes_near(centers: Iterable[tuple], radius: int) -> set[tuple]:
     Centers are grouped by the parities of their coordinates.  Within a
     group, each pair of axes to be odd has a product of ranges as its
     offsets (_offset_ranges), so that pair's plaquettes are the centers
-    grown one axis at a time, each step a set: a coordinate prefix that
-    several centers reach is extended once.
+    grown one axis at a time, each step a set of offset_key integers in a
+    radix that holds every coordinate reached: a step adds the axis's weight
+    times the offset, a point that several centers reach is extended once,
+    and each plaquette is decoded once at the end.
     """
     classes: dict = {}
     for c in centers:
         classes.setdefault(tuple([x & 1 for x in c]), set()).add(c)
-    out: set = set()
+    radix = 2 * (max((abs(x) for group in classes.values() for c in group for x in c),
+                     default=0) + radius) + 1
+    reached: dict = {}  # dimension -> keys, since keys of two dimensions may coincide
     for parity, group in classes.items():
+        d = len(parity)
+        weights = [radix ** (d - 1 - i) for i in range(d)]
+        keys = {offset_key(c, radix) for c in group}
+        out = reached.setdefault(d, set())
         for ranges in _offset_ranges(parity, radius):
-            layer = group
-            for i, steps in enumerate(ranges):
-                layer = {c[:i] + (c[i] + t,) + c[i + 1:] for c in layer for t in steps}
+            layer = keys
+            for w, steps in zip(weights, ranges):
+                moves = [t * w for t in steps]
+                layer = {k + m for k in layer for m in moves}
             out |= layer
-    return out
+    return {decode_key(k, radix, d) for d, keys in reached.items() for k in keys}

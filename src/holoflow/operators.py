@@ -72,41 +72,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._frozen import Frozen
 
-from .cells import Cell, box_cells, format_cell, parse_cell
+from .cells import (Cell, box_cells, decode_key, format_cell, key_capacity, offset_key,
+                    parse_cell)
 from .poly import Polynomial, _var_key
 
 
 # A family's radix is 2 ** (_KEY_BITS // d): its offset keys stay below 2 ** 59,
 # two 30-bit CPython digits.
 _KEY_BITS = 60
-
-
-def offset_key(t: Iterable[int], radix: int) -> int:
-    """t in Horner form, sum t_i radix^(d-1-i), with the coordinates as centred digits.
-
-    On offsets whose coordinates lie within key_capacity(radix) it is
-    injective and order-preserving (keys sort as their offsets do), and it
-    is linear, so key(s + t) = key(s) + key(t) and key(-t) = -key(t).
-    """
-    key = 0
-    for x in t:
-        key = key * radix + x
-    return key
-
-
-def key_capacity(radix: int) -> int:
-    """The largest |coordinate| that offset_key(t, radix) holds without aliasing."""
-    return (radix - 1) // 2
-
-
-def decode_key(key: int, radix: int, d: int) -> tuple:
-    """The d-offset t with offset_key(t, radix) == key, t within the radix's capacity."""
-    half, coords = radix // 2, []
-    for _ in range(d):
-        x = (key + half) % radix - half
-        coords.append(x)
-        key = (key - x) // radix
-    return tuple(reversed(coords))
 
 
 def _spread(cells: Iterable[Cell]) -> int:

@@ -53,8 +53,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._frozen import Frozen
 
-from .cells import box_cell_count
-from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo, offset_key
+from .cells import box_cell_count, offset_key
+from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo
 from .poly import Monomial, Polynomial, _format_monomial, _integer_terms, _mono_degree
 
 # The highest degree exp_state and verify_sphere accept.  A monomial's series

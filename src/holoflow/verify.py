@@ -74,9 +74,9 @@ from itertools import chain
 from operator import add, itemgetter, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cells import (Cell, boundary, box_cell_count, box_cells, children, format_cell,
-                    plaquette_offsets, plaquettes_near)
-from .operators import CubicalFamilyOp, _apply_int, _index_pairs, decode_key, offset_key
+from .cells import (Cell, boundary, box_cell_count, box_cells, children, decode_key, format_cell,
+                    offset_key, plaquette_offsets, plaquettes_near)
+from .operators import CubicalFamilyOp, _apply_int, _index_pairs
 from .poly import (LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_from_dict,
                    _mono_sort_key, _mul_terms, _var_key)
 

@@ -19,6 +19,9 @@ from holoflow.cells import (
     box_cells,
     cells_near,
     children,
+    decode_key,
+    key_capacity,
+    offset_key,
     plaquette_offsets,
 )
 from holoflow.cli import main as cli_main
@@ -32,9 +35,6 @@ from holoflow.operators import (
     _pair_memo,
     _rule_points,
     apply_operator,
-    decode_key,
-    key_capacity,
-    offset_key,
     operator_from_json,
 )
 from holoflow import operators

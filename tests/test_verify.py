@@ -9,14 +9,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from holoflow.cells import Cell, boundary, box_cells, cells_near, children, format_cell, parse_cell
+from holoflow.cells import (Cell, boundary, box_cells, cells_near, children, format_cell, offset_key,
+                            parse_cell)
 from holoflow import verify
 from holoflow.operators import (
     CubicalFamilyOp,
     ExplicitOp,
     SphereOp,
     apply_operator,
-    offset_key,
     operator_from_json,
 )
 from holoflow.poly import LinearIdeal, Polynomial, _mono_sort_key, _var_key, ideal_from_cubes
