@@ -32,7 +32,6 @@ from holoflow.operators import (
     SphereOp,
     _apply_int,
     _index_pairs,
-    _pair_memo,
     _rule_points,
     apply_operator,
     operator_from_json,
