@@ -71,7 +71,7 @@ class Cell(namedtuple("Cell", "scale coords")):
 
 
 def format_cell(c: Cell) -> str:
-    return "[" + ",".join(str(x) for x in c.coords) + "]@" + str(c.scale)
+    return "[" + ",".join(map(str, c.coords)) + "]@" + str(c.scale)
 
 
 def parse_cell(text: str) -> Cell:

@@ -143,7 +143,10 @@ def _render(fmt: str, out: str | None, status: int, as_json: Callable[[], dict],
     else:
         text = "\n".join(as_text()) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as e:
+            raise click.UsageError(f"cannot write --out {out!r}: {e.strerror or e}")
     else:
         click.echo(text, nl=False)
     sys.exit(status)
@@ -473,8 +476,8 @@ def covariance(op_text, d, scale, window, psd, fmt, out, decimal):
     probe = psd_probe(cov) if psd else None
 
     def entries():
-        return [(format_cell(u), format_cell(v), cov.entry(u, v))
-                for u in cov.variables for v in cov.variables]
+        labels = list(zip(map(format_cell, cov.variables), cov.variables))
+        return [(r, c, cov.entry(u, v)) for r, u in labels for c, v in labels]
 
     def as_json():
         payload = {"command": "covariance", "operator": op.to_json(), "window": window,

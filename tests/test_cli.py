@@ -427,6 +427,25 @@ def test_out_writes_file(runner, tmp_path):
     assert target.read_text() == direct.output
 
 
+@pytest.mark.parametrize("args", [
+    ("verify-invariance", "--op", "alt3", "--window", "1"),
+    ("verify-compat", "--window", "1"),
+    ("sphere-check", "--areas", "1/2,1/4,1/4", "--max-degree", "2"),
+    ("tables", "--range", "1"),
+    ("moments", "--poly", "x[1,1,0]@0^2"),
+    ("covariance", "--window", "1"),
+    ("welldefined", "--window", "1", "--trials", "1"),
+], ids=lambda args: args[0])
+def test_an_unwritable_out_is_a_usage_error(runner, tmp_path, args):
+    target = tmp_path / "missing" / "out.txt"
+    result = runner.invoke(main, [*args, "--out", str(target)])
+    assert_usage_error(result)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: cannot write --out {str(target)!r}: No such file or directory"]
+    assert not target.parent.exists()
+
+
 # -- golden outputs --------------------------------------------------------------------
 # Every command x format, pinned by exit code and the sha256 of stdout, so that a
 # change to the output plumbing that alters a single byte fails here.
@@ -887,10 +906,13 @@ def test_a_row_past_the_offset_keys_is_a_usage_error(monkeypatch, runner, bits, 
 
 
 @settings(max_examples=50, deadline=None)
-@given(cli_arguments())
-def test_exit_contract_holds_for_any_arguments(args):
+@given(cli_arguments(), st.sampled_from([None, "out.txt", "missing/out.txt"]))
+def test_exit_contract_holds_for_any_arguments(tmp_path_factory, args, out):
+    # --out is left out, a writable file, or a file in a directory that does not exist
+    if out is not None:
+        args = [*args, "--out", str(tmp_path_factory.mktemp("out") / out)]
     result = CliRunner().invoke(main, args)
-    assert result.exit_code in (0, 1, 2), args
+    assert result.exit_code in ((0, 1, 2) if out != "missing/out.txt" else (2,)), args
     assert result.exception is None or isinstance(result.exception, SystemExit), args
 
 

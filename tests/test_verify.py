@@ -9,8 +9,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from holoflow.cells import (Cell, boundary, box_cells, cells_near, children, format_cell, offset_key,
-                            parse_cell)
+from holoflow.cells import (Cell, boundary, box_cells, cells_near, children, decode_key,
+                            format_cell, offset_key, parse_cell)
 from holoflow import verify
 from holoflow.operators import (
     CubicalFamilyOp,
@@ -247,13 +247,19 @@ def _child_steps_from_cells(p: Cell, q: Cell) -> Counter:
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_child_steps_from_planes_match_the_children(d):
     planes = list(_patterns(d, 2))
-    for p_pattern, q_pattern in itertools.product(planes, repeat=2):
-        steps = verify._child_steps(p_pattern, q_pattern)
-        assert len(steps) == len(dict(steps))
-        assert Counter(dict(steps)) == _child_steps_from_cells(Cell(0, p_pattern), Cell(0, q_pattern))
-        # the steps depend on the planes only, not on where p and q sit
-        far = Cell(1, tuple(x + 2 * i - 6 for i, x in enumerate(q_pattern)))
-        assert Counter(dict(steps)) == _child_steps_from_cells(Cell(1, p_pattern), far)
+    # a family's radix, and the smallest site radix, whose digits just hold the steps' +-2
+    site_radix = verify._site_radix(base_plaquettes(d, 0), 1)
+    assert site_radix == 5
+    for radix in (CubicalFamilyOp.main(d).radix, site_radix):
+        for p_pattern, q_pattern in itertools.product(planes, repeat=2):
+            steps = verify._child_steps(p_pattern, q_pattern, radix)
+            decoded = Counter({decode_key(k, radix, d): m for k, m in steps})
+            assert len(steps) == len(dict(steps)) == len(decoded)
+            assert all(offset_key(decode_key(k, radix, d), radix) == k for k, _ in steps)
+            assert decoded == _child_steps_from_cells(Cell(0, p_pattern), Cell(0, q_pattern))
+            # the steps depend on the planes only, not on where p and q sit
+            far = Cell(1, tuple(x + 2 * i - 6 for i, x in enumerate(q_pattern)))
+            assert decoded == _child_steps_from_cells(Cell(1, p_pattern), far)
 
 
 def test_compat_residuals_and_sweeps_share_the_child_steps(monkeypatch):
@@ -606,7 +612,7 @@ def test_sweeps_emit_distinct_centers_already_sorted(monkeypatch, sweep, centers
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_site_keys_add_and_separate_the_sweep_box(data):
-    d = data.draw(st.integers(1, 6), label="d")
+    d = data.draw(st.integers(1, 15), label="d")
     radius = data.draw(st.integers(0, 6), label="radius")
     point = st.lists(st.integers(-12, 12), min_size=d, max_size=d).map(tuple)
     centers = data.draw(st.lists(point, min_size=1, max_size=4), label="centers")
@@ -621,6 +627,27 @@ def test_site_keys_add_and_separate_the_sweep_box(data):
     assert (key(v) == key(w)) == (v == w)
     labels = verify._Labels(2, d, radix)
     assert labels[key(v)] == format_cell(Cell(2, v))
+    # v's first half with w's last, and the box's alternating corner, whose coordinates
+    # pass +-10 on both sides of the split once the box does
+    h = (d + 1) // 2
+    for u in (v[:d - h] + w[d - h:], tuple(bound * (-1) ** i for i in range(d))):
+        assert labels[key(u)] == format_cell(Cell(2, u))
+
+
+def test_labels_decode_each_key_half_once(monkeypatch):
+    # a warm d=4 sweep: the rows are memoized, so decode_key serves only the labels
+    fam = _fresh(CubicalFamilyOp.main(4), 0)
+    cubes = default_cubes(4, 0)
+    gauge_sweep(fam, cubes, 2)
+    calls = _count_calls(monkeypatch, verify, "decode_key", lambda key, radix, n: (key, radix, n))
+    reports = gauge_sweep(fam, cubes, 2)
+    radix = verify._site_radix(cubes, 2)
+    sites = {parse_cell(site[1]).coords for _, site, _ in reports}
+    # the first and the last two coordinates: a key heads some labels and ends others
+    heads = {(offset_key(u[:2], radix), radix, 2) for u in sites}
+    tails = {(offset_key(u[2:], radix), radix, 2) for u in sites}
+    assert calls == Counter([*heads, *tails])
+    assert sum(calls.values()) == 2 * radix**2 < len(sites)  # 98 decodes for 864 labels
 
 
 # -- quotient well-definedness ------------------------------------------------------
