@@ -47,7 +47,7 @@ hit in a per-scale dict, key -> label (_Labels).  A new label is the
 concatenation of its key's two halves' texts, each memoized by its block of
 the key, so decode_key runs once per distinct half, not per label.  Centers are
 visited in head order and each one's reports are built in label order, so
-the final sort meets one run.  A site costs about 1.2-1.9 us that way (a
+the final sort meets one run.  A site costs about 0.9-1.1 us that way (a
 warm d=4 gauge sweep at window 4, sorting included, on a 2-core x86_64
 host), less than shipping its report to another process.  The integer
 numerators behind the tables live in class rows, offset -> numerator: a
