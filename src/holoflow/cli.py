@@ -10,6 +10,7 @@ seed: sweep reports are sorted canonically.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import os
@@ -206,6 +207,23 @@ def _render_residuals(command: str, op, config: dict, sites: int, bad: list[Resi
     )
 
 
+def _writable_out(ctx, param, out: str | None) -> str | None:
+    """--out, once its directory is known to exist and to be writable, so that a path that
+    cannot be written exits 2 before any work; _render still reports a failed write."""
+    if out is None:
+        return out
+    parent = Path(out).parent
+    if not parent.exists():
+        code = errno.ENOENT
+    elif not parent.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return out
+    raise click.UsageError(f"cannot write --out {out!r}: {os.strerror(code)}")
+
+
 _OP_OPT = click.option("--op", "op_text", default=None,
                        help="Operator: inline JSON, a JSON file, or cubical|alt3|sphere.")
 _D_OPT = click.option("--d", "d", type=int, default=3, show_default=True,
@@ -215,7 +233,7 @@ _SCALE_OPT = click.option("--scale", type=int, default=0, show_default=True,
 _FMT_OPT = click.option("--format", "fmt", type=click.Choice(["text", "json", "csv"]),
                         default="text", show_default=True)
 _OUT_OPT = click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True),
-                        help="Write output to a file instead of stdout.")
+                        callback=_writable_out, help="Write output to a file instead of stdout.")
 _JOBS_OPT = click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="HOLOFLOW_JOBS",
                          show_default=True, expose_value=False,
                          help="Accepted for compatibility; sweeps run in one process, "

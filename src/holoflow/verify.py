@@ -3,9 +3,12 @@
 Three families of checks, all exact:
 
 * gauge residuals -- for a 3-cell c and plaquette p, the quantity
-  <dc,p> a_p - sum_q <dc,q> b_pq.  Zero everywhere means L maps every
-  holonomy constraint into the constraint ideal and so acts on the quotient
-  algebra.
+  <dc,p> a_p - sum_q <dc,q> b_pq.  It reads b in one orientation only.  L
+  descends to the quotient algebra iff s(c,q) = 2<dc,q> a_q - sum_p <dc,p>
+  (b_pq + b_qp) vanishes, and s is twice the gauge residual only for a
+  symmetric b.  At d >= 4 b is asymmetric and a gauge pass does not mean
+  descent: s is nonzero at 192 of the 936 sites within radius 2 of the
+  3-cells of [0,1]^4, and the gauge sweep passes every one.
 * compatibility residuals -- coefficients at consecutive scales must be
   related by summation over plaquette children, a_p = sum a_p' and
   b_pq = sum b_p'q'; this is the exact-renormalization property.
@@ -17,55 +20,40 @@ Lattice residuals are integers over the operator's unit, made a Fraction
 once per class and offset; every zero reports one shared Fraction(0), which
 passed tests by identity before it compares.  A ResidualReport is a named
 tuple (condition, site, value), so its own order is the canonical one.
-Sweeps enumerate finite windows of sites in one process and sort the
-reports; MAX_SWEEP_SITES bounds a sweep, counted in closed form before any
-site is listed.
+MAX_SWEEP_SITES bounds a sweep, counted in closed form before any site is
+listed.
 
 Numerators read coefficient rows, b_row(p, reach): offset_key(q - p) ->
 b_int(p, q), nonzero entries only, which a family and an ExplicitOp both
 give, keyed in the operator's radix.  A numerator keys its offsets once and
 then does key arithmetic: q - p is key(q - cube) - key(p - cube) for a
 gauge site and a child offset 2t + s is 2 key(t) + key(s) for a compat
-site, each within the reach its row was fetched at, so no tuple is built
-per read.  Every gauge numerator -- at a sweep site, in gauge_residual and
-in solve_base_coefficient -- is gauge_numerator over p's row.
+site, each within the reach its row was fetched at.  Every gauge numerator
+-- at a sweep site, in gauge_residual and in solve_base_coefficient -- is
+gauge_numerator over p's row.
 
-A coefficient family is invariant under even translations of the lattice,
-and cells with one coordinate-parity pattern differ by even translations.
-So a gauge numerator depends only on the cube's parity pattern and the
-offset t = p - cube, and a compatibility numerator only on p's pattern and
-q - p.  _classes names a center's translation class, (scale, pattern) for a
-family and the cell itself for any other operator; it is the one place here
-that tests the operator's class.  Each sweep call lists the offsets of each
-parity pattern once, with their site keys, and computes, at the first
-center of each class, the class's table: the faces' universe check, the
-faces' steps and, at every offset t, t's site key and the reported value.
-Every later center of the class only labels its sites and builds their
-reports.  A site key is offset_key, Horner form in a radix that covers the
-sweep's box, so a site's key is its center's plus t's and its label is one
-hit in a per-scale dict, key -> label (_Labels).  A new label is the
-concatenation of its key's two halves' texts, each memoized by its block of
-the key, so decode_key runs once per distinct half, not per label.  Centers are
-visited in head order and each one's reports are built in label order, so
-the final sort meets one run.  A site costs about 0.9-1.1 us that way (a
-warm d=4 gauge sweep at window 4, sorting included, on a 2-core x86_64
-host), less than shipping its report to another process.  The integer
-numerators behind the tables live in class rows, offset -> numerator: a
-family's in its memo under ("gauge", pattern) or ("compat", pattern),
-scale-free and shared by every class of the pattern at every scale, an
-ExplicitOp's in a fresh row per class.
-A gauge row miss reads its partner p = cube + t from a per-sweep memo under
-p's class, (a_int(p), b_row(p, reach)) or outside the universe, so a family
-builds p, checks it and fetches its row once per pattern of p, and reads
-that row at the face keys less t's key, since q - p = (q - cube) - t.  A
-compat miss reads p's row too: every child pair of (p, q) has q' - p' =
-2(q - p) + (e_q - e_p), and p's children share p's parity pattern, so
-compat_b is one stencil on p's row, 4 B(t) - sum m B(2t + s) over the steps
-s = e_q - e_p, which _child_steps keys from the planes of p and q by key
-arithmetic: a step's key is a corner key of q's plane less one of p's.  The
-class rows stay keyed by the offset tuple t: a sweep may list offsets past
-the radix's capacity whose partners lie outside the universe, and those
-must miss.
+Both sweeps run in one driver, _table_sweep(op, centers, radius,
+condition).  A _Condition record holds what differs between them: the
+report name, the class rows' memo name, the rows' reach at a radius, a
+class builder and compat's per-center report name; gauge_sweep and
+compat_sweep each make one call, with _GAUGE or _COMPAT.  A numerator
+depends only on the center's translation class (_classes) and the offset t
+of its site.  At a class's first center the builder returns (head value,
+numerator(t), unit), and the driver tabulates t's site key and n * unit, or
+the shared zero, at every offset, filling the class row t -> numerator on a
+miss; every later center only labels its sites, about 1 us a site, less
+than shipping a report to another process.  A gauge miss reads p = cube + t
+from the driver's partner memo; a compat miss is one stencil on p's own
+row, 4 B(t) - sum m B(2t + s) over the child steps s = e_q - e_p
+(_child_steps).  A descent check would be one more record: a builder that
+fetches the faces' rows once per class and reads b_qp from the partner
+memo's row for q.
+
+A site key is offset_key, Horner form in a radix that covers the sweep's
+box, so a site's key is its center's plus t's and its label is one hit in a
+per-scale dict, key -> label (_Labels), made from its key's two memoized
+halves.  Centers are visited in head order and each one's reports are built
+in label order, so the final sort meets one run.
 """
 
 from __future__ import annotations
@@ -110,122 +98,6 @@ class ResidualReport(NamedTuple):
 def violations(reports: Iterable[ResidualReport]) -> list[ResidualReport]:
     """The failing reports, in order: not r.passed, without the property call."""
     return [r for r in reports if r.value is not _ZERO and r.value != 0]
-
-
-# -- gauge invariance ---------------------------------------------------------
-
-
-def gauge_numerator(a: int, lead: int, row: dict, faces: Iterable[tuple[int, int]],
-                    t: int) -> int:
-    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit, with a = A(p), lead = <dc,p>, p's b_row,
-    the faces (key(q - cube), <dc,q>) and t = key(p - cube), keys in op's radix, so that
-    key(q - p) = key(q - cube) - t.  The caller checks p and the faces, and fetched the row at
-    a reach that covers every q - p."""
-    get = row.get
-    return lead * a - sum([s * get(f - t, 0) for f, s in faces])
-
-
-def _face_steps(faces: dict, u: tuple, radix: int) -> list[tuple[int, int]]:
-    """The faces' steps (key(q - u), <dc,q>) from the cube's coordinates u."""
-    return [(offset_key(map(sub, q.coords, u), radix), s) for q, s in faces.items()]
-
-
-def _site_terms(op, cube: Cell, p: Cell) -> tuple[dict, dict, list, int]:
-    """The faces, p's row, the faces' steps and key(p - cube), once p and each face are checked."""
-    faces = boundary(cube)
-    for q in (p, *faces):
-        op.check_var(q)
-    reach = max(abs(x - y) for q in faces for x, y in zip(q.coords, p.coords))
-    u, radix = cube.coords, op.radix
-    return (faces, op.b_row(p, reach), _face_steps(faces, u, radix),
-            offset_key(map(sub, p.coords, u), radix))
-
-
-def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
-    """<dc,p> a_p - sum over faces q of <dc,q> b_pq; zero iff L respects c's constraint at p."""
-    if cube.dim != 3:
-        raise ValueError(f"{cube} is not a 3-cell")
-    if cube.scale != p.scale:
-        raise ValueError(f"scale mismatch: {cube} vs {p}")
-    faces, row, steps, t = _site_terms(op, cube, p)
-    return gauge_numerator(op.a_int(p), faces.get(p, 0), row, steps, t) * op.unit
-
-
-def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
-    """The a_p value forced by the gauge condition at (cube, p).
-
-    Uses only the operator's b-table: a_p = sum_q <dc,q> b_pq / <dc,p>.
-    Requires p to be a face of the cube.
-    """
-    if cube.dim != 3:
-        raise ValueError(f"{cube} is not a 3-cell")
-    lead = boundary(cube).get(p, 0)
-    if lead == 0:
-        raise ValueError(f"{p} is not a face of {cube}")
-    _, row, steps, t = _site_terms(op, cube, p)
-    return -gauge_numerator(0, 0, row, steps, t) * op.unit / lead
-
-
-def default_cubes(d: int, scale: int) -> list[Cell]:
-    """Representative 3-cells around the origin: all coords in {-1, 0, 1}."""
-    return list(box_cells(scale, (-1,) * d, (1,) * d, dim=3))
-
-
-def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
-    """Gauge residuals for every site; sorted canonically."""
-    offsets, (class_key, class_row) = _class_offsets(cubes, radius), _classes(op)
-    radix, offset_keys = _site_keys(cubes, radius, offsets)
-    classes: dict = {}
-    partners: dict = {}
-    labels: dict = {}
-
-    def values(cube: Cell) -> list[tuple[int, Fraction]]:
-        key = class_key(cube.scale, cube.coords)
-        entry = classes.get(key)
-        if entry is None:
-            sites = zip(offsets[_parity(cube)], offset_keys[_parity(cube)])
-            entry = classes[key] = _gauge_values(op, cube, sites, radius + 1,
-                                                 class_row("gauge", key), class_key, partners)
-        return entry
-
-    return _sweep(_site_reports("gauge", cube, head, entry, labels, radix)
-                  for head, cube, entry in _by_head(cubes, values))
-
-
-def _gauge_values(op, cube: Cell, offsets: Iterable[tuple[tuple, int]], reach: int, row: dict,
-                  class_key: Callable, partners: dict) -> list[tuple[int, Fraction]]:
-    """(key, residual) at (cube, cube + t) for each pair (t, key) of offsets, the offsets of
-    cube's class with their site keys, with cube + t in the universe, in offset order; none
-    when a face is outside it.
-
-    row is the class row, offset -> numerator; a miss reads the partner
-    p = cube + t from partners, the sweep's memo class_key(p) -> (a_int(p),
-    b_row(p, reach)), or None for a p outside the universe.  reach bounds
-    f - t for every face offset f.
-    """
-    faces = boundary(cube)
-    if not all(map(op.has_var, faces)):
-        return []
-    scale, u, unit, radix = cube.scale, cube.coords, op.unit, op.radix
-    steps = _face_steps(faces, u, radix)
-    lead = dict(steps)
-    out = []
-    for t, k in offsets:
-        n = row.get(t)
-        if n is None:
-            v = tuple(map(add, u, t))
-            key = class_key(scale, v)
-            if key in partners:
-                partner = partners[key]
-            else:
-                p = Cell(scale, v)
-                partner = partners[key] = (op.a_int(p), op.b_row(p, reach)) if op.has_var(p) else None
-            if partner is None:
-                continue
-            kt = offset_key(t, radix)
-            n = row[t] = gauge_numerator(partner[0], lead.get(kt, 0), partner[1], steps, kt)
-        out.append((k, n * unit if n else _ZERO))
-    return out
 
 
 # -- the sweep kernel: one table per translation class -----------------------
@@ -277,14 +149,13 @@ def _class_offsets(centers: Sequence[Cell], radius: int) -> dict:
 def _classes(op) -> tuple[Callable, Callable]:
     """op's translation classes: (class_key, class_row).
 
-    class_key(scale, coords) names the class of a cell: every cell of it has
-    the same sweep values at the same offsets.  class_row(condition, key) is
-    the class's offset -> numerator row.  A family is invariant under even
-    translations, and cells with one coordinate-parity pattern differ by one,
-    so its class is (scale, pattern), the scale naming the universe; its rows
-    are scale-free and live in its memo under (condition, pattern), serving
-    every class of the pattern at every scale.  Any other operator's class is
-    the cell itself, with a fresh row.  This is the module's one test of the
+    class_key(scale, coords) names a cell's class, whose cells have the same
+    sweep values at the same offsets; class_row(memo name, key) is its row,
+    offset -> numerator.  A family is invariant under even translations, and
+    cells with one parity pattern differ by one, so its class is (scale,
+    pattern), the scale naming the universe, and its rows are scale-free, in
+    its memo under (memo name, pattern).  Any other operator's class is the
+    cell itself, with a fresh row.  This is the module's one test of the
     operator's class.
     """
     if isinstance(op, CubicalFamilyOp):
@@ -356,15 +227,69 @@ class _Labels(dict):
         return label
 
 
-def _by_head(centers: Sequence[Cell], values: Callable) -> list[tuple[str, Cell, object]]:
-    """(format_cell(c), c, values(c)) for every center c, in head order.
+class _Condition(NamedTuple):
+    """A swept condition: its reports' name, its class rows' memo name, its rows' reach at a
+    radius, its class builder and, if it reports one value per center, that report's name."""
 
-    values runs in the centers' given order, so a class's table is built,
-    or fails, at the same center whatever order the heads sort in.
+    name: str
+    memo: str
+    reach: Callable[[int], int]
+    build: Callable
+    head: str | None = None
+
+
+def _table_sweep(op, centers: Sequence[Cell], radius: int,
+                 condition: _Condition) -> list[ResidualReport]:
+    """condition's reports at every center and every plaquette within max-norm radius of it;
+    sorted canonically.
+
+    Each class's table is built at its first center in the given order, so a
+    class fails at the same center whatever order the heads sort in; then
+    the centers are listed in head order.  build(op, center, reach, partner)
+    gives (head value, numerator(t), unit), or None for a class with no
+    sites; a numerator of None skips its offset.  partner(scale, coords) is
+    the sweep's memo, by class, of (a_int(p), b_row(p, reach)), or None for
+    a p outside the universe.  Class rows stay keyed by the offset tuple:
+    offsets past the radix's capacity, whose partners lie outside the
+    universe, must miss.
     """
-    rows = [(format_cell(c), c, values(c)) for c in centers]
-    rows.sort(key=itemgetter(0))
-    return rows
+    offsets, (class_key, class_row) = _class_offsets(centers, radius), _classes(op)
+    radix, offset_keys = _site_keys(centers, radius, offsets)
+    reach = condition.reach(radius)
+    classes, partners, labels = {}, {}, {}
+
+    def partner(scale: int, coords: tuple) -> tuple | None:
+        key = class_key(scale, coords)
+        if key not in partners:
+            p = Cell(scale, coords)
+            partners[key] = (op.a_int(p), op.b_row(p, reach)) if op.has_var(p) else None
+        return partners[key]
+
+    listed = []
+    for c in centers:
+        key = class_key(c.scale, c.coords)
+        table = classes.get(key)
+        if table is None:
+            row, built = class_row(condition.memo, key), condition.build(op, c, reach, partner)
+            head, values = None, []
+            if built is not None:
+                head, numerator, unit = built
+                pattern = _parity(c)
+                for t, k in zip(offsets[pattern], offset_keys[pattern]):
+                    n = row.get(t)
+                    if n is None:
+                        n = numerator(t)
+                        if n is None:
+                            continue
+                        row[t] = n
+                    values.append((k, n * unit if n else _ZERO))
+            table = classes[key] = (head, values)
+        listed.append((format_cell(c), c, table))
+    listed.sort(key=itemgetter(0))
+    heads = ([ResidualReport(condition.head, (h,), table[0]) for h, _, table in listed]
+             if condition.head else [])
+    return _sweep(chain([heads], (_site_reports(condition.name, c, h, table[1], labels, radix)
+                                  for h, c, table in listed)))
 
 
 def _site_reports(condition: str, center: Cell, head: str, values: Sequence[tuple],
@@ -396,6 +321,94 @@ def _sweep(parts: Iterable[list[ResidualReport]]) -> list[ResidualReport]:
     reports = list(chain.from_iterable(parts))
     reports.sort()
     return reports
+
+
+# -- gauge invariance ---------------------------------------------------------
+
+
+def gauge_numerator(a: int, lead: int, row: dict, faces: Iterable[tuple[int, int]],
+                    t: int) -> int:
+    """<dc,p> A(p) - sum_q <dc,q> B(p,q) over op.unit, with a = A(p), lead = <dc,p>, p's b_row,
+    the faces (key(q - cube), <dc,q>) and t = key(p - cube), keys in op's radix, so that
+    key(q - p) = key(q - cube) - t.  The caller checks p and the faces, and fetched the row at
+    a reach that covers every q - p."""
+    get = row.get
+    return lead * a - sum([s * get(f - t, 0) for f, s in faces])
+
+
+def _face_steps(faces: dict, u: tuple, radix: int) -> list[tuple[int, int]]:
+    """The faces' steps (key(q - u), <dc,q>) from the cube's coordinates u."""
+    return [(offset_key(map(sub, q.coords, u), radix), s) for q, s in faces.items()]
+
+
+def _site_terms(op, cube: Cell, p: Cell) -> tuple[dict, dict, list, int]:
+    """The faces, p's row, the faces' steps and key(p - cube), once p and each face are checked."""
+    faces = boundary(cube)
+    for q in (p, *faces):
+        op.check_var(q)
+    reach = max(abs(x - y) for q in faces for x, y in zip(q.coords, p.coords))
+    u, radix = cube.coords, op.radix
+    return (faces, op.b_row(p, reach), _face_steps(faces, u, radix),
+            offset_key(map(sub, p.coords, u), radix))
+
+
+def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
+    """<dc,p> a_p - sum over faces q of <dc,q> b_pq: the gauge residual at (cube, p)."""
+    if cube.dim != 3:
+        raise ValueError(f"{cube} is not a 3-cell")
+    if cube.scale != p.scale:
+        raise ValueError(f"scale mismatch: {cube} vs {p}")
+    faces, row, steps, t = _site_terms(op, cube, p)
+    return gauge_numerator(op.a_int(p), faces.get(p, 0), row, steps, t) * op.unit
+
+
+def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
+    """The a_p value forced by the gauge condition at (cube, p).
+
+    Uses only the operator's b-table: a_p = sum_q <dc,q> b_pq / <dc,p>.
+    Requires p to be a face of the cube.
+    """
+    if cube.dim != 3:
+        raise ValueError(f"{cube} is not a 3-cell")
+    lead = boundary(cube).get(p, 0)
+    if lead == 0:
+        raise ValueError(f"{p} is not a face of {cube}")
+    _, row, steps, t = _site_terms(op, cube, p)
+    return -gauge_numerator(0, 0, row, steps, t) * op.unit / lead
+
+
+def default_cubes(d: int, scale: int) -> list[Cell]:
+    """Representative 3-cells around the origin: all coords in {-1, 0, 1}."""
+    return list(box_cells(scale, (-1,) * d, (1,) * d, dim=3))
+
+
+def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
+    """Gauge residuals for every site; sorted canonically."""
+    return _table_sweep(op, cubes, radius, _GAUGE)
+
+
+def _gauge_class(op, cube: Cell, reach: int, partner: Callable) -> tuple | None:
+    """(None, numerator, op.unit) for cube's class, or None when a face is outside the universe:
+    numerator(t) is the gauge numerator at (cube, cube + t) over partner's row for p = cube + t,
+    or None outside the universe.  reach bounds f - t for every face offset f."""
+    faces = boundary(cube)
+    if not all(map(op.has_var, faces)):
+        return None
+    scale, u, radix = cube.scale, cube.coords, op.radix
+    steps = _face_steps(faces, u, radix)
+    lead = dict(steps)
+
+    def numerator(t: tuple) -> int | None:
+        found = partner(scale, tuple(map(add, u, t)))
+        if found is None:
+            return None
+        kt = offset_key(t, radix)
+        return gauge_numerator(found[0], lead.get(kt, 0), found[1], steps, kt)
+
+    return None, numerator, op.unit
+
+
+_GAUGE = _Condition("gauge", "gauge", lambda radius: radius + 1, _gauge_class)
 
 
 # -- the specialized invariance identity (d=3, tables + reflection rules) ----
@@ -460,7 +473,8 @@ def invariance_table_residual(family: CubicalFamilyOp, i: int, j: int, k: int) -
 
 
 def sphere_condition(op) -> list[Fraction]:
-    """a_p - sum_q b_pq per variable; all zero iff L descends modulo sum x_i."""
+    """a_p - sum_q b_pq per variable.  L descends modulo sum x_i iff every a_q - sum_p (b_pq +
+    b_qp) / 2 is zero, so iff these are all zero only for a symmetric b, as a sphere's is."""
     out = []
     for p in op.variables():
         total = op.coeff_a(p)
@@ -541,52 +555,35 @@ def base_plaquettes(d: int, scale: int) -> list[Cell]:
 def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],
                  radius: int) -> list[ResidualReport]:
     """Both compatibility residuals over (p, q) windows; sorted canonically."""
-    offsets, (class_key, class_row) = _class_offsets(plaquettes, radius), _classes(family)
-    radix, offset_keys = _site_keys(plaquettes, radius, offsets)
-    classes: dict = {}
-    labels: dict = {}
-
-    def values(p: Cell) -> tuple[Fraction, list[tuple[int, Fraction]]]:
-        key = class_key(p.scale, p.coords)
-        entry = classes.get(key)
-        if entry is None:
-            sites = zip(offsets[_parity(p)], offset_keys[_parity(p)])
-            entry = classes[key] = _compat_values(family, p, sites, 2 * radius + 2,
-                                                  class_row("compat", key))
-        return entry
-
-    centers = _by_head(plaquettes, values)
-    heads = [ResidualReport("compat_a", (head,), entry[0]) for head, _, entry in centers]
-    return _sweep(chain([heads], (_site_reports("compat_b", p, head, entry[1], labels, radix)
-                                  for head, p, entry in centers)))
+    return _table_sweep(family, plaquettes, radius, _COMPAT)
 
 
-def _compat_values(family: CubicalFamilyOp, p: Cell, offsets: Iterable[tuple[tuple, int]],
-                   reach: int, row: dict) -> tuple[Fraction, list[tuple[int, Fraction]]]:
-    """compat_a at p, and (key, compat_b at p + t) for each pair (t, key) of offsets, the
-    offsets of p's class with their site keys.
+def _compat_class(family: CubicalFamilyOp, p: Cell, reach: int, partner: Callable) -> tuple:
+    """(compat_a at p, numerator, unit / 4) for p's class: numerator(t) is compat_b's at
+    (p, p + t), read from p's row at reach.
 
     Each q = p + t is a plaquette by the offsets' construction, so neither q
     nor its children are built: q's parity pattern is p's xor t's, and the
     child steps of each plane of q come from _child_steps on the first miss
-    of the class row that needs them.
+    that needs them.
     """
     a_value = compat_residual_a(family, p)
-    b_row, unit, pattern = family.b_row(p, reach), family.unit / 4, _parity(p)
-    radix = family.radix
+    row, pattern, radix = family.b_row(p, reach), _parity(p), family.radix
     steps: dict = {}
-    out = []
-    for t, k in offsets:
-        n = row.get(t)
-        if n is None:
-            plane = tuple([x & 1 for x in t])
-            plane_steps = steps.get(plane)
-            if plane_steps is None:
-                plane_steps = steps[plane] = _child_steps(pattern, tuple(map(xor, pattern, plane)),
-                                                          radix)
-            n = row[t] = _compat_b(b_row, offset_key(t, radix), plane_steps)
-        out.append((k, n * unit if n else _ZERO))
-    return a_value, out
+
+    def numerator(t: tuple) -> int:
+        plane = tuple([x & 1 for x in t])
+        plane_steps = steps.get(plane)
+        if plane_steps is None:
+            plane_steps = steps[plane] = _child_steps(pattern, tuple(map(xor, pattern, plane)),
+                                                      radix)
+        return _compat_b(row, offset_key(t, radix), plane_steps)
+
+    return a_value, numerator, family.unit / 4
+
+
+_COMPAT = _Condition("compat_b", "compat", lambda radius: 2 * radius + 2, _compat_class,
+                     "compat_a")
 
 
 # -- quotient well-definedness ------------------------------------------------

@@ -446,6 +446,27 @@ def test_an_unwritable_out_is_a_usage_error(runner, tmp_path, args):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("parent, reason", [(None, "No such file or directory"),
+                                            ("", "Not a directory")], ids=["missing", "file"])
+@pytest.mark.parametrize("args", [
+    ("verify-invariance", "--d", "4", "--scales", "-1,0", "--window", "4"),
+    ("verify-compat", "--window", "1"),
+], ids=lambda args: args[0])
+def test_an_unwritable_out_exits_before_any_sweep(runner, monkeypatch, tmp_path, args, parent,
+                                                  reason):
+    def unswept(*args):
+        raise AssertionError("swept before --out was checked")
+
+    for name in ("gauge_sweep", "compat_sweep"):
+        monkeypatch.setattr(cli, name, unswept)
+    target = tmp_path / "parent" / "out.txt"
+    if parent is not None:
+        target.parent.write_text(parent)
+    result = runner.invoke(main, [*args, "--out", str(target)])
+    assert_usage_error(result)
+    assert result.output.splitlines()[-1] == f"Error: cannot write --out {str(target)!r}: {reason}"
+
+
 # -- golden outputs --------------------------------------------------------------------
 # Every command x format, pinned by exit code and the sha256 of stdout, so that a
 # change to the output plumbing that alters a single byte fails here.

@@ -1,4 +1,4 @@
-"""Residual checks: gauge descent, scale compatibility, well-definedness."""
+"""Residual checks: gauge invariance, scale compatibility, well-definedness."""
 
 import itertools
 import random
@@ -329,6 +329,20 @@ def test_a_sweep_above_the_bound_raises_before_enumerating(monkeypatch, sweep):
     with pytest.raises(ValueError, match=f"{sites} sweep sites exceed the maximum {sites - 1}"):
         sweep(_fresh(MAIN3, 0), centers, 2)
     assert not offsets
+
+
+@pytest.mark.parametrize("fam", [MAIN3, CubicalFamilyOp.main(4), ALT3],
+                         ids=["d3", "d4", "alt3"])
+@pytest.mark.parametrize("scale", [-1, 0])
+def test_the_driver_lists_exactly_the_sites_the_bound_counts(fam, scale):
+    # the closed form behind MAX_SWEEP_SITES is the sweep's own count, duplicate centers included
+    sweeps = [(gauge_sweep, default_cubes(fam.d, scale), "gauge"),
+              (compat_sweep, base_plaquettes(fam.d, scale), "compat_b")]
+    for sweep, centers, name in sweeps:
+        for listed in (centers, centers + centers[1:2]):
+            counts = Counter(r.condition for r in sweep(_fresh(fam, scale), listed, 2))
+            assert counts.pop(name) == verify.sweep_sites(listed, 2)
+            assert counts == ({"compat_a": len(listed)} if sweep is compat_sweep else {})
 
 
 def _identities(fam, kind: str) -> int:
