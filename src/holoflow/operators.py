@@ -43,7 +43,9 @@ base-table entry through the inverse of the canonicalization (_push_row);
 _b_table stays as the independent oracle the rows are tested against.  An
 ExplicitOp's radix covers its cells' coordinate span, and its rows hold its
 same-scale cell partners and are complete at any reach.  verify.py reads
-every gauge and compatibility numerator from these rows.
+every gauge and compatibility numerator from these rows, and both
+classes' support (behind the tables command) is one walk of a row,
+_row_support.
 
 All three operators also expose their coefficients as integers over one
 unit (a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the
@@ -407,6 +409,17 @@ def _orthant_index(index) -> bool:
             and all(type(i) is int and i >= 0 for i in index))
 
 
+def _row_support(op, p: Cell, radius: int) -> Iterator[tuple[Cell, Fraction]]:
+    """(q, b_pq) for each q at p's scale with nonzero b_pq within max-norm distance radius of p,
+    in cell order, read from p's b_row; a family's or an ExplicitOp's support."""
+    op.check_var(p)
+    row = op.b_row(p, radius)
+    for key in sorted(row):  # the keys' order is the offsets'
+        t = decode_key(key, op.radix, len(p.coords))
+        if max(map(abs, t)) <= radius:
+            yield Cell(p.scale, tuple(map(add, p.coords, t))), row[key] * op.unit
+
+
 class CubicalFamilyOp(Frozen):
     """An invariant coefficient family on the scale-n dyadic lattice of R^d.
 
@@ -745,15 +758,7 @@ class CubicalFamilyOp(Frozen):
     def apply(self, f: Polynomial) -> Polynomial:
         return apply_operator(self, f)
 
-    def support(self, p: Cell, radius: int) -> Iterator[tuple[Cell, Fraction]]:
-        """All q with nonzero coefficient within max-norm distance radius of p, in cell order."""
-        self.check_var(p)
-        u, unit, radix, d = p.coords, self.unit, self.radix, self.d
-        row = self.b_row(p, radius)
-        for key in sorted(row):  # the keys' order is the offsets'
-            t = decode_key(key, radix, d)
-            if max(map(abs, t)) <= radius:
-                yield Cell(self.scale, tuple(map(add, u, t))), row[key] * unit
+    support = _row_support
 
     def window_plaquettes(self, radius: int) -> list[Cell]:
         lo = (-radius,) * self.d
@@ -787,7 +792,7 @@ class ExplicitOp(Frozen):
     missing pairs count as zero.
 
     _series is exp_state's memo, per monomial m, of the integers
-    mu0(L^k m) / unit^k for k = 0..deg(m) // 2.  _rows holds the b_row of
+    mu_0(L^k m) / unit^k for k = 0..deg(m) // 2.  _rows holds the b_row of
     every cell, built from _b_int on the first b_row call and keyed by
     offset_key in radix, 2 _spread(cells) + 1: the keys hold every offset
     between two cells, so a row always fits its radix.  Both are cache
@@ -802,13 +807,7 @@ class ExplicitOp(Frozen):
     @classmethod
     def _over(cls, a_int: dict, b_int: dict, den: int) -> "ExplicitOp":
         """Integer tables over 1/den (b_int on _pair_key pairs), kept as given; den is their lcm unit."""
-        op = object.__new__(cls)
-        for name, value in zip(cls.__slots__, ({v: Fraction(c, den) for v, c in a_int.items()},
-                                               {k: Fraction(c, den) for k, c in b_int.items()},
-                                               Fraction(1, den), _span_radix(a_int), a_int,
-                                               b_int, {}, None)):
-            object.__setattr__(op, name, value)
-        return op
+        return object.__new__(cls)._fill(a_int, b_int, den)
 
     def __init__(self, a: Mapping, b: Mapping):
         a_clean = {v: Fraction(c) for v, c in a.items()}
@@ -825,11 +824,17 @@ class ExplicitOp(Frozen):
                 raise ValueError(f"conflicting symmetric b-entries for {key}")
             b_clean[key] = c
         den = math.lcm(*(c.denominator for c in (*a_clean.values(), *b_clean.values())))
-        for name, value in zip(self.__slots__, (a_clean, b_clean, Fraction(1, den),
-                                                _span_radix(a_clean),
-                                                {v: int(c * den) for v, c in a_clean.items()},
-                                                {k: int(c * den) for k, c in b_clean.items()}, {}, None)):
+        self._fill({v: int(c * den) for v, c in a_clean.items()},
+                   {k: int(c * den) for k, c in b_clean.items()}, den)
+
+    def _fill(self, a_int: dict, b_int: dict, den: int) -> "ExplicitOp":
+        """Set every slot from the integer tables over 1/den, the caches empty; return self."""
+        for name, value in zip(self.__slots__, ({v: Fraction(c, den) for v, c in a_int.items()},
+                                                {k: Fraction(c, den) for k, c in b_int.items()},
+                                                Fraction(1, den), _span_radix(a_int), a_int,
+                                                b_int, {}, None)):
             object.__setattr__(self, name, value)
+        return self
 
     def check_var(self, v) -> None:
         if v not in self.a:
@@ -878,14 +883,7 @@ class ExplicitOp(Frozen):
     def apply(self, f: Polynomial) -> Polynomial:
         return apply_operator(self, f)
 
-    def support(self, p, radius: int) -> Iterator[tuple]:
-        self.check_var(p)
-        for (u, v), c in sorted(self.b.items(), key=lambda kv: (_var_key(kv[0][0]), _var_key(kv[0][1]))):
-            if u == p or v == p:
-                q = v if u == p else u
-                if isinstance(q, Cell) and max(abs(x - y) for x, y in zip(q.coords, p.coords)) > radius:
-                    continue
-                yield q, c
+    support = _row_support
 
     def with_entry(self, p, q, value) -> "ExplicitOp":
         b = dict(self.b)

@@ -186,9 +186,6 @@ class Polynomial(Frozen):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -290,25 +287,25 @@ class Polynomial(Frozen):
 
 def format_polynomial(f: Polynomial) -> str:
     """Canonical text form, e.g. "3/2*x[1,1,0]@0^2*x[0,1,1]@0 - x1"."""
-    if f.is_zero():
-        return "0"
-    parts = []
-    for m in sorted(f.terms, key=_mono_sort_key, reverse=True):
-        c = f.terms[m]
-        factors = _format_monomial(m)
+    return _join_terms((f.terms[m], _format_monomial(m))
+                       for m in sorted(f.terms, key=_mono_sort_key, reverse=True))
+
+
+def _join_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """The (nonzero coefficient c, factors) terms as "c*factors - ... + ...", or "0" for none.
+
+    A term with no factors is its magnitude alone; a magnitude of 1 before
+    factors is left out.
+    """
+    text = ""
+    for c, factors in terms:
+        if text:
+            text += " - " if c < 0 else " + "
+        elif c < 0:
+            text = "-"
         mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = factors
-        else:
-            body = str(mag) + "*" + factors
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+        text += str(mag) if not factors else factors if mag == 1 else f"{mag}*{factors}"
+    return text or "0"
 
 
 def _format_monomial(m: Monomial) -> str:

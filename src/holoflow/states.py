@@ -11,7 +11,7 @@ check each other with zero tolerance:
   exactly against the precision matrix.
 
 Both sum integers and apply their unit once.  L's coefficients are integers
-over the operator's unit, so mu0(L^k m) is an integer times unit^k:
+over the operator's unit, so mu_0(L^k m) is an integer times unit^k:
 exp_state's series holds those integers and makes one Fraction per power of
 the coupling.  A CovarianceMatrix stores integer numerators over one unit,
 so a pairing sum over 2k factors is an integer times unit^k.
@@ -55,7 +55,8 @@ from ._frozen import Frozen
 
 from .cells import box_cell_count, offset_key
 from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo
-from .poly import Monomial, Polynomial, _format_monomial, _integer_terms, _mono_degree
+from .poly import (Monomial, Polynomial, _format_monomial, _integer_terms, _join_terms,
+                   _mono_degree)
 
 # The highest degree exp_state and verify_sphere accept.  A monomial's series
 # recurses once per two degrees, so this bounds the recursion depth at 128.
@@ -100,21 +101,8 @@ class LambdaPoly(Frozen):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return LambdaPoly(out)
-
-    def __rmul__(self, c) -> "LambdaPoly":
-        c = Fraction(c)
-        return LambdaPoly({k: c * v for k, v in self.coeffs.items()})
-
     def __eq__(self, other):
         return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def to_json(self) -> dict[str, str]:
         return {str(k): str(c) for k, c in sorted(self.coeffs.items())}
@@ -127,42 +115,22 @@ class LambdaPoly(Frozen):
 
 
 def format_lambda_poly(f: LambdaPoly) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for k in sorted(f.coeffs):
-        c = f.coeffs[k]
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            power = "lambda" if k == 1 else f"lambda^{k}"
-            body = power if mag == 1 else f"{mag}*{power}"
-        parts.append(("-" if c < 0 else "+", body))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def mu0(f: Polynomial) -> Fraction:
-    """The flat state: send every variable to 0.
-
-    No reduction modulo a constraint ideal is needed first: the generators are
-    linear with no constant term, so reducing never changes the constant term.
-    """
-    return f.eval_zero()
+    """Ascending powers of the coupling, e.g. "1 - 1/2*lambda + 2*lambda^3"."""
+    return _join_terms((f.coeffs[k], "" if k == 0 else "lambda" if k == 1 else f"lambda^{k}")
+                       for k in sorted(f.coeffs))
 
 
 def exp_state(op, f: Polynomial) -> LambdaPoly:
     """mu_0 e^(coupling * L) applied to f, exact in the coupling.
 
-    The series sum_k coupling^k / k! * mu0(L^k f) terminates after
-    floor(deg f / 2) + 1 terms because L drops degree by two.  Every
-    variable of f is checked once, as apply_operator checks them: L^k m has
-    no variable m lacks.  f is scaled to integer terms, and _series_state
-    sums the memoized series of its monomials.
+    The series sum_k coupling^k / k! * mu_0(L^k f) terminates after
+    floor(deg f / 2) + 1 terms because L drops degree by two.  The flat
+    state mu_0 sends every variable to 0 (Polynomial.eval_zero); it needs
+    no reduction modulo a constraint ideal first, since the generators are
+    linear with no constant term.  Every variable of f is checked once, as
+    apply_operator checks them: L^k m has no variable m lacks.  f is
+    scaled to integer terms, and _series_state sums the memoized series of
+    its monomials.
     Raises ValueError when f's degree exceeds MAX_DEGREE.
     """
     if f.degree() > MAX_DEGREE:
@@ -176,8 +144,8 @@ def exp_state(op, f: Polynomial) -> LambdaPoly:
 def _series_state(op, items, scale: int, memo: dict, pairs: tuple) -> LambdaPoly:
     """exp_state of sum c * m / scale over the (monomial m, integer c) items.
 
-    The caller checks the variables and the degree.  L and mu0 are linear,
-    so mu0(L^k f) is summed from the series of f's monomials (_mu0_series,
+    The caller checks the variables and the degree.  L and mu_0 are linear,
+    so mu_0(L^k f) is summed from the series of f's monomials (_mu0_series,
     memo and pairs as there).  Those series are integers over unit^k, so
     the sums are integers; each nonzero power k of the coupling becomes
     one Fraction, v * unit^k / (scale * k!).
@@ -196,7 +164,7 @@ def _series_state(op, items, scale: int, memo: dict, pairs: tuple) -> LambdaPoly
 
 
 def _mu0_series(m: Monomial, memo: dict, pairs: tuple) -> list[int]:
-    """[mu0(L^k m) / unit^k for k = 0..deg(m) // 2], from the series of L m's monomials.
+    """[mu_0(L^k m) / unit^k for k = 0..deg(m) // 2], from the series of L m's monomials.
 
     L m is unit times _apply_int's integer coefficients c2, so entry k is
     sum c2 * (entry k - 1 of m2's series), over every nonzero entry.  The
@@ -223,35 +191,21 @@ class CovarianceMatrix(Frozen):
 
     entry(u, v) is the coefficient of the coupling in the state applied to
     x_u x_v.  It is stored once, as the integer num(u, v) over unit, the
-    reciprocal of the lcm of the entry denominators; entry and rows derive
-    the Fractions.  _pairings memoizes the integer Isserlis pairing sums on
-    the sorted factor tuple; it never enters __eq__.
-
-    over() builds one from integer numerators over any common denominator;
-    __init__ puts its rational entries over their lcm and goes through the
-    same normalization.
+    reciprocal of the lcm of the entry denominators; entry derives the
+    Fraction.  _pairings memoizes the integer Isserlis pairing sums on the
+    sorted factor tuple; it never enters __eq__.  over() is the one
+    constructor.
     """
 
     __slots__ = ("variables", "unit", "_nums", "_index", "_pairings")
 
-    def __init__(self, variables: Sequence, entries: Mapping):
-        entries = {key: Fraction(c) for key, c in entries.items()}
-        den = math.lcm(*(c.denominator for c in entries.values()))
-        self._normalize(variables, {key: c.numerator * (den // c.denominator)
-                                    for key, c in entries.items()}, den)
-
     @classmethod
     def over(cls, variables: Sequence, nums: Mapping, den: int) -> "CovarianceMatrix":
-        """The matrix with entry(u, v) = nums[(u, v)] / den, for integers nums and den > 0."""
-        cov = cls.__new__(cls)
-        cov._normalize(variables, nums, den)
-        return cov
+        """The matrix with entry(u, v) = nums[(u, v)] / den, for integers nums and den > 0.
 
-    def _normalize(self, variables: Sequence, nums: Mapping, den: int) -> None:
-        """Store nums / den over unit 1/lcm(reduced entry denominators).
-
-        That lcm is den / gcd(den, every numerator), so the unit, and with
-        it __eq__, depends on the entries alone.
+        It is stored over unit 1/lcm(reduced entry denominators).  That lcm
+        is den / gcd(den, every numerator), so the unit, and with it __eq__,
+        depends on the entries alone.
         """
         variables = tuple(variables)
         index = {v: i for i, v in enumerate(variables)}
@@ -264,11 +218,13 @@ class CovarianceMatrix(Frozen):
                 raise ValueError(f"asymmetric entries for {key}")
             clean[key] = n
         g = math.gcd(den, *clean.values())
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "unit", Fraction(1, den // g))
-        object.__setattr__(self, "_nums", {key: n // g for key, n in clean.items() if n})
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_pairings", {})
+        cov = cls.__new__(cls)
+        object.__setattr__(cov, "variables", variables)
+        object.__setattr__(cov, "unit", Fraction(1, den // g))
+        object.__setattr__(cov, "_nums", {key: n // g for key, n in clean.items() if n})
+        object.__setattr__(cov, "_index", index)
+        object.__setattr__(cov, "_pairings", {})
+        return cov
 
     def num(self, u, v) -> int:
         """entry(u, v) over unit."""
@@ -291,10 +247,6 @@ class CovarianceMatrix(Frozen):
             i, j = index[u], index[v]
             rows[i][j] = rows[j][i] = c
         return rows
-
-    def rows(self) -> list[list[Fraction]]:
-        unit = self.unit
-        return [[x * unit for x in row] for row in self.numerators()]
 
     def __eq__(self, other):
         # unit and the nonzero numerators are determined by the entries
@@ -394,11 +346,7 @@ def ym_moment(areas: Sequence, f: Polynomial) -> LambdaPoly:
     f must already live in the coordinates x_1..x_{n-1} (the last holonomy
     eliminated against the conditioning constraint).
     """
-    return _pairing_state(ym_covariance(areas), f)
-
-
-def _pairing_state(cov: CovarianceMatrix, f: Polynomial) -> LambdaPoly:
-    """ym_moment's pairing step over an already built covariance matrix."""
+    cov = ym_covariance(areas)
     allowed = set(cov.variables)
     bad = f.variables() - allowed
     if bad:
@@ -561,13 +509,6 @@ class PsdReport(NamedTuple):
     @property
     def nonnegative(self) -> bool:
         return all(s >= 0 for s in self.signs)
-
-    @property
-    def first_negative(self) -> int | None:
-        for k, s in enumerate(self.signs):
-            if s < 0:
-                return k + 1
-        return None
 
     def to_json(self) -> dict:
         return {

@@ -29,8 +29,8 @@ give, keyed in the operator's radix.  A numerator keys its offsets once and
 then does key arithmetic: q - p is key(q - cube) - key(p - cube) for a
 gauge site and a child offset 2t + s is 2 key(t) + key(s) for a compat
 site, each within the reach its row was fetched at.  Every gauge numerator
--- at a sweep site, in gauge_residual and in solve_base_coefficient -- is
-gauge_numerator over p's row.
+is made by the sweep's class builder, _gauge_class: gauge_residual and
+solve_base_coefficient give it a one-cell partner (_site_numerator).
 
 Both sweeps run in one driver, _table_sweep(op, centers, radius,
 condition).  A _Condition record holds what differs between them: the
@@ -341,15 +341,15 @@ def _face_steps(faces: dict, u: tuple, radix: int) -> list[tuple[int, int]]:
     return [(offset_key(map(sub, q.coords, u), radix), s) for q, s in faces.items()]
 
 
-def _site_terms(op, cube: Cell, p: Cell) -> tuple[dict, dict, list, int]:
-    """The faces, p's row, the faces' steps and key(p - cube), once p and each face are checked."""
-    faces = boundary(cube)
-    for q in (p, *faces):
+def _site_numerator(op, cube: Cell, p: Cell, read_a: bool) -> int:
+    """The gauge numerator at (cube, p), with a_p read or taken as 0, once p and each face are
+    checked: _gauge_class's, with the one-cell partner (a_p or 0, b_row(p, |p - cube| + 1))."""
+    for q in (p, *boundary(cube)):
         op.check_var(q)
-    reach = max(abs(x - y) for q in faces for x, y in zip(q.coords, p.coords))
-    u, radix = cube.coords, op.radix
-    return (faces, op.b_row(p, reach), _face_steps(faces, u, radix),
-            offset_key(map(sub, p.coords, u), radix))
+    t = tuple(map(sub, p.coords, cube.coords))
+    reach = max(map(abs, t)) + 1
+    found = (op.a_int(p) if read_a else 0, op.b_row(p, reach))
+    return _gauge_class(op, cube, reach, lambda scale, coords: found)[1](t)
 
 
 def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
@@ -358,8 +358,7 @@ def gauge_residual(op, cube: Cell, p: Cell) -> Fraction:
         raise ValueError(f"{cube} is not a 3-cell")
     if cube.scale != p.scale:
         raise ValueError(f"scale mismatch: {cube} vs {p}")
-    faces, row, steps, t = _site_terms(op, cube, p)
-    return gauge_numerator(op.a_int(p), faces.get(p, 0), row, steps, t) * op.unit
+    return _site_numerator(op, cube, p, True) * op.unit
 
 
 def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
@@ -373,8 +372,7 @@ def solve_base_coefficient(op, cube: Cell, p: Cell) -> Fraction:
     lead = boundary(cube).get(p, 0)
     if lead == 0:
         raise ValueError(f"{p} is not a face of {cube}")
-    _, row, steps, t = _site_terms(op, cube, p)
-    return -gauge_numerator(0, 0, row, steps, t) * op.unit / lead
+    return -_site_numerator(op, cube, p, False) * op.unit / lead
 
 
 def default_cubes(d: int, scale: int) -> list[Cell]:

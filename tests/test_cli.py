@@ -327,6 +327,33 @@ def test_tables_csv(runner):
     assert ["[1,1,0]@0", "[0,1,1]@0", "2"] in rows
 
 
+# [1,1,0]@0, the first cell, has partners at its own scale within range 1 and 2, one at
+# scale 1 at coordinate distance 0, an integer one and a stored zero
+EXPLICIT_TABLES_OP = ('{"variant":"explicit","a":{"[1,1,0]@0":"1","[1,2,1]@0":"1",'
+                      '"[1,3,0]@0":"1","[1,1,0]@1":"1","7":"2"},'
+                      '"b":[["[1,1,0]@0","[1,2,1]@0","1/2"],["[1,1,0]@0","[1,3,0]@0","1/3"],'
+                      '["[1,1,0]@0","[1,1,0]@1","1/4"],["[1,1,0]@0","7","1/5"],'
+                      '["[1,1,0]@0","[1,1,0]@0","0"]]}')
+MIXED_PARTNER_OP = ('{"variant":"explicit","a":{"[1,1,0]@0":"1","7":"1"},'
+                    '"b":[["[1,1,0]@0","7","1/2"]]}')
+
+
+def test_tables_of_a_cell_with_an_integer_partner(runner):
+    result = invoke(runner, "tables", "--op", MIXED_PARTNER_OP)
+    assert result.exit_code == 0
+    assert result.output == "a([1,1,0]@0) = 1\n"
+
+
+@pytest.mark.parametrize("radius, partners", [("1", ["[1,2,1]@0"]),
+                                              ("2", ["[1,2,1]@0", "[1,3,0]@0"])])
+def test_explicit_tables_list_only_partners_at_the_cells_scale(runner, radius, partners):
+    result = invoke(runner, "tables", "--op", EXPLICIT_TABLES_OP, "--range", radius,
+                    "--format", "csv")
+    assert result.exit_code == 0
+    rows = list(csv.reader(io.StringIO(result.output)))
+    assert [q for p, q, _ in rows[1:]] == partners
+
+
 # -- moments ----------------------------------------------------------------------------
 
 
@@ -491,6 +518,7 @@ GOLDEN_CASES = {
     "tables-d4": ("tables", "--d", "4", "--range", "3"),
     "tables-alt3": ("tables", "--op", "alt3", "--range", "3"),
     "tables-zero-entry-override": ("tables", "--op", ZERO_ENTRY_OP, "--range", "3"),
+    "tables-explicit": ("tables", "--op", EXPLICIT_TABLES_OP, "--range", "2"),
     "moments-sphere": ("moments", "--op", "sphere", "--areas", "1/2,1/4,1/4",
                        "--poly", "x1^2*x2^2"),
     "moments-lattice": ("moments", "--poly", "x[1,1,0]@0*x[0,1,1]@0"),
@@ -542,6 +570,9 @@ GOLDEN = {
     ('tables-alt3', 'json'): (0, '4303a79b153660ef'),
     ('tables-zero-entry-override', 'text'): (0, 'a4040721af60be62'),
     ('tables-zero-entry-override', 'json'): (0, '1d47d7d1aefe96cd'),
+    ('tables-explicit', 'text'): (0, 'c7f7a05c6ce91c7f'),
+    ('tables-explicit', 'json'): (0, '07914e1302e64b91'),
+    ('tables-explicit', 'csv'): (0, 'c33843a7dae81977'),
     ('moments-sphere', 'text'): (0, 'ef26243a21b137d7'),
     ('moments-sphere', 'json'): (0, '679ae1de9e3eb408'),
     ('moments-sphere', 'csv'): (0, 'f90211ec2c427a76'),
@@ -850,7 +881,7 @@ OP_SPECS = [
     '{"variant":"cubical","overrides":[[[-1,0,0],"beta",5]]}',
     '{"variant":"cubical","d":3.5,"scale":true}',
     REPEATED_OVERRIDE_OP, INDEXED_A0_OP,
-    FLOAT_EXPLICIT_OP, NON_OBJECT_A_OP, MIXED_DIM_OP, CUBE_FACES_OP,
+    FLOAT_EXPLICIT_OP, NON_OBJECT_A_OP, MIXED_DIM_OP, CUBE_FACES_OP, MIXED_PARTNER_OP,
 ]
 # --d and --scale choose a cubical family; drawn or left out.  --d 4 is left
 # out: a d=4 covariance window of 2 with --psd takes tens of seconds.  --d 15

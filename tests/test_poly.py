@@ -332,7 +332,7 @@ def linear_ideals(draw, n_vars=3):
 @settings(max_examples=60, deadline=None)
 @given(linear_ideals(), small_polys())
 def test_reduce_keeps_the_constant_term(ideal, f):
-    # why the flat state mu0 needs no reduction modulo a constraint ideal
+    # why the flat state mu_0 needs no reduction modulo a constraint ideal
     assert ideal.reduce(f).eval_zero() == f.eval_zero()
 
 

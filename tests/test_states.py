@@ -26,7 +26,6 @@ from holoflow.states import (
     exp_state,
     format_lambda_poly,
     isserlis_moment,
-    mu0,
     psd_probe,
     verify_sphere,
     ym_covariance,
@@ -57,9 +56,9 @@ def rand_poly(rng, variables, max_degree, terms=4):
 
 
 def test_mu0_examples():
-    assert mu0(x(3)) == 0
-    assert mu0(Polynomial.const(5)) == 5
-    assert mu0(x(1) * x(2) + Fraction(2, 3)) == Fraction(2, 3)
+    assert x(3).eval_zero() == 0
+    assert Polynomial.const(5).eval_zero() == 5
+    assert (x(1) * x(2) + Fraction(2, 3)).eval_zero() == Fraction(2, 3)
 
 
 # -- exponential state -----------------------------------------------------------
@@ -220,6 +219,11 @@ def test_covariance_inversion_matches_closed_form_up_to_n8():
                 assert cov.entry(i, j) == expected
 
 
+def entry_rows(cov):
+    """The matrix of entry(u, v), rows and columns in variable order."""
+    return [[cov.entry(u, v) for v in cov.variables] for u in cov.variables]
+
+
 def _check_numerators(cov):
     """num * unit is entry, and psd_probe's integer matrix is the rows scaled by their lcm."""
     assert cov.unit > 0
@@ -229,7 +233,7 @@ def _check_numerators(cov):
             assert type(cov.num(u, v)) is int
             assert nums[i][j] == cov.num(u, v)
             assert cov.num(u, v) * cov.unit == cov.entry(u, v)
-    rows = cov.rows()
+    rows = entry_rows(cov)
     denom = math.lcm(*(x.denominator for row in rows for x in row))
     assert Fraction(1, denom) == cov.unit
     assert nums == [[int(x * denom) for x in row] for row in rows]
@@ -248,11 +252,12 @@ def test_covariance_window_numerators_over_one_unit(family):
 
 
 def test_covariance_equality_reads_the_entries():
-    given = {(1, 1): Fraction(1, 2), (1, 2): Fraction(-1, 3), (2, 2): 0}
-    cov = CovarianceMatrix((1, 2), given)
-    assert cov == CovarianceMatrix((1, 2), {(1, 1): Fraction(3, 6), (2, 1): Fraction(-1, 3)})
-    assert cov != CovarianceMatrix((1, 2), {**given, (2, 2): Fraction(1, 7)})
-    assert cov != CovarianceMatrix((2, 1), given)
+    # 1/2 at (1, 1) and -1/3 at (1, 2), over 6 and over 12; the third adds 1/7 at (2, 2)
+    given = {(1, 1): 3, (1, 2): -2, (2, 2): 0}
+    cov = CovarianceMatrix.over((1, 2), given, 6)
+    assert cov == CovarianceMatrix.over((1, 2), {(1, 1): 6, (2, 1): -4}, 12)
+    assert cov != CovarianceMatrix.over((1, 2), {(1, 1): 21, (1, 2): -14, (2, 2): 6}, 42)
+    assert cov != CovarianceMatrix.over((2, 1), given, 6)
 
 
 def test_covariance_rejects_bad_areas():
@@ -264,7 +269,7 @@ def test_covariance_rejects_bad_areas():
 
 
 def test_isserlis_reference_moments():
-    cov = CovarianceMatrix((1, 2), {(1, 1): Fraction(2), (1, 2): Fraction(-1), (2, 2): Fraction(3)})
+    cov = CovarianceMatrix.over((1, 2), {(1, 1): 2, (1, 2): -1, (2, 2): 3}, 1)
     c11, c12, c22 = Fraction(2), Fraction(-1), Fraction(3)
     assert isserlis_moment(cov, ((1, 4),)) == 3 * c11**2
     assert isserlis_moment(cov, ((1, 2), (2, 2))) == c11 * c22 + 2 * c12**2
@@ -498,7 +503,7 @@ def test_verify_sphere_flags_the_monomials_that_read_a_perturbed_entry(monkeypat
                                 else exponents.get(u) and exponents.get(v)):
             reads.append(item.monomial)
         assert item.exp_state == before.exp_state  # the series route never reads cov
-        assert item.ym_moment == states._pairing_state(cov, Polynomial({mono: 1}))
+        assert item.ym_moment == ym_moment(SPHERE5, Polynomial({mono: 1}))  # over perturbed
     assert [item.monomial for item in report.mismatches] == reads
     assert len(reads) > 20
     assert_flags_match_the_values(report)
@@ -587,31 +592,31 @@ def test_psd_probe_on_tiny_window():
 
 
 def test_psd_probe_positive_definite():
-    cov = CovarianceMatrix((1, 2), {(1, 1): 2, (1, 2): 1, (2, 2): 3})
+    cov = CovarianceMatrix.over((1, 2), {(1, 1): 2, (1, 2): 1, (2, 2): 3}, 1)
     assert psd_probe(cov).signs == (1, 1)
 
 
 def test_psd_probe_zero_pivot_indefinite():
-    cov = CovarianceMatrix((1, 2), {(1, 1): 0, (1, 2): 1, (2, 2): 0})
+    cov = CovarianceMatrix.over((1, 2), {(1, 1): 0, (1, 2): 1, (2, 2): 0}, 1)
     report = psd_probe(cov)
     assert report.signs == (0, -1)
     assert not report.nonnegative
-    assert report.first_negative == 2
+    assert report.signs.index(-1) + 1 == 2  # the first negative minor is the second
 
 
 def test_psd_probe_zero_pivot_degenerate():
-    cov = CovarianceMatrix((1, 2, 3), {(1, 1): 0, (2, 2): 1, (3, 3): 1})
+    cov = CovarianceMatrix.over((1, 2, 3), {(1, 1): 0, (2, 2): 1, (3, 3): 1}, 1)
     assert psd_probe(cov).signs == (0, 0, 0)
 
 
 def test_psd_probe_negative_definite_direction():
-    cov = CovarianceMatrix((1, 2), {(1, 1): -1, (2, 2): 1})
+    cov = CovarianceMatrix.over((1, 2), {(1, 1): -1, (2, 2): 1}, 1)
     assert psd_probe(cov).signs == (-1, -1)
 
 
 def leading_determinant_signs(cov):
     """Each leading minor's sign from its own determinant, with no shortcut."""
-    rows = cov.rows()
+    rows = entry_rows(cov)
     denom = math.lcm(*(x.denominator for row in rows for x in row))
     scaled = [[int(x * denom) for x in row] for row in rows]
     dets = (states._det_bareiss([row[:m] for row in scaled[:m]]) for m in range(1, cov.size + 1))
@@ -719,7 +724,7 @@ def test_zero_pivots_in_sparse_symmetric_matrices():
 
 def test_psd_probe_singular_block_of_nullity_two():
     # the leading 2x2 block is zero, but the first column is not, so later minors are computed
-    cov = CovarianceMatrix((1, 2, 3, 4), {(1, 3): 1, (2, 4): 1})
+    cov = CovarianceMatrix.over((1, 2, 3, 4), {(1, 3): 1, (2, 4): 1}, 1)
     assert psd_probe(cov).signs == leading_determinant_signs(cov) == (0, 0, 0, 1)
 
 

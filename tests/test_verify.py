@@ -69,6 +69,10 @@ def test_base_coefficient_is_forced():
     assert solve_base_coefficient(MAIN3, CUBE, BASE3) == 12
     assert solve_base_coefficient(ALT3, CUBE, BASE3) == 1
     assert solve_base_coefficient(explicit_tables(MAIN3, 0, 2), CUBE, BASE3) == 12
+    # only b is read: with a_0 moved off 12 the gauge residual fails, the forced value stays
+    shifted = MAIN3.perturbed("a0", None, 5)
+    assert gauge_residual(shifted, CUBE, BASE3) != 0
+    assert solve_base_coefficient(shifted, CUBE, BASE3) == 12
     with pytest.raises(ValueError, match="not a face"):
         solve_base_coefficient(MAIN3, CUBE, Cell(0, (5, 5, 0)))
     with pytest.raises(ValueError, match="3-cell"):
