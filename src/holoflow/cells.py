@@ -290,6 +290,12 @@ def key_capacity(radix: int) -> int:
     return (radix - 1) // 2
 
 
+def site_radix(points: Iterable[Sequence[int]], radius: int) -> int:
+    """2R + 1, R the largest |coordinate| of any point plus radius: offset_key's digits in
+    this radix hold every coordinate within max-norm radius of a point, and every offset."""
+    return 2 * (max((abs(x) for c in points for x in c), default=0) + radius) + 1
+
+
 def decode_key(key: int, radix: int, d: int) -> tuple:
     """The d-offset t with offset_key(t, radix) == key, t within the radix's capacity."""
     half, coords = radix // 2, []
@@ -336,16 +342,15 @@ def plaquettes_near(centers: Iterable[tuple], radius: int) -> set[tuple]:
     Centers are grouped by the parities of their coordinates.  Within a
     group, each pair of axes to be odd has a product of ranges as its
     offsets (_offset_ranges), so that pair's plaquettes are the centers
-    grown one axis at a time, each step a set of offset_key integers in a
-    radix that holds every coordinate reached: a step adds the axis's weight
-    times the offset, a point that several centers reach is extended once,
-    and each plaquette is decoded once at the end.
+    grown one axis at a time, each step a set of offset_key integers in the
+    centers' site_radix, which holds every coordinate reached: a step adds
+    the axis's weight times the offset, a point that several centers reach
+    is extended once, and each plaquette is decoded once at the end.
     """
     classes: dict = {}
     for c in centers:
         classes.setdefault(tuple([x & 1 for x in c]), set()).add(c)
-    radix = 2 * (max((abs(x) for group in classes.values() for c in group for x in c),
-                     default=0) + radius) + 1
+    radix = site_radix(itertools.chain.from_iterable(classes.values()), radius)
     reached: dict = {}  # dimension -> keys, since keys of two dimensions may coincide
     for parity, group in classes.items():
         d = len(parity)

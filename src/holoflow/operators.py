@@ -56,9 +56,9 @@ integers for integer input.  apply_operator checks the variables, runs it
 and multiplies by the unit once; exp_state's series and the
 well-definedness probes run it directly, sharing one memo of looked-up
 pair coefficients across calls: _pair_memo over the variables themselves,
-_index_pairs over indices into a list of them.  coeff_a/coeff_b are the
-checked Fraction form.  The rows, and ExplicitOp's exp_state series memo,
-live in cache slots: they only cache pure values and never enter __eq__.
+_index_pairs over indices into a list of them.  Only these two state L's
+pair coefficients.  coeff_a/coeff_b are the checked Fraction form.  The
+rows live in cache slots: they only cache pure values and never enter __eq__.
 
 Operators are immutable and their lookups are pure, so instances may be
 shared freely within a process.
@@ -123,36 +123,32 @@ def _pair_memo(op) -> tuple[dict, dict, Callable, Callable]:
 def _index_pairs(op, variables: Sequence) -> tuple[dict, dict, Callable, Callable]:
     """_pair_memo's contract for monomials over the indices of variables: i stands for variables[i].
 
-    A family reads cross_int(i, j) = row_i[k_j - k_i] + row_j[k_i - k_j],
-    with k_i the offset key of variable i's coordinates and row_i its
-    class's row, sized once at the _spread of the variables in its
-    universe, which bounds every offset between two of them: one push per
-    parity class, and no lookup regrows a row.  A variable outside the
-    universe gets no row; the caller checks every variable of a monomial
-    before _apply_int reads its pairs.  Any other operator makes the two
-    b_int lookups per pair.
+    A family reads diag_int(i) = a_int - row_i[0] and cross_int(i, j) =
+    row_i[k_j - k_i] + row_j[k_i - k_j], with k_i the offset key of variable
+    i's coordinates and row_i its class's row, sized once at the _spread of
+    the variables in its universe, which bounds every offset between two of
+    them: one push per parity class, and no lookup regrows a row.  A
+    variable outside the universe gets no row; the caller checks every
+    variable of a monomial before _apply_int reads its pairs.  Any other
+    operator reads _pair_memo's lookups at variables[i].
     """
-    a_int, b_int = op.a_int, op.b_int
-
-    def diag_int(i: int) -> int:
-        v = variables[i]
-        return a_int(v) - b_int(v, v)
-
     if isinstance(op, CubicalFamilyOp):
+        a_int = op.a_int
         cells = list(filter(op.has_var, variables))
         rows, radix = op.class_rows(cells, _spread(cells)), op.radix
         table = [(offset_key(v.coords, radix), rows[v]) if v in rows else None for v in variables]
+
+        def diag_int(i: int) -> int:
+            return a_int(variables[i]) - table[i][1].get(0, 0)
 
         def cross_int(i: int, j: int) -> int:
             ki, row_i = table[i]
             kj, row_j = table[j]
             return row_i.get(kj - ki, 0) + row_j.get(ki - kj, 0)
-    else:
-        def cross_int(i: int, j: int) -> int:
-            p, q = variables[i], variables[j]
-            return b_int(p, q) + b_int(q, p)
 
-    return {}, {}, diag_int, cross_int
+        return {}, {}, diag_int, cross_int
+    _, _, diag, cross = _pair_memo(op)
+    return {}, {}, lambda i: diag(variables[i]), lambda i, j: cross(variables[i], variables[j])
 
 
 def _apply_int(terms: Mapping, pairs: tuple[dict, dict, Callable, Callable]) -> dict:
@@ -299,14 +295,16 @@ def _int_symbol(op, variables) -> dict:
     """L's quadratic symbol over op.unit: (v, w) -> the integer coefficient of d_v d_w.
 
     Keys run over the pairs v <= w in the given order; the diagonal holds
-    a_v - b_vv and a cross pair -(b_vw + b_wv).  The caller checks the variables.
+    _pair_memo's diag_int and a cross pair minus its cross_int.  The caller
+    checks the variables.
     """
+    _, _, diag_int, cross_int = _pair_memo(op)
     vs = list(variables)
     out = {}
     for i, v in enumerate(vs):
-        out[v, v] = op.a_int(v) - op.b_int(v, v)
+        out[v, v] = diag_int(v)
         for w in vs[i + 1:]:
-            out[v, w] = -(op.b_int(v, w) + op.b_int(w, v))
+            out[v, w] = -cross_int(v, w)
     return out
 
 
@@ -791,18 +789,17 @@ class ExplicitOp(Frozen):
     ambient dimension.  b is stored symmetrically on unordered pairs and
     missing pairs count as zero.
 
-    _series is exp_state's memo, per monomial m, of the integers
-    mu_0(L^k m) / unit^k for k = 0..deg(m) // 2.  _rows holds the b_row of
-    every cell, built from _b_int on the first b_row call and keyed by
-    offset_key in radix, 2 _spread(cells) + 1: the keys hold every offset
-    between two cells, so a row always fits its radix.  Both are cache
-    slots: they live as long as the instance and never enter __eq__;
-    with_entry builds a new instance (with its own unit) and empty caches.
+    _rows holds the b_row of every cell, built from _b_int on the first
+    b_row call and keyed by offset_key in radix, 2 _spread(cells) + 1: the
+    keys hold every offset between two cells, so a row always fits its
+    radix.  It is a cache slot: it lives as long as the instance and never
+    enters __eq__; with_entry builds a new instance (with its own unit) and
+    an empty cache.
     """
 
     variant = "explicit"
 
-    __slots__ = ("a", "b", "unit", "radix", "_a_int", "_b_int", "_series", "_rows")
+    __slots__ = ("a", "b", "unit", "radix", "_a_int", "_b_int", "_rows")
 
     @classmethod
     def _over(cls, a_int: dict, b_int: dict, den: int) -> "ExplicitOp":
@@ -828,11 +825,11 @@ class ExplicitOp(Frozen):
                    {k: int(c * den) for k, c in b_clean.items()}, den)
 
     def _fill(self, a_int: dict, b_int: dict, den: int) -> "ExplicitOp":
-        """Set every slot from the integer tables over 1/den, the caches empty; return self."""
+        """Set every slot from the integer tables over 1/den, the cache empty; return self."""
         for name, value in zip(self.__slots__, ({v: Fraction(c, den) for v, c in a_int.items()},
                                                 {k: Fraction(c, den) for k, c in b_int.items()},
                                                 Fraction(1, den), _span_radix(a_int), a_int,
-                                                b_int, {}, None)):
+                                                b_int, None)):
             object.__setattr__(self, name, value)
         return self
 

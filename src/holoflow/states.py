@@ -17,19 +17,19 @@ the coupling.  A CovarianceMatrix stores integer numerators over one unit,
 so a pairing sum over 2k factors is an integer times unit^k.
 
 Each pipeline memoizes internally and neither reads the other: exp_state
-keeps the integer series per monomial m on the operator
-(ExplicitOp._series), and the integer pairing sums live on the
+keeps the integer series per monomial m for one run (an exp_state call or
+a verify_sphere area vector), and the integer pairing sums live on the
 CovarianceMatrix (_pairings).  verify_sphere is one checked run per area
 vector: one euclidean operator (its substitution identity checked on
 integers), one covariance matrix (its inverse-precision identity checked
-on integers), the variables checked once and one pair memo for every
-monomial.  Each monomial tuple goes straight to exp_state's kernel,
-_series_state, and to ym_moment's, _pairing_kernel, with no Polynomial;
-the series side makes one Fraction per nonzero power of the coupling and
-the pairing side one per even monomial.  One round of n = 3, 4, 5 at
-degree 6 (322 monomials) makes 560 Fractions in all.  The series memo is
-read in _mu0_series's loop, so a monomial's series is built by one call
-that recurses only on the children it misses.
+on integers), the variables checked once and one series and one pair memo
+for every monomial.  Each monomial tuple goes straight to exp_state's
+kernel, _series_state, and to ym_moment's, _pairing_kernel, with no
+Polynomial; the series side makes one Fraction per nonzero power of the
+coupling and the pairing side one per even monomial.  One round of n = 3,
+4, 5 at degree 6 (322 monomials) makes 560 Fractions in all.  The series
+memo is read in _mu0_series's loop, so a monomial's series is built by
+one call that recurses only on the children it misses.
 
 The reports are NamedTuples.  verify_sphere compares each monomial's two
 values once and stores the flag in its MomentComparison, and the
@@ -53,8 +53,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 from ._frozen import Frozen
 
-from .cells import box_cell_count, offset_key
-from .operators import CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo
+from .cells import box_cell_count
+from .operators import (CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _index_pairs,
+                        _pair_memo)
 from .poly import (Monomial, Polynomial, _format_monomial, _integer_terms, _join_terms,
                    _mono_degree)
 
@@ -129,16 +130,15 @@ def exp_state(op, f: Polynomial) -> LambdaPoly:
     no reduction modulo a constraint ideal first, since the generators are
     linear with no constant term.  Every variable of f is checked once, as
     apply_operator checks them: L^k m has no variable m lacks.  f is
-    scaled to integer terms, and _series_state sums the memoized series of
-    its monomials.
+    scaled to integer terms, and _series_state sums the series of its
+    monomials, memoized for this call.
     Raises ValueError when f's degree exceeds MAX_DEGREE.
     """
     if f.degree() > MAX_DEGREE:
         raise ValueError(f"degree {f.degree()} exceeds the maximum {MAX_DEGREE}")
     _check_vars(op, f.variables())
     terms, scale = _integer_terms(f)
-    # an ExplicitOp keeps its memo; other operators memoize for this call only
-    return _series_state(op, terms.items(), scale, getattr(op, "_series", {}), _pair_memo(op))
+    return _series_state(op, terms.items(), scale, {}, _pair_memo(op))
 
 
 def _series_state(op, items, scale: int, memo: dict, pairs: tuple) -> LambdaPoly:
@@ -430,10 +430,10 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
     pushed through both exp_state (with the euclidean image of the sphere
     operator) and the pairing step (over one covariance matrix for the area
     vector); the report lists both values for each.  The run is one pass
-    per area vector: the variables 1..n-1 are checked once, one pair memo
-    serves every monomial, and each monomial tuple goes straight to
-    exp_state's kernel (_series_state) and to ym_moment's (_pairing_kernel),
-    with no Polynomial.  Its label is format_polynomial's text of the
+    per area vector: the variables 1..n-1 are checked once, one series memo
+    and one pair memo serve every monomial, and each monomial tuple goes
+    straight to exp_state's kernel (_series_state) and to ym_moment's
+    (_pairing_kernel), with no Polynomial.  Its label is format_polynomial's text of the
     monomial.  Each item's two values are compared once, with
     LambdaPoly.__eq__, and the report's all_equal is read from those flags.
     More than MAX_SPHERE_MONOMIALS monomials, C(n - 1 + max_degree,
@@ -451,7 +451,7 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
     op = SphereOp(areas).to_euclidean()
     cov = ym_covariance(areas)
     _check_vars(op, range(1, len(areas)))
-    memo, pairs = op._series, _pair_memo(op)
+    memo, pairs = {}, _pair_memo(op)
     items = []
     for mono in euclidean_monomials(len(areas) - 1, max_degree):
         series = _series_state(op, ((mono, 1),), 1, memo, pairs)
@@ -462,16 +462,16 @@ def verify_sphere(areas: Sequence, max_degree: int) -> SphereCheckReport:
 
 
 def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
-    """Second-moment coefficients 2 a_p delta_pq - 2 b_pq over a window.
+    """The state's second moments over a window: 2 a_p delta_pq - (b_pq + b_qp).
 
     The window holds every plaquette with all coordinates within radius at
-    the family's scale, in canonical cell order.  Each is checked against
-    the universe once; an entry is 2 (a_int delta_pq - b_int) times the
-    unit, with b_int read from p's row at key(q) - key(p), each plaquette's
-    coordinates keyed once.  The entries stay integers, over
-    the unit's denominator, for CovarianceMatrix.over to normalize.  A window
-    of more than MAX_WINDOW_PLAQUETTES plaquettes raises ValueError before any
-    is listed.
+    the family's scale, in canonical cell order, each checked against the
+    universe once.  Entry (p, q) is exp_state's coefficient of the coupling
+    on x_p x_q, read from the probes' pair table (_index_pairs): 2 diag_int
+    on the diagonal and -cross_int off it, integers over the unit's
+    denominator for CovarianceMatrix.over to normalize.  A window of more
+    than MAX_WINDOW_PLAQUETTES plaquettes raises ValueError before any is
+    listed.
     """
     size = box_cell_count((-radius,) * family.d, (radius,) * family.d, 2)
     if size > MAX_WINDOW_PLAQUETTES:
@@ -480,19 +480,16 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
     plaquettes = family.window_plaquettes(radius)
     for p in plaquettes:
         family.check_var(p)
+    _, _, diag_int, cross_int = _index_pairs(family, plaquettes)
     unit = family.unit
-    scale = 2 * unit.numerator
-    rows, radix = family.class_rows(plaquettes, 2 * radius), family.radix
-    keys = [offset_key(p.coords, radix) for p in plaquettes]
+    scale = unit.numerator
     nums = {}
     for i, p in enumerate(plaquettes):
-        k, row = keys[i], rows[p]
-        for q, kq in zip(plaquettes[i:], keys[i:]):
-            value = -row.get(kq - k, 0)
-            if q is p:
-                value += family.a_int(p)
-            if value:
-                nums[(p, q)] = scale * value
+        nums[p, p] = 2 * scale * diag_int(i)
+        for j in range(i + 1, len(plaquettes)):
+            c = cross_int(i, j)
+            if c:
+                nums[p, plaquettes[j]] = -scale * c
     return CovarianceMatrix.over(plaquettes, nums, unit.denominator)
 
 

@@ -66,7 +66,7 @@ from operator import add, itemgetter, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import (Cell, boundary, box_cell_count, box_cells, children, decode_key, format_cell,
-                    offset_key, plaquette_offsets, plaquettes_near)
+                    offset_key, plaquette_offsets, plaquettes_near, site_radix)
 from .operators import CubicalFamilyOp, _apply_int, _index_pairs
 from .poly import (LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_from_dict,
                    _mono_sort_key, _mul_terms, _var_key)
@@ -165,20 +165,14 @@ def _classes(op) -> tuple[Callable, Callable]:
     return Cell, lambda condition, key: {}
 
 
-def _site_radix(centers: Iterable[Cell], radius: int) -> int:
-    """2R + 1, with R the largest absolute coordinate of any center plus radius: every site
-    coordinate and every offset lies in [-R, R], a digit of offset_key in this radix."""
-    return 2 * (max((abs(x) for c in centers for x in c.coords), default=0) + radius) + 1
-
-
 def _site_keys(centers: Sequence[Cell], radius: int, offsets: dict) -> tuple[int, dict]:
     """A sweep's radix and its offset keys: pattern -> [offset_key(t, radix) for t in offsets].
 
-    In the _site_radix every site coordinate is a digit, so offset_key is
-    injective on the sweep's box, and a site's key is its center's plus its
-    offset's.
+    In the site_radix of the centers every site coordinate is a digit, so
+    offset_key is injective on the sweep's box, and a site's key is its
+    center's plus its offset's.
     """
-    radix = _site_radix(centers, radius)
+    radix = site_radix([c.coords for c in centers], radius)
     return radix, {pattern: [offset_key(t, radix) for t in ts] for pattern, ts in offsets.items()}
 
 
@@ -472,7 +466,10 @@ def invariance_table_residual(family: CubicalFamilyOp, i: int, j: int, k: int) -
 
 def sphere_condition(op) -> list[Fraction]:
     """a_p - sum_q b_pq per variable.  L descends modulo sum x_i iff every a_q - sum_p (b_pq +
-    b_qp) / 2 is zero, so iff these are all zero only for a symmetric b, as a sphere's is."""
+    b_qp) / 2 is zero, so iff these are all zero only for a symmetric b, as a sphere's is.
+    For a symmetric b they are (C 1)_p / 2, C covariance_window's matrix.  This stays a separate
+    route: it reads coeff_a and b_pq through the Fraction API, unsymmetrized, so it checks the
+    pair table rather than repeating it."""
     out = []
     for p in op.variables():
         total = op.coeff_a(p)

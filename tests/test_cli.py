@@ -968,6 +968,26 @@ def test_exit_contract_holds_for_any_arguments(tmp_path_factory, args, out):
     assert result.exception is None or isinstance(result.exception, SystemExit), args
 
 
+# Each command that takes --op, at fixed small sizes, for the grid below.
+OP_COMMANDS = {
+    "verify-invariance": ("--window", "1"),
+    "verify-compat": ("--window", "1"),
+    "covariance": ("--window", "1"),
+    "welldefined": ("--window", "1", "--trials", "2"),
+    "tables": ("--range", "1"),
+    "moments": ("--poly", "x[1,1,0]@0^2*x[0,1,1]@0^2"),
+}
+
+
+@pytest.mark.parametrize("spec", OP_SPECS)
+@pytest.mark.parametrize("command", sorted(OP_COMMANDS))
+def test_exit_contract_holds_for_every_command_and_operator(runner, command, spec):
+    # every (command, spec) pair, which the drawn arguments above reach only now and then
+    result = runner.invoke(main, [command, "--op", spec, *OP_COMMANDS[command]])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+
+
 def test_importing_the_cli_starts_no_process_machinery():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

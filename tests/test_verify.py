@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from holoflow.cells import (Cell, boundary, box_cells, cells_near, children, decode_key,
-                            format_cell, offset_key, parse_cell)
+                            format_cell, offset_key, parse_cell, site_radix)
 from holoflow import verify
 from holoflow.operators import (
     CubicalFamilyOp,
@@ -252,9 +252,9 @@ def _child_steps_from_cells(p: Cell, q: Cell) -> Counter:
 def test_child_steps_from_planes_match_the_children(d):
     planes = list(_patterns(d, 2))
     # a family's radix, and the smallest site radix, whose digits just hold the steps' +-2
-    site_radix = verify._site_radix(base_plaquettes(d, 0), 1)
-    assert site_radix == 5
-    for radix in (CubicalFamilyOp.main(d).radix, site_radix):
+    smallest = site_radix([p.coords for p in base_plaquettes(d, 0)], 1)
+    assert smallest == 5
+    for radix in (CubicalFamilyOp.main(d).radix, smallest):
         for p_pattern, q_pattern in itertools.product(planes, repeat=2):
             steps = verify._child_steps(p_pattern, q_pattern, radix)
             decoded = Counter({decode_key(k, radix, d): m for k, m in steps})
@@ -634,7 +634,7 @@ def test_site_keys_add_and_separate_the_sweep_box(data):
     radius = data.draw(st.integers(0, 6), label="radius")
     point = st.lists(st.integers(-12, 12), min_size=d, max_size=d).map(tuple)
     centers = data.draw(st.lists(point, min_size=1, max_size=4), label="centers")
-    radix = verify._site_radix([Cell(0, c) for c in centers], radius)
+    radix = site_radix(centers, radius)
     bound = radix // 2  # R: every site coordinate of the sweep lies in [-R, R]
     offset = st.lists(st.integers(-radius, radius), min_size=d, max_size=d).map(tuple)
     in_box = st.lists(st.integers(-bound, bound), min_size=d, max_size=d).map(tuple)
@@ -659,7 +659,7 @@ def test_labels_decode_each_key_half_once(monkeypatch):
     gauge_sweep(fam, cubes, 2)
     calls = _count_calls(monkeypatch, verify, "decode_key", lambda key, radix, n: (key, radix, n))
     reports = gauge_sweep(fam, cubes, 2)
-    radix = verify._site_radix(cubes, 2)
+    radix = site_radix([c.coords for c in cubes], 2)
     sites = {parse_cell(site[1]).coords for _, site, _ in reports}
     # the first and the last two coordinates: a key heads some labels and ends others
     heads = {(offset_key(u[:2], radix), radix, 2) for u in sites}
