@@ -234,10 +234,9 @@ _FMT_OPT = click.option("--format", "fmt", type=click.Choice(["text", "json", "c
                         default="text", show_default=True)
 _OUT_OPT = click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True),
                         callback=_writable_out, help="Write output to a file instead of stdout.")
-_JOBS_OPT = click.option("--jobs", type=click.IntRange(min=1), default=1, envvar="HOLOFLOW_JOBS",
-                         show_default=True, expose_value=False,
-                         help="Accepted for compatibility; sweeps run in one process, "
-                              "so it changes nothing.")
+_JOBS_OPT = click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+                         expose_value=False, help="Accepted for compatibility; sweeps run in"
+                                                  " one process, so it changes nothing.")
 _DEC_OPT = click.option("--decimal", type=click.IntRange(min=0), default=None,
                         help="Add a column rounded to this many digits.")
 _SEED_OPT = click.option("--seed", type=int, default=0, show_default=True)

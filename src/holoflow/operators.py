@@ -2,18 +2,17 @@
 
 An operator has the shape  L = sum_p a_p d_p^2 - sum_{p,q} b_pq d_p d_q,
 where the b-sum runs over all ordered pairs including the diagonal (so the
-cross coefficients act through their symmetric part).  Four variants are
-provided:
+cross coefficients act through their symmetric part).  Two classes state
+the coefficients:
 
-* SphereOp       -- n holonomy variables with a_i the (rational) plaquette
-                    areas summing to 1 and b_ij = a_i a_j.
 * CubicalFamilyOp -- the translation/rotation/reflection-invariant family on
                     the scale-n dyadic lattice of R^d (d >= 3), defined by a
-                    base coefficient table at scale 0 and the 4^-n scaling.
-* the "alt3" variant of CubicalFamilyOp -- the second d=3 solution with
+                    base coefficient table at scale 0 and the 4^-n scaling;
+                    its "alt3" variant is the second d=3 solution, with
                     a_0 = 1 and only same-plane interactions.
 * ExplicitOp     -- finite tables, used for faults and for the euclidean
-                    image of a SphereOp.
+                    image of a SphereOp.  SphereOp is the ExplicitOp of n
+                    plaquette areas a_i summing to 1, with b_ij = a_i a_j.
 
 Cubical coefficients are defined by canonicalization (_b_table, the pull
 route): the pair (p, q) is moved by a signed lattice symmetry until p is
@@ -47,18 +46,19 @@ every gauge and compatibility numerator from these rows, and both
 classes' support (behind the tables command) is one walk of a row,
 _row_support.
 
-All three operators also expose their coefficients as integers over one
-unit (a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the
-entry denominators for ExplicitOp, 1/lcm(area denominators)^2 for SphereOp.
-The residual sweeps in verify.py compute with these, and so does
-_apply_int, the one kernel of L: it returns L's coefficients over the unit,
-integers for integer input.  apply_operator checks the variables, runs it
-and multiplies by the unit once; exp_state's series and the
-well-definedness probes run it directly, sharing one memo of looked-up
-pair coefficients across calls: _pair_memo over the variables themselves,
-_index_pairs over indices into a list of them.  Only these two state L's
-pair coefficients.  coeff_a/coeff_b are the checked Fraction form.  The
-rows live in cache slots: they only cache pure values and never enter __eq__.
+Every operator also exposes its coefficients as integers over one unit
+(a_int, b_int, unit): 4^-n for a family at scale n, 1/lcm of the entry
+denominators for an ExplicitOp, 1/lcm(area denominators)^2 for a SphereOp.
+An ExplicitOp stores only these integer tables.  The residual sweeps in
+verify.py compute with them, and so does _apply_int, the one kernel of L:
+it returns L's coefficients over the unit, integers for integer input.
+apply_operator checks the variables, runs it and multiplies by the unit
+once; exp_state's series and the well-definedness probes run it directly,
+sharing one memo of looked-up pair coefficients across calls: _pair_memo
+over the variables themselves, _index_pairs over indices into a list of
+them.  Only these two state L's pair coefficients.  coeff_a/coeff_b are the
+checked Fraction form.  The rows live in cache slots: they only cache pure
+values and never enter __eq__.
 
 Operators are immutable and their lookups are pure, so instances may be
 shared freely within a process.
@@ -201,133 +201,6 @@ def _apply_int(terms: Mapping, pairs: tuple[dict, dict, Callable, Callable]) -> 
                     else:
                         out[mm] = y
     return out
-
-
-class SphereOp(Frozen):
-    """The operator generating the two-sphere Yang-Mills state.
-
-    Variables are the indices 1..n; a_i are positive rational areas summing
-    to 1 and b_ij = a_i a_j, which is exactly the condition a_p = sum_q b_pq
-    needed for the operator to descend modulo x_1 + ... + x_n.
-    """
-
-    variant = "sphere"
-
-    __slots__ = ("areas", "unit", "_den", "_scaled")
-
-    def __init__(self, areas: Sequence):
-        areas = tuple(Fraction(a) for a in areas)
-        if len(areas) < 2:
-            raise ValueError("need at least two plaquette areas")
-        # the areas are s_i / den over the lcm den of their denominators
-        den = math.lcm(*(a.denominator for a in areas))
-        scaled = tuple(a.numerator * (den // a.denominator) for a in areas)
-        if any(s <= 0 for s in scaled):
-            raise ValueError(f"areas must be positive: {areas}")
-        if sum(scaled) != den:
-            raise ValueError(f"areas must sum to 1, got {sum(areas)}")
-        object.__setattr__(self, "areas", areas)
-        object.__setattr__(self, "unit", Fraction(1, den * den))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_scaled", scaled)
-
-    @property
-    def n(self) -> int:
-        return len(self.areas)
-
-    def check_var(self, v) -> None:
-        if not isinstance(v, int) or not 1 <= v <= self.n:
-            raise ValueError(f"variable {v!r} outside universe 1..{self.n}")
-
-    def has_var(self, v) -> bool:
-        return isinstance(v, int) and 1 <= v <= self.n
-
-    def variables(self) -> tuple:
-        return tuple(range(1, self.n + 1))
-
-    def coeff_a(self, i: int) -> Fraction:
-        self.check_var(i)
-        return self.areas[i - 1]
-
-    def coeff_b(self, i: int, j: int) -> Fraction:
-        self.check_var(i)
-        self.check_var(j)
-        return self.areas[i - 1] * self.areas[j - 1]
-
-    def a_int(self, i: int) -> int:
-        """a_i over unit, 1/lcm(area denominators)^2.  Callers check the universe."""
-        return self._scaled[i - 1] * self._den
-
-    def b_int(self, i: int, j: int) -> int:
-        """b_ij over unit.  Callers check the universe."""
-        return self._scaled[i - 1] * self._scaled[j - 1]
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        return apply_operator(self, f)
-
-    def to_euclidean(self) -> "ExplicitOp":
-        """The same operator on the coordinates x_1..x_{n-1} with x_n dropped.
-
-        Substituting d_i -> d_i - d_n for i < n into the (n-1)-variable form
-        must reproduce the n-variable form exactly; the identity is checked
-        here, on the operators' integer symbols, before the result is returned.
-        """
-        # a_i = s_i den and b_ij = s_i s_j over the lcm unit 1/den^2: for a prime p | den
-        # some s_i is prime to p (den is an lcm), so one with i < n is (sum s_i = den).
-        n, s, den = self.n, self._scaled, self._den
-        euclid = ExplicitOp._over({i: s[i - 1] * den for i in range(1, n)},
-                                  {(i, j): s[i - 1] * s[j - 1] for i in range(1, n) for j in range(i, n)},
-                                  den * den)
-        _check_euclidean(self, euclid)
-        return euclid
-
-    def to_json(self) -> dict:
-        return {"variant": "sphere", "areas": [str(a) for a in self.areas]}
-
-    def __eq__(self, other):
-        return isinstance(other, SphereOp) and self.areas == other.areas
-
-    def __repr__(self):
-        return f"SphereOp(areas={[str(a) for a in self.areas]})"
-
-
-def _int_symbol(op, variables) -> dict:
-    """L's quadratic symbol over op.unit: (v, w) -> the integer coefficient of d_v d_w.
-
-    Keys run over the pairs v <= w in the given order; the diagonal holds
-    _pair_memo's diag_int and a cross pair minus its cross_int.  The caller
-    checks the variables.
-    """
-    _, _, diag_int, cross_int = _pair_memo(op)
-    vs = list(variables)
-    out = {}
-    for i, v in enumerate(vs):
-        out[v, v] = diag_int(v)
-        for w in vs[i + 1:]:
-            out[v, w] = -cross_int(v, w)
-    return out
-
-
-def _check_euclidean(sphere: SphereOp, euclid) -> None:
-    """Raise AssertionError unless d_i -> d_i - d_n (i < n) turns euclid's symbol into sphere's.
-
-    Both symbols are integers over their own operator's unit; the
-    substituted euclidean symbol and the sphere's are compared after each
-    is scaled to the other's unit.
-    """
-    n = sphere.n
-    target = _int_symbol(sphere, range(1, n + 1))
-    image = dict.fromkeys(target, 0)
-    for (i, j), c in _int_symbol(euclid, range(1, n)).items():
-        # (d_i - d_n)(d_j - d_n) = d_i d_j - d_i d_n - d_j d_n + d_n^2
-        image[i, j] += c
-        image[i, n] -= c
-        image[j, n] -= c
-        image[n, n] += c
-    to_sphere = euclid.unit.numerator * sphere.unit.denominator
-    to_euclid = sphere.unit.numerator * euclid.unit.denominator
-    if any(image[key] * to_sphere != c * to_euclid for key, c in target.items()):
-        raise AssertionError("euclidean reduction failed the substitution identity")
 
 
 # -- base coefficient tables at scale 0 (principal-orthant indices) ---------
@@ -787,7 +660,9 @@ class ExplicitOp(Frozen):
 
     The universe is the key set of the a-table; its cell variables share one
     ambient dimension.  b is stored symmetrically on unordered pairs and
-    missing pairs count as zero.
+    missing pairs count as zero.  Each table is stored once, as integers over
+    unit, 1/lcm of the entry denominators (_a_int, _b_int); a and b are their
+    Fraction views.
 
     _rows holds the b_row of every cell, built from _b_int on the first
     b_row call and keyed by offset_key in radix, 2 _spread(cells) + 1: the
@@ -799,7 +674,7 @@ class ExplicitOp(Frozen):
 
     variant = "explicit"
 
-    __slots__ = ("a", "b", "unit", "radix", "_a_int", "_b_int", "_rows")
+    __slots__ = ("unit", "radix", "_a_int", "_b_int", "_rows")
 
     @classmethod
     def _over(cls, a_int: dict, b_int: dict, den: int) -> "ExplicitOp":
@@ -825,40 +700,42 @@ class ExplicitOp(Frozen):
                    {k: int(c * den) for k, c in b_clean.items()}, den)
 
     def _fill(self, a_int: dict, b_int: dict, den: int) -> "ExplicitOp":
-        """Set every slot from the integer tables over 1/den, the cache empty; return self."""
-        for name, value in zip(self.__slots__, ({v: Fraction(c, den) for v, c in a_int.items()},
-                                                {k: Fraction(c, den) for k, c in b_int.items()},
-                                                Fraction(1, den), _span_radix(a_int), a_int,
-                                                b_int, None)):
+        """Set ExplicitOp's slots from integer tables over 1/den, the cache empty; return self."""
+        for name, value in zip(ExplicitOp.__slots__,
+                               (Fraction(1, den), _span_radix(a_int), a_int, b_int, None)):
             object.__setattr__(self, name, value)
         return self
 
+    a = property(lambda self: {v: c * self.unit for v, c in self._a_int.items()})
+    b = property(lambda self: {k: c * self.unit for k, c in self._b_int.items()})
+
     def check_var(self, v) -> None:
-        if v not in self.a:
+        if v not in self._a_int:
             raise ValueError(f"variable {v!r} outside the operator's universe")
 
     def has_var(self, v) -> bool:
-        return v in self.a
+        return v in self._a_int
 
     def variables(self) -> list:
-        return sorted(self.a, key=_var_key)
+        return sorted(self._a_int, key=_var_key)
 
     def coeff_a(self, v) -> Fraction:
         self.check_var(v)
-        return self.a[v]
+        return self._a_int[v] * self.unit
 
     def coeff_b(self, p, q) -> Fraction:
         self.check_var(p)
         self.check_var(q)
-        return self.b.get(_pair_key(p, q), Fraction(0))
+        return self.b_int(p, q) * self.unit
 
     def a_int(self, v) -> int:
-        """a_v over unit, the lcm of the table denominators.  Callers check the universe."""
+        """a_v over unit.  Callers check the universe."""
         return self._a_int[v]
 
     def b_int(self, p, q) -> int:
-        """b_pq over unit.  Callers check the universe."""
-        return self._b_int.get(_pair_key(p, q), 0)
+        """b_pq over unit, stored at (p, q) or (q, p).  Callers check the universe."""
+        b = self._b_int
+        return b[p, q] if (p, q) in b else b.get((q, p), 0)
 
     def b_row(self, p: Cell, reach: int) -> dict:
         """CubicalFamilyOp.b_row's contract over the cells q at p's scale; complete at any reach.
@@ -883,7 +760,7 @@ class ExplicitOp(Frozen):
     support = _row_support
 
     def with_entry(self, p, q, value) -> "ExplicitOp":
-        b = dict(self.b)
+        b = self.b
         b[_pair_key(p, q)] = Fraction(value)
         return ExplicitOp(self.a, b)
 
@@ -898,10 +775,112 @@ class ExplicitOp(Frozen):
         }
 
     def __eq__(self, other):
-        return isinstance(other, ExplicitOp) and self.a == other.a and self.b == other.b
+        # the unit is always the tables' lcm unit, so equal tables have equal integers
+        return (isinstance(other, ExplicitOp)
+                and (self.unit, self._a_int, self._b_int) == (other.unit, other._a_int, other._b_int))
 
     def __repr__(self):
-        return f"ExplicitOp({len(self.a)} variables, {len(self.b)} interactions)"
+        return f"ExplicitOp({len(self._a_int)} variables, {len(self._b_int)} interactions)"
+
+
+class SphereOp(ExplicitOp):
+    """The operator generating the two-sphere Yang-Mills state: the ExplicitOp of its areas.
+
+    Variables are the indices 1..n; a_i are positive rational areas summing
+    to 1 and b_ij = a_i a_j, which is exactly the condition a_p = sum_q b_pq
+    needed for the operator to descend modulo x_1 + ... + x_n.  With the
+    areas s_i / den over the lcm den of their denominators, the tables are
+    a_i = s_i den and b_ij = s_i s_j (i <= j) over the unit 1/den^2.
+    """
+
+    variant = "sphere"
+
+    __slots__ = ("areas", "_den", "_scaled")
+
+    def __init__(self, areas: Sequence):
+        areas = tuple(Fraction(a) for a in areas)
+        if len(areas) < 2:
+            raise ValueError("need at least two plaquette areas")
+        den = math.lcm(*(a.denominator for a in areas))
+        s = tuple(a.numerator * (den // a.denominator) for a in areas)
+        if any(x <= 0 for x in s):
+            raise ValueError(f"areas must be positive: {areas}")
+        if sum(s) != den:
+            raise ValueError(f"areas must sum to 1, got {sum(areas)}")
+        object.__setattr__(self, "areas", areas)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_scaled", s)
+        n = len(s)
+        self._fill({i: s[i - 1] * den for i in range(1, n + 1)},
+                   {(i, j): s[i - 1] * s[j - 1] for i in range(1, n + 1) for j in range(i, n + 1)},
+                   den * den)
+
+    @property
+    def n(self) -> int:
+        return len(self.areas)
+
+    def to_euclidean(self) -> ExplicitOp:
+        """The same operator on the coordinates x_1..x_{n-1} with x_n dropped.
+
+        Its tables are the sphere's less every entry of variable n, over the
+        same unit.  Substituting d_i -> d_i - d_n for i < n into the
+        (n-1)-variable form must reproduce the n-variable form exactly; the
+        identity is checked here, on the operators' integer symbols, before
+        the result is returned.
+        """
+        # 1/den^2 stays the lcm unit: for a prime p | den some s_i is prime to p (den is an
+        # lcm), so one with i < n is (sum s_i = den), and b_ii = s_i^2 keeps p's full power.
+        n = self.n
+        euclid = ExplicitOp._over({i: c for i, c in self._a_int.items() if i != n},
+                                  {k: c for k, c in self._b_int.items() if n not in k},
+                                  self._den ** 2)
+        _check_euclidean(self, euclid)
+        return euclid
+
+    def to_json(self) -> dict:
+        return {"variant": "sphere", "areas": [str(a) for a in self.areas]}
+
+    def __eq__(self, other):
+        return isinstance(other, SphereOp) and self.areas == other.areas
+
+    def __repr__(self):
+        return f"SphereOp(areas={[str(a) for a in self.areas]})"
+
+
+def _int_symbol(op, variables) -> dict:
+    """L's quadratic symbol over op.unit: (v, w) -> the integer coefficient of d_v d_w.
+
+    Keys run over the pairs v <= w in the given order; the diagonal holds
+    _pair_memo's diag_int and a cross pair minus its cross_int.  The caller
+    checks the variables.
+    """
+    _, _, diag_int, cross_int = _pair_memo(op)
+    vs = list(variables)
+    out = {}
+    for i, v in enumerate(vs):
+        out[v, v] = diag_int(v)
+        for w in vs[i + 1:]:
+            out[v, w] = -cross_int(v, w)
+    return out
+
+
+def _check_euclidean(sphere: SphereOp, euclid) -> None:
+    """Raise AssertionError unless d_i -> d_i - d_n (i < n) turns euclid's symbol into sphere's.
+
+    Both symbols are integers over one unit, which the two operators must
+    share: to_euclidean keeps the sphere's.
+    """
+    n = sphere.n
+    target = _int_symbol(sphere, range(1, n + 1))
+    image = dict.fromkeys(target, 0)
+    for (i, j), c in _int_symbol(euclid, range(1, n)).items():
+        # (d_i - d_n)(d_j - d_n) = d_i d_j - d_i d_n - d_j d_n + d_n^2
+        image[i, j] += c
+        image[i, n] -= c
+        image[j, n] -= c
+        image[n, n] += c
+    if euclid.unit != sphere.unit or image != target:
+        raise AssertionError("euclidean reduction failed the substitution identity")
 
 
 def _span_radix(variables: Iterable) -> int:

@@ -351,7 +351,7 @@ def _parse_term(term: str, context: str) -> Polynomial:
     if not term:
         raise ValueError(f"empty term in {context!r}")
     prod = Polynomial.one()
-    for factor in _split_factors(term):
+    for factor in _split_factors(term, context):
         if factor.startswith("x"):
             prod = prod * _parse_var_factor(factor, context)
         else:
@@ -362,7 +362,7 @@ def _parse_term(term: str, context: str) -> Polynomial:
     return prod
 
 
-def _split_factors(term: str) -> list[str]:
+def _split_factors(term: str, context: str) -> list[str]:
     out, start, depth = [], 0, 0
     for i, ch in enumerate(term):
         if ch == "[":
@@ -373,7 +373,9 @@ def _split_factors(term: str) -> list[str]:
             out.append(term[start:i])
             start = i + 1
     out.append(term[start:])
-    return [f for f in out if f]
+    if "" in out:
+        raise ValueError(f"empty factor in {term!r} ({context!r})")
+    return out
 
 
 def _parse_var_factor(factor: str, context: str) -> Polynomial:

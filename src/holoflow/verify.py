@@ -598,7 +598,9 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     interactions reach diagonally, so descent failures can involve nearby
     outside plaquettes.  A failing site reports, as its value, the coefficient
     of the smallest surviving monomial in canonical order (a deterministic
-    nonzero witness).
+    nonzero witness).  A trial whose g is constant or zero checks nothing, since
+    L(f_c g) = g L(f_c) = 0 for every operator, yet its sites count: seed 41
+    draws 11 such g in 100 trials, 88 of 800 sites on default_cubes(3, 0).
 
     Each probe runs on integers: f_c and g are scaled to integer terms over
     their denominators, multiplied, checked against the universe (the

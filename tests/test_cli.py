@@ -88,9 +88,7 @@ def test_invariance_parallel_output_identical(runner):
     base = invoke(runner, "verify-invariance", "--window", "2", "--format", "json")
     jobs2 = invoke(runner, "verify-invariance", "--window", "2", "--format", "json",
                    "--jobs", "2")
-    via_env = invoke(runner, "verify-invariance", "--window", "2", "--format", "json",
-                     env={"HOLOFLOW_JOBS": "2"})
-    assert base.output == jobs2.output == via_env.output
+    assert base.output == jobs2.output
 
 
 def test_invariance_detects_explicit_fault(runner, tmp_path):
@@ -120,10 +118,20 @@ REPEATED_OVERRIDE_OP = '{"variant":"cubical","overrides":[[[0,0,0],"alpha",1],[[
 INDEXED_A0_OP = '{"variant":"cubical","overrides":[[[1,2,3],"a0",5]]}'
 
 
-@pytest.mark.parametrize("spec, reason", [(REPEATED_OVERRIDE_OP, "given twice"),
-                                          (INDEXED_A0_OP, "a0 override index")])
+CONFLICTING_B_OP = ('{"variant":"explicit","a":{"1":"1","2":"1"},'
+                    '"b":[["1","2","1"],["2","1","2"]]}')
+
+
+@pytest.mark.parametrize("spec, reason", [
+    (REPEATED_OVERRIDE_OP, "given twice"),
+    (INDEXED_A0_OP, "a0 override index"),
+    (CONFLICTING_B_OP, "conflicting symmetric b-entries for (1, 2)"),
+    ('{"variant":"cubical","overrides":[[[0,0,1],"gamma",1]]}', "bad table override key"),
+    ('{"variant":"nope"}', "unknown operator variant 'nope'"),
+])
 def test_ambiguous_overrides_are_usage_errors(runner, spec, reason):
-    # the last of two values would win silently, and an a0 index would be dropped
+    # the last of two values would win silently, an a0 index would be dropped, and b(1, 2)
+    # would be whichever entry came last; an unknown kind or variant is not guessed at
     result = runner.invoke(main, ["verify-invariance", "--op", spec, "--window", "1"])
     assert_usage_error(result)
     assert reason in result.output
@@ -135,6 +143,18 @@ def test_invariance_without_complete_cells_is_not_a_pass(runner, tmp_path):
     result = runner.invoke(main, ["verify-invariance", "--op", str(path), "--window", "1"])
     assert result.exit_code == 2
     assert "no sites" in result.output
+
+
+@pytest.mark.parametrize("args, reason", [
+    (("welldefined", "--op", '{"variant":"explicit","a":{"[1,1,0]@0":"12"}}', "--trials", "1"),
+     "no 3-cells with all faces inside the operator universe"),
+    (("tables", "--op", '{"variant":"explicit","a":{"1":"1","2":"1"}}'),
+     "explicit operator has no lattice variables to dump"),
+], ids=["welldefined-no-3-cell", "tables-no-cell"])
+def test_an_explicit_operator_with_nothing_to_check_is_a_usage_error(runner, args, reason):
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert result.output.splitlines()[-1] == f"Error: {reason}"
 
 
 def test_explicit_operator_at_several_scales_is_a_usage_error(runner, tmp_path):
@@ -229,9 +249,30 @@ def test_invariance_usage_errors(runner):
     assert runner.invoke(main, ["verify-invariance", "--op", "{bad json"]).exit_code == 2
     assert runner.invoke(main, ["verify-invariance", "--op", "mystery"]).exit_code == 2
     assert runner.invoke(main, ["verify-invariance", "--scales", "a,b"]).exit_code == 2
+    empty = runner.invoke(main, ["verify-invariance", "--scales", ","])
+    assert empty.exit_code == 2 and empty.output.splitlines()[-1] == "Error: empty scales list"
     assert runner.invoke(
         main, ["verify-invariance", "--op", "sphere", "--areas", "1/2,1/2"]
     ).exit_code == 2
+
+
+SPHERE_SPEC_OP = '{"variant":"sphere","areas":["1/2","1/2"]}'
+
+
+@pytest.mark.parametrize("command", ["verify-invariance", "verify-compat", "tables", "covariance"])
+def test_a_sphere_spec_needs_sphere_check(runner, command):
+    # a SphereOp is an ExplicitOp too: this check alone keeps it off the lattice commands
+    result = runner.invoke(main, [command, "--op", SPHERE_SPEC_OP, *OP_COMMANDS[command]])
+    assert_usage_error(result)
+    assert result.output.splitlines()[-1] == ("Error: this command needs a lattice operator;"
+                                              " use sphere-check")
+
+
+@pytest.mark.parametrize("args", [("welldefined", "--trials", "2"), ("moments", "--poly", "x1^2")],
+                         ids=lambda args: args[0])
+def test_a_sphere_spec_runs_where_a_sphere_is_read(runner, args):
+    result = invoke(runner, args[0], "--op", SPHERE_SPEC_OP, *args[1:])
+    assert result.exit_code == 0
 
 
 # -- verify-compat ---------------------------------------------------------------
@@ -373,8 +414,22 @@ def test_moments_lattice(runner):
     assert payload["moment"] == {"1": "-4"}
 
 
+@pytest.mark.parametrize("poly, reason", [
+    ("x1**2", "empty factor"), ("*x1", "empty factor"), ("x1*", "empty factor"),
+    ("*", "empty factor"), ("x1+", "dangling sign"), ("x1^", "bad exponent"),
+])
+def test_a_malformed_literal_is_a_usage_error(runner, poly, reason):
+    # "x1**2" was read as 2*x1 and printed exp_state = 0
+    result = runner.invoke(main, ["moments", "--areas", "1/2,1/4,1/4", "--poly", poly])
+    assert_usage_error(result)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and reason in errors[0]
+
+
 def test_moments_rejects_bad_poly(runner):
     assert runner.invoke(main, ["moments", "--poly", "x0+"]).exit_code == 2
+    squared = invoke(runner, "moments", "--areas", "1/2,1/4,1/4", "--poly", "x1^2")
+    assert squared.output.splitlines()[0] == "exp_state = 1/2*lambda"
     assert runner.invoke(
         main, ["moments", "--op", "sphere", "--areas", "1/2,1/2", "--poly", "x2"]
     ).exit_code == 2  # x2 is outside the euclidean universe x1
@@ -631,13 +686,9 @@ def assert_usage_error(result):
     assert isinstance(result.exception, SystemExit), result.exception
 
 
-@pytest.mark.parametrize("args, env", [
-    (("--jobs", "0"), None),
-    (("--jobs", "-5"), None),
-    ((), {"HOLOFLOW_JOBS": "0"}),
-])
-def test_jobs_must_be_positive(runner, args, env):
-    result = runner.invoke(main, ["verify-invariance", "--window", "1", *args], env=env)
+@pytest.mark.parametrize("args", [("--jobs", "0"), ("--jobs", "-5")])
+def test_jobs_must_be_positive(runner, args):
+    result = runner.invoke(main, ["verify-invariance", "--window", "1", *args])
     assert_usage_error(result)
     assert "checked" not in result.output
 
@@ -873,7 +924,7 @@ SIZED_OPTIONS = {
     "sphere-check": ("--max-degree",),
 }
 OP_SPECS = [
-    "cubical", "alt3", "sphere", "mystery", "{bad json", FAULT_OP,
+    "cubical", "alt3", "sphere", "mystery", "{bad json", FAULT_OP, SPHERE_SPEC_OP,
     '{"variant":"sphere","areas":["1/0","1"]}',
     '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1.5]]}',
     '{"variant":"cubical","overrides":[[[0,0,1],"alpha",true]]}',

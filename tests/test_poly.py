@@ -506,6 +506,7 @@ def test_parse_cli_shapes():
 
 
 def test_parse_rejects_junk():
-    for text in ("", "x", "x0", "3//2*x1", "x1^-2", "x[1,1]@", "y1"):
+    for text in ("", "x", "x0", "3//2*x1", "x1^-2", "x[1,1]@", "y1", "x1**2", "*x1", "x1*", "*",
+                 "x1+", "x1^"):
         with pytest.raises(ValueError):
             parse_polynomial(text)

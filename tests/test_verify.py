@@ -729,6 +729,20 @@ def _as_variables(op, ideal, draws) -> list:
             for g in draws]
 
 
+@pytest.mark.parametrize("op", [MAIN3, ALT3, FAULTY3], ids=repr)
+def test_constant_draws_check_nothing(monkeypatch, op):
+    # criterion 7's run: a constant g gives L(f_c g) = g L(f_c) = 0 whatever the tables, so
+    # 11 of its 100 trials, 88 of its 800 sites, pass even on FAULTY3, which fails elsewhere
+    draws = _record_draws(monkeypatch)
+    reports = welldefined_property(op, ideal_from_cubes(default_cubes(3, 0)), trials=100, seed=41)
+    idle = {f"trial{t}" for t, g in enumerate(draws) if not g.variables()}
+    assert len(idle) == 11 and all(draws[int(t[5:])].terms for t in idle)  # none is zero
+    idle_reports = [r for r in reports if r.site[1] in idle]
+    assert len(reports) == 800 and len(idle_reports) == 88
+    assert all(r.passed for r in idle_reports)
+    assert bool(violations(reports)) == (op is FAULTY3)
+
+
 def polynomial_draw(rng, pool) -> Polynomial:
     """The random polynomial as a sum of Polynomial products, in the rng calls'
     order: the oracle for _random_polynomial's term map."""
