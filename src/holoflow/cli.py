@@ -4,7 +4,7 @@ Exit status contract: 0 = every check passed, 1 = violations found,
 2 = usage or configuration error.  All numbers are emitted as exact "p/q"
 strings; --decimal adds a rounded column without ever replacing the exact
 one.  Output is deterministic byte-for-byte for a fixed configuration and
-seed: sweep reports are sorted canonically.
+seed: printed violations are sorted canonically within each sweep.
 """
 
 from __future__ import annotations
@@ -171,14 +171,15 @@ def _exact_rows(header: list[str], rows, decimal: int | None) -> list[list[str]]
 
 
 def _tally(sweeps: Iterable[list[ResidualReport]]) -> tuple[int, list[ResidualReport]]:
-    """The site count and the violations, in order, of each sweep's reports in turn.
+    """The site count and the violations of each sweep's reports in turn, each sweep's sorted
+    canonically on its own, so that sweeps keep their given order.
 
     A sweep's reports are dropped once counted, so only its violations outlive it.
     """
     sites, bad = 0, []
     for reports in sweeps:
         sites += len(reports)
-        bad += violations(reports)
+        bad += sorted(violations(reports))
         del reports
     return sites, bad
 

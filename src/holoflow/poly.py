@@ -348,8 +348,6 @@ def parse_polynomial(text: str):
 
 
 def _parse_term(term: str, context: str) -> Polynomial:
-    if not term:
-        raise ValueError(f"empty term in {context!r}")
     prod = Polynomial.one()
     for factor in _split_factors(term, context):
         if factor.startswith("x"):

@@ -52,8 +52,9 @@ memo's row for q.
 A site key is offset_key, Horner form in a radix that covers the sweep's
 box, so a site's key is its center's plus t's and its label is one hit in a
 per-scale dict, key -> label (_Labels), made from its key's two memoized
-halves.  Centers are visited in head order and each one's reports are built
-in label order, so the final sort meets one run.
+halves.  A sweep returns its reports as it builds them: centers in head
+order, then each class's offsets in its offset order.  Nothing sorts the
+sites; the CLI sorts only the violations it prints.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from operator import add, itemgetter, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -234,18 +234,20 @@ class _Condition(NamedTuple):
 
 def _table_sweep(op, centers: Sequence[Cell], radius: int,
                  condition: _Condition) -> list[ResidualReport]:
-    """condition's reports at every center and every plaquette within max-norm radius of it;
-    sorted canonically.
+    """condition's reports at every center and every plaquette within max-norm radius of it:
+    the head reports, if any, then each center's sites, centers in head-label order and
+    each center's sites in its class's offset order.
 
     Each class's table is built at its first center in the given order, so a
     class fails at the same center whatever order the heads sort in; then
-    the centers are listed in head order.  build(op, center, reach, partner)
-    gives (head value, numerator(t), unit), or None for a class with no
-    sites; a numerator of None skips its offset.  partner(scale, coords) is
-    the sweep's memo, by class, of (a_int(p), b_row(p, reach)), or None for
-    a p outside the universe.  Class rows stay keyed by the offset tuple:
-    offsets past the radix's capacity, whose partners lie outside the
-    universe, must miss.
+    the centers are listed in head order, by a stable sort that keeps
+    duplicate centers adjacent, so the list does not depend on the order of
+    distinct centers.  build(op, center, reach, partner) gives (head value,
+    numerator(t), unit), or None for a class with no sites; a numerator of
+    None skips its offset.  partner(scale, coords) is the sweep's memo, by
+    class, of (a_int(p), b_row(p, reach)), or None for a p outside the
+    universe.  Class rows stay keyed by the offset tuple: offsets past the
+    radix's capacity, whose partners lie outside the universe, must miss.
     """
     offsets, (class_key, class_row) = _class_offsets(centers, radius), _classes(op)
     radix, offset_keys = _site_keys(centers, radius, offsets)
@@ -280,41 +282,29 @@ def _table_sweep(op, centers: Sequence[Cell], radius: int,
             table = classes[key] = (head, values)
         listed.append((format_cell(c), c, table))
     listed.sort(key=itemgetter(0))
-    heads = ([ResidualReport(condition.head, (h,), table[0]) for h, _, table in listed]
-             if condition.head else [])
-    return _sweep(chain([heads], (_site_reports(condition.name, c, h, table[1], labels, radix)
-                                  for h, c, table in listed)))
+    reports = ([ResidualReport(condition.head, (h,), table[0]) for h, _, table in listed]
+               if condition.head else [])
+    for h, c, table in listed:
+        reports += _site_reports(condition.name, c, h, table[1], labels, radix)
+    return reports
 
 
 def _site_reports(condition: str, center: Cell, head: str, values: Sequence[tuple],
                   labels: dict, radix: int) -> list[ResidualReport]:
     """Reports at (center, center + t) for the (key(t), value) pairs of center's class, in
-    label order.
+    their order.
 
     labels is the sweep's memo, (scale, d) -> _Labels: a plaquette seen from
     several centers is formatted once per sweep.  A site's key is its
-    center's plus t's.  Labels are unique within a center, so the sort
-    compares no values.
+    center's plus t's.
     """
     scale, u = center.scale, center.coords
     seen = labels.get((scale, len(u)))
     if seen is None:
         seen = labels[scale, len(u)] = _Labels(scale, len(u), radix)
     base = offset_key(u, radix)
-    pairs = sorted([(seen[base + k], value) for k, value in values])
     new = tuple.__new__
-    return [new(ResidualReport, (condition, (head, label), value)) for label, value in pairs]
-
-
-def _sweep(parts: Iterable[list[ResidualReport]]) -> list[ResidualReport]:
-    """Every part's reports, in order, then sorted canonically.
-
-    Sweeps emit their parts in canonical order, so for distinct centers the
-    sort meets one run; it still orders duplicate centers.
-    """
-    reports = list(chain.from_iterable(parts))
-    reports.sort()
-    return reports
+    return [new(ResidualReport, (condition, (head, seen[base + k]), value)) for k, value in values]
 
 
 # -- gauge invariance ---------------------------------------------------------
@@ -375,7 +365,8 @@ def default_cubes(d: int, scale: int) -> list[Cell]:
 
 
 def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
-    """Gauge residuals for every site; sorted canonically."""
+    """Gauge residuals for every site: centers in head-label order, then each class's
+    offsets."""
     return _table_sweep(op, cubes, radius, _GAUGE)
 
 
@@ -549,7 +540,8 @@ def base_plaquettes(d: int, scale: int) -> list[Cell]:
 
 def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],
                  radius: int) -> list[ResidualReport]:
-    """Both compatibility residuals over (p, q) windows; sorted canonically."""
+    """Both compatibility residuals over (p, q) windows: the compat_a reports, then the
+    compat_b ones, centers in head-label order, then each class's offsets."""
     return _table_sweep(family, plaquettes, radius, _COMPAT)
 
 

@@ -21,8 +21,8 @@ from holoflow.cli import main
 from holoflow.operators import CubicalFamilyOp, ExplicitOp
 from holoflow import states
 from holoflow.states import MAX_DEGREE
-from holoflow.verify import (MAX_SWEEP_SITES, MAX_WELLDEFINED_PROBES, base_plaquettes,
-                             default_cubes, sweep_sites)
+from holoflow.verify import (MAX_SWEEP_SITES, MAX_WELLDEFINED_PROBES, ResidualReport,
+                             base_plaquettes, default_cubes, sweep_sites)
 
 
 @pytest.fixture()
@@ -417,6 +417,7 @@ def test_moments_lattice(runner):
 @pytest.mark.parametrize("poly, reason", [
     ("x1**2", "empty factor"), ("*x1", "empty factor"), ("x1*", "empty factor"),
     ("*", "empty factor"), ("x1+", "dangling sign"), ("x1^", "bad exponent"),
+    ("+-", "dangling sign"), ("x1--", "dangling sign"), ("  ", "empty polynomial literal"),
 ])
 def test_a_malformed_literal_is_a_usage_error(runner, poly, reason):
     # "x1**2" was read as 2*x1 and printed exp_state = 0
@@ -555,6 +556,10 @@ def test_an_unwritable_out_exits_before_any_sweep(runner, monkeypatch, tmp_path,
 
 FAULT_OP = '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1]]}'
 
+# beta(5,0,0) reaches ten steps: at window 10 labels pass -10 and 10, where string order is
+# not numeric order ("[-1," < "[-10," < "[-2,")
+WIDE_FAULT_OP = '{"variant":"cubical","overrides":[[[5,0,0],"beta",1]]}'
+
 # beta(2,0,0) is 0 in the cubical table, so this override adds interactions
 ZERO_ENTRY_OP = '{"variant":"cubical","overrides":[[[2,0,0],"beta",1]]}'
 GOLDEN_CASES = {
@@ -562,6 +567,9 @@ GOLDEN_CASES = {
     "invariance-fault": ("verify-invariance", "--op", FAULT_OP, "--window", "2"),
     "invariance-fault-decimal": ("verify-invariance", "--op", FAULT_OP, "--window", "2",
                                  "--decimal", "3"),
+    # violations at two scales, each scale's printed in canonical order, -1 then 0
+    "invariance-wide-fault": ("verify-invariance", "--op", WIDE_FAULT_OP, "--scales", "-1,0",
+                              "--window", "10"),
     "compat-d3": ("verify-compat", "--d", "3", "--window", "1", "--scales", "-1,0"),
     "compat-d4": ("verify-compat", "--d", "4", "--window", "1"),
     "compat-fault": ("verify-compat", "--op", FAULT_OP, "--window", "2"),
@@ -601,6 +609,9 @@ GOLDEN = {
     ('invariance-fault-decimal', 'text'): (1, '9ec2fc4f93d58f6f'),
     ('invariance-fault-decimal', 'json'): (1, '3c123ae927ad17cd'),
     ('invariance-fault-decimal', 'csv'): (1, 'efadbeae7a4a58f5'),
+    ('invariance-wide-fault', 'text'): (1, '18595543c09c53c6'),
+    ('invariance-wide-fault', 'json'): (1, '3e2008c32fca11b7'),
+    ('invariance-wide-fault', 'csv'): (1, '04867f64a1218ab0'),
     ('compat-d3', 'text'): (0, '392530d76f985d6c'),
     ('compat-d3', 'json'): (0, 'bbc49c0f14f7e21c'),
     ('compat-d3', 'csv'): (0, '022a028102cc7d4a'),
@@ -678,12 +689,48 @@ def test_output_is_pinned(runner, tmp_path, case, fmt):
     assert (target.read_bytes() if target.exists() else b"") == result.stdout_bytes
 
 
+def test_tally_sorts_each_sweeps_violations_on_its_own():
+    # each sweep's violations arrive out of order, and the second's sort before the first's
+    def report(head: str, label: str, value: int) -> ResidualReport:
+        return ResidualReport("gauge", (head, label), Fraction(value))
+
+    first = [report("[1,1,1]@0", "[2,1,0]@0", 1), report("[1,1,1]@0", "[1,1,2]@0", 0),
+             report("[1,1,1]@0", "[10,1,0]@0", 2)]
+    second = [report("[-1,-1,-1]@-1", "[0,-1,-2]@-1", 3),
+              report("[-1,-1,-1]@-1", "[-10,-1,-2]@-1", 4)]
+    sites, bad = cli._tally(iter([first, second]))
+    # unsorted would give 1, 2, 3, 4 and one sort across both sweeps 4, 3, 2, 1
+    assert (sites, [r.value for r in bad]) == (5, [2, 1, 4, 3])
+
+
 # -- exit contract: bad input is a usage error (exit 2), never a traceback ------------
 
 
 def assert_usage_error(result):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit), result.exception
+
+
+# a minimal run of each command that reads --d
+D_COMMANDS = {
+    "verify-invariance": ("--window", "1"),
+    "verify-compat": ("--window", "1"),
+    "tables": ("--range", "1"),
+    "covariance": ("--window", "1"),
+    "welldefined": ("--trials", "1"),
+    "moments": ("--poly", "x[1,1,0]@0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(D_COMMANDS))
+def test_d2_is_a_usage_error(runner, command):
+    assert set(D_COMMANDS) == {name for name, cmd in main.commands.items()
+                               if any(param.name == "d" for param in cmd.params)}
+    result = runner.invoke(main, [command, *D_COMMANDS[command], "--d", "2"])
+    assert_usage_error(result)
+    assert "Traceback" not in result.output
+    assert result.output.splitlines()[-1] == ("Error: invalid operator spec:"
+                                              " cubical families need d >= 3")
 
 
 @pytest.mark.parametrize("args", [("--jobs", "0"), ("--jobs", "-5")])

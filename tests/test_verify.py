@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from collections.abc import Callable
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -90,10 +91,12 @@ def test_gauge_residual_input_validation():
         gauge_residual(MAIN3, BASE3, BASE3)
 
 
-def test_gauge_sweep_is_clean_and_sorted():
+def test_gauge_sweep_is_clean_and_in_head_order():
+    # centers in head-label order, each center's sites distinct; nothing sorts the sites
     reports = gauge_sweep(MAIN3, default_cubes(3, 0), 2)
     assert reports and not violations(reports)
-    assert [r.site for r in reports] == sorted(r.site for r in reports)
+    heads = [r.site[0] for r in reports]
+    assert heads == sorted(heads) and len({r.site for r in reports}) == len(reports)
 
 
 def test_explicit_fault_breaks_gauge_invariance():
@@ -382,8 +385,8 @@ def test_cold_and_warm_sweeps_agree(fam):
         cubes, plaquettes = default_cubes(fam.d, scale), base_plaquettes(fam.d, scale)
         cold_gauge = [r for c in cubes for r in gauge_sweep(_fresh(fam, scale), [c], 2)]
         cold_compat = [r for p in plaquettes for r in compat_sweep(_fresh(fam, scale), [p], 2)]
-        assert gauge_sweep(warm.with_scale(scale), cubes, 2) == sorted(cold_gauge)
-        assert compat_sweep(warm.with_scale(scale), plaquettes, 2) == sorted(cold_compat)
+        assert sorted(gauge_sweep(warm.with_scale(scale), cubes, 2)) == sorted(cold_gauge)
+        assert sorted(compat_sweep(warm.with_scale(scale), plaquettes, 2)) == sorted(cold_compat)
     assert _identities(warm, "gauge") and _identities(warm, "compat")
 
 
@@ -569,6 +572,20 @@ def _orders(centers: list) -> list[list]:
     return [centers, centers[::-1], shuffled]
 
 
+def _assert_orders_match(sweep: Callable, oracle: Callable, centers: list, want: list) -> None:
+    """sweep's reports sort to the oracle's over every one of _orders(centers), and come out
+    as one list over every order of the distinct centers."""
+    emitted = []
+    for order in _orders(centers):
+        reports = sweep(order)
+        if len(order) == len(centers):
+            assert sorted(reports) == want
+            emitted.append(reports)
+        else:
+            assert sorted(reports) == oracle(order)
+    assert len(emitted) == 2 and emitted[0] == emitted[1]
+
+
 # coordinates pass -10 and 10, where string order is not numeric order ("[-1," < "[-10," < "[-2,")
 WIDE_CUBES = [Cell(0, (9, -11, 1)), Cell(0, (-9, 9, -1)), Cell(0, (1, 1, 9)), CUBE]
 WIDE_PLAQUETTES = [Cell(0, (9, -11, 0)), Cell(0, (-10, 9, -1)), Cell(0, (11, 0, -9)), BASE3]
@@ -580,9 +597,8 @@ FAULTY3 = MAIN3.perturbed("beta", (1, 0, 0), 1)
 def test_gauge_sweep_matches_the_sorted_oracle_in_any_center_order(cubes, radius):
     want = _gauge_oracle(FAULTY3, cubes, radius)
     assert violations(want)
-    for order in _orders(cubes):
-        want_here = want if len(order) == len(cubes) else _gauge_oracle(FAULTY3, order, radius)
-        assert gauge_sweep(_fresh(FAULTY3, 0), order, radius) == want_here
+    _assert_orders_match(lambda order: gauge_sweep(_fresh(FAULTY3, 0), order, radius),
+                         lambda order: _gauge_oracle(FAULTY3, order, radius), cubes, want)
 
 
 @pytest.mark.parametrize("plaquettes, radius", [(base_plaquettes(3, 0), 2), (WIDE_PLAQUETTES, 2)],
@@ -591,9 +607,8 @@ def test_compat_sweep_matches_the_sorted_oracle_in_any_center_order(plaquettes, 
     fam = MAIN3.perturbed("beta", (2, 1, 0), 1)
     want = _compat_oracle(fam, plaquettes, radius)
     assert violations(want)
-    for order in _orders(plaquettes):
-        want_here = want if len(order) == len(plaquettes) else _compat_oracle(fam, order, radius)
-        assert compat_sweep(_fresh(fam, 0), order, radius) == want_here
+    _assert_orders_match(lambda order: compat_sweep(_fresh(fam, 0), order, radius),
+                         lambda order: _compat_oracle(fam, order, radius), plaquettes, want)
 
 
 def test_an_explicit_sweep_over_two_scales_matches_the_sorted_oracle():
@@ -602,29 +617,8 @@ def test_an_explicit_sweep_over_two_scales_matches_the_sorted_oracle():
     cubes = default_cubes(3, 1) + default_cubes(3, 0)
     want = _gauge_oracle(op, cubes, 2)
     assert {parse_cell(r.site[0]).scale for r in want} == {0, 1} and violations(want)
-    for order in _orders(cubes):
-        want_here = want if len(order) == len(cubes) else _gauge_oracle(op, order, 2)
-        assert gauge_sweep(op, order, 2) == want_here
-
-
-@pytest.mark.parametrize("sweep, centers",
-                         [(gauge_sweep, WIDE_CUBES + default_cubes(3, 0)),
-                          (compat_sweep, WIDE_PLAQUETTES + base_plaquettes(3, 0))],
-                         ids=["gauge", "compat"])
-def test_sweeps_emit_distinct_centers_already_sorted(monkeypatch, sweep, centers):
-    # the final sort only orders duplicate centers; distinct ones arrive as one run
-    centers = list(dict.fromkeys(centers))
-    received = []
-    sort = verify._sweep
-
-    def capture(parts):
-        received[:] = list(itertools.chain.from_iterable(parts))
-        return sort([received])
-
-    monkeypatch.setattr(verify, "_sweep", capture)
-    for order in _orders(centers)[:2]:
-        reports = sweep(_fresh(FAULTY3, 0), order, 2)
-        assert received == reports and len(reports) > len(centers)
+    _assert_orders_match(lambda order: gauge_sweep(op, order, 2),
+                         lambda order: _gauge_oracle(op, order, 2), cubes, want)
 
 
 @settings(max_examples=200, deadline=None)
