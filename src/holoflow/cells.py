@@ -59,10 +59,6 @@ class Cell(namedtuple("Cell", "scale coords")):
     def odd_axes(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coords) if c & 1)
 
-    def sort_key(self) -> "Cell":
-        """The cell itself, which already orders by (scale, coords)."""
-        return self
-
     def __repr__(self):
         return f"Cell({self.scale}, {self.coords})"
 

@@ -84,10 +84,8 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
                 spec = json.loads(Path(op_text).read_text())
             except (OSError, json.JSONDecodeError) as e:
                 raise click.UsageError(f"cannot read operator spec {op_text!r}: {e}")
-        elif op_text == "cubical":
-            spec, shorthand = {"variant": "cubical", "d": d, "scale": scale}, True
-        elif op_text == "alt3":
-            spec, shorthand = {"variant": "alt3", "d": d, "scale": scale}, True
+        elif op_text in ("cubical", "alt3"):
+            spec, shorthand = {"variant": op_text, "d": d, "scale": scale}, True
         elif op_text == "sphere":
             if not areas:
                 raise click.UsageError("--op sphere needs --areas")
@@ -411,13 +409,12 @@ def tables(op_text, d, scale, radius, fmt, out):
     op = _require_lattice_op(_resolve_operator(op_text, d, scale, None))
     if isinstance(op, CubicalFamilyOp):
         p = op.base_plaquette()
-        a_value = op.coeff_a(p)
     else:
         cells = [v for v in op.variables() if isinstance(v, Cell)]
         if not cells:
             raise click.UsageError("explicit operator has no lattice variables to dump")
         p = cells[0]
-        a_value = op.coeff_a(p)
+    a_value = op.coeff_a(p)
     rows = _usage_errors(sorted, ([format_cell(p), format_cell(q), str(v)]
                                   for q, v in op.support(p, radius)))
     _render(

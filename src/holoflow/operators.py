@@ -125,18 +125,19 @@ def _index_pairs(op, variables: Sequence) -> tuple[dict, dict, Callable, Callabl
 
     A family reads diag_int(i) = a_int - row_i[0] and cross_int(i, j) =
     row_i[k_j - k_i] + row_j[k_i - k_j], with k_i the offset key of variable
-    i's coordinates and row_i its class's row, sized once at the _spread of
-    the variables in its universe, which bounds every offset between two of
-    them: one push per parity class, and no lookup regrows a row.  A
-    variable outside the universe gets no row; the caller checks every
-    variable of a monomial before _apply_int reads its pairs.  Any other
-    operator reads _pair_memo's lookups at variables[i].
+    i's coordinates and row_i = b_row(variables[i], reach), reach the _spread
+    of the variables in its universe, which bounds every offset between two
+    of them.  b_row memoizes one row per parity class, so each class is
+    pushed once at that reach and no lookup regrows a row.  A variable
+    outside the universe gets no row; the caller checks every variable of a
+    monomial before _apply_int reads its pairs.  Any other operator reads
+    _pair_memo's lookups at variables[i].
     """
     if isinstance(op, CubicalFamilyOp):
-        a_int = op.a_int
-        cells = list(filter(op.has_var, variables))
-        rows, radix = op.class_rows(cells, _spread(cells)), op.radix
-        table = [(offset_key(v.coords, radix), rows[v]) if v in rows else None for v in variables]
+        a_int, has_var, radix = op.a_int, op.has_var, op.radix
+        reach = _spread(filter(has_var, variables))
+        table = [(offset_key(v.coords, radix), op.b_row(v, reach)) if has_var(v) else None
+                 for v in variables]
 
         def diag_int(i: int) -> int:
             return a_int(variables[i]) - table[i][1].get(0, 0)
@@ -472,18 +473,6 @@ class CubicalFamilyOp(Frozen):
             held = self._memo[parity] = (reach, self._push_row(*plane, reach))
         return held[1]
 
-    def class_rows(self, plaquettes: Iterable[Cell], reach: int) -> dict:
-        """p -> b_row(p, reach) for each plaquette, with one b_row call per parity class."""
-        rows: dict = {}
-        out = {}
-        for p in plaquettes:
-            key = tuple([c & 1 for c in p.coords])
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = self.b_row(p, reach)
-            out[p] = row
-        return out
-
     def _push_row(self, pa: int, pb: int, reach: int) -> dict:
         """The nonzero b_int(p, q) by q - p, up to max-norm reach, for p in plane (pa, pb).
 
@@ -626,9 +615,6 @@ class CubicalFamilyOp(Frozen):
         k += sum(abs(c) // 2 for c in v[3:])
         return sign * self._entry("beta", (i, j, k))
 
-    def apply(self, f: Polynomial) -> Polynomial:
-        return apply_operator(self, f)
-
     support = _row_support
 
     def window_plaquettes(self, radius: int) -> list[Cell]:
@@ -753,9 +739,6 @@ class ExplicitOp(Frozen):
                     rows.setdefault(v, {})[-t] = c
             object.__setattr__(self, "_rows", rows)
         return rows.get(p, {})
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        return apply_operator(self, f)
 
     support = _row_support
 

@@ -133,23 +133,15 @@ class Polynomial(Frozen):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
-
-    @classmethod
     def const(cls, c) -> "Polynomial":
         return cls({(): Fraction(c)})
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls.const(1)
 
     @classmethod
     def var(cls, v, exp: int = 1) -> "Polynomial":
         if exp < 0:
             raise ValueError("negative exponent")
         if exp == 0:
-            return cls.one()
+            return cls.const(1)
         return cls({((v, exp),): Fraction(1)})
 
     @classmethod
@@ -197,7 +189,7 @@ class Polynomial(Frozen):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent")
-        result = Polynomial.one()
+        result = Polynomial.const(1)
         base = self
         while n:
             if n & 1:
@@ -215,9 +207,6 @@ class Polynomial(Frozen):
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- calculus and queries ----------------------------------------------
 
@@ -275,9 +264,6 @@ class Polynomial(Frozen):
                     out[mm] = x
         return Polynomial(out)
 
-    def monomial_items(self):
-        return self.terms.items()
-
     def __repr__(self):
         return f"Polynomial({format_polynomial(self)})"
 
@@ -322,7 +308,7 @@ def parse_polynomial(text: str):
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial literal")
-    total = Polynomial.zero()
+    total = Polynomial()
     i, n = 0, len(s)
     while i < n:
         sign = 1
@@ -348,7 +334,7 @@ def parse_polynomial(text: str):
 
 
 def _parse_term(term: str, context: str) -> Polynomial:
-    prod = Polynomial.one()
+    prod = Polynomial.const(1)
     for factor in _split_factors(term, context):
         if factor.startswith("x"):
             prod = prod * _parse_var_factor(factor, context)
@@ -476,10 +462,6 @@ class LinearIdeal(Frozen):
     @property
     def rank(self) -> int:
         return len(self._rows)
-
-    @property
-    def leading_variables(self) -> set:
-        return set(self._rows)
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form of f modulo the ideal."""

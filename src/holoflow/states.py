@@ -93,15 +93,6 @@ class LambdaPoly(Frozen):
         object.__setattr__(f, "coeffs", coeffs)
         return f
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
-
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other):
         return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
 
@@ -351,7 +342,7 @@ def ym_moment(areas: Sequence, f: Polynomial) -> LambdaPoly:
     bad = f.variables() - allowed
     if bad:
         raise ValueError(f"variables outside x_1..x_{len(allowed)}: {sorted(bad)}")
-    return _pairing_kernel(cov, f.monomial_items())
+    return _pairing_kernel(cov, f.terms.items())
 
 
 def _pairing_kernel(cov: CovarianceMatrix, items) -> LambdaPoly:

@@ -11,7 +11,10 @@ Three families of checks, all exact:
   3-cells of [0,1]^4, and the gauge sweep passes every one.
 * compatibility residuals -- coefficients at consecutive scales must be
   related by summation over plaquette children, a_p = sum a_p' and
-  b_pq = sum b_p'q'; this is the exact-renormalization property.
+  b_pq = sum b_p'q'; this is the exact-renormalization property.  compat_a
+  is structural: a_int(p) is a0 at every plaquette, so its numerator is
+  4 a0 - 4 a0 for every family and override, and a compat pass checks the
+  tables through compat_b only.
 * quotient well-definedness -- reduce(L(f_c * g)) = 0 for the constraint
   generators f_c and seeded random polynomials g, run on integers
   (welldefined_property).
@@ -28,9 +31,11 @@ b_int(p, q), nonzero entries only, which a family and an ExplicitOp both
 give, keyed in the operator's radix.  A numerator keys its offsets once and
 then does key arithmetic: q - p is key(q - cube) - key(p - cube) for a
 gauge site and a child offset 2t + s is 2 key(t) + key(s) for a compat
-site, each within the reach its row was fetched at.  Every gauge numerator
-is made by the sweep's class builder, _gauge_class: gauge_residual and
-solve_base_coefficient give it a one-cell partner (_site_numerator).
+site, each within the reach its row was fetched at.  Every numerator is
+made by its sweep's class builder: gauge_residual and
+solve_base_coefficient give _gauge_class a one-cell partner
+(_site_numerator), and compat_residual_b reads _compat_class's numerator at
+its one offset.
 
 Both sweeps run in one driver, _table_sweep(op, centers, radius,
 condition).  A _Condition record holds what differs between them: the
@@ -498,18 +503,6 @@ def _child_steps(p_pattern: Sequence[int], q_pattern: Sequence[int],
     return list(counts.items())
 
 
-def _compat_b(row: dict, t: int, steps) -> int:
-    """4*B(p,q) - sum B(p',q') over child pairs, with t = key(q - p), read from p's row.
-
-    steps are the child steps (key(e), count).  p's children have p's parity
-    pattern, so its row serves them too, at key 2t + key(e); it must reach
-    2|q - p| + 2.  B is scale-free, so one row serves both scales.
-    """
-    get = row.get
-    t2 = 2 * t
-    return 4 * get(t, 0) - sum([m * get(t2 + e, 0) for e, m in steps])
-
-
 def compat_residual_a(family: CubicalFamilyOp, p: Cell) -> Fraction:
     """a_n(p) minus the sum of a_{n+1} over p's four children."""
     fine = family.with_scale(family.scale + 1)
@@ -519,13 +512,12 @@ def compat_residual_a(family: CubicalFamilyOp, p: Cell) -> Fraction:
 
 
 def compat_residual_b(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
-    """b_n(p,q) minus the child-pair sum at scale n+1."""
+    """b_n(p,q) minus the child-pair sum at scale n+1: _compat_class's numerator at q - p."""
     family.check_var(p)
     family.check_var(q)
     t = tuple(map(sub, q.coords, p.coords))
-    row, radix = family.b_row(p, 2 * max(map(abs, t)) + 2), family.radix
-    steps = _child_steps(_parity(p), _parity(q), radix)
-    return _compat_b(row, offset_key(t, radix), steps) * (family.unit / 4)
+    _, numerator, unit = _compat_class(family, p, 2 * max(map(abs, t)) + 2, None)
+    return numerator(t) * unit
 
 
 def child_interaction_sum(family: CubicalFamilyOp, p: Cell, q: Cell) -> Fraction:
@@ -547,15 +539,18 @@ def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],
 
 def _compat_class(family: CubicalFamilyOp, p: Cell, reach: int, partner: Callable) -> tuple:
     """(compat_a at p, numerator, unit / 4) for p's class: numerator(t) is compat_b's at
-    (p, p + t), read from p's row at reach.
+    (p, p + t), 4 B(t) - sum m B(2t + e) over the child steps (e, m), read from p's row.
 
-    Each q = p + t is a plaquette by the offsets' construction, so neither q
-    nor its children are built: q's parity pattern is p's xor t's, and the
-    child steps of each plane of q come from _child_steps on the first miss
-    that needs them.
+    p's children have p's parity pattern, so its row serves them too, at
+    key 2 key(t) + key(e); reach must be at least 2|t| + 2.  B is
+    scale-free, so one row serves both scales.  Each q = p + t is a
+    plaquette by the offsets' construction, or checked by compat_residual_b,
+    so neither q nor its children are built: q's parity pattern is p's xor
+    t's, and the child steps of each plane of q come from _child_steps on
+    the first miss that needs them.
     """
     a_value = compat_residual_a(family, p)
-    row, pattern, radix = family.b_row(p, reach), _parity(p), family.radix
+    get, pattern, radix = family.b_row(p, reach).get, _parity(p), family.radix
     steps: dict = {}
 
     def numerator(t: tuple) -> int:
@@ -564,7 +559,8 @@ def _compat_class(family: CubicalFamilyOp, p: Cell, reach: int, partner: Callabl
         if plane_steps is None:
             plane_steps = steps[plane] = _child_steps(pattern, tuple(map(xor, pattern, plane)),
                                                       radix)
-        return _compat_b(row, offset_key(t, radix), plane_steps)
+        kt = offset_key(t, radix)
+        return 4 * get(kt, 0) - sum([m * get(2 * kt + e, 0) for e, m in plane_steps])
 
     return a_value, numerator, family.unit / 4
 

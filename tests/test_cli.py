@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import hypothesis.strategies as st
 import pytest
 from click.testing import CliRunner
@@ -733,11 +734,41 @@ def test_d2_is_a_usage_error(runner, command):
                                               " cubical families need d >= 3")
 
 
+# two integer variables and no cells: no lattice site and no 3-cell
+INTEGER_OP = '{"variant":"explicit","a":{"1":"1","2":"1"}}'
+
+
+@pytest.mark.parametrize("args, message", [
+    (("verify-invariance", "--window", "1"), "nothing to check: this configuration has no sites"),
+    (("welldefined", "--trials", "1"), "no 3-cells with all faces inside the operator universe"),
+], ids=["invariance", "welldefined"])
+def test_an_operator_with_no_cells_is_a_usage_error(runner, args, message):
+    result = runner.invoke(main, [*args, "--op", INTEGER_OP])
+    assert_usage_error(result)
+    assert "Traceback" not in result.output
+    assert result.output.splitlines()[-1] == f"Error: {message}"
+
+
 @pytest.mark.parametrize("args", [("--jobs", "0"), ("--jobs", "-5")])
 def test_jobs_must_be_positive(runner, args):
     result = runner.invoke(main, ["verify-invariance", "--window", "1", *args])
     assert_usage_error(result)
     assert "checked" not in result.output
+
+
+def test_the_sweep_bound_admits_its_count_and_refuses_one_more():
+    cli._check_sweep_size(MAX_SWEEP_SITES, 1)
+    with pytest.raises(click.UsageError, match=f"gives {MAX_SWEEP_SITES + 1} sweep sites") as e:
+        cli._check_sweep_size(MAX_SWEEP_SITES + 1, 1)
+    assert e.value.exit_code == 2
+
+
+def test_the_probe_bound_admits_its_count_and_refuses_one_more():
+    assert 2500 * 8 == MAX_WELLDEFINED_PROBES  # --window 1 at d=3 holds 8 cubes
+    cli._check_probe_count(2500, 8)
+    with pytest.raises(click.UsageError, match=f"gives {2501 * 8} probes") as e:
+        cli._check_probe_count(2501, 8)
+    assert e.value.exit_code == 2
 
 
 @pytest.mark.parametrize("args, sites", [
@@ -866,7 +897,8 @@ def test_welldefined_probes_above_the_bound_are_a_usage_error(runner, monkeypatc
     ("--d", "4", "--window", "12", "--trials", "1"),
     ("--window", str(10**9), "--trials", "1"),
     ("--trials", str(MAX_WELLDEFINED_PROBES + 1), "--op", "sphere", "--areas", "1/2,1/2"),
-], ids=["d4-window12", "huge-window", "sphere-trials"])
+    ("--window", "1", "--trials", "2501"),
+], ids=["d4-window12", "huge-window", "sphere-trials", "d3-trials-one-over"])
 def test_an_oversized_welldefined_run_exits_before_listing_a_cell(runner, monkeypatch, args):
     def unlisted(*_):
         raise AssertionError("a cell was listed")

@@ -31,7 +31,7 @@ _SYMS = {i: sympy.Symbol(f"x{i}") for i in range(1, 9)}
 
 def to_sympy(f: Polynomial):
     expr = sympy.Integer(0)
-    for m, c in f.monomial_items():
+    for m, c in f.terms.items():
         term = sympy.Rational(c.numerator, c.denominator)
         for v, e in m:
             term *= _SYMS[v] ** e
@@ -63,7 +63,7 @@ def rank_by_elimination(forms):
 
 @st.composite
 def small_polys(draw, n_vars=3, max_terms=4, max_degree=3):
-    f = Polynomial.zero()
+    f = Polynomial()
     for _ in range(draw(st.integers(1, max_terms))):
         coeff = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
         mono = Polynomial.const(coeff)
@@ -82,7 +82,7 @@ def test_product_of_conjugates():
 
 def test_multiplicative_identity():
     f = 3 * x(1) * x(2) + Fraction(1, 2)
-    assert f * Polynomial.one() == f
+    assert f * Polynomial.const(1) == f
 
 
 def test_trinomial_square():
@@ -101,7 +101,7 @@ def test_power_is_repeated_multiplication(monkeypatch):
     products = []
     mul_terms = poly._mul_terms
     monkeypatch.setattr(poly, "_mul_terms", lambda t1, t2: products.append(1) or mul_terms(t1, t2))
-    expected = Polynomial.one()
+    expected = Polynomial.const(1)
     for n in range(7):
         products.clear()
         assert p**n == expected
@@ -218,8 +218,8 @@ def test_native_order_merge_matches_the_var_key_merge(pair):
                                  st.integers(-3, 3)),
                        max_size=3))
 def test_substitute_is_the_term_by_term_product(f, mapping):
-    expected = Polynomial.zero()
-    for m, c in f.monomial_items():
+    expected = Polynomial()
+    for m, c in f.terms.items():
         term = Polynomial.const(c)
         for v, e in m:
             term = term * mapping.get(v, x(v)) ** e
@@ -232,8 +232,8 @@ def test_substitute_is_the_term_by_term_product(f, mapping):
 
 def test_derivative_examples():
     assert x(1, 2).derive(1) == 2 * x(1)
-    assert (x(1) * x(2)).derive(3).is_zero()
-    assert x(1, 2).derive(1).derive(2).is_zero()
+    assert not (x(1) * x(2)).derive(3)
+    assert not x(1, 2).derive(1).derive(2)
     assert (x(1, 2) * x(2)).derive(1).derive(2) == 2 * x(1)
 
 
@@ -252,7 +252,7 @@ def test_mixed_partials_commute(f, u, v):
 def test_eval_zero():
     assert (x(1, 2) + 3).eval_zero() == 3
     assert (x(1) * x(2)).eval_zero() == 0
-    assert Polynomial.zero().eval_zero() == 0
+    assert Polynomial().eval_zero() == 0
 
 
 # -- constraint ideals -----------------------------------------------------------
@@ -302,16 +302,16 @@ def test_box_of_cubes_rank_matches_oracle():
 
 def test_reduce_substitutes_leading_variable():
     ideal = LinearIdeal([x(1) + x(2) + x(3)])
-    assert ideal.leading_variables == {3}
+    assert set(ideal._rows) == {3}
     assert ideal.reduce(x(3) + x(1) * x(2)) == x(1) * x(2) - x(1) - x(2)
-    assert ideal.reduce(x(1) + x(2) + x(3)).is_zero()
+    assert not ideal.reduce(x(1) + x(2) + x(3))
 
 
 def test_reduce_kills_products_of_generators():
     ideal = ideal_from_cubes([Cell(0, (1, 1, 1)), Cell(0, (1, 3, 1))])
     g1, g2 = ideal.generators
-    assert ideal.reduce(g1 * g2).is_zero()
-    assert ideal.reduce(g1 * g1).is_zero()
+    assert not ideal.reduce(g1 * g2)
+    assert not ideal.reduce(g1 * g1)
 
 
 def test_generators_must_be_linear_without_constant():
@@ -345,8 +345,8 @@ DEN6_MAPPING = {2: Fraction(1, 2) * x(1), 4: Fraction(1, 6) * x(1) + Fraction(1,
 
 def substitution_oracle(f: Polynomial, mapping: dict) -> Polynomial:
     """f with each mapped variable replaced, one factor at a time over Fractions."""
-    out = Polynomial.zero()
-    for m, c in f.monomial_items():
+    out = Polynomial()
+    for m, c in f.terms.items():
         term = Polynomial.const(c)
         for v, e in m:
             for _ in range(e):
@@ -357,9 +357,9 @@ def substitution_oracle(f: Polynomial, mapping: dict) -> Polynomial:
 
 def test_den6_ideal_rows_are_integers_over_their_lcm():
     assert DEN6_IDEAL.den == 6
-    assert DEN6_IDEAL.leading_variables == set(DEN6_MAPPING)
+    assert set(DEN6_IDEAL._rows) == set(DEN6_MAPPING)
     for g in DEN6_IDEAL.generators:
-        assert substitution_oracle(g, DEN6_MAPPING).is_zero()
+        assert not substitution_oracle(g, DEN6_MAPPING)
     cubes = ideal_from_cubes([Cell(0, (1, 1, 1)), Cell(0, (3, 1, 1)), Cell(0, (1, 3, 1))])
     assert cubes.den == LinearIdeal([x(1) + x(2) + x(3)]).den == 1
 
@@ -468,19 +468,19 @@ def test_reduce_is_idempotent_morphism_with_ideal_kernel():
     ideal = ideal_from_cubes(cubes)
     pool = sorted({v for g in ideal.generators for v in g.variables()}, key=str)
     for _ in range(25):
-        f = Polynomial.zero()
-        combo = Polynomial.zero()
+        f = Polynomial()
+        combo = Polynomial()
         for g in ideal.generators:
             h = Polynomial.const(rng.randint(-3, 3))
             for _ in range(rng.randint(0, 2)):
                 h = h * x(rng.choice(pool))
             combo = combo + g * h
             f = f + h
-        assert ideal.reduce(combo).is_zero()
+        assert not ideal.reduce(combo)
         red = ideal.reduce(f)
         assert ideal.reduce(red) == red
         g0 = ideal.generators[0]
-        assert ideal.reduce(f * g0).is_zero()
+        assert not ideal.reduce(f * g0)
         lhs = ideal.reduce(f * f)
         rhs = ideal.reduce(ideal.reduce(f) * ideal.reduce(f))
         assert lhs == rhs
@@ -502,7 +502,7 @@ def test_parse_cli_shapes():
     assert f == expected
     assert parse_polynomial("x1^2*x2^2") == x(1, 2) * x(2, 2)
     assert parse_polynomial("x[1,1,-2]@0 - 1") == x(Cell(0, (1, 1, -2))) - 1
-    assert parse_polynomial("-x1 + x1") == Polynomial.zero()
+    assert parse_polynomial("-x1 + x1") == Polynomial()
 
 
 def test_parse_rejects_junk():

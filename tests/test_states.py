@@ -44,7 +44,7 @@ def rand_areas(n, rng):
 
 
 def rand_poly(rng, variables, max_degree, terms=4):
-    f = Polynomial.zero()
+    f = Polynomial()
     for _ in range(rng.randint(1, terms)):
         term = Polynomial.const(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
         for _ in range(rng.randint(0, max_degree)):
@@ -83,8 +83,8 @@ def test_exp_state_algebraic_coordinates_agree():
 
 def test_exp_state_odd_degree_vanishes():
     op = SphereOp([Fraction(1, 2), Fraction(1, 2)])
-    assert exp_state(op, x(1)).is_zero()
-    assert exp_state(op, x(1, 2) * x(2)).is_zero()
+    assert exp_state(op, x(1)) == LambdaPoly()
+    assert exp_state(op, x(1, 2) * x(2)) == LambdaPoly()
 
 
 def test_exp_state_lattice_pair():
@@ -96,11 +96,11 @@ def test_exp_state_terminates_after_half_degree():
     op = SphereOp([Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)]).to_euclidean()
     f = (x(1) + x(2)) ** 6
     series = exp_state(op, f)
-    assert series.degree() <= 3
+    assert max(series.coeffs) <= 3
     cur = f
     for _ in range(3):
         cur = apply_operator(op, cur)
-    assert apply_operator(op, cur).is_zero()
+    assert not apply_operator(op, cur)
 
 
 def plain_exp_state(op, f, ideal=None):
@@ -123,7 +123,7 @@ def _euclidean_case(rng):
 def _lattice_case_at(scale):
     ideal = ideal_from_cubes([Cell(scale, (1, 1, 1))])
     (generator,) = ideal.generators
-    return MAIN3.with_scale(scale), ideal, sorted(generator.variables(), key=Cell.sort_key), 4
+    return MAIN3.with_scale(scale), ideal, sorted(generator.variables()), 4
 
 
 def _lattice_case(rng):
@@ -255,6 +255,13 @@ def test_covariance_equality_reads_the_entries():
     assert cov != CovarianceMatrix.over((2, 1), given, 6)
 
 
+def test_covariance_takes_both_orientations_of_an_entry_only_when_they_agree():
+    cov = CovarianceMatrix.over((1, 2), {(1, 2): -2, (2, 1): -2, (2, 2): 3}, 6)
+    assert cov == CovarianceMatrix.over((1, 2), {(1, 2): -2, (2, 2): 3}, 6)
+    with pytest.raises(ValueError, match=r"asymmetric entries for \(1, 2\)"):
+        CovarianceMatrix.over((1, 2), {(1, 2): -2, (2, 1): 2}, 6)
+
+
 def test_covariance_rejects_bad_areas():
     with pytest.raises(ValueError):
         ym_covariance([Fraction(1, 2), Fraction(1, 4)])
@@ -318,13 +325,13 @@ def test_pairing_memo_matches_brute_force_pairings():
 def test_ym_moment_examples():
     a = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
     assert ym_moment(a, x(1, 2)) == LambdaPoly({1: 2 * a[0] * (1 - a[0])})
-    assert ym_moment(a, Polynomial.one()) == LambdaPoly({0: 1})
-    assert ym_moment([Fraction(1, 4)] * 4, x(1) * x(2) * x(3)).is_zero()
+    assert ym_moment(a, Polynomial.const(1)) == LambdaPoly({0: 1})
+    assert ym_moment([Fraction(1, 4)] * 4, x(1) * x(2) * x(3)) == LambdaPoly()
 
 
 def test_ym_moment_sums_scaled_terms_and_drops_cancelled_powers():
     a = [Fraction(1, 4)] * 4
-    assert ym_moment(a, x(1, 2) - x(2, 2)).is_zero()  # equal areas, equal variances
+    assert ym_moment(a, x(1, 2) - x(2, 2)) == LambdaPoly()  # equal areas, equal variances
     c11, c12 = 2 * a[0] * (1 - a[0]), -2 * a[0] * a[1]
     f = Fraction(1, 3) * x(1, 2) - 5 * x(1) * x(2) + x(1) + Fraction(7, 2)
     assert ym_moment(a, f) == LambdaPoly({0: Fraction(7, 2), 1: c11 / 3 - 5 * c12})
@@ -348,8 +355,8 @@ def test_parity_in_both_pipelines():
     areas = [Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)]
     op = SphereOp(areas).to_euclidean()
     for mono in (x(1), x(1, 2) * x(2), x(1) * x(2) * x(1, 1)):
-        assert ym_moment(areas, mono).is_zero()
-        assert exp_state(op, mono).is_zero()
+        assert ym_moment(areas, mono) == LambdaPoly()
+        assert exp_state(op, mono) == LambdaPoly()
 
 
 # -- the dual-pipeline identity ------------------------------------------------------
@@ -527,6 +534,18 @@ def test_sphere_monomials_above_the_bound_raise_before_listing(monkeypatch):
         verify_sphere(SPHERE5, 6)
 
 
+def test_the_degree_bound_admits_max_degree_and_refuses_one_more():
+    areas, top = [Fraction(1, 2), Fraction(1, 2)], states.MAX_DEGREE
+    op = SphereOp(areas).to_euclidean()
+    series = exp_state(op, x(1, top))
+    assert list(series.coeffs) == [top // 2] and series == ym_moment(areas, x(1, top))
+    assert verify_sphere(areas, top).all_equal
+    with pytest.raises(ValueError, match=f"degree {top + 1} exceeds the maximum {top}"):
+        exp_state(op, x(1, top + 1))
+    with pytest.raises(ValueError, match=f"max_degree {top + 1} exceeds the maximum {top}"):
+        verify_sphere(areas, top + 1)
+
+
 def test_verify_sphere_requires_degree_two():
     with pytest.raises(ValueError, match="at least 2"):
         verify_sphere([Fraction(1, 2), Fraction(1, 2)], 1)
@@ -578,7 +597,7 @@ def test_covariance_window_matches_exp_state(family):
     cov = covariance_window(family, 1)
     for i, p in enumerate(cov.variables):
         for q in cov.variables[i:]:
-            assert cov.entry(p, q) == exp_state(family, x(p) * x(q)).coefficient(1), (p, q)
+            assert cov.entry(p, q) == exp_state(family, x(p) * x(q)).coeffs.get(1, 0), (p, q)
 
 
 def test_one_orientation_of_b_is_not_the_state_at_d4():
@@ -747,5 +766,5 @@ def test_lambda_poly_basics():
     f = LambdaPoly({0: Fraction(1), 1: Fraction(-1, 2), 3: Fraction(2)})
     assert format_lambda_poly(f) == "1 - 1/2*lambda + 2*lambda^3"
     assert f.to_json() == {"0": "1", "1": "-1/2", "3": "2"}
-    assert LambdaPoly({2: 0}).is_zero()
+    assert LambdaPoly({2: 0}).coeffs == {}
     assert format_lambda_poly(LambdaPoly()) == "0"

@@ -218,6 +218,16 @@ def test_cross_scale_interaction_sums():
         assert child_interaction_sum(coarse, p, q2) == -4
 
 
+def test_child_interaction_sum_on_a_perturbed_family():
+    # beta(1,0,0) + 1 breaks compat_b at this pair, so the child sum is not coeff_b
+    fam = CubicalFamilyOp.main(3, -1).perturbed("beta", (1, 0, 0), 1)
+    p, q = Cell(-1, (1, 1, 0)), Cell(-1, (2, 1, 1))
+    fine = fam.with_scale(0)
+    direct = sum(fine.coeff_b(pc, qc) for pc in children(p) for qc in children(q))
+    assert child_interaction_sum(fam, p, q) == direct == -6
+    assert compat_residual_b(fam, p, q) == 2
+
+
 def test_compat_sweep_clean():
     reports = compat_sweep(MAIN3, base_plaquettes(3, 0), 3)
     assert reports and not violations(reports)
@@ -679,6 +689,10 @@ def test_welldefined_for_lattice_families():
         assert reports and not violations(reports)
 
 
+def test_welldefined_checks_nothing_for_an_ideal_with_no_generators():
+    assert welldefined_property(MAIN3, LinearIdeal([]), trials=5, seed=0) == []
+
+
 def test_welldefined_detects_d4_descent_failure():
     # The probe-first gauge residuals all vanish in d=4, but the operator
     # itself symmetrizes its cross coefficients, and the symmetrized descent
@@ -688,7 +702,7 @@ def test_welldefined_detects_d4_descent_failure():
     ideal = ideal_from_cubes([cube])
     witness = Polynomial.var(Cell(0, (-1, -1, 0, -2)))
     (generator,) = ideal.generators
-    normal = ideal.reduce(fam4.apply(generator * witness))
+    normal = ideal.reduce(apply_operator(fam4, generator * witness))
     assert normal == Polynomial.const(-2)
 
 
@@ -740,7 +754,7 @@ def test_constant_draws_check_nothing(monkeypatch, op):
 def polynomial_draw(rng, pool) -> Polynomial:
     """The random polynomial as a sum of Polynomial products, in the rng calls'
     order: the oracle for _random_polynomial's term map."""
-    f = Polynomial.zero()
+    f = Polynomial()
     for _ in range(rng.randint(1, WELLDEFINED_MAX_TERMS)):
         term = Polynomial.const(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
         for _ in range(rng.randint(0, WELLDEFINED_MAX_DEGREE)):
