@@ -71,7 +71,7 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
     --scale.  A JSON spec or a sphere operator fixes its own universe, so
     giving either option with one is a usage error; their defaults pass.
     """
-    shorthand = False
+    shorthand, sphere = False, not op_text and bool(areas)  # --areas alone: the sphere
     if op_text:
         op_text = op_text.strip()
         if op_text.startswith("{"):
@@ -86,16 +86,16 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
                 raise click.UsageError(f"cannot read operator spec {op_text!r}: {e}")
         elif op_text in ("cubical", "alt3"):
             spec, shorthand = {"variant": op_text, "d": d, "scale": scale}, True
-        elif op_text == "sphere":
-            if not areas:
-                raise click.UsageError("--op sphere needs --areas")
-            spec = {"variant": "sphere", "areas": [str(a) for a in _parse_areas(areas)]}
-        else:
+        elif op_text != "sphere":
             raise click.UsageError(f"unrecognized operator spec {op_text!r}")
-    elif areas:
-        spec = {"variant": "sphere", "areas": [str(a) for a in _parse_areas(areas)]}
-    else:
+        elif not areas:
+            raise click.UsageError("--op sphere needs --areas")
+        else:
+            sphere = True
+    elif not areas:
         spec, shorthand = {"variant": "cubical", "d": d, "scale": scale}, True
+    if sphere:
+        spec = {"variant": "sphere", "areas": [str(a) for a in _parse_areas(areas)]}
     if not shorthand:
         _refuse_given(("d", "scale"), "a JSON spec or a sphere operator fixes its own universe")
     try:
@@ -370,10 +370,7 @@ def verify_compat(op_text, d, window, scales, fmt, out, decimal):
 @_OUT_OPT
 def sphere_check(areas, max_degree, fmt, out):
     """Compare the exponential state with Gaussian moments, monomial by monomial."""
-    try:
-        report = verify_sphere(_parse_areas(areas), max_degree)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    report = _usage_errors(verify_sphere, _parse_areas(areas), max_degree)
 
     def as_csv():
         rows = [["monomial", "exp_state", "ym_moment", "equal"]]
@@ -438,18 +435,10 @@ def tables(op_text, d, scale, radius, fmt, out):
 def moments(op_text, d, scale, areas, poly_text, fmt, out):
     """Evaluate the exponential state of a polynomial, exact in the coupling."""
     op = _resolve_operator(op_text, d, scale, areas)
-    try:
-        f = parse_polynomial(poly_text)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    try:
-        if isinstance(op, SphereOp):
-            series = exp_state(op.to_euclidean(), f)
-            pairing = ym_moment(op.areas, f)
-        else:
-            series, pairing = exp_state(op, f), None
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    f = _usage_errors(parse_polynomial, poly_text)
+    sphere = isinstance(op, SphereOp)
+    series = _usage_errors(exp_state, op.to_euclidean() if sphere else op, f)
+    pairing = _usage_errors(ym_moment, op.areas, f) if sphere else None
     if pairing is None:
         equal = True
         fields = {"moment": series.to_json()}
@@ -484,10 +473,7 @@ def covariance(op_text, d, scale, window, psd, fmt, out, decimal):
         raise click.UsageError("covariance windows need a coefficient family operator")
     if fmt == "csv" and psd:
         raise click.UsageError("--psd output is text or json")
-    try:
-        cov = covariance_window(op, window)
-    except ValueError as e:
-        raise click.UsageError(str(e))
+    cov = _usage_errors(covariance_window, op, window)
     probe = psd_probe(cov) if psd else None
 
     def entries():

@@ -56,7 +56,9 @@ apply_operator checks the variables, runs it and multiplies by the unit
 once; exp_state's series and the well-definedness probes run it directly,
 sharing one memo of looked-up pair coefficients across calls: _pair_memo
 over the variables themselves, _index_pairs over indices into a list of
-them.  Only these two state L's pair coefficients.  coeff_a/coeff_b are the
+them.  Only these two state L's pair coefficients; _symbol_matrix reads
+_index_pairs into L's symbol, the one integer matrix of L(x_p x_q), which
+covariance_window and to_euclidean's check use.  coeff_a/coeff_b are the
 checked Fraction form.  The rows live in cache slots: they only cache pure
 values and never enter __eq__.
 
@@ -150,6 +152,25 @@ def _index_pairs(op, variables: Sequence) -> tuple[dict, dict, Callable, Callabl
         return {}, {}, diag_int, cross_int
     _, _, diag, cross = _pair_memo(op)
     return {}, {}, lambda i: diag(variables[i]), lambda i, j: cross(variables[i], variables[j])
+
+
+def _symbol_matrix(op, variables: Sequence) -> list[list[int]]:
+    """L's symbol over op.unit: the symmetric integer S with S[i][j] unit = L(x_i x_j).
+
+    2 diag_int(i) on the diagonal and -cross_int(i, j) off it, from
+    _index_pairs: 2 a delta - (b + b^T), so L(f^2) = xi^T S xi unit for f =
+    sum xi_i x_i.  The caller checks the variables.
+    """
+    _, _, diag_int, cross_int = _index_pairs(op, variables)
+    n = len(variables)
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 2 * diag_int(i)
+        for j in range(i + 1, n):
+            c = cross_int(i, j)
+            if c:
+                row[j] = rows[j][i] = -c
+    return rows
 
 
 def _apply_int(terms: Mapping, pairs: tuple[dict, dict, Callable, Callable]) -> dict:
@@ -830,39 +851,18 @@ class SphereOp(ExplicitOp):
         return f"SphereOp(areas={[str(a) for a in self.areas]})"
 
 
-def _int_symbol(op, variables) -> dict:
-    """L's quadratic symbol over op.unit: (v, w) -> the integer coefficient of d_v d_w.
-
-    Keys run over the pairs v <= w in the given order; the diagonal holds
-    _pair_memo's diag_int and a cross pair minus its cross_int.  The caller
-    checks the variables.
-    """
-    _, _, diag_int, cross_int = _pair_memo(op)
-    vs = list(variables)
-    out = {}
-    for i, v in enumerate(vs):
-        out[v, v] = diag_int(v)
-        for w in vs[i + 1:]:
-            out[v, w] = -cross_int(v, w)
-    return out
-
-
 def _check_euclidean(sphere: SphereOp, euclid) -> None:
     """Raise AssertionError unless d_i -> d_i - d_n (i < n) turns euclid's symbol into sphere's.
 
-    Both symbols are integers over one unit, which the two operators must
-    share: to_euclidean keeps the sphere's.
+    L is half of sum S_ij d_i d_j over its symbol S, so d = P d' with P = [I |
+    -1] turns euclid's S into P^T S P, which must be the sphere's S.  Both
+    are integers over one unit, which the two operators must share:
+    to_euclidean keeps the sphere's.
     """
     n = sphere.n
-    target = _int_symbol(sphere, range(1, n + 1))
-    image = dict.fromkeys(target, 0)
-    for (i, j), c in _int_symbol(euclid, range(1, n)).items():
-        # (d_i - d_n)(d_j - d_n) = d_i d_j - d_i d_n - d_j d_n + d_n^2
-        image[i, j] += c
-        image[i, n] -= c
-        image[j, n] -= c
-        image[n, n] += c
-    if euclid.unit != sphere.unit or image != target:
+    image = [row + [-sum(row)] for row in _symbol_matrix(euclid, range(1, n))]
+    image.append([-sum(column) for column in zip(*image)])
+    if euclid.unit != sphere.unit or image != _symbol_matrix(sphere, range(1, n + 1)):
         raise AssertionError("euclidean reduction failed the substitution identity")
 
 

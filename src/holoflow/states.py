@@ -13,8 +13,11 @@ check each other with zero tolerance:
 Both sum integers and apply their unit once.  L's coefficients are integers
 over the operator's unit, so mu_0(L^k m) is an integer times unit^k:
 exp_state's series holds those integers and makes one Fraction per power of
-the coupling.  A CovarianceMatrix stores integer numerators over one unit,
-so a pairing sum over 2k factors is an integer times unit^k.
+the coupling.  A CovarianceMatrix stores one dense symmetric integer matrix
+over one unit, so a pairing sum over 2k factors is an integer times unit^k.
+Since mu_0 reads the constant term and L has constant coefficients, the
+state's second moments are L's symbol (operators._symbol_matrix), which is
+covariance_window's matrix; ym_covariance's closed form meets it only in tests.
 
 Each pipeline memoizes internally and neither reads the other: exp_state
 keeps the integer series per monomial m for one run (an exp_state call or
@@ -54,8 +57,8 @@ from typing import Mapping, NamedTuple, Sequence
 from ._frozen import Frozen
 
 from .cells import box_cell_count
-from .operators import (CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _index_pairs,
-                        _pair_memo)
+from .operators import (CubicalFamilyOp, SphereOp, _apply_int, _check_vars, _pair_memo,
+                        _symbol_matrix)
 from .poly import (Monomial, Polynomial, _format_monomial, _integer_terms, _join_terms,
                    _mono_degree)
 
@@ -181,47 +184,49 @@ class CovarianceMatrix(Frozen):
     """Symmetric rational matrix of second-moment coefficients.
 
     entry(u, v) is the coefficient of the coupling in the state applied to
-    x_u x_v.  It is stored once, as the integer num(u, v) over unit, the
-    reciprocal of the lcm of the entry denominators; entry derives the
-    Fraction.  _pairings memoizes the integer Isserlis pairing sums on the
-    sorted factor tuple; it never enters __eq__.  over() is the one
+    x_u x_v.  It is stored once, as the dense symmetric integer matrix rows
+    over unit, the reciprocal of the lcm of the entry denominators, rows and
+    columns in variable order; num(u, v) is one index read and entry derives
+    the Fraction.  _pairings memoizes the integer Isserlis pairing sums on
+    the sorted factor tuple; it never enters __eq__.  over() is the one
     constructor.
     """
 
-    __slots__ = ("variables", "unit", "_nums", "_index", "_pairings")
+    __slots__ = ("variables", "unit", "rows", "_index", "_pairings")
 
     @classmethod
-    def over(cls, variables: Sequence, nums: Mapping, den: int) -> "CovarianceMatrix":
-        """The matrix with entry(u, v) = nums[(u, v)] / den, for integers nums and den > 0.
+    def over(cls, variables: Sequence, rows: list[list[int]], den) -> "CovarianceMatrix":
+        """The matrix with entry(u, v) = rows[i][j] / den, u and v the i-th and j-th variables.
 
-        It is stored over unit 1/lcm(reduced entry denominators).  That lcm
-        is den / gcd(den, every numerator), so the unit, and with it __eq__,
-        depends on the entries alone.
+        rows must equal its transpose, so it is square and symmetric, and is
+        kept, not copied; den is a positive rational D / N in lowest terms.
+        The unit is 1/lcm(reduced entry denominators), D / g, g = gcd(D, every
+        entry), so it and __eq__ depend on the entries alone.  rows becomes
+        rows // g * N in place, in one pass over its nonzero entries.
         """
         variables = tuple(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        clean: dict[tuple, int] = {}
-        for (u, v), n in nums.items():
-            if u not in index or v not in index:
-                raise ValueError(f"entry ({u}, {v}) outside the variable set")
-            key = (u, v) if index[u] <= index[v] else (v, u)
-            if key in clean and clean[key] != n:
-                raise ValueError(f"asymmetric entries for {key}")
-            clean[key] = n
-        g = math.gcd(den, *clean.values())
+        n = len(variables)
+        if len(rows) != n or any(tuple(row) != column
+                                 for row, column in itertools.zip_longest(rows, zip(*rows))):
+            raise ValueError(f"the rows are not a symmetric {n} x {n} matrix")
+        den = Fraction(den)
+        top, scale = den.numerator, den.denominator
+        g = math.gcd(top, *itertools.chain.from_iterable(rows)) if top != 1 else 1
+        if g != 1 or scale != 1:
+            for row in rows:
+                for j in itertools.compress(range(n), row):
+                    row[j] = row[j] // g * scale
         cov = cls.__new__(cls)
         object.__setattr__(cov, "variables", variables)
-        object.__setattr__(cov, "unit", Fraction(1, den // g))
-        object.__setattr__(cov, "_nums", {key: n // g for key, n in clean.items() if n})
-        object.__setattr__(cov, "_index", index)
+        object.__setattr__(cov, "unit", Fraction(1, top // g))
+        object.__setattr__(cov, "rows", rows)
+        object.__setattr__(cov, "_index", {v: i for i, v in enumerate(variables)})
         object.__setattr__(cov, "_pairings", {})
         return cov
 
     def num(self, u, v) -> int:
         """entry(u, v) over unit."""
-        index = self._index
-        key = (u, v) if index[u] <= index[v] else (v, u)
-        return self._nums.get(key, 0)
+        return self.rows[self._index[u]][self._index[v]]
 
     def entry(self, u, v) -> Fraction:
         return self.num(u, v) * self.unit
@@ -230,21 +235,12 @@ class CovarianceMatrix(Frozen):
     def size(self) -> int:
         return len(self.variables)
 
-    def numerators(self) -> list[list[int]]:
-        """The integer matrix of num(u, v), rows and columns in variable order."""
-        index = self._index
-        rows = [[0] * self.size for _ in self.variables]
-        for (u, v), c in self._nums.items():
-            i, j = index[u], index[v]
-            rows[i][j] = rows[j][i] = c
-        return rows
-
     def __eq__(self, other):
-        # unit and the nonzero numerators are determined by the entries
+        # unit and rows are determined by the entries
         return (isinstance(other, CovarianceMatrix)
                 and self.variables == other.variables
                 and self.unit == other.unit
-                and self._nums == other._nums)
+                and self.rows == other.rows)
 
     def __repr__(self):
         return f"CovarianceMatrix({self.size} variables)"
@@ -258,18 +254,15 @@ def ym_covariance(areas: Sequence) -> CovarianceMatrix:
     E[x_i x_j] = coupling * 2(a_i delta_ij - a_i a_j).  That closed form is
     confirmed exactly before returning (_check_inverse_precision), on
     integers: with a_i = s_i / den it is 2 c_ij / den^2, where c_ij =
-    den s_i delta_ij - s_i s_j, and those numerators go to
-    CovarianceMatrix.over as they are.
+    den s_i delta_ij - s_i s_j, and 2 c goes to CovarianceMatrix.over over
+    den^2.  It never reads the operator's symbol, _symbol_matrix.
     """
     sphere = SphereOp(areas)  # validates positivity and normalization
     s, den, m = sphere._scaled, sphere._den, sphere.n - 1
     closed = [[den * s[i] * (i == j) - s[i] * s[j] for j in range(m)] for i in range(m)]
     _check_inverse_precision(s, den, closed)
-    return CovarianceMatrix.over(
-        tuple(range(1, m + 1)),
-        {(i + 1, j + 1): 2 * closed[i][j] for i in range(m) for j in range(i, m)},
-        den * den,
-    )
+    return CovarianceMatrix.over(range(1, m + 1), [[2 * c for c in row] for row in closed],
+                                 den * den)
 
 
 def _check_inverse_precision(s: Sequence[int], den: int, closed: list[list[int]]) -> None:
@@ -458,10 +451,10 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
     The window holds every plaquette with all coordinates within radius at
     the family's scale, in canonical cell order, each checked against the
     universe once.  Entry (p, q) is exp_state's coefficient of the coupling
-    on x_p x_q, read from the probes' pair table (_index_pairs): 2 diag_int
-    on the diagonal and -cross_int off it, integers over the unit's
-    denominator for CovarianceMatrix.over to normalize.  A window of more
-    than MAX_WINDOW_PLAQUETTES plaquettes raises ValueError before any is
+    on x_p x_q: the family's symbol over the window (_symbol_matrix, read
+    from the probes' pair table), integers over the family's unit for
+    CovarianceMatrix.over to normalize.  A window of more than
+    MAX_WINDOW_PLAQUETTES plaquettes raises ValueError before any is
     listed.
     """
     size = box_cell_count((-radius,) * family.d, (radius,) * family.d, 2)
@@ -471,17 +464,7 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
     plaquettes = family.window_plaquettes(radius)
     for p in plaquettes:
         family.check_var(p)
-    _, _, diag_int, cross_int = _index_pairs(family, plaquettes)
-    unit = family.unit
-    scale = unit.numerator
-    nums = {}
-    for i, p in enumerate(plaquettes):
-        nums[p, p] = 2 * scale * diag_int(i)
-        for j in range(i + 1, len(plaquettes)):
-            c = cross_int(i, j)
-            if c:
-                nums[p, plaquettes[j]] = -scale * c
-    return CovarianceMatrix.over(plaquettes, nums, unit.denominator)
+    return CovarianceMatrix.over(plaquettes, _symbol_matrix(family, plaquettes), 1 / family.unit)
 
 
 class PsdReport(NamedTuple):
@@ -512,7 +495,7 @@ def psd_probe(cov: CovarianceMatrix) -> PsdReport:
     The minors of the numerator matrix have the signs of the entries'
     minors, since the unit is positive.
     """
-    return PsdReport(size=cov.size, signs=tuple(_leading_minor_signs(cov.numerators())))
+    return PsdReport(size=cov.size, signs=tuple(_leading_minor_signs(cov.rows)))
 
 
 def _leading_minor_signs(matrix: list[list[int]]) -> list[int]:

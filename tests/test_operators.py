@@ -33,6 +33,7 @@ from holoflow.operators import (
     _apply_int,
     _index_pairs,
     _rule_points,
+    _symbol_matrix,
     apply_operator,
     operator_from_json,
 )
@@ -1195,3 +1196,50 @@ def test_only_a_family_with_a_pool_gets_sized_rows():
     sphere = SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     cross_int = _index_pairs(sphere, sphere.variables())[3]
     assert cross_int(0, 1) == 2 * sphere.b_int(1, 2)
+
+
+# -- L's symbol --------------------------------------------------------------------
+
+_Q1, _Q2 = Cell(0, (0, 1, 1)), Cell(0, (1, 0, 1))
+SYMBOL_OPS = [MAIN3, ALT3, MAIN4, MAIN3.perturbed("beta", (2, 0, 0), 3),
+              ExplicitOp({BASE3: Fraction(1, 2), _Q1: 3, _Q2: 1},
+                         {(BASE3, _Q1): Fraction(1, 3), (_Q1, _Q1): 2, (_Q2, BASE3): -1})]
+
+
+def _symbol_variables(op):
+    # window 2: at window 1 neither main(4) nor the perturbed family has a pair (p, q) with
+    # b_pq != b_qp, so a symbol read from one orientation would pass
+    return op.window_plaquettes(2) if isinstance(op, CubicalFamilyOp) else op.variables()
+
+
+@pytest.mark.parametrize("op", SYMBOL_OPS, ids=repr)
+def test_symbol_matrix_matches_the_pull_route(op):
+    # a family by _b_table, both orientations (b is asymmetric at d=4 and when
+    # perturbed); an explicit operator by its Fraction tables
+    variables = _symbol_variables(op)
+    if isinstance(op, CubicalFamilyOp):
+        a, b = lambda p: op.a0, lambda p, q: op._b_table(p.coords, q.coords)
+        op = _fresh(op)
+    else:
+        a = lambda p: op.a[p] / op.unit
+        b = lambda p, q: op.b.get((p, q), op.b.get((q, p), 0)) / op.unit
+    s = _symbol_matrix(op, variables)
+    assert len(s) == len(variables) and all(len(row) == len(variables) for row in s)
+    for i, p in enumerate(variables):
+        for j, q in enumerate(variables):
+            want = 2 * (a(p) - b(p, p)) if i == j else -(b(p, q) + b(q, p))
+            assert type(s[i][j]) is int and s[i][j] == want, (p, q)
+
+
+@pytest.mark.parametrize("op", SYMBOL_OPS, ids=repr)
+def test_symbol_matrix_is_the_quadratic_form_of_l(op):
+    # L(f^2) = xi^T S xi unit for f = sum xi_p x_p; apply_operator reads its pairs
+    # through _pair_memo's b_int lookups, not _index_pairs
+    variables = _symbol_variables(op)
+    s = _symbol_matrix(op, variables)
+    rng = random.Random(f"symbol {op!r}")
+    for _ in range(4):
+        xi = [rng.randint(-3, 3) for _ in variables]
+        f = Polynomial.linear(dict(zip(variables, xi)))
+        form = sum(xi[i] * c * xi[j] for i, row in enumerate(s) for j, c in enumerate(row))
+        assert apply_operator(op, f * f) == Polynomial.const(form * op.unit)

@@ -15,6 +15,7 @@ from holoflow.operators import (
     SphereOp,
     _check_euclidean,
     _pair_memo,
+    _symbol_matrix,
     apply_operator,
 )
 from holoflow.poly import (LinearIdeal, Polynomial, _integer_terms, format_polynomial,
@@ -222,7 +223,7 @@ def entry_rows(cov):
 def _check_numerators(cov):
     """num * unit is entry, and psd_probe's integer matrix is the rows scaled by their lcm."""
     assert cov.unit > 0
-    nums = cov.numerators()
+    nums = cov.rows
     for i, u in enumerate(cov.variables):
         for j, v in enumerate(cov.variables):
             assert type(cov.num(u, v)) is int
@@ -248,18 +249,35 @@ def test_covariance_window_numerators_over_one_unit(family):
 
 def test_covariance_equality_reads_the_entries():
     # 1/2 at (1, 1) and -1/3 at (1, 2), over 6 and over 12; the third adds 1/7 at (2, 2)
-    given = {(1, 1): 3, (1, 2): -2, (2, 2): 0}
-    cov = CovarianceMatrix.over((1, 2), given, 6)
-    assert cov == CovarianceMatrix.over((1, 2), {(1, 1): 6, (2, 1): -4}, 12)
-    assert cov != CovarianceMatrix.over((1, 2), {(1, 1): 21, (1, 2): -14, (2, 2): 6}, 42)
-    assert cov != CovarianceMatrix.over((2, 1), given, 6)
+    cov = CovarianceMatrix.over((1, 2), [[3, -2], [-2, 0]], 6)
+    assert cov == CovarianceMatrix.over((1, 2), [[6, -4], [-4, 0]], 12)
+    assert cov != CovarianceMatrix.over((1, 2), [[21, -14], [-14, 6]], 42)
+    assert cov != CovarianceMatrix.over((2, 1), [[3, -2], [-2, 0]], 6)
 
 
-def test_covariance_takes_both_orientations_of_an_entry_only_when_they_agree():
-    cov = CovarianceMatrix.over((1, 2), {(1, 2): -2, (2, 1): -2, (2, 2): 3}, 6)
-    assert cov == CovarianceMatrix.over((1, 2), {(1, 2): -2, (2, 2): 3}, 6)
-    with pytest.raises(ValueError, match=r"asymmetric entries for \(1, 2\)"):
-        CovarianceMatrix.over((1, 2), {(1, 2): -2, (2, 1): 2}, 6)
+def test_covariance_folds_a_rational_den_into_the_unit():
+    # entries 3/2, 3 and 9/2: den 4/3 is D = 4 over N = 3, and gcd(4, every entry) = 2
+    cov = CovarianceMatrix.over((1, 2), [[2, 4], [4, 6]], Fraction(4, 3))
+    assert (cov.unit, cov.rows) == (Fraction(1, 2), [[3, 6], [6, 9]])
+    # a family's unit at scale -1 is 4: over 1/4 every entry is 4 times its row entry
+    cov = CovarianceMatrix.over((1, 2), [[1, 0], [0, -3]], Fraction(1, 4))
+    assert (cov.unit, cov.rows) == (1, [[4, 0], [0, -12]])
+    assert cov == CovarianceMatrix.over((1, 2), [[4, 0], [0, -12]], 1)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [2]], [[1], [2, 3]], [[1, 2, 0], [2, 3, 0]],
+                                  [[], []], [[1, 2], [2, 3], [0, 0]]])
+def test_covariance_rejects_a_matrix_that_is_not_square(rows):
+    with pytest.raises(ValueError, match="the rows are not a symmetric 2 x 2 matrix"):
+        CovarianceMatrix.over((1, 2), rows, 1)
+
+
+def test_covariance_rejects_an_asymmetric_matrix():
+    assert CovarianceMatrix.over((1, 2), [[0, -2], [-2, 3]], 6).entry(2, 1) == Fraction(-1, 3)
+    with pytest.raises(ValueError, match="the rows are not a symmetric 2 x 2 matrix"):
+        CovarianceMatrix.over((1, 2), [[0, -2], [2, 3]], 6)
+    with pytest.raises(ValueError, match="the rows are not a symmetric 3 x 3 matrix"):
+        CovarianceMatrix.over((1, 2, 3), [[0, 0, 0], [0, 1, 5], [0, 0, 1]], 1)
 
 
 def test_covariance_rejects_bad_areas():
@@ -271,7 +289,7 @@ def test_covariance_rejects_bad_areas():
 
 
 def test_isserlis_reference_moments():
-    cov = CovarianceMatrix.over((1, 2), {(1, 1): 2, (1, 2): -1, (2, 2): 3}, 1)
+    cov = CovarianceMatrix.over((1, 2), [[2, -1], [-1, 3]], 1)
     c11, c12, c22 = Fraction(2), Fraction(-1), Fraction(3)
     assert isserlis_moment(cov, ((1, 4),)) == 3 * c11**2
     assert isserlis_moment(cov, ((1, 2), (2, 2))) == c11 * c22 + 2 * c12**2
@@ -436,6 +454,19 @@ def test_the_substitution_identity_fires_on_a_perturbed_euclidean_table():
             _check_euclidean(sphere, op)
 
 
+def test_the_euclidean_symbol_is_the_sphere_covariance():
+    # mu_0 reads the constant term and L has constant coefficients, so the state's second
+    # moments are L's symbol: the sphere identity at every degree is this one matrix equality
+    rng = random.Random(2026)
+    for n in range(2, 8):
+        for _ in range(20):
+            areas = rand_areas(n, rng)
+            euclid = SphereOp(areas).to_euclidean()
+            symbol = _symbol_matrix(euclid, range(1, n))
+            assert [[c * euclid.unit for c in row] for row in symbol] == entry_rows(
+                ym_covariance(areas))
+
+
 def test_the_inverse_precision_check_fires_on_a_perturbed_closed_form():
     sphere = SphereOp(SPHERE5)
     s, den, m = sphere._scaled, sphere._den, sphere.n - 1
@@ -488,10 +519,11 @@ def test_verify_sphere_flags_the_monomials_that_read_a_perturbed_entry(monkeypat
 
     def perturbed(areas):
         cov = real(areas)
-        nums = {(u, v): cov.num(u, v) for u, v in itertools.combinations_with_replacement(
-            cov.variables, 2)}
-        nums[entry] += 1
-        return CovarianceMatrix.over(cov.variables, nums, cov.unit.denominator)
+        rows = [row[:] for row in cov.rows]
+        i, j = entry[0] - 1, entry[1] - 1
+        rows[i][j] += 1
+        rows[j][i] = rows[i][j]
+        return CovarianceMatrix.over(cov.variables, rows, cov.unit.denominator)
 
     monkeypatch.setattr(states, "ym_covariance", perturbed)
     report = verify_sphere(SPHERE5, 6)
@@ -623,12 +655,12 @@ def test_psd_probe_on_tiny_window():
 
 
 def test_psd_probe_positive_definite():
-    cov = CovarianceMatrix.over((1, 2), {(1, 1): 2, (1, 2): 1, (2, 2): 3}, 1)
+    cov = CovarianceMatrix.over((1, 2), [[2, 1], [1, 3]], 1)
     assert psd_probe(cov).signs == (1, 1)
 
 
 def test_psd_probe_zero_pivot_indefinite():
-    cov = CovarianceMatrix.over((1, 2), {(1, 1): 0, (1, 2): 1, (2, 2): 0}, 1)
+    cov = CovarianceMatrix.over((1, 2), [[0, 1], [1, 0]], 1)
     report = psd_probe(cov)
     assert report.signs == (0, -1)
     assert not report.nonnegative
@@ -636,12 +668,12 @@ def test_psd_probe_zero_pivot_indefinite():
 
 
 def test_psd_probe_zero_pivot_degenerate():
-    cov = CovarianceMatrix.over((1, 2, 3), {(1, 1): 0, (2, 2): 1, (3, 3): 1}, 1)
+    cov = CovarianceMatrix.over((1, 2, 3), [[0, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
     assert psd_probe(cov).signs == (0, 0, 0)
 
 
 def test_psd_probe_negative_definite_direction():
-    cov = CovarianceMatrix.over((1, 2), {(1, 1): -1, (2, 2): 1}, 1)
+    cov = CovarianceMatrix.over((1, 2), [[-1, 0], [0, 1]], 1)
     assert psd_probe(cov).signs == (-1, -1)
 
 
@@ -722,8 +754,7 @@ def test_the_zero_pivot_dependence_test_matches_the_gram_determinant(monkeypatch
         n = rng.randint(3, 8)
         k = rng.randint(1, n - 2)
         a = _symmetric_with_leading_signs(rng, n, k, dependent)
-        cov = CovarianceMatrix.over(range(n), {(i, j): a[i][j] for i in range(n)
-                                               for j in range(i, n)}, 1)
+        cov = CovarianceMatrix.over(range(n), a, 1)
         want = leading_determinant_signs(cov)
         assert want[k] == 0 and 0 not in want[:k]
         calls = []
@@ -743,8 +774,7 @@ def test_zero_pivots_in_sparse_symmetric_matrices():
         for i in range(n):
             for j in range(i, n):
                 a[i][j] = a[j][i] = rng.choice((0, 0, 0, 1, -1, 2))
-        cov = CovarianceMatrix.over(range(n), {(i, j): a[i][j] for i in range(n)
-                                               for j in range(i, n)}, 1)
+        cov = CovarianceMatrix.over(range(n), a, 1)
         signs = psd_probe(cov).signs
         assert signs == leading_determinant_signs(cov)
         if 0 in signs:
@@ -755,7 +785,8 @@ def test_zero_pivots_in_sparse_symmetric_matrices():
 
 def test_psd_probe_singular_block_of_nullity_two():
     # the leading 2x2 block is zero, but the first column is not, so later minors are computed
-    cov = CovarianceMatrix.over((1, 2, 3, 4), {(1, 3): 1, (2, 4): 1}, 1)
+    cov = CovarianceMatrix.over((1, 2, 3, 4), [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0],
+                                               [0, 1, 0, 0]], 1)
     assert psd_probe(cov).signs == leading_determinant_signs(cov) == (0, 0, 0, 1)
 
 
