@@ -65,11 +65,11 @@ def _parse_areas(text: str) -> list[Fraction]:
 
 
 def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None):
-    """The operator --op (or --areas) names.
+    """The operator --op (or --areas) names; a shorthand wins over a file "./name" reads.
 
     Only the cubical and alt3 shorthands and the default read --d and
-    --scale.  A JSON spec or a sphere operator fixes its own universe, so
-    giving either option with one is a usage error; their defaults pass.
+    --scale, and only a sphere reads --areas.  Giving an option the operator
+    does not read is a usage error; the defaults pass.
     """
     shorthand, sphere = False, not op_text and bool(areas)  # --areas alone: the sphere
     if op_text:
@@ -79,23 +79,25 @@ def _resolve_operator(op_text: str | None, d: int, scale: int, areas: str | None
                 spec = json.loads(op_text)
             except json.JSONDecodeError as e:
                 raise click.UsageError(f"bad operator JSON: {e}")
-        elif os.path.exists(op_text):
+        elif op_text in ("cubical", "alt3"):
+            spec, shorthand = {"variant": op_text, "d": d, "scale": scale}, True
+        elif op_text == "sphere":
+            if not areas:
+                raise click.UsageError("--op sphere needs --areas")
+            sphere = True
+        elif not os.path.exists(op_text):
+            raise click.UsageError(f"unrecognized operator spec {op_text!r}")
+        else:
             try:
                 spec = json.loads(Path(op_text).read_text())
             except (OSError, json.JSONDecodeError) as e:
                 raise click.UsageError(f"cannot read operator spec {op_text!r}: {e}")
-        elif op_text in ("cubical", "alt3"):
-            spec, shorthand = {"variant": op_text, "d": d, "scale": scale}, True
-        elif op_text != "sphere":
-            raise click.UsageError(f"unrecognized operator spec {op_text!r}")
-        elif not areas:
-            raise click.UsageError("--op sphere needs --areas")
-        else:
-            sphere = True
     elif not areas:
         spec, shorthand = {"variant": "cubical", "d": d, "scale": scale}, True
     if sphere:
         spec = {"variant": "sphere", "areas": [str(a) for a in _parse_areas(areas)]}
+    else:
+        _refuse_given(("areas",), "only a sphere is built from its areas")
     if not shorthand:
         _refuse_given(("d", "scale"), "a JSON spec or a sphere operator fixes its own universe")
     try:

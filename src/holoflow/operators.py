@@ -122,22 +122,24 @@ def _pair_memo(op) -> tuple[dict, dict, Callable, Callable]:
     return {}, {}, lambda v: a_int(v) - b_int(v, v), lambda p, q: b_int(p, q) + b_int(q, p)
 
 
-def _index_pairs(op, variables: Sequence) -> tuple[dict, dict, Callable, Callable]:
+def _index_pairs(op, variables: Sequence, reach: int | None = None
+                 ) -> tuple[dict, dict, Callable, Callable]:
     """_pair_memo's contract for monomials over the indices of variables: i stands for variables[i].
 
     A family reads diag_int(i) = a_int - row_i[0] and cross_int(i, j) =
     row_i[k_j - k_i] + row_j[k_i - k_j], with k_i the offset key of variable
-    i's coordinates and row_i = b_row(variables[i], reach), reach the _spread
-    of the variables in its universe, which bounds every offset between two
-    of them.  b_row memoizes one row per parity class, so each class is
-    pushed once at that reach and no lookup regrows a row.  A variable
-    outside the universe gets no row; the caller checks every variable of a
-    monomial before _apply_int reads its pairs.  Any other operator reads
-    _pair_memo's lookups at variables[i].
+    i's coordinates and row_i = b_row(variables[i], reach).  reach defaults to
+    the _spread of the variables in its universe, which bounds every offset
+    between two of them; a caller may give a larger one, such as the spread
+    of a pool the variables were drawn from.  b_row memoizes one row per
+    parity class, so each class is pushed once at that reach and no lookup
+    regrows a row.  A variable outside the universe gets no row; the caller
+    checks every variable of a monomial before _apply_int reads its pairs.
+    Any other operator reads _pair_memo's lookups at variables[i].
     """
     if isinstance(op, CubicalFamilyOp):
         a_int, has_var, radix = op.a_int, op.has_var, op.radix
-        reach = _spread(filter(has_var, variables))
+        reach = _spread(filter(has_var, variables)) if reach is None else reach
         table = [(offset_key(v.coords, radix), op.b_row(v, reach)) if has_var(v) else None
                  for v in variables]
 

@@ -72,7 +72,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import (Cell, boundary, box_cell_count, box_cells, children, decode_key, format_cell,
                     offset_key, plaquette_offsets, plaquettes_near, site_radix)
-from .operators import CubicalFamilyOp, _apply_int, _index_pairs
+from .operators import CubicalFamilyOp, _apply_int, _index_pairs, _spread
 from .poly import (LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_from_dict,
                    _mono_sort_key, _mul_terms, _var_key)
 
@@ -599,34 +599,39 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     earlier one has, in the same canonical order, so an error names the
     same variable.
 
-    The run numbers its variables once, the pool's and the generators', in
-    _var_key order, and probes over the indices: the ideal is relabelled
-    (its rows renamed, not eliminated again), the generators with it, and
-    the pool becomes its variables' indices in the same str order, so every
-    rng draw is the one the variables would get.  Index order is _var_key
-    order, so monomials merge, reduce and pick their witness as the
-    variables' would.  The pool is known before the first probe, so the
-    run's one pair memo is _index_pairs: a family's cross pairs read rows
-    sized once for the pool, with no regrowth, at key differences.
+    Every trial's g is drawn first, over the pool in its str order, so every
+    rng draw is the one the seed fixes.  The run then numbers only the
+    variables it reads, the draws' and the generators', in _var_key order,
+    and probes over the indices: the ideal is relabelled (its rows renamed,
+    not eliminated again), the generators and draws with it.  Index order is
+    _var_key order, so monomials merge, reduce and pick their witness as the
+    variables' would.  The run's one pair memo is _index_pairs over those
+    variables: a family's cross pairs read rows sized once at the pool's
+    spread, with no regrowth, at key differences.  That spread is the
+    in-universe generator variables' plus twice WELLDEFINED_POOL_RADIUS, with
+    no pass over the pool: the pool lies within the radius of them, and the
+    radius is even, so one moved by it along an axis is a pool plaquette.
     """
     rng = random.Random(seed)
     pool = _probe_pool(op, ideal)
     if not pool:
         return []
-    variables = sorted(set(pool).union(*(f_c.variables() for f_c in ideal.generators)),
-                       key=_var_key)
+    draws = [_random_polynomial(rng, pool) for _ in range(trials)]
+    generator_vars = set().union(*(f_c.variables() for f_c in ideal.generators))
+    variables = sorted(generator_vars.union(*(g.variables() for g in draws)), key=_var_key)
     index = {v: i for i, v in enumerate(variables)}
     ideal = ideal.relabelled(index)
-    draw_pool = [index[v] for v in pool]
     generators = [(*_integer_terms(f_c), f_c.variables()) for f_c in ideal.generators]
-    pairs = _index_pairs(op, variables)
+    reach = (_spread(filter(op.has_var, generator_vars)) + 2 * WELLDEFINED_POOL_RADIUS
+             if isinstance(op, CubicalFamilyOp) else None)
+    pairs = _index_pairs(op, variables, reach)
     checked: set = set()
     unit, den = op.unit, ideal.den
     reports = []
-    for t in range(trials):
-        g = _random_polynomial(rng, draw_pool)
+    for t, g in enumerate(draws):
         g_terms, den_g = _integer_terms(g)
-        g_vars = g.variables()
+        g_terms = {tuple([(index[v], e) for v, e in m]): n for m, n in g_terms.items()}
+        g_vars = {index[v] for v in g.variables()}
         for idx, (f_terms, den_f, f_vars) in enumerate(generators):
             value = _ZERO
             if f_terms and g_terms:

@@ -214,6 +214,42 @@ def test_lattice_options_with_a_spec_or_a_sphere_are_usage_errors(runner, args):
     assert "is not read for this operator" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ("moments", "--op", "cubical", "--poly", "x[1,1,0]@0^2"),
+    ("moments", "--op", '{"variant":"sphere","areas":["1/2","1/2"]}', "--poly", "x1^2"),
+    ("welldefined", "--op", "alt3", "--trials", "1"),
+    ("welldefined", "--op", '{"variant":"cubical"}', "--trials", "1"),
+    ("welldefined", "--op", CUBE_FACES_OP, "--trials", "1"),
+], ids=["moments-cubical", "moments-sphere-spec", "welldefined-alt3", "welldefined-spec",
+        "welldefined-explicit"])
+def test_areas_that_do_not_build_the_operator_are_a_usage_error(runner, args):
+    # refused, not parsed, even when they would name a sphere's areas
+    assert runner.invoke(main, list(args)).exit_code in (0, 1)
+    for areas in ("garbage", "1/2,1/2"):
+        result = runner.invoke(main, [*args, "--areas", areas])
+        assert_usage_error(result)
+        assert result.output.splitlines()[-1] == ("Error: --areas is not read for this operator:"
+                                                  " only a sphere is built from its areas")
+
+
+def test_shorthand_names_win_over_files_in_the_working_directory(runner, tmp_path, monkeypatch):
+    cases = [["moments", "--op", "sphere", "--areas", "1/3,1/3,1/3", "--poly", "x1^2"],
+             ["moments", "--op", "cubical", "--poly", "x[1,1,0]@0^2"],
+             ["welldefined", "--op", "alt3", "--trials", "2"]]
+    elsewhere = [runner.invoke(main, args) for args in cases]
+    for name in ("sphere", "cubical", "alt3"):
+        (tmp_path / name).write_text('{"variant":"sphere","areas":["1/2","1/2"]}')
+    monkeypatch.chdir(tmp_path)
+    for args, before in zip(cases, elsewhere):
+        result = runner.invoke(main, args)
+        assert result.exit_code == before.exit_code == 0
+        assert result.stdout_bytes == before.stdout_bytes
+    from_file = runner.invoke(main, ["moments", "--op", "./sphere", "--poly", "x1^2",
+                                     "--format", "json"])
+    assert from_file.exit_code == 0
+    assert json.loads(from_file.stdout)["operator"]["areas"] == ["1/2", "1/2"]
+
+
 @pytest.mark.parametrize("command", ["verify-invariance", "verify-compat"])
 def test_sweeps_take_no_scale_option(runner, command):
     # both sweeps read --scales only

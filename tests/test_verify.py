@@ -17,6 +17,7 @@ from holoflow.operators import (
     CubicalFamilyOp,
     ExplicitOp,
     SphereOp,
+    _spread,
     apply_operator,
     operator_from_json,
 )
@@ -144,7 +145,8 @@ def test_cross_scale_entry_changes_no_gauge_report():
 
 
 def test_extension_rules_match_canonicalized_lookup():
-    for fam in (MAIN3, ALT3):
+    # beta(0, 0, 1) moved off -beta(1, 0, 1): the first index reflects only below 0
+    for fam in (MAIN3, ALT3, MAIN3.perturbed("beta", (0, 0, 1), 1)):
         for i, j, k in itertools.product(range(-4, 5), repeat=3):
             q_beta = Cell(0, (2 * i, 1 + 2 * j, 1 + 2 * k))
             assert beta_extended(fam, i, j, k) == fam.coeff_b(BASE3, q_beta)
@@ -720,21 +722,12 @@ def test_welldefined_reports_faults():
 
 def _record_draws(monkeypatch) -> list:
     """The random polynomials welldefined_property draws from now on, in order, over the
-    indices it numbers its variables by."""
+    variables of its pool."""
     draws = []
     draw = verify._random_polynomial
     monkeypatch.setattr(verify, "_random_polynomial",
                         lambda rng, pool: draws.append(draw(rng, pool)) or draws[-1])
     return draws
-
-
-def _as_variables(op, ideal, draws) -> list:
-    """The index draws read back as polynomials over the run's variables: the pool's and the
-    generators' variables, numbered in _var_key order."""
-    names = sorted(set(_probe_pool(op, ideal)).union(*(f.variables() for f in ideal.generators)),
-                   key=_var_key)
-    return [Polynomial({tuple((names[i], e) for i, e in m): c for m, c in g.terms.items()})
-            for g in draws]
 
 
 @pytest.mark.parametrize("op", [MAIN3, ALT3, FAULTY3], ids=repr)
@@ -824,8 +817,7 @@ def test_integer_probes_match_the_fraction_route(monkeypatch, case):
     draws = _record_draws(monkeypatch)
     reports = welldefined_property(op, ideal, trials=trials, seed=seed)
     assert len(draws) == trials
-    draws = _as_variables(op, ideal, draws)
-    # the same rng draws as over the pool of variables itself, in its str order
+    # the rng draws over the pool of variables, in its str order
     rng, pool = random.Random(seed), _probe_pool(op, ideal)
     assert draws == [polynomial_draw(rng, pool) for _ in range(trials)]
     assert reports == _fraction_route(op, ideal, draws)
@@ -848,7 +840,7 @@ def test_out_of_universe_generator_raises_as_the_fraction_route(monkeypatch, op,
     with pytest.raises(ValueError) as integer_route:
         welldefined_property(op, ideal, trials=1, seed=0)
     with pytest.raises(ValueError) as fraction_route:
-        _fraction_route(op, ideal, _as_variables(op, ideal, draws))
+        _fraction_route(op, ideal, draws)
     assert str(integer_route.value) == str(fraction_route.value)
 
 
@@ -861,11 +853,70 @@ def test_each_variable_is_checked_once_per_run(monkeypatch, case):
     monkeypatch.setattr(CubicalFamilyOp, "check_var",
                         lambda self, p: checked.update([p]) or check_var(self, p))
     welldefined_property(op, ideal, trials=12, seed=seed)
-    seen = {v for g in _as_variables(op, ideal, draws) if g.terms
+    seen = {v for g in draws if g.terms
             for f_c in ideal.generators if f_c.terms
             for v in f_c.variables() | g.variables()}
     assert len(seen) > len(ideal.generators)
     assert checked == Counter(seen)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _record_index_pairs(monkeypatch, stop: bool = False) -> list:
+    """The (variables, reach) of each _index_pairs call welldefined_property makes from now
+    on; with stop, the call raises _Stop instead, before any probe."""
+    calls = []
+    index_pairs = verify._index_pairs
+
+    def record(op, variables, reach=None):
+        calls.append((list(variables), reach))
+        if stop:
+            raise _Stop
+        return index_pairs(op, variables, reach)
+
+    monkeypatch.setattr(verify, "_index_pairs", record)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["main3", "alt3", "perturbed", "main4", "sphere"])
+def test_a_run_numbers_only_the_drawn_and_the_generator_variables(monkeypatch, case):
+    op, ideal, trials, seed = WELLDEFINED_CASES[case]
+    draws = _record_draws(monkeypatch)
+    calls = _record_index_pairs(monkeypatch)
+    welldefined_property(op, ideal, trials=trials, seed=seed)
+    ((variables, reach),) = calls
+    read = set().union(*(g.variables() for g in draws), *(f.variables() for f in ideal.generators))
+    assert variables == sorted(read, key=_var_key)
+    pool = _probe_pool(op, ideal)
+    if isinstance(op, CubicalFamilyOp):
+        # a strict part of the pool, with rows sized as for the whole pool
+        assert len(variables) < len(pool)
+        assert reach == _spread(filter(op.has_var, pool))
+    else:
+        assert variables == pool and reach is None
+
+
+REACH_CASES = {
+    **{f"main{d}-window{w}": (CubicalFamilyOp.main(d), w) for d in (3, 4, 5) for w in (1, 2, 3)},
+    "perturbed-window2": (WELLDEFINED_CASES["perturbed"][0], 2),
+    "family-scale": (MAIN3, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REACH_CASES))
+def test_the_closed_form_reach_is_the_spread_of_the_pool(monkeypatch, case):
+    op, w = REACH_CASES[case]
+    if w is None:  # generators at the family's scale and, out of its universe, the next
+        ideal = ideal_from_cubes([CUBE, Cell(1, (1, 1, 1))])
+    else:
+        ideal = ideal_from_cubes(box_cells(0, (-w,) * op.d, (w,) * op.d, dim=3))
+    calls = _record_index_pairs(monkeypatch, stop=True)
+    with pytest.raises(_Stop):
+        welldefined_property(op, ideal, trials=1, seed=0)
+    ((_, reach),) = calls
+    assert reach == _spread(filter(op.has_var, _probe_pool(op, ideal)))
 
 
 @pytest.mark.parametrize("d", [3, 4])
