@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
@@ -71,21 +72,16 @@ def format_cell(c: Cell) -> str:
 
 
 def parse_cell(text: str) -> Cell:
-    """Parse a cell literal like "[1,1,0]@0"."""
+    """Parse a cell literal like "[1,1,0]@0": coordinates and scale are ASCII integers with an
+    optional sign, each with optional surrounding whitespace."""
     s = text.strip()
-    if not s.startswith("["):
-        raise ValueError(f"bad cell literal {text!r}")
     close = s.find("]")
-    if close < 0 or not s[close + 1 :].startswith("@"):
+    if not s.startswith("[") or close < 0 or not s[close + 1 :].startswith("@"):
         raise ValueError(f"bad cell literal {text!r}")
-    body = s[1:close].strip()
-    try:
-        coords = tuple(int(x) for x in body.split(",")) if body else ()
-        scale = int(s[close + 2 :])
-    except ValueError:
-        raise ValueError(f"bad cell literal {text!r}") from None
-    if not coords:
+    numbers = [*s[1:close].split(","), s[close + 2 :]]
+    if not all(re.fullmatch(r"\s*[+-]?[0-9]+\s*", x) for x in numbers):
         raise ValueError(f"bad cell literal {text!r}")
+    *coords, scale = map(int, numbers)
     return Cell(scale, coords)
 
 

@@ -25,7 +25,7 @@ from click.core import ParameterSource
 
 from .cells import Cell, box_cell_count, box_cells, format_cell
 from .operators import CubicalFamilyOp, SphereOp, operator_from_json
-from .poly import LinearIdeal, Polynomial, bianchi_form, parse_polynomial
+from .poly import Polynomial, bianchi_form, parse_polynomial
 from .states import (
     covariance_window,
     exp_state,
@@ -409,10 +409,9 @@ def tables(op_text, d, scale, radius, fmt, out):
     if isinstance(op, CubicalFamilyOp):
         p = op.base_plaquette()
     else:
-        cells = [v for v in op.variables() if isinstance(v, Cell)]
-        if not cells:
+        p = next(iter(op.variables()), None)  # a universe is all cells or none
+        if not isinstance(p, Cell):
             raise click.UsageError("explicit operator has no lattice variables to dump")
-        p = cells[0]
     a_value = op.coeff_a(p)
     rows = _usage_errors(sorted, ([format_cell(p), format_cell(q), str(v)]
                                   for q, v in op.support(p, radius)))
@@ -523,7 +522,7 @@ def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
                                    " own universe")
     if isinstance(op, SphereOp):
         _check_probe_count(trials, 1)
-        ideal = LinearIdeal([Polynomial.linear({i: 1 for i in range(1, op.n + 1)})])
+        forms = [Polynomial.linear({i: 1 for i in range(1, op.n + 1)})]
     else:
         if isinstance(op, CubicalFamilyOp):
             box = (op.scale, (-window,) * op.d, (window,) * op.d)
@@ -534,9 +533,8 @@ def welldefined(op_text, d, scale, areas, window, trials, seed, fmt, out):
         forms = [f for f in forms if all(map(op.has_var, f.variables()))]
         if not forms:
             raise click.UsageError("no 3-cells with all faces inside the operator universe")
-        ideal = LinearIdeal(forms)
-    reports = _usage_errors(welldefined_property, op, ideal, trials=trials, seed=seed)
-    config = {"trials": trials, "seed": seed, "generators": len(ideal.generators)}
+    reports = _usage_errors(welldefined_property, op, forms, trials=trials, seed=seed)
+    config = {"trials": trials, "seed": seed, "generators": len(forms)}
     _render_residuals("welldefined", op, config, len(reports), violations(reports), fmt, out)
 
 

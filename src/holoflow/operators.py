@@ -76,9 +76,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ._frozen import Frozen
 
-from .cells import (Cell, box_cells, decode_key, format_cell, key_capacity, offset_key,
-                    parse_cell)
-from .poly import Polynomial, _var_key
+from .cells import Cell, box_cells, decode_key, key_capacity, offset_key
+from .poly import Polynomial, _check_one_kind, _parse_var, _var_text
 
 
 # A family's radix is 2 ** (_KEY_BITS // d): its offset keys stay below 2 ** 59,
@@ -107,7 +106,7 @@ def apply_operator(op, f: Polynomial) -> Polynomial:
 
 def _check_vars(op, variables) -> None:
     """Check each variable against op's universe, in canonical order."""
-    for v in sorted(variables, key=_var_key):
+    for v in sorted(variables):
         op.check_var(v)
 
 
@@ -667,11 +666,11 @@ class CubicalFamilyOp(Frozen):
 class ExplicitOp(Frozen):
     """An operator given by finite coefficient tables.
 
-    The universe is the key set of the a-table; its cell variables share one
-    ambient dimension.  b is stored symmetrically on unordered pairs and
-    missing pairs count as zero.  Each table is stored once, as integers over
-    unit, 1/lcm of the entry denominators (_a_int, _b_int); a and b are their
-    Fraction views.
+    The universe is the key set of the a-table: indices or cells, never both,
+    and its cells share one ambient dimension.  b is stored symmetrically on
+    unordered pairs and missing pairs count as zero.  Each table is stored
+    once, as integers over unit, 1/lcm of the entry denominators (_a_int,
+    _b_int); a and b are their Fraction views.
 
     _rows holds the b_row of every cell, built from _b_int on the first
     b_row call and keyed by offset_key in radix, 2 _spread(cells) + 1: the
@@ -692,6 +691,7 @@ class ExplicitOp(Frozen):
 
     def __init__(self, a: Mapping, b: Mapping):
         a_clean = {v: Fraction(c) for v, c in a.items()}
+        _check_one_kind(a_clean, "the a-table")
         dims = {v.ambient_dim for v in a_clean if isinstance(v, Cell)}
         if len(dims) > 1:
             raise ValueError(f"cell variables of mixed ambient dimensions {sorted(dims)}")
@@ -726,7 +726,7 @@ class ExplicitOp(Frozen):
         return v in self._a_int
 
     def variables(self) -> list:
-        return sorted(self._a_int, key=_var_key)
+        return sorted(self._a_int)
 
     def coeff_a(self, v) -> Fraction:
         self.check_var(v)
@@ -756,7 +756,7 @@ class ExplicitOp(Frozen):
         if rows is None:
             rows, radix = {}, self.radix
             for (u, v), c in self._b_int.items():
-                if c and isinstance(u, Cell) and isinstance(v, Cell) and u.scale == v.scale:
+                if c and isinstance(u, Cell) and u.scale == v.scale:
                     t = offset_key(map(sub, v.coords, u.coords), radix)
                     rows.setdefault(u, {})[t] = c
                     rows.setdefault(v, {})[-t] = c
@@ -773,11 +773,8 @@ class ExplicitOp(Frozen):
     def to_json(self) -> dict:
         return {
             "variant": "explicit",
-            "a": {_var_text(v): str(c) for v, c in sorted(self.a.items(), key=lambda kv: _var_key(kv[0]))},
-            "b": [
-                [_var_text(p), _var_text(q), str(c)]
-                for (p, q), c in sorted(self.b.items(), key=lambda kv: (_var_key(kv[0][0]), _var_key(kv[0][1])))
-            ],
+            "a": {_var_text(v): str(c) for v, c in sorted(self.a.items())},
+            "b": [[_var_text(p), _var_text(q), str(c)] for (p, q), c in sorted(self.b.items())],
         }
 
     def __eq__(self, other):
@@ -874,16 +871,7 @@ def _span_radix(variables: Iterable) -> int:
 
 
 def _pair_key(p, q):
-    return (p, q) if _var_key(p) <= _var_key(q) else (q, p)
-
-
-def _var_text(v) -> str:
-    return format_cell(v) if isinstance(v, Cell) else str(v)
-
-
-def _var_from_text(s: str):
-    s = s.strip()
-    return parse_cell(s) if s.startswith("[") else int(s)
+    return (p, q) if p <= q else (q, p)
 
 
 def operator_from_json(spec: Mapping):
@@ -908,8 +896,8 @@ def operator_from_json(spec: Mapping):
     if variant == "explicit":
         if not isinstance(spec["a"], Mapping):
             raise ValueError(f"explicit 'a' {spec['a']!r} is not an object of cell -> value")
-        a = {_var_from_text(k): _json_exact("a entry", v) for k, v in spec["a"].items()}
-        b = {(_var_from_text(p), _var_from_text(q)): _json_exact("b entry", v)
+        a = {_parse_var(k): _json_exact("a entry", v) for k, v in spec["a"].items()}
+        b = {(_parse_var(p), _parse_var(q)): _json_exact("b entry", v)
              for p, q, v in spec.get("b", [])}
         return ExplicitOp(a, b)
     raise ValueError(f"unknown operator variant {variant!r}")

@@ -4,14 +4,15 @@ Variables are either plaquette cells (lattice holonomies) or plain 1-based
 integer indices (the sphere case).  Coefficients are fractions.Fraction, so
 every identity checked downstream is exact; there is no floating-point mode.
 
-A monomial is a tuple of (variable, exponent) pairs sorted by _var_key, and
-the inner loops work on these tuples directly.  The product of two monomials
-is one linear merge of the sorted factors.  _var_key's order is the native
-one within each type, so the merge compares two cells as tuples and two ints
-as ints; only an int against a cell goes through _var_key, which puts the
-int first.  substitute(), the ring homomorphism that changes variables,
-expands every term into one accumulator and builds a single Polynomial at
-the end.
+A universe holds one kind of variable, never both: parse_polynomial and
+ExplicitOp refuse a mix (_check_one_kind).  So variables compare natively,
+cells as (scale, coords) tuples and indices as ints, and a monomial is a
+tuple of (variable, exponent) pairs sorted by variable; the inner loops work
+on these tuples directly.  The product of two monomials is one linear merge
+of the sorted factors.  A variable's text is "[1,1,0]@0" or "3", written by
+_var_text and read by _parse_var alone.  substitute(), the ring homomorphism
+that changes variables, expands every term into one accumulator and builds
+a single Polynomial at the end.
 
 A LinearIdeal is spanned by degree-1 generators with zero constant term (the
 shape of all holonomy constraints here).  It is triangularized once at
@@ -33,23 +34,36 @@ from ._frozen import Frozen
 
 from .cells import Cell, format_cell, parse_cell
 
-Monomial = tuple  # tuple[(var, exponent), ...] sorted by variable key
+Monomial = tuple  # tuple[(var, exponent), ...] sorted by variable
 
 
-def _var_key(v):
-    if isinstance(v, Cell):
-        return (1, v.scale, v.coords)
-    return (0, v)
+def _var_text(v) -> str:
+    """A variable's text: its cell literal or its index."""
+    return format_cell(v) if isinstance(v, Cell) else str(v)
 
 
-def _format_var(v) -> str:
-    if isinstance(v, Cell):
-        return "x" + format_cell(v)
-    return f"x{v}"
+def _parse_var(text) -> Cell | int:
+    """The variable _var_text writes: a cell literal or an index of ASCII digits >= 1, with
+    optional surrounding whitespace.  All else, a value that is no string too, is a ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"variable {text!r} is not a string")
+    s = text.strip()
+    if s.startswith("["):
+        return parse_cell(s)
+    if not (s.isascii() and s.isdigit()) or int(s) < 1:
+        raise ValueError(f"bad variable {text!r}: an index is 1, 2, 3, ..., a cell is like"
+                         " [1,1,0]@0")
+    return int(s)
+
+
+def _check_one_kind(variables: Iterable, what: str) -> None:
+    """Raise ValueError if variables hold both an index and a cell."""
+    if len({isinstance(v, Cell) for v in variables}) > 1:
+        raise ValueError(f"{what} mixes indices and cells; a universe holds one kind")
 
 
 def _mono_from_dict(d: dict) -> Monomial:
-    return tuple(sorted(((v, e) for v, e in d.items() if e), key=lambda p: _var_key(p[0])))
+    return tuple(sorted((v, e) for v, e in d.items() if e))
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -73,11 +87,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
                 return (*out, *m1[i:])
             v1, v2 = m1[i][0], m2[j][0]
             continue
-        try:
-            first = v1 < v2
-        except TypeError:  # an int against a cell
-            first = _var_key(v1) < _var_key(v2)
-        if first:
+        if v1 < v2:
             out.append(m1[i])
             i += 1
             if i == n1:
@@ -112,7 +122,7 @@ def _mono_degree(m: Monomial) -> int:
 
 
 def _mono_sort_key(m: Monomial):
-    return (_mono_degree(m), tuple((_var_key(v), e) for v, e in m))
+    return (_mono_degree(m), m)
 
 
 class Polynomial(Frozen):
@@ -296,19 +306,21 @@ def _join_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
 
 def _format_monomial(m: Monomial) -> str:
     """m's factors as format_polynomial writes them, e.g. "x1^2*x3"; "" for m = ()."""
-    return "*".join(_format_var(v) + (f"^{e}" if e > 1 else "") for v, e in m)
+    return "*".join("x" + _var_text(v) + (f"^{e}" if e > 1 else "") for v, e in m)
 
 
 def parse_polynomial(text: str):
     """Parse a polynomial literal.
 
     Terms look like "3/2*x[1,1,0]@0^2*x[0,1,1]@0" (lattice variables) or
-    "x1^2*x2" (indexed variables); terms are joined with + and -.
+    "x1^2*x2" (indexed variables); terms are joined with + and -.  Every
+    factor is read before any product is formed, so a literal naming both
+    kinds of variable is refused as such.
     """
     s = "".join(text.split())
     if not s:
         raise ValueError("empty polynomial literal")
-    total = Polynomial()
+    terms = []
     i, n = 0, len(s)
     while i < n:
         sign = 1
@@ -328,22 +340,36 @@ def parse_polynomial(text: str):
             elif ch in "+-" and depth == 0 and s[i - 1] not in "@^*/":
                 break
             i += 1
-        term = _parse_term(s[start:i], text)
-        total = total + sign * term
+        terms.append((sign, [_parse_factor(f, text) for f in _split_factors(s[start:i], text)]))
+    _check_one_kind((f[0] for _, factors in terms for f in factors if type(f) is tuple),
+                    f"{text!r}")
+    total = Polynomial()
+    for sign, factors in terms:
+        prod = Polynomial.const(1)
+        for f in factors:
+            prod = prod * (Polynomial.var(*f) if type(f) is tuple else f)
+        total = total + sign * prod
     return total
 
 
-def _parse_term(term: str, context: str) -> Polynomial:
-    prod = Polynomial.const(1)
-    for factor in _split_factors(term, context):
-        if factor.startswith("x"):
-            prod = prod * _parse_var_factor(factor, context)
-        else:
-            try:
-                prod = prod * Fraction(factor)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"bad factor {factor!r} in {context!r}") from None
-    return prod
+def _parse_factor(factor: str, context: str):
+    """A factor of a term: (variable, exponent) for "x...", else its Fraction."""
+    if not factor.startswith("x"):
+        try:
+            return Fraction(factor)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad factor {factor!r} in {context!r}") from None
+    body, exp = factor, 1
+    caret = factor.find("^", factor.rfind("]") + 1)
+    if caret >= 0:
+        body, exp_text = factor[:caret], factor[caret + 1 :]
+        try:
+            exp = int(exp_text)
+        except ValueError:
+            raise ValueError(f"bad exponent in {factor!r} ({context!r})") from None
+        if exp < 0:
+            raise ValueError(f"negative exponent in {factor!r}")
+    return _parse_var(body[1:]), exp
 
 
 def _split_factors(term: str, context: str) -> list[str]:
@@ -360,33 +386,6 @@ def _split_factors(term: str, context: str) -> list[str]:
     if "" in out:
         raise ValueError(f"empty factor in {term!r} ({context!r})")
     return out
-
-
-def _parse_var_factor(factor: str, context: str) -> Polynomial:
-    body, exp = factor, 1
-    if "]" in factor:
-        caret = factor.find("^", factor.rfind("]"))
-    else:
-        caret = factor.find("^")
-    if caret >= 0:
-        body, exp_text = factor[:caret], factor[caret + 1 :]
-        try:
-            exp = int(exp_text)
-        except ValueError:
-            raise ValueError(f"bad exponent in {factor!r} ({context!r})") from None
-        if exp < 0:
-            raise ValueError(f"negative exponent in {factor!r}")
-    name = body[1:]
-    if name.startswith("["):
-        var = parse_cell(name)
-    else:
-        try:
-            var = int(name)
-        except ValueError:
-            raise ValueError(f"bad variable {body!r} in {context!r}") from None
-        if var < 1:
-            raise ValueError(f"variable indices are 1-based: {body!r}")
-    return Polynomial.var(var, exp)
 
 
 class LinearIdeal(Frozen):
@@ -437,27 +436,6 @@ class LinearIdeal(Frozen):
             for v, rhs in subst.items()
         })
         object.__setattr__(self, "_memo", {})
-
-    def relabelled(self, index: Mapping) -> "LinearIdeal":
-        """The same ideal with every variable v renamed index[v], with no second elimination.
-
-        index must order the new names as _var_key orders the old ones, so
-        each row keeps its leading variable and each monomial stays sorted.
-        The generators and rows are renamed; the memo starts empty.
-        """
-        def rename(m: Monomial) -> Monomial:
-            return tuple([(index[v], e) for v, e in m])
-
-        out = object.__new__(LinearIdeal)
-        for name, value in (
-                ("generators", tuple(Polynomial({rename(m): c for m, c in g.terms.items()})
-                                     for g in self.generators)),
-                ("den", self.den),
-                ("_rows", {index[v]: {rename(m): c for m, c in row.items()}
-                           for v, row in self._rows.items()}),
-                ("_memo", {})):
-            object.__setattr__(out, name, value)
-        return out
 
     @property
     def rank(self) -> int:
@@ -540,7 +518,7 @@ def _insert(subst: dict, holders: dict, form: dict) -> None:
     form = {v: c for v, c in form.items() if c}
     if not form:
         return
-    lead = max(form, key=_var_key)
+    lead = max(form)
     coef = form.pop(lead)
     if coef == 1 or coef == -1:  # its own inverse: integer coefficients stay integers
         rhs = {w: -cw * coef for w, cw in form.items()}

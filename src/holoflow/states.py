@@ -462,8 +462,7 @@ def covariance_window(family: CubicalFamilyOp, radius: int) -> CovarianceMatrix:
         raise ValueError(f"window {radius} holds {size} plaquettes, above the maximum"
                          f" {MAX_WINDOW_PLAQUETTES}")
     plaquettes = family.window_plaquettes(radius)
-    for p in plaquettes:
-        family.check_var(p)
+    _check_vars(family, plaquettes)
     return CovarianceMatrix.over(plaquettes, _symbol_matrix(family, plaquettes), 1 / family.unit)
 
 

@@ -72,9 +72,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cells import (Cell, boundary, box_cell_count, box_cells, children, decode_key, format_cell,
                     offset_key, plaquette_offsets, plaquettes_near, site_radix)
-from .operators import CubicalFamilyOp, _apply_int, _index_pairs, _spread
+from .operators import CubicalFamilyOp, _apply_int, _check_vars, _index_pairs, _spread
 from .poly import (LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_from_dict,
-                   _mono_sort_key, _mul_terms, _var_key)
+                   _mono_sort_key, _mul_terms)
 
 
 _ZERO = Fraction(0)
@@ -115,6 +115,8 @@ def _parity(c: Cell) -> tuple[int, ...]:
 MAX_SWEEP_SITES = 1_500_000
 # welldefined's probes, trials x generators; the CLI counts them before listing a cell
 MAX_WELLDEFINED_PROBES = 20_000
+# the variables welldefined's random polynomials draw from, bounded before any is listed
+MAX_PROBE_POOL = 2_000_000
 
 
 def _offset_count(parity: Sequence[int], radius: int) -> int:
@@ -577,7 +579,8 @@ WELLDEFINED_MAX_TERMS = 3
 WELLDEFINED_POOL_RADIUS = 2
 
 
-def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list[ResidualReport]:
+def welldefined_property(op, generators: Sequence[Polynomial], trials: int,
+                         seed: int) -> list[ResidualReport]:
     """reduce(L(f_c * g)) for every generator f_c and seeded random g.
 
     All normal forms must vanish.  For lattice ideals the random polynomials
@@ -599,29 +602,35 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     earlier one has, in the same canonical order, so an error names the
     same variable.
 
-    Every trial's g is drawn first, over the pool in its str order, so every
-    rng draw is the one the seed fixes.  The run then numbers only the
-    variables it reads, the draws' and the generators', in _var_key order,
-    and probes over the indices: the ideal is relabelled (its rows renamed,
-    not eliminated again), the generators and draws with it.  Index order is
-    _var_key order, so monomials merge, reduce and pick their witness as the
-    variables' would.  The run's one pair memo is _index_pairs over those
-    variables: a family's cross pairs read rows sized once at the pool's
-    spread, with no regrowth, at key differences.  That spread is the
+    A pool that could hold more than MAX_PROBE_POOL variables raises
+    ValueError before anything is listed (_probe_pool).  Every trial's g is
+    drawn first, over the pool in its str order, so every rng draw is the
+    one the seed fixes.  The run then numbers only the variables it reads,
+    the draws' and the generators', in their order, and probes over the
+    indices: the one LinearIdeal of the run is eliminated from the renamed
+    generators, and the draws are renamed with them.  Index order is the
+    variables' order, so monomials merge, reduce and pick their witness as
+    the variables' would.  The run's one pair memo is _index_pairs over
+    those variables: a family's cross pairs read rows sized once at the
+    pool's spread, with no regrowth, at key differences.  That spread is the
     in-universe generator variables' plus twice WELLDEFINED_POOL_RADIUS, with
     no pass over the pool: the pool lies within the radius of them, and the
     radius is even, so one moved by it along an axis is a pool plaquette.
     """
+    generator_vars = set().union(*(f_c.variables() for f_c in generators))
     rng = random.Random(seed)
-    pool = _probe_pool(op, ideal)
+    pool = _probe_pool(op, generator_vars)
     if not pool:
         return []
     draws = [_random_polynomial(rng, pool) for _ in range(trials)]
-    generator_vars = set().union(*(f_c.variables() for f_c in ideal.generators))
-    variables = sorted(generator_vars.union(*(g.variables() for g in draws)), key=_var_key)
+    variables = sorted(generator_vars.union(*(g.variables() for g in draws)))
     index = {v: i for i, v in enumerate(variables)}
-    ideal = ideal.relabelled(index)
-    generators = [(*_integer_terms(f_c), f_c.variables()) for f_c in ideal.generators]
+
+    def renamed(terms: dict) -> dict:
+        return {tuple([(index[v], e) for v, e in m]): c for m, c in terms.items()}
+
+    ideal = LinearIdeal(Polynomial(renamed(f_c.terms)) for f_c in generators)
+    probes = [(*_integer_terms(f_c), f_c.variables()) for f_c in ideal.generators]
     reach = (_spread(filter(op.has_var, generator_vars)) + 2 * WELLDEFINED_POOL_RADIUS
              if isinstance(op, CubicalFamilyOp) else None)
     pairs = _index_pairs(op, variables, reach)
@@ -630,14 +639,13 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     reports = []
     for t, g in enumerate(draws):
         g_terms, den_g = _integer_terms(g)
-        g_terms = {tuple([(index[v], e) for v, e in m]): n for m, n in g_terms.items()}
+        g_terms = renamed(g_terms)
         g_vars = {index[v] for v in g.variables()}
-        for idx, (f_terms, den_f, f_vars) in enumerate(generators):
+        for idx, (f_terms, den_f, f_vars) in enumerate(probes):
             value = _ZERO
             if f_terms and g_terms:
                 new = (f_vars | g_vars) - checked
-                for i in sorted(new):
-                    op.check_var(variables[i])
+                _check_vars(op, [variables[i] for i in new])
                 checked |= new
                 image = _apply_int(_mul_terms(f_terms, g_terms), pairs)
                 depth = max(map(_mono_degree, image), default=0)
@@ -650,7 +658,7 @@ def welldefined_property(op, ideal: LinearIdeal, trials: int, seed: int) -> list
     return reports
 
 
-def _probe_pool(op, ideal: LinearIdeal) -> list:
+def _probe_pool(op, generator_vars: set) -> list:
     """The variables welldefined_property's random polynomials draw from, in str order.
 
     The generators' variables and every plaquette within max-norm
@@ -658,16 +666,27 @@ def _probe_pool(op, ideal: LinearIdeal) -> list:
     op's universe.  The generator plaquettes are grouped by scale, and
     plaquettes_near deduplicates each group's neighbours per parity class
     as it grows them, with no tuple per (plaquette, offset) pair.
+
+    Before anything is listed, the pool is bounded in closed form: per
+    scale, the plaquettes of the generators' box widened by the radius on
+    each side (box_cell_count), plus every generator variable that is no
+    plaquette.  A bound above MAX_PROBE_POOL raises ValueError.
     """
-    generator_vars = {v for g in ideal.generators for v in g.variables()}
     centers: dict = {}
     for v in generator_vars:
         if isinstance(v, Cell):
             centers.setdefault(v.scale, []).append(v.coords)
+    r = WELLDEFINED_POOL_RADIUS
+    bound = sum(not isinstance(v, Cell) or v.dim != 2 for v in generator_vars) + sum(
+        box_cell_count([min(x) - r for x in zip(*group)], [max(x) + r for x in zip(*group)], 2)
+        for group in centers.values())
+    if bound > MAX_PROBE_POOL:
+        raise ValueError(f"the generators' probe pool may hold {bound} variables, above the"
+                         f" maximum {MAX_PROBE_POOL}")
     pool_set = generator_vars | {
         Cell(scale, coords)
         for scale, group in centers.items()
-        for coords in plaquettes_near(group, WELLDEFINED_POOL_RADIUS)
+        for coords in plaquettes_near(group, r)
     }
     return sorted(filter(op.has_var, pool_set), key=str)
 

@@ -179,13 +179,13 @@ def test_criterion_7_quotient_welldefinedness():
     with criterion(7, "quotient well-definedness"):
         lattice_ideal = ideal_from_cubes(default_cubes(3, 0))
         for family in (MAIN3, ALT3):
-            reports = welldefined_property(family, lattice_ideal, trials=100, seed=41)
+            reports = welldefined_property(family, lattice_ideal.generators, trials=100, seed=41)
             assert reports and not violations(reports)
         for areas in ([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
                       [Fraction(1, 5), Fraction(1, 5), Fraction(2, 5), Fraction(1, 5)]):
             op = SphereOp(areas)
             ideal = LinearIdeal([Polynomial.linear({i: 1 for i in range(1, op.n + 1)})])
-            reports = welldefined_property(op, ideal, trials=100, seed=42)
+            reports = welldefined_property(op, ideal.generators, trials=100, seed=42)
             assert reports and not violations(reports)
 
 

@@ -259,10 +259,13 @@ def test_boundary_commutes_with_action(data):
 def test_cell_literal_roundtrip():
     for text in ("[1,1,0]@0", "[1,1,-2]@0", "[2,1,1]@-1", "[1,0,3,5]@2"):
         assert format_cell(parse_cell(text)) == text
+    assert parse_cell(" [ 1, +1 ,-2 ]@ 0 ") == Cell(0, (1, 1, -2))  # whitespace and signs
 
 
 def test_bad_cell_literals():
-    for text in ("1,1,0", "[1,1,0]", "[1,1,0]@x", "[]@0", "[1,a]@0"):
+    # coordinates and scale are ASCII integers: "1_0" read as 10 and "\u0661" as 1
+    for text in ("1,1,0", "[1,1,0]", "[1,1,0]@x", "[]@0", "[1,a]@0", "[1_0,1,0]@0",
+                 "[\u0661,1,0]@0", "[1,1,0]@\u0661", "[+-1,1,0]@0", "[1,,0]@0", "[1,1,0]@0@0"):
         with pytest.raises(ValueError):
             parse_cell(text)
 

@@ -22,8 +22,8 @@ from holoflow.cli import main
 from holoflow.operators import CubicalFamilyOp, ExplicitOp
 from holoflow import states
 from holoflow.states import MAX_DEGREE
-from holoflow.verify import (MAX_SWEEP_SITES, MAX_WELLDEFINED_PROBES, ResidualReport,
-                             base_plaquettes, default_cubes, sweep_sites)
+from holoflow.verify import (MAX_PROBE_POOL, MAX_SWEEP_SITES, MAX_WELLDEFINED_PROBES,
+                             ResidualReport, base_plaquettes, default_cubes, sweep_sites)
 
 
 @pytest.fixture()
@@ -415,10 +415,23 @@ MIXED_PARTNER_OP = ('{"variant":"explicit","a":{"[1,1,0]@0":"1","7":"1"},'
                     '"b":[["[1,1,0]@0","7","1/2"]]}')
 
 
-def test_tables_of_a_cell_with_an_integer_partner(runner):
-    result = invoke(runner, "tables", "--op", MIXED_PARTNER_OP)
-    assert result.exit_code == 0
-    assert result.output == "a([1,1,0]@0) = 1\n"
+@pytest.mark.parametrize("args", [
+    ("tables", "--op", MIXED_PARTNER_OP),
+    ("welldefined", "--op", MIXED_PARTNER_OP, "--trials", "1"),
+    ("moments", "--op", MIXED_PARTNER_OP, "--poly", "x[1,1,0]@0^2"),
+    ("moments", "--op", "sphere", "--areas", "1/2,1/2", "--poly", "x1*x[1,1,0]@0"),
+    ("moments", "--op", "sphere", "--areas", "1/2,1/2", "--poly", "x1+x[1,1,0]@0"),
+    ("moments", "--poly", "x1*x[1,1,0]@0"),
+    ("moments", "--poly", "x[1,1,0]@0^2 - x1"),
+], ids=["tables-op", "welldefined-op", "moments-op", "sphere-product", "sphere-sum",
+        "cubical-product", "cubical-sum"])
+def test_indices_and_cells_in_one_universe_are_a_usage_error(runner, args):
+    # a universe holds one kind of variable; a mix is refused before any product is formed
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert "Traceback" not in result.output
+    assert result.output.splitlines()[-1].endswith("mixes indices and cells; a universe holds"
+                                                   " one kind")
 
 
 @pytest.mark.parametrize("radius, partners", [("1", ["[1,2,1]@0"]),
@@ -945,6 +958,14 @@ def test_an_oversized_welldefined_run_exits_before_listing_a_cell(runner, monkey
     assert f"above the maximum {MAX_WELLDEFINED_PROBES}" in result.output
 
 
+@pytest.mark.parametrize("d", range(8, 16))
+def test_a_welldefined_pool_above_its_bound_is_a_usage_error(runner, d):
+    # at --d 12 the pool would hold about 10^10 plaquettes: the run was killed, not refused
+    result = runner.invoke(main, ["welldefined", "--d", str(d), "--window", "1", "--trials", "1"])
+    assert_usage_error(result)
+    assert result.output.splitlines()[-1].endswith(f"above the maximum {MAX_PROBE_POOL}")
+
+
 @pytest.mark.parametrize("args", [
     ("covariance", "--window", "1", "--format", "csv"),
     ("verify-invariance", "--op", FAULT_OP, "--window", "1"),
@@ -981,6 +1002,48 @@ def test_explicit_a_that_is_not_an_object_is_a_usage_error(runner):
     result = runner.invoke(main, ["tables", "--op", NON_OBJECT_A_OP])
     assert_usage_error(result)
     assert "is not an object" in result.output
+
+
+# a b entry whose variable is a JSON number, and an index 0, which no --poly can name
+NON_STRING_B_OP = '{"variant":"explicit","a":{"1":"1"},"b":[[1,1,"1"]]}'
+ZERO_INDEX_OP = '{"variant":"explicit","a":{"0":"1","1":"1"}}'
+
+
+@pytest.mark.parametrize("args", [
+    ("moments", "--poly", "x1^2"),
+    ("tables",),
+    ("welldefined", "--trials", "1"),
+], ids=lambda args: args[0])
+@pytest.mark.parametrize("spec, reason", [
+    (NON_STRING_B_OP, "variable 1 is not a string"),
+    (ZERO_INDEX_OP, "bad variable '0'"),
+    ('{"variant":"explicit","a":{"-1":"1"}}', "bad variable '-1'"),
+    ('{"variant":"explicit","a":{"1_0":"1"}}', "bad variable '1_0'"),
+    ('{"variant":"explicit","a":{"[1_0,1,0]@0":"1"}}', "bad cell literal '[1_0,1,0]@0'"),
+], ids=["non-string", "zero", "negative", "underscore", "cell-underscore"])
+def test_a_spec_variable_outside_the_text_rule_is_a_usage_error(runner, args, spec, reason):
+    # a non-string b variable raised AttributeError (exit 1); "0" and "-1" were accepted
+    result = runner.invoke(main, [args[0], "--op", spec, *args[1:]])
+    assert_usage_error(result)
+    assert "Traceback" not in result.output
+    assert f"invalid operator spec: {reason}" in result.output
+
+
+@pytest.mark.parametrize("poly", ["x1_0^2", "x\u0661^2", "x0^2", "x[1_1,1,0]@0^2",
+                                  "x[\u0661,1,0]@0^2"])
+def test_a_poly_variable_outside_the_text_rule_is_a_usage_error(runner, poly):
+    # x1_0 read as x10 and x\u0661 (an Arabic-Indic one) as x1, both inside these universes
+    op = ["--op", "sphere", "--areas", TWELVE_AREAS] if "[" not in poly else []
+    result = runner.invoke(main, ["moments", *op, "--poly", poly])
+    assert_usage_error(result)
+    assert "Traceback" not in result.output
+    assert "bad variable" in result.output or "bad cell literal" in result.output
+
+
+def test_an_index_reads_its_ascii_digits_leading_zeros_included(runner):
+    args = ["moments", "--op", "sphere", "--areas", "1/2,1/4,1/4"]
+    assert invoke(runner, *args, "--poly", "x01^2").output == invoke(
+        runner, *args, "--poly", "x1^2").output
 
 
 @pytest.mark.parametrize("command", ["verify-invariance", "welldefined"])
@@ -1047,17 +1110,19 @@ OP_SPECS = [
     '{"variant":"cubical","d":3.5,"scale":true}',
     REPEATED_OVERRIDE_OP, INDEXED_A0_OP,
     FLOAT_EXPLICIT_OP, NON_OBJECT_A_OP, MIXED_DIM_OP, CUBE_FACES_OP, MIXED_PARTNER_OP,
+    NON_STRING_B_OP, ZERO_INDEX_OP,
 ]
 # --d and --scale choose a cubical family; drawn or left out.  --d 4 is left
 # out: a d=4 covariance window of 2 with --psd takes tens of seconds.  --d 15
-# is drawn for verify-invariance only, whose sweep is then over the site bound
-# at every window; a d=15 compat sweep is under it and runs for minutes.
+# is drawn for verify-invariance, whose sweep is then over the site bound at
+# every window, and --d 8 and 15 for welldefined, whose probe pool is then
+# over its bound; a d=15 compat sweep is under its bound and runs for minutes.
 D_VALUES, SCALE_VALUES = ["2", "3"], ["-1", "0", "1"]
 LATTICE_OPTIONS = {
     "verify-invariance": {"--d": [*D_VALUES, "15"]},
     "verify-compat": {"--d": D_VALUES},
     "covariance": {"--d": D_VALUES, "--scale": SCALE_VALUES},
-    "welldefined": {"--d": D_VALUES, "--scale": SCALE_VALUES},
+    "welldefined": {"--d": [*D_VALUES, "8", "15"], "--scale": SCALE_VALUES},
     "tables": {"--d": D_VALUES, "--scale": SCALE_VALUES},
     "moments": {"--d": D_VALUES, "--scale": SCALE_VALUES},
 }
@@ -1085,7 +1150,8 @@ def cli_arguments(draw):
                                                   TWELVE_AREAS]))]
     if command == "moments":
         args += ["--poly", draw(st.sampled_from(["x1^2*x2^2", "x[1,1,0]@0*x[0,1,1]@0", "x0+",
-                                                 "x1^4000"]))]
+                                                 "x1^4000", "x1*x[1,1,0]@0", "x1_0", "x01",
+                                                 "x[1_0,1,0]@0"]))]
     if command == "covariance" and draw(st.booleans()):
         args.append("--psd")
     for option, choices in LATTICE_OPTIONS.get(command, {}).items():

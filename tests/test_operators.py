@@ -38,7 +38,7 @@ from holoflow.operators import (
     operator_from_json,
 )
 from holoflow import operators
-from holoflow.poly import Polynomial, _var_key, ideal_from_cubes
+from holoflow.poly import Polynomial, bianchi_form, ideal_from_cubes
 from holoflow.states import covariance_window, exp_state
 from holoflow.verify import (
     _probe_pool,
@@ -536,7 +536,7 @@ def test_apply_looks_up_only_pairs_that_share_a_monomial():
 def test_sized_apply_looks_up_only_pairs_that_share_a_monomial():
     # the index path: cross pairs read the sized rows, memoized on the indices
     p, q, r, s = BASE3, Cell(0, (0, 1, 1)), Cell(0, (1, 0, 1)), Cell(0, (2, 1, 1))
-    variables = sorted([p, q, r, s], key=_var_key)
+    variables = sorted([p, q, r, s])
     index = {v: i for i, v in enumerate(variables)}
     pairs = _index_pairs(MAIN3, variables)
     f = x(p) * x(q) + 3 * x(p) * x(q, 3) * x(r) + x(s, 2) + 5 * x(r)
@@ -621,8 +621,8 @@ def test_explicit_op_universe_and_sparsity():
 def test_explicit_rows_equal_b_int_entry_by_entry():
     op = explicit_tables(MAIN3, -2, 2)
     far = Cell(1, (1, 1, 0))  # a face's coordinates, one scale finer
-    a = {**op.a, far: Fraction(1, 3), 7: Fraction(1)}
-    b = {**op.b, (BASE3, far): Fraction(5, 2), (far, far): Fraction(1, 2), (7, BASE3): 4,
+    a = {**op.a, far: Fraction(1, 3)}
+    b = {**op.b, (BASE3, far): Fraction(5, 2), (far, far): Fraction(1, 2),
          (BASE3, Cell(0, (1, 1, 2))): 0}
     op = ExplicitOp(a, b)
     cells = [v for v in op.variables() if isinstance(v, Cell)]
@@ -1099,7 +1099,7 @@ def test_support_matches_a_box_scan(fam):
 def _window1_pool(fam):
     """welldefined_property's pool for the window-1 ideal at fam's scale."""
     cubes = box_cells(fam.scale, (-1,) * fam.d, (1,) * fam.d, dim=3)
-    return _probe_pool(fam, ideal_from_cubes(cubes))
+    return _probe_pool(fam, {v for f in map(bianchi_form, cubes) for v in f.variables()})
 
 
 # the perturbed family of test_verify's WELLDEFINED_CASES
@@ -1107,12 +1107,12 @@ PERTURBED_ALPHA = operator_from_json({"variant": "cubical", "overrides": [[[0, 0
 
 
 def _pair_cases():
-    """(operator, its welldefined variables in _var_key order, the partners j of each i to
+    """(operator, its welldefined variables in order, the partners j of each i to
     check, None for all)."""
     for fam in (MAIN3, ALT3, MAIN3.with_scale(1), MAIN3.with_scale(-1), PERTURBED_ALPHA):
-        yield fam, sorted(_window1_pool(fam), key=_var_key), None
+        yield fam, sorted(_window1_pool(fam)), None
     # main(4)'s 2,016 variables make 4,064,256 pairs: each i against 48 seeded partners
-    variables = sorted(_window1_pool(MAIN4), key=_var_key)
+    variables = sorted(_window1_pool(MAIN4))
     yield MAIN4, variables, random.Random(1509).sample(range(len(variables)), 48)
     explicit = explicit_tables(MAIN3, -2, 1).with_entry(BASE3, Cell(0, (-1, 1, 0)), 3)
     yield explicit, explicit.variables(), None
@@ -1161,7 +1161,7 @@ def test_rows_are_fetched_once_per_parity_class(monkeypatch, fam, caller):
 
 
 def test_sized_pair_table_reads_both_orientations_at_d4():
-    variables = sorted(_window1_pool(MAIN4), key=_var_key)
+    variables = sorted(_window1_pool(MAIN4))
     index = {v: i for i, v in enumerate(variables)}
     cross_int = _index_pairs(_fresh(MAIN4), variables)[3]
     lazy = _fresh(MAIN4)
@@ -1179,7 +1179,7 @@ def test_a_variable_outside_the_universe_gets_no_row():
     # welldefined checks every variable before its pairs are read; a generator's
     # variable at another scale is numbered but never fetches a row
     outside, far = Cell(1, (1, 1, 0)), Cell(0, (3, 1, 0))
-    variables = sorted([BASE3, far, outside], key=_var_key)
+    variables = sorted([BASE3, far, outside])
     fam = _fresh(MAIN3)
     cross_int = _index_pairs(fam, variables)[3]
     assert list(fam._memo) == [(1, 1, 0)]

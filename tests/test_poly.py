@@ -14,7 +14,9 @@ from holoflow.poly import (
     LinearIdeal,
     Polynomial,
     _mono_mul,
-    _var_key,
+    _mono_sort_key,
+    _parse_var,
+    _var_text,
     bianchi_form,
     format_polynomial,
     ideal_from_cubes,
@@ -134,81 +136,50 @@ def dict_mono_mul(m1, m2):
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
+    return tuple(sorted(d.items()))
 
 
-variables = st.one_of(
-    st.integers(1, 6),
-    st.builds(Cell, st.integers(-1, 1), st.tuples(*[st.integers(-2, 2)] * 3)),
-)
-monomials = st.dictionaries(variables, st.integers(1, 4), max_size=5).map(
-    lambda d: tuple(sorted(d.items(), key=lambda p: _var_key(p[0]))))
+# one kind of variable per example, as in a universe: indices, or cells at several scales
+KINDS = {
+    "index": st.integers(1, 6),
+    "cell": st.builds(Cell, st.integers(-1, 1), st.tuples(*[st.integers(-2, 2)] * 3)),
+}
+
+
+def monomials_of(variables):
+    return st.dictionaries(variables, st.integers(1, 4), max_size=5).map(
+        lambda d: tuple(sorted(d.items())))
+
+
+monomial_pairs = st.one_of(*(st.tuples(monomials_of(v), monomials_of(v)) for v in KINDS.values()))
 
 
 @settings(max_examples=200)
-@given(monomials, monomials)
-def test_mono_mul_is_the_sorted_dict_product(m1, m2):
+@given(monomial_pairs)
+def test_mono_mul_is_the_sorted_dict_product(pair):
+    m1, m2 = pair
     assert _mono_mul(m1, m2) == dict_mono_mul(m1, m2) == _mono_mul(m2, m1)
 
 
-def var_key_merge(m1, m2):
-    """The merge with _var_key computed for every variable it compares."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    k1, k2 = _var_key(m1[0][0]), _var_key(m2[0][0])
-    while True:
-        if k1 < k2:
-            out.append(m1[i])
-            i += 1
-            if i == n1:
-                return (*out, *m2[j:])
-            k1 = _var_key(m1[i][0])
-        elif k2 < k1:
-            out.append(m2[j])
-            j += 1
-            if j == n2:
-                return (*out, *m1[i:])
-            k2 = _var_key(m2[j][0])
-        else:
-            v, e = m1[i]
-            out.append((v, e + m2[j][1]))
-            i += 1
-            j += 1
-            if i == n1:
-                return (*out, *m2[j:])
-            if j == n2:
-                return (*out, *m1[i:])
-            k1, k2 = _var_key(m1[i][0]), _var_key(m2[j][0])
+def mixed_kind_key(v):
+    """The variable key of a model that let indices and cells share a universe, indices first."""
+    return (1, v.scale, v.coords) if isinstance(v, Cell) else (0, v)
 
 
-@st.composite
-def monomial_pairs(draw):
-    """Two monomials of int and cell variables, the second sharing some of the first's."""
-    m1 = draw(monomials)
-    powers = draw(st.dictionaries(variables, st.integers(1, 4), max_size=4))
-    for v, _ in draw(st.lists(st.sampled_from(m1), unique=True) if m1 else st.just([])):
-        powers[v] = draw(st.integers(1, 4))
-    return m1, tuple(sorted(powers.items(), key=lambda p: _var_key(p[0])))
+def mixed_kind_mono_key(m):
+    return (sum(e for _, e in m), tuple((mixed_kind_key(v), e) for v, e in m))
 
 
-MIXED = ((2, 1), (5, 3), (Cell(-1, (1, 1, 0)), 2), (Cell(0, (0, 1, 1)), 1))
-
-
-@settings(max_examples=300)
-@given(monomial_pairs())
-@example(((), ()))
-@example((MIXED, ()))
-@example((MIXED, ((5, 1), (Cell(-1, (1, 1, 0)), 1), (Cell(1, (1, 0, 1)), 2))))
-@example((((Cell(0, (0, 1, 1)), 1),), ((1, 1),)))
-def test_native_order_merge_matches_the_var_key_merge(pair):
-    m1, m2 = pair
-    assert _mono_mul(m1, m2) == var_key_merge(m1, m2)
-    assert _mono_mul(m2, m1) == var_key_merge(m2, m1)
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(KINDS)).flatmap(
+    lambda kind: st.tuples(st.lists(KINDS[kind], max_size=8),
+                           st.lists(monomials_of(KINDS[kind]), max_size=8))))
+def test_native_order_is_the_mixed_kind_key_within_one_kind(drawn):
+    # a cell compares as (scale, coords) and an index as an int, so sorting needs no key
+    variables, monos = drawn
+    assert sorted(variables) == sorted(variables, key=mixed_kind_key)
+    assert max(variables, default=None) == max(variables, key=mixed_kind_key, default=None)
+    assert sorted(monos, key=_mono_sort_key) == sorted(monos, key=mixed_kind_mono_key)
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,6 +218,13 @@ def test_leibniz_rule(f, g, v):
 @given(small_polys(), st.integers(1, 3), st.integers(1, 3))
 def test_mixed_partials_commute(f, u, v):
     assert f.derive(u).derive(v) == f.derive(v).derive(u)
+
+
+def test_a_zeroth_power_is_one():
+    assert x(1, 0) == x(Cell(0, (1, 1, 0)), 0) == Polynomial.const(1)
+    assert parse_polynomial("x1^0*x2") == x(2)
+    with pytest.raises(ValueError, match="negative exponent"):
+        x(1, -1)
 
 
 def test_eval_zero():
@@ -393,7 +371,7 @@ def full_scan_insert(subst, form):
     form = {v: c for v, c in form.items() if c}
     if not form:
         return
-    lead = max(form, key=_var_key)
+    lead = max(form)
     coef = form.pop(lead)
     rhs = {w: -cw / coef for w, cw in form.items()}
     for other in subst.values():
@@ -494,6 +472,9 @@ def test_polynomial_literal_roundtrip():
     q = Cell(0, (0, 1, 1))
     f = Fraction(3, 2) * x(p, 2) * x(q) - x(q) + 5
     assert parse_polynomial(format_polynomial(f)) == f
+    # terms by falling degree, factors in variable order, an exponent of 1 left out
+    assert format_polynomial(f) == "3/2*x[0,1,1]@0*x[1,1,0]@0^2 - x[0,1,1]@0 + 5"
+    assert format_polynomial(x(1) * x(2, 3) - 2 * x(3)) == "x1*x2^3 - 2*x3"
 
 
 def test_parse_cli_shapes():
@@ -503,10 +484,55 @@ def test_parse_cli_shapes():
     assert parse_polynomial("x1^2*x2^2") == x(1, 2) * x(2, 2)
     assert parse_polynomial("x[1,1,-2]@0 - 1") == x(Cell(0, (1, 1, -2))) - 1
     assert parse_polynomial("-x1 + x1") == Polynomial()
+    assert parse_polynomial("x12^10*x3") == x(12, 10) * x(3)
+
+
+@pytest.mark.parametrize("text", ["x1+", "x1-", "+-", "x1--"])
+def test_a_sign_with_no_term_after_it_is_dangling(text):
+    with pytest.raises(ValueError, match="dangling sign"):
+        parse_polynomial(text)
 
 
 def test_parse_rejects_junk():
     for text in ("", "x", "x0", "3//2*x1", "x1^-2", "x[1,1]@", "y1", "x1**2", "*x1", "x1*", "*",
                  "x1+", "x1^"):
         with pytest.raises(ValueError):
+            parse_polynomial(text)
+
+
+@pytest.mark.parametrize("text, var", [
+    ("1", 1), ("01", 1), (" 12 ", 12), ("[1,1,0]@0", Cell(0, (1, 1, 0))),
+    (" [1,-1,+2]@-1 ", Cell(-1, (1, -1, 2))),
+])
+def test_parse_var_reads_an_index_or_a_cell(text, var):
+    assert _parse_var(text) == var
+    assert _parse_var(_var_text(var)) == var
+
+
+@pytest.mark.parametrize("text", [
+    "0", "-1", "+1", "1_0", "\u0661", "\u00b2", "1.0", "", "x1", "[1_0,1,0]@0", "[1,1,0]@\u0661",
+    1, None, ["1"],
+])
+def test_parse_var_refuses_all_else(text):
+    # "1_0" read as 10 and "\u0661" (an Arabic-Indic one) as 1; a number crashed the JSON reader
+    with pytest.raises(ValueError):
+        _parse_var(text)
+
+
+@pytest.mark.parametrize("text", ["x1*x[1,1,0]@0", "x1+x[1,1,0]@0", "x[1,1,0]@0^2 - 3*x2^0"])
+def test_a_literal_of_both_kinds_is_refused_before_any_product(monkeypatch, text):
+    from holoflow import poly
+
+    def no_product(t1, t2):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(poly, "_mul_terms", no_product)
+    with pytest.raises(ValueError, match="mixes indices and cells"):
+        parse_polynomial(text)
+
+
+def test_an_index_is_ascii_digits_of_value_at_least_one():
+    assert parse_polynomial("x01*x2") == x(1) * x(2)
+    for text in ("x1_0", "x\u0661", "x0", "x00", "x[1_0,1,0]@0"):
+        with pytest.raises(ValueError, match="bad"):
             parse_polynomial(text)

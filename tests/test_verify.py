@@ -1,6 +1,7 @@
 """Residual checks: gauge invariance, scale compatibility, well-definedness."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from collections.abc import Callable
@@ -21,8 +22,10 @@ from holoflow.operators import (
     apply_operator,
     operator_from_json,
 )
-from holoflow.poly import LinearIdeal, Polynomial, _mono_sort_key, _var_key, ideal_from_cubes
+from holoflow import poly
+from holoflow.poly import LinearIdeal, Polynomial, _mono_sort_key, ideal_from_cubes
 from holoflow.verify import (
+    MAX_PROBE_POOL,
     ResidualReport,
     alpha_extended,
     base_plaquettes,
@@ -680,19 +683,19 @@ def test_labels_decode_each_key_half_once(monkeypatch):
 def test_welldefined_for_sphere():
     op = SphereOp([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
     ideal = LinearIdeal([Polynomial.linear({1: 1, 2: 1, 3: 1})])
-    reports = welldefined_property(op, ideal, trials=25, seed=1)
+    reports = welldefined_property(op, ideal.generators, trials=25, seed=1)
     assert reports and not violations(reports)
 
 
 def test_welldefined_for_lattice_families():
     ideal = ideal_from_cubes([CUBE, Cell(0, (3, 1, 1))])
     for fam in (MAIN3, ALT3):
-        reports = welldefined_property(fam, ideal, trials=25, seed=2)
+        reports = welldefined_property(fam, ideal.generators, trials=25, seed=2)
         assert reports and not violations(reports)
 
 
 def test_welldefined_checks_nothing_for_an_ideal_with_no_generators():
-    assert welldefined_property(MAIN3, LinearIdeal([]), trials=5, seed=0) == []
+    assert welldefined_property(MAIN3, [], trials=5, seed=0) == []
 
 
 def test_welldefined_detects_d4_descent_failure():
@@ -715,9 +718,13 @@ def test_welldefined_reports_faults():
     b[(1, 2)] += 1
     broken = ExplicitOp(a={i: areas[i - 1] for i in range(1, 4)}, b=b)
     ideal = LinearIdeal([Polynomial.linear({1: 1, 2: 1, 3: 1})])
-    reports = welldefined_property(broken, ideal, trials=25, seed=3)
+    reports = welldefined_property(broken, ideal.generators, trials=25, seed=3)
     assert violations(reports)
     assert all(not r.passed or r.value == 0 for r in reports)
+
+
+def _generator_vars(ideal: LinearIdeal) -> set:
+    return {v for f_c in ideal.generators for v in f_c.variables()}
 
 
 def _record_draws(monkeypatch) -> list:
@@ -735,7 +742,8 @@ def test_constant_draws_check_nothing(monkeypatch, op):
     # criterion 7's run: a constant g gives L(f_c g) = g L(f_c) = 0 whatever the tables, so
     # 11 of its 100 trials, 88 of its 800 sites, pass even on FAULTY3, which fails elsewhere
     draws = _record_draws(monkeypatch)
-    reports = welldefined_property(op, ideal_from_cubes(default_cubes(3, 0)), trials=100, seed=41)
+    reports = welldefined_property(op, ideal_from_cubes(default_cubes(3, 0)).generators, trials=100,
+                                   seed=41)
     idle = {f"trial{t}" for t, g in enumerate(draws) if not g.variables()}
     assert len(idle) == 11 and all(draws[int(t[5:])].terms for t in idle)  # none is zero
     idle_reports = [r for r in reports if r.site[1] in idle]
@@ -758,7 +766,7 @@ def polynomial_draw(rng, pool) -> Polynomial:
 
 # a one- or two-variable pool repeats monomials, so terms cancel and come back
 DRAW_POOLS = {
-    "window1-cells": _probe_pool(MAIN3, ideal_from_cubes(default_cubes(3, 0))),
+    "window1-cells": _probe_pool(MAIN3, _generator_vars(ideal_from_cubes(default_cubes(3, 0)))),
     "two-cells": [Cell(0, (1, 1, 0)), Cell(-1, (0, 1, 1))],
     "ints": [1, 2, 3, 4, 5],
     "one-int": [7],
@@ -815,10 +823,10 @@ WELLDEFINED_FAILURES = {"main4": 35, "perturbed": None, "den6": None}
 def test_integer_probes_match_the_fraction_route(monkeypatch, case):
     op, ideal, trials, seed = WELLDEFINED_CASES[case]
     draws = _record_draws(monkeypatch)
-    reports = welldefined_property(op, ideal, trials=trials, seed=seed)
+    reports = welldefined_property(op, ideal.generators, trials=trials, seed=seed)
     assert len(draws) == trials
     # the rng draws over the pool of variables, in its str order
-    rng, pool = random.Random(seed), _probe_pool(op, ideal)
+    rng, pool = random.Random(seed), _probe_pool(op, _generator_vars(ideal))
     assert draws == [polynomial_draw(rng, pool) for _ in range(trials)]
     assert reports == _fraction_route(op, ideal, draws)
     assert all(type(r.value) is Fraction for r in reports)
@@ -838,7 +846,7 @@ def test_integer_probes_match_the_fraction_route(monkeypatch, case):
 def test_out_of_universe_generator_raises_as_the_fraction_route(monkeypatch, op, ideal):
     draws = _record_draws(monkeypatch)
     with pytest.raises(ValueError) as integer_route:
-        welldefined_property(op, ideal, trials=1, seed=0)
+        welldefined_property(op, ideal.generators, trials=1, seed=0)
     with pytest.raises(ValueError) as fraction_route:
         _fraction_route(op, ideal, draws)
     assert str(integer_route.value) == str(fraction_route.value)
@@ -852,7 +860,7 @@ def test_each_variable_is_checked_once_per_run(monkeypatch, case):
     check_var = CubicalFamilyOp.check_var
     monkeypatch.setattr(CubicalFamilyOp, "check_var",
                         lambda self, p: checked.update([p]) or check_var(self, p))
-    welldefined_property(op, ideal, trials=12, seed=seed)
+    welldefined_property(op, ideal.generators, trials=12, seed=seed)
     seen = {v for g in draws if g.terms
             for f_c in ideal.generators if f_c.terms
             for v in f_c.variables() | g.variables()}
@@ -885,11 +893,11 @@ def test_a_run_numbers_only_the_drawn_and_the_generator_variables(monkeypatch, c
     op, ideal, trials, seed = WELLDEFINED_CASES[case]
     draws = _record_draws(monkeypatch)
     calls = _record_index_pairs(monkeypatch)
-    welldefined_property(op, ideal, trials=trials, seed=seed)
+    welldefined_property(op, ideal.generators, trials=trials, seed=seed)
     ((variables, reach),) = calls
     read = set().union(*(g.variables() for g in draws), *(f.variables() for f in ideal.generators))
-    assert variables == sorted(read, key=_var_key)
-    pool = _probe_pool(op, ideal)
+    assert variables == sorted(read)
+    pool = _probe_pool(op, _generator_vars(ideal))
     if isinstance(op, CubicalFamilyOp):
         # a strict part of the pool, with rows sized as for the whole pool
         assert len(variables) < len(pool)
@@ -914,9 +922,52 @@ def test_the_closed_form_reach_is_the_spread_of_the_pool(monkeypatch, case):
         ideal = ideal_from_cubes(box_cells(0, (-w,) * op.d, (w,) * op.d, dim=3))
     calls = _record_index_pairs(monkeypatch, stop=True)
     with pytest.raises(_Stop):
-        welldefined_property(op, ideal, trials=1, seed=0)
+        welldefined_property(op, ideal.generators, trials=1, seed=0)
     ((_, reach),) = calls
-    assert reach == _spread(filter(op.has_var, _probe_pool(op, ideal)))
+    assert reach == _spread(filter(op.has_var, _probe_pool(op, _generator_vars(ideal))))
+
+
+@pytest.mark.parametrize("d, bound, pool", [(3, 240, 240), (4, 2400, 2016)])
+def test_the_pool_bound_admits_its_count_and_refuses_one_more(monkeypatch, d, bound, pool):
+    # the plaquettes of [-4, 4]^d, the generators' box [-2, 2]^d widened by the pool radius:
+    # C(d, 2) planes, 4 odd values on each of their axes, 5 even ones on every other
+    assert bound == math.comb(d, 2) * 4**2 * 5 ** (d - 2)
+    ideal = ideal_from_cubes(box_cells(0, (-1,) * d, (1,) * d, dim=3))
+    family = CubicalFamilyOp.main(d)
+    monkeypatch.setattr(verify, "MAX_PROBE_POOL", bound)
+    assert len(_probe_pool(family, _generator_vars(ideal))) == pool
+    assert welldefined_property(family, ideal.generators, trials=1, seed=0)
+    monkeypatch.setattr(verify, "MAX_PROBE_POOL", bound - 1)
+    refused = f"may hold {bound} variables, above the maximum {bound - 1}"
+    with pytest.raises(ValueError, match=refused):
+        _probe_pool(family, _generator_vars(ideal))
+    with pytest.raises(ValueError, match=refused):
+        welldefined_property(family, ideal.generators, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("generator_vars, bound", [
+    ({1, 2, 3, 4}, 4),
+    # the cube counts one, and its box [1, 1]^3 widened to [-1, 3]^3 holds 3 * 3^2 * 2 plaquettes
+    ({Cell(0, (1, 1, 1))}, 1 + 54),
+], ids=["indices", "cube"])
+def test_the_pool_bound_counts_each_variable_that_is_no_plaquette(monkeypatch, generator_vars,
+                                                                   bound):
+    op = SPHERE4 if 1 in generator_vars else MAIN3
+    monkeypatch.setattr(verify, "MAX_PROBE_POOL", bound)
+    _probe_pool(op, generator_vars)
+    monkeypatch.setattr(verify, "MAX_PROBE_POOL", bound - 1)
+    with pytest.raises(ValueError, match=f"may hold {bound} variables"):
+        _probe_pool(op, generator_vars)
+
+
+@pytest.mark.parametrize("case", sorted(WELLDEFINED_CASES))
+def test_a_run_eliminates_each_generator_once(monkeypatch, case):
+    op, ideal, trials, seed = WELLDEFINED_CASES[case]
+    inserted = []
+    insert = poly._insert
+    monkeypatch.setattr(poly, "_insert", lambda *args: inserted.append(1) or insert(*args))
+    welldefined_property(op, ideal.generators, trials=trials, seed=seed)
+    assert len(inserted) == len(ideal.generators)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -924,12 +975,12 @@ def test_probe_pool_is_the_pairwise_pool(d):
     # the pool as one (plaquette, offset) tuple per pair, deduplicated afterwards
     family = CubicalFamilyOp.main(d)
     ideal = ideal_from_cubes(box_cells(0, (-1,) * d, (1,) * d, dim=3))
-    generator_vars = {v for g in ideal.generators for v in g.variables()}
+    generator_vars = _generator_vars(ideal)
     cells = [v for v in generator_vars if isinstance(v, Cell)]
     offsets = _class_offsets(cells, WELLDEFINED_POOL_RADIUS)
     sites = {(v.scale, tuple(a + b for a, b in zip(v.coords, t)))
              for v in cells for t in offsets[_parity(v)]}
     pool_set = generator_vars | {Cell(scale, coords) for scale, coords in sites}
     want = sorted((v for v in pool_set if family.has_var(v)), key=lambda v: str(v))
-    assert _probe_pool(family, ideal) == want
+    assert _probe_pool(family, generator_vars) == want
     assert len(want) == {3: 240, 4: 2016}[d]
