@@ -25,7 +25,7 @@ from click.core import ParameterSource
 
 from .cells import Cell, box_cell_count, box_cells, format_cell
 from .operators import CubicalFamilyOp, SphereOp, operator_from_json
-from .poly import Polynomial, bianchi_form, parse_polynomial
+from .poly import Polynomial, _number_text, bianchi_form, parse_polynomial
 from .states import (
     covariance_window,
     exp_state,
@@ -59,7 +59,7 @@ def main():
 
 def _parse_areas(text: str) -> list[Fraction]:
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        return [Fraction(_number_text(part.strip())) for part in text.split(",") if part.strip()]
     except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"bad areas {text!r}; expected fractions like 1/2,1/4,1/4")
 
@@ -117,7 +117,7 @@ def _refuse_given(names: Sequence[str], reason: str) -> None:
 
 def _parse_scales(text: str) -> list[int]:
     try:
-        out = [int(part) for part in text.split(",") if part.strip()]
+        out = [int(_number_text(part)) for part in text.split(",") if part.strip()]
     except ValueError:
         raise click.UsageError(f"bad scales {text!r}; expected integers like -1,0,1")
     if not out:

@@ -77,7 +77,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from ._frozen import Frozen
 
 from .cells import Cell, box_cells, decode_key, key_capacity, offset_key
-from .poly import Polynomial, _check_one_kind, _parse_var, _var_text
+from .poly import Polynomial, _check_one_kind, _number_text, _parse_var, _var_text
 
 
 # A family's radix is 2 ** (_KEY_BITS // d): its offset keys stay below 2 ** 59,
@@ -911,7 +911,7 @@ def _json_int(name: str, value) -> int:
 
 
 def _json_exact(name: str, value) -> Fraction:
-    """The exact number a JSON integer or a string such as "p/q" spells.
+    """The exact number a JSON integer or an ASCII string with no "_", such as "p/q", spells.
 
     A JSON float is already a binary approximation (0.1 would become
     3602879701896397/36028797018963968) and true is no number, so both
@@ -919,4 +919,4 @@ def _json_exact(name: str, value) -> Fraction:
     """
     if type(value) is not int and not isinstance(value, str):
         raise ValueError(f"{name} {value!r} is not an integer or a \"p/q\" string")
-    return Fraction(value)
+    return Fraction(value if type(value) is int else _number_text(value))

@@ -56,6 +56,14 @@ def _parse_var(text) -> Cell | int:
     return int(s)
 
 
+def _number_text(text: str) -> str:
+    """text, if it is ASCII with no "_", for Fraction or int to read: they would take "1_0" as
+    10 and an Arabic-Indic one as 1.  All else is a ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"bad number {text!r}: numbers are ASCII, with no '_'")
+    return text
+
+
 def _check_one_kind(variables: Iterable, what: str) -> None:
     """Raise ValueError if variables hold both an index and a cell."""
     if len({isinstance(v, Cell) for v in variables}) > 1:
@@ -356,7 +364,7 @@ def _parse_factor(factor: str, context: str):
     """A factor of a term: (variable, exponent) for "x...", else its Fraction."""
     if not factor.startswith("x"):
         try:
-            return Fraction(factor)
+            return Fraction(_number_text(factor))
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad factor {factor!r} in {context!r}") from None
     body, exp = factor, 1
@@ -364,7 +372,7 @@ def _parse_factor(factor: str, context: str):
     if caret >= 0:
         body, exp_text = factor[:caret], factor[caret + 1 :]
         try:
-            exp = int(exp_text)
+            exp = int(_number_text(exp_text))
         except ValueError:
             raise ValueError(f"bad exponent in {factor!r} ({context!r})") from None
         if exp < 0:

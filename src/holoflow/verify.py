@@ -19,12 +19,13 @@ Three families of checks, all exact:
   generators f_c and seeded random polynomials g, run on integers
   (welldefined_property).
 
-Lattice residuals are integers over the operator's unit, made a Fraction
-once per class and offset; every zero reports one shared Fraction(0), which
-passed tests by identity before it compares.  A ResidualReport is a named
-tuple (condition, site, value), so its own order is the canonical one.
-MAX_SWEEP_SITES bounds a sweep, counted in closed form before any site is
-listed.
+Lattice residuals are integers over the operator's unit.  A ResidualReport
+is a named tuple (condition, site, value), so its own order is the canonical
+one.  A sweep names only the sites that fail: every site that passes in one
+call is the same report, (condition, (), Fraction(0)), whose shared zero
+passed tests by identity before it compares, so len(reports) still counts
+the sites checked.  MAX_SWEEP_SITES bounds a sweep, counted in closed form
+before any site is listed.
 
 Numerators read coefficient rows, b_row(p, reach): offset_key(q - p) ->
 b_int(p, q), nonzero entries only, which a family and an ExplicitOp both
@@ -44,22 +45,20 @@ class builder and compat's per-center report name; gauge_sweep and
 compat_sweep each make one call, with _GAUGE or _COMPAT.  A numerator
 depends only on the center's translation class (_classes) and the offset t
 of its site.  At a class's first center the builder returns (head value,
-numerator(t), unit), and the driver tabulates t's site key and n * unit, or
-the shared zero, at every offset, filling the class row t -> numerator on a
-miss; every later center only labels its sites, about 1 us a site, less
-than shipping a report to another process.  A gauge miss reads p = cube + t
-from the driver's partner memo; a compat miss is one stencil on p's own
-row, 4 B(t) - sum m B(2t + s) over the child steps s = e_q - e_p
+numerator(t), unit), and the driver counts the offsets whose numerator is
+zero and lists the others as (t, n * unit), filling the class row t ->
+numerator on a miss; every later center repeats the shared pass that many
+times and formats a label for each failing offset only.  A gauge miss reads
+p = cube + t from the driver's partner memo; a compat miss is one stencil
+on p's own row, 4 B(t) - sum m B(2t + s) over the child steps s = e_q - e_p
 (_child_steps).  A descent check would be one more record: a builder that
 fetches the faces' rows once per class and reads b_qp from the partner
 memo's row for q.
 
-A site key is offset_key, Horner form in a radix that covers the sweep's
-box, so a site's key is its center's plus t's and its label is one hit in a
-per-scale dict, key -> label (_Labels), made from its key's two memoized
-halves.  A sweep returns its reports as it builds them: centers in head
-order, then each class's offsets in its offset order.  Nothing sorts the
-sites; the CLI sorts only the violations it prints.
+A sweep returns its reports as it builds them: compat's head reports
+first, then centers in head order, each center's passes, then its failures
+in its class's offset order.  Nothing sorts the sites; the CLI sorts only
+the violations it prints.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ from fractions import Fraction
 from operator import add, itemgetter, sub, xor
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cells import (Cell, boundary, box_cell_count, box_cells, children, decode_key, format_cell,
-                    offset_key, plaquette_offsets, plaquettes_near, site_radix)
+from .cells import (Cell, boundary, box_cell_count, box_cells, children, format_cell, offset_key,
+                    plaquette_offsets, plaquettes_near)
 from .operators import CubicalFamilyOp, _apply_int, _check_vars, _index_pairs, _spread
 from .poly import (LinearIdeal, Polynomial, _integer_terms, _mono_degree, _mono_from_dict,
                    _mono_sort_key, _mul_terms)
@@ -81,7 +80,11 @@ _ZERO = Fraction(0)
 
 
 class ResidualReport(NamedTuple):
-    """One site's residual; reports order by (condition, site)."""
+    """One site's residual; reports order by (condition, site).
+
+    site is the site's labels, center first; a sweep's passing sites share
+    one report whose site is ().
+    """
 
     condition: str
     site: tuple[str, ...]
@@ -172,62 +175,6 @@ def _classes(op) -> tuple[Callable, Callable]:
     return Cell, lambda condition, key: {}
 
 
-def _site_keys(centers: Sequence[Cell], radius: int, offsets: dict) -> tuple[int, dict]:
-    """A sweep's radix and its offset keys: pattern -> [offset_key(t, radix) for t in offsets].
-
-    In the site_radix of the centers every site coordinate is a digit, so
-    offset_key is injective on the sweep's box, and a site's key is its
-    center's plus its offset's.
-    """
-    radix = site_radix([c.coords for c in centers], radius)
-    return radix, {pattern: [offset_key(t, radix) for t in ts] for pattern, ts in offsets.items()}
-
-
-class _Block(dict):
-    """offset_key(coords) -> prefix + the coordinates joined by commas + suffix, for n
-    coordinates in the radix, formatted on first use."""
-
-    __slots__ = ("radix", "n", "prefix", "suffix")
-
-    def __init__(self, radix: int, n: int, prefix: str, suffix: str):
-        super().__init__()
-        self.radix, self.n, self.prefix, self.suffix = radix, n, prefix, suffix
-
-    def __missing__(self, key: int) -> str:
-        text = self[key] = (self.prefix + ",".join(map(str, decode_key(key, self.radix, self.n)))
-                            + self.suffix)
-        return text
-
-
-class _Labels(dict):
-    """offset_key(coords) -> plaquette label at one scale and dimension, formatted on first use.
-
-    A key splits at B = radix^h, h = ceil(d / 2): its low block, the centred
-    remainder mod B, is the key of the last h coordinates, and its high block,
-    (key - low) / B, the key of the first d - h.  Each block's text is
-    memoized on its own, "[x0,x1," and "x2,x3]@scale" at d = 4, so a new label
-    is one concatenation of two dict hits and decode_key runs once per
-    distinct block, not once per label.  At d = 1 the high block is empty and
-    its text is "[".
-    """
-
-    __slots__ = ("block", "half", "heads", "tails")
-
-    def __init__(self, scale: int, d: int, radix: int):
-        super().__init__()
-        h = (d + 1) // 2
-        self.block = radix**h
-        self.half = self.block // 2
-        self.heads = _Block(radix, d - h, "[", "," if d > h else "")
-        self.tails = _Block(radix, h, "", "]@" + str(scale))
-
-    def __missing__(self, key: int) -> str:
-        block, half = self.block, self.half
-        low = (key + half) % block - half
-        label = self[key] = self.heads[(key - low) // block] + self.tails[low]
-        return label
-
-
 class _Condition(NamedTuple):
     """A swept condition: its reports' name, its class rows' memo name, its rows' reach at a
     radius, its class builder and, if it reports one value per center, that report's name."""
@@ -241,25 +188,28 @@ class _Condition(NamedTuple):
 
 def _table_sweep(op, centers: Sequence[Cell], radius: int,
                  condition: _Condition) -> list[ResidualReport]:
-    """condition's reports at every center and every plaquette within max-norm radius of it:
-    the head reports, if any, then each center's sites, centers in head-label order and
-    each center's sites in its class's offset order.
+    """condition's reports, one per site, at every center and every plaquette within max-norm
+    radius of it: the head reports, if any, then each center's sites, centers in head-label
+    order, each center's passes first, then its failures in its class's offset order.
 
-    Each class's table is built at its first center in the given order, so a
-    class fails at the same center whatever order the heads sort in; then
-    the centers are listed in head order, by a stable sort that keeps
-    duplicate centers adjacent, so the list does not depend on the order of
-    distinct centers.  build(op, center, reach, partner) gives (head value,
-    numerator(t), unit), or None for a class with no sites; a numerator of
-    None skips its offset.  partner(scale, coords) is the sweep's memo, by
-    class, of (a_int(p), b_row(p, reach)), or None for a p outside the
-    universe.  Class rows stay keyed by the offset tuple: offsets past the
-    radix's capacity, whose partners lie outside the universe, must miss.
+    Each passing site is the one report (condition.name, (), _ZERO); a
+    failing site is named (head label, plaquette label), its label formatted
+    only then.  Each class's table, (head value, passing offsets, [(t, value)
+    at each failing offset]), is built at its first center in the given
+    order, so a class fails at the same center whatever order the heads sort
+    in; then the centers are listed in head order, by a stable sort that
+    keeps duplicate centers adjacent, so the list does not depend on the
+    order of distinct centers.  build(op, center, reach, partner) gives
+    (head value, numerator(t), unit), or None for a class with no sites; a
+    numerator of None skips its offset.  partner(scale, coords) is the
+    sweep's memo, by class, of (a_int(p), b_row(p, reach)), or None for a p
+    outside the universe.  Class rows stay keyed by the offset tuple:
+    offsets past op's radix capacity, whose partners lie outside the
+    universe, must miss.
     """
     offsets, (class_key, class_row) = _class_offsets(centers, radius), _classes(op)
-    radix, offset_keys = _site_keys(centers, radius, offsets)
     reach = condition.reach(radius)
-    classes, partners, labels = {}, {}, {}
+    classes, partners = {}, {}
 
     def partner(scale: int, coords: tuple) -> tuple | None:
         key = class_key(scale, coords)
@@ -274,44 +224,31 @@ def _table_sweep(op, centers: Sequence[Cell], radius: int,
         table = classes.get(key)
         if table is None:
             row, built = class_row(condition.memo, key), condition.build(op, c, reach, partner)
-            head, values = None, []
+            head, passes, fails = None, 0, []
             if built is not None:
                 head, numerator, unit = built
-                pattern = _parity(c)
-                for t, k in zip(offsets[pattern], offset_keys[pattern]):
+                for t in offsets[_parity(c)]:
                     n = row.get(t)
                     if n is None:
                         n = numerator(t)
                         if n is None:
                             continue
                         row[t] = n
-                    values.append((k, n * unit if n else _ZERO))
-            table = classes[key] = (head, values)
+                    if n:
+                        fails.append((t, n * unit))
+                    else:
+                        passes += 1
+            table = classes[key] = (head, passes, fails)
         listed.append((format_cell(c), c, table))
     listed.sort(key=itemgetter(0))
+    name, passed = condition.name, ResidualReport(condition.name, (), _ZERO)
     reports = ([ResidualReport(condition.head, (h,), table[0]) for h, _, table in listed]
                if condition.head else [])
-    for h, c, table in listed:
-        reports += _site_reports(condition.name, c, h, table[1], labels, radix)
+    for h, c, (_, passes, fails) in listed:
+        reports += [passed] * passes
+        reports += [ResidualReport(name, (h, format_cell(Cell(c.scale, map(add, c.coords, t)))),
+                                   value) for t, value in fails]
     return reports
-
-
-def _site_reports(condition: str, center: Cell, head: str, values: Sequence[tuple],
-                  labels: dict, radix: int) -> list[ResidualReport]:
-    """Reports at (center, center + t) for the (key(t), value) pairs of center's class, in
-    their order.
-
-    labels is the sweep's memo, (scale, d) -> _Labels: a plaquette seen from
-    several centers is formatted once per sweep.  A site's key is its
-    center's plus t's.
-    """
-    scale, u = center.scale, center.coords
-    seen = labels.get((scale, len(u)))
-    if seen is None:
-        seen = labels[scale, len(u)] = _Labels(scale, len(u), radix)
-    base = offset_key(u, radix)
-    new = tuple.__new__
-    return [new(ResidualReport, (condition, (head, seen[base + k]), value)) for k, value in values]
 
 
 # -- gauge invariance ---------------------------------------------------------
@@ -372,8 +309,8 @@ def default_cubes(d: int, scale: int) -> list[Cell]:
 
 
 def gauge_sweep(op, cubes: Sequence[Cell], radius: int) -> list[ResidualReport]:
-    """Gauge residuals for every site: centers in head-label order, then each class's
-    offsets."""
+    """Gauge residuals, one report per (cube, plaquette) site within radius; only failing
+    sites are named (_table_sweep)."""
     return _table_sweep(op, cubes, radius, _GAUGE)
 
 
@@ -534,8 +471,8 @@ def base_plaquettes(d: int, scale: int) -> list[Cell]:
 
 def compat_sweep(family: CubicalFamilyOp, plaquettes: Sequence[Cell],
                  radius: int) -> list[ResidualReport]:
-    """Both compatibility residuals over (p, q) windows: the compat_a reports, then the
-    compat_b ones, centers in head-label order, then each class's offsets."""
+    """Both compatibility residuals over (p, q) windows: a named compat_a report per
+    plaquette, then one compat_b report per site, only failing sites named (_table_sweep)."""
     return _table_sweep(family, plaquettes, radius, _COMPAT)
 
 

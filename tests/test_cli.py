@@ -752,6 +752,23 @@ def test_tally_sorts_each_sweeps_violations_on_its_own():
     assert (sites, [r.value for r in bad]) == (5, [2, 1, 4, 3])
 
 
+@pytest.mark.parametrize("case", sorted(case for case, args in GOLDEN_CASES.items()
+                                        if args[0].startswith("verify-")))
+def test_a_golden_sweep_reports_each_site_it_counts(runner, monkeypatch, case):
+    # a pass is counted, though unnamed: one report per site the closed form counts, and a
+    # compat sweep's one compat_a report per plaquette
+    counts = []
+    for name, heads in (("gauge_sweep", 0), ("compat_sweep", 1)):
+        def counted(op, centers, radius, sweep=getattr(cli, name), heads=heads):
+            reports = sweep(op, centers, radius)
+            counts.append((len(reports), sweep_sites(centers, radius) + heads * len(centers)))
+            return reports
+        monkeypatch.setattr(cli, name, counted)
+    result = runner.invoke(main, [*GOLDEN_CASES[case], "--format", "json"])
+    assert counts and all(got == want for got, want in counts)
+    assert json.loads(result.output)["summary"]["sites"] == sum(got for got, _ in counts)
+
+
 # -- exit contract: bad input is a usage error (exit 2), never a traceback ------------
 
 
@@ -1040,6 +1057,40 @@ def test_a_poly_variable_outside_the_text_rule_is_a_usage_error(runner, poly):
     assert "bad variable" in result.output or "bad cell literal" in result.output
 
 
+SPHERE_ARGS = ("--op", "sphere", "--areas", "1/2,1/4,1/4")
+
+
+@pytest.mark.parametrize("args", [
+    ("moments", *SPHERE_ARGS, "--poly", "x1^1_0"),
+    ("moments", *SPHERE_ARGS, "--poly", "x1^\u0661"),
+    ("moments", *SPHERE_ARGS, "--poly", "1_0*x1^2"),
+    ("moments", *SPHERE_ARGS, "--poly", "\u0661*x1^2"),
+    ("sphere-check", "--areas", "1_0/2_0,1/2"),
+    ("sphere-check", "--areas", "\u0661/\u0662,1/2"),
+    ("verify-invariance", "--window", "1", "--scales", "0_0"),
+    ("verify-compat", "--window", "1", "--scales", "\u0660"),
+    ("moments", "--op", '{"variant":"sphere","areas":["1_0/2_0","1/2"]}', "--poly", "x1^2"),
+], ids=["exponent-underscore", "exponent-arabic", "coefficient-underscore",
+        "coefficient-arabic", "areas-underscore", "areas-arabic", "scales-underscore",
+        "scales-arabic", "json-area-underscore"])
+def test_number_text_outside_ascii_or_with_an_underscore_is_a_usage_error(runner, args):
+    # each was read: "1_0" as 10 and an Arabic-Indic digit as its value
+    result = runner.invoke(main, list(args))
+    assert_usage_error(result)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args, same", [
+    (("moments", *SPHERE_ARGS, "--poly", " -1/2 * x1^2"), ("--poly", "-0.5*x1^2")),
+    (("sphere-check", "--areas", " 0.5 , 1/4,1/4"), ("--areas", "1/2,1/4,1/4")),
+    (("verify-invariance", "--window", "1", "--scales", " +0 "), ("--scales", "0")),
+])
+def test_number_text_keeps_its_signs_decimals_and_spaces(runner, args, same):
+    result = invoke(runner, *args)
+    assert result.exit_code == 0
+    assert result.output == invoke(runner, *args[:-2], *same).output
+
+
 def test_an_index_reads_its_ascii_digits_leading_zeros_included(runner):
     args = ["moments", "--op", "sphere", "--areas", "1/2,1/4,1/4"]
     assert invoke(runner, *args, "--poly", "x01^2").output == invoke(
@@ -1102,7 +1153,7 @@ SIZED_OPTIONS = {
 }
 OP_SPECS = [
     "cubical", "alt3", "sphere", "mystery", "{bad json", FAULT_OP, SPHERE_SPEC_OP,
-    '{"variant":"sphere","areas":["1/0","1"]}',
+    '{"variant":"sphere","areas":["1/0","1"]}', '{"variant":"sphere","areas":["1_0/2_0","1/2"]}',
     '{"variant":"cubical","overrides":[[[0,0,1],"alpha",1.5]]}',
     '{"variant":"cubical","overrides":[[[0,0,1],"alpha",true]]}',
     '{"variant":"cubical","overrides":[[[0,0],"alpha",1]]}',
@@ -1147,18 +1198,20 @@ def cli_arguments(draw):
         args += ["--op", op]
     if command == "sphere-check" or command in ("moments", "welldefined") and draw(st.booleans()):
         args += ["--areas", draw(st.sampled_from(["1/2,1/4,1/4", "1/2,1/0", "1/3,1/3,1/3",
-                                                  TWELVE_AREAS]))]
+                                                  TWELVE_AREAS, "1_0/2_0,1/2",
+                                                  "\u0661/\u0662,1/2"]))]
     if command == "moments":
         args += ["--poly", draw(st.sampled_from(["x1^2*x2^2", "x[1,1,0]@0*x[0,1,1]@0", "x0+",
                                                  "x1^4000", "x1*x[1,1,0]@0", "x1_0", "x01",
-                                                 "x[1_0,1,0]@0"]))]
+                                                 "x[1_0,1,0]@0", "x1^1_0", "x1^\u0661",
+                                                 "1_0*x1^2", "\u0661*x1^2"]))]
     if command == "covariance" and draw(st.booleans()):
         args.append("--psd")
     for option, choices in LATTICE_OPTIONS.get(command, {}).items():
         if draw(st.booleans()):
             args += [option, draw(st.sampled_from(choices))]
     if command == "verify-invariance" and draw(st.booleans()):
-        args += ["--scales", draw(st.sampled_from(["0", "5", "0,1"]))]
+        args += ["--scales", draw(st.sampled_from(["0", "5", "0,1", "0_0", "\u0660"]))]
     return args
 
 

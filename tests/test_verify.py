@@ -7,9 +7,7 @@ from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
 from holoflow.cells import (Cell, boundary, box_cells, cells_near, children, decode_key,
                             format_cell, offset_key, parse_cell, site_radix)
@@ -96,11 +94,13 @@ def test_gauge_residual_input_validation():
 
 
 def test_gauge_sweep_is_clean_and_in_head_order():
-    # centers in head-label order, each center's sites distinct; nothing sorts the sites
-    reports = gauge_sweep(MAIN3, default_cubes(3, 0), 2)
+    # one report per site; failing sites come with their centers in head-label order
+    cubes = default_cubes(3, 0)
+    reports = gauge_sweep(MAIN3, cubes, 2)
     assert reports and not violations(reports)
-    heads = [r.site[0] for r in reports]
-    assert heads == sorted(heads) and len({r.site for r in reports}) == len(reports)
+    _assert_like_oracle(reports, _gauge_oracle(MAIN3, cubes, 2))
+    heads = [r.site[0] for r in violations(gauge_sweep(_fresh(FAULTY3, 0), cubes, 2))]
+    assert heads and heads == sorted(heads)
 
 
 def test_explicit_fault_breaks_gauge_invariance():
@@ -114,10 +114,11 @@ def test_explicit_fault_breaks_gauge_invariance():
 
 def test_explicit_tables_sweep_like_the_family_at_their_sites():
     cubes = default_cubes(3, 0)
-    explicit = gauge_sweep(explicit_tables(MAIN3, -3, 2), cubes, 2)
-    family = {r.site: r for r in gauge_sweep(MAIN3, cubes, 2)}
-    assert explicit and len(explicit) < len(family)
-    assert all(family[r.site] == r for r in explicit)
+    op = explicit_tables(MAIN3, -3, 2)
+    explicit, want = gauge_sweep(op, cubes, 2), _gauge_oracle(op, cubes, 2)
+    assert explicit and len(explicit) < len(gauge_sweep(MAIN3, cubes, 2))
+    _assert_like_oracle(explicit, want)
+    assert all(gauge_residual(MAIN3, *map(parse_cell, r.site)) == r.value for r in want)
 
 
 def test_explicit_fault_violations_are_the_nonzero_single_site_residuals():
@@ -125,7 +126,7 @@ def test_explicit_fault_violations_are_the_nonzero_single_site_residuals():
     reports = gauge_sweep(op, default_cubes(3, 0), 2)
     bad = violations(reports)
     assert bad and len(bad) < len(reports)
-    assert bad == [r for r in reports if gauge_residual(op, *map(parse_cell, r.site)) != 0]
+    _assert_like_oracle(reports, _gauge_oracle(op, default_cubes(3, 0), 2))
 
 
 def test_cross_scale_entry_changes_no_gauge_report():
@@ -421,17 +422,21 @@ def test_a_warm_clean_family_does_not_hide_a_fault():
 @pytest.mark.parametrize("fam", [CubicalFamilyOp.main(3), CubicalFamilyOp.main(4),
                                  CubicalFamilyOp.alt()], ids=["main3", "main4", "alt3"])
 def test_swept_sites_are_in_the_universe(fam):
-    # sweeps build a site's label from its offset and check no site against the universe
-    fine = fam.with_scale(fam.scale + 1)
-    gauge = gauge_sweep(fam, default_cubes(fam.d, fam.scale), 2)
-    compat = compat_sweep(fam, base_plaquettes(fam.d, fam.scale), 2)
-    assert gauge and compat
-    for r in gauge + compat:
+    # sweeps check no site against the universe: they count the oracle's sites, which the
+    # single-site API checks, and name a failing site from its offset; a0 + 1 fails gauge
+    shifted = fam.perturbed("a0", None, 1)
+    cubes, plaquettes = default_cubes(fam.d, fam.scale), base_plaquettes(fam.d, fam.scale)
+    for op in (fam, shifted):
+        gauge, compat = gauge_sweep(op, cubes, 2), compat_sweep(op, plaquettes, 2)
+        _assert_like_oracle(gauge, _gauge_oracle(op, cubes, 2))
+        _assert_like_oracle(compat, _compat_oracle(op, plaquettes, 2))
+    # the shifted family's named reports: its gauge violations and its compat_a heads
+    named = violations(gauge) + compat[:len(plaquettes)]
+    assert named and not violations(compat)
+    for r in named:
         cells = [parse_cell(label) for label in r.site]
         assert list(r.site) == [format_cell(c) for c in cells]
         assert fam.has_var(cells[-1])
-        if r.condition == "compat_b":
-            assert all(fine.has_var(c) for c in children(cells[-1]))
 
 
 def test_identity_rows_stay_out_of_equality():
@@ -450,10 +455,12 @@ def test_explicit_op_sites_never_share_a_row():
     universe = list(box_cells(0, (0, 0, 0), (4, 4, 4), dim=2))
     op = ExplicitOp({p: 12 for p in universe}, {})
     cubes = [CUBE, Cell(0, (3, 3, 3))]
-    sites = {r.site for r in gauge_sweep(op, cubes, 2)}
-    assert len(sites) < 2 * len(list(cells_near(CUBE, 2, dim=2)))
-    assert sites == {(str(c), str(p)) for c in cubes for p in cells_near(c, 2, dim=2)
-                     if p in op.a}
+    reports = gauge_sweep(op, cubes, 2)
+    assert len(reports) < 2 * len(list(cells_near(CUBE, 2, dim=2)))
+    _assert_like_oracle(reports, _gauge_oracle(op, cubes, 2))
+    # with no b, a site fails exactly when its plaquette is a face of its cube
+    assert {r.site for r in violations(reports)} == {(str(c), str(q)) for c in cubes
+                                                     for q in boundary(c)}
     assert not hasattr(op, "_memo")
 
 
@@ -478,12 +485,8 @@ def test_explicit_cubes_of_one_pattern_are_separate_classes():
     assert not all(op.has_var(q) for q in boundary(outside))
     for cubes in ([inside, outside], [outside, inside]):
         reports = gauge_sweep(op, cubes, 2)
-        assert {r.site[0] for r in reports} == {str(inside)}
-        assert {r.site[1] for r in reports} == {str(p) for p in cells_near(inside, 2, dim=2)
-                                                if op.has_var(p)}
-        assert violations(reports)
-        for r in reports:
-            assert r.value == gauge_residual(op, *map(parse_cell, r.site))
+        assert {r.site[0] for r in violations(reports)} == {str(inside)}
+        _assert_like_oracle(reports, _gauge_oracle(op, cubes, 2))
 
 
 def test_a_fault_sweep_computes_each_class_offset_once(monkeypatch):
@@ -522,16 +525,19 @@ def test_family_sweeps_pass_on_the_shared_zero(sweep, kind, index):
     fam = MAIN3.perturbed(kind, index, 1)
     if sweep == "gauge":
         reports = gauge_sweep(fam, default_cubes(3, 0), 2)
+        want = _gauge_oracle(fam, default_cubes(3, 0), 2)
     else:
         reports = compat_sweep(fam, base_plaquettes(3, 0), 2)
+        want = _compat_oracle(fam, base_plaquettes(3, 0), 2)
     bad = violations(reports)
     assert bad and len(bad) < len(reports)
+    _assert_like_oracle(reports, want)
     for r in reports:
         assert r.passed == (r.value == 0)
         if r.passed:
             assert r.value is verify._ZERO
-        assert _single_site_value(fam, r) == r.value
-    assert bad == [r for r in reports if _single_site_value(fam, r) != 0]
+        if r.site:
+            assert _single_site_value(fam, r) == r.value
 
 
 def test_passed_reads_a_zero_that_is_not_the_shared_one():
@@ -560,7 +566,7 @@ def test_labels_never_cross_a_scale_or_a_sweep():
         assert r.site[1] == format_cell(Cell(head.scale, label.coords))
 
 
-# -- sweep order and site keys ------------------------------------------------------
+# -- sweep order --------------------------------------------------------------------
 
 
 def _gauge_oracle(op, cubes, radius: int) -> list[ResidualReport]:
@@ -580,6 +586,15 @@ def _compat_oracle(fam, plaquettes, radius: int) -> list[ResidualReport]:
                      for p in plaquettes for q in cells_near(p, radius, dim=2)])
 
 
+def _assert_like_oracle(reports: list, want: list) -> None:
+    """reports, a sweep's, hold one report per site of want, its sorted oracle, the same
+    head reports, first and in order, and the same violations once sorted."""
+    heads = [r for r in want if len(r.site) == 1]
+    assert len(reports) == len(want)
+    assert reports[:len(heads)] == heads
+    assert sorted(violations(reports)) == violations(want)
+
+
 def _orders(centers: list) -> list[list]:
     """centers as given, reversed, and shuffled with one of them twice."""
     shuffled = centers + centers[:1]
@@ -588,16 +603,16 @@ def _orders(centers: list) -> list[list]:
 
 
 def _assert_orders_match(sweep: Callable, oracle: Callable, centers: list, want: list) -> None:
-    """sweep's reports sort to the oracle's over every one of _orders(centers), and come out
+    """sweep's reports match the oracle's over every one of _orders(centers), and come out
     as one list over every order of the distinct centers."""
     emitted = []
     for order in _orders(centers):
         reports = sweep(order)
         if len(order) == len(centers):
-            assert sorted(reports) == want
+            _assert_like_oracle(reports, want)
             emitted.append(reports)
         else:
-            assert sorted(reports) == oracle(order)
+            _assert_like_oracle(reports, oracle(order))
     assert len(emitted) == 2 and emitted[0] == emitted[1]
 
 
@@ -636,45 +651,38 @@ def test_an_explicit_sweep_over_two_scales_matches_the_sorted_oracle():
                          lambda order: _gauge_oracle(op, order, 2), cubes, want)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_site_keys_add_and_separate_the_sweep_box(data):
-    d = data.draw(st.integers(1, 15), label="d")
-    radius = data.draw(st.integers(0, 6), label="radius")
-    point = st.lists(st.integers(-12, 12), min_size=d, max_size=d).map(tuple)
-    centers = data.draw(st.lists(point, min_size=1, max_size=4), label="centers")
-    radix = site_radix(centers, radius)
-    bound = radix // 2  # R: every site coordinate of the sweep lies in [-R, R]
-    offset = st.lists(st.integers(-radius, radius), min_size=d, max_size=d).map(tuple)
-    in_box = st.lists(st.integers(-bound, bound), min_size=d, max_size=d).map(tuple)
-    key = lambda coords: offset_key(coords, radix)
-    u, t = data.draw(st.sampled_from(centers), label="u"), data.draw(offset, label="t")
-    assert key(u) + key(t) == key(tuple(map(sum, zip(u, t))))
-    v, w = data.draw(in_box, label="v"), data.draw(in_box, label="w")
-    assert (key(v) == key(w)) == (v == w)
-    labels = verify._Labels(2, d, radix)
-    assert labels[key(v)] == format_cell(Cell(2, v))
-    # v's first half with w's last, and the box's alternating corner, whose coordinates
-    # pass +-10 on both sides of the split once the box does
-    h = (d + 1) // 2
-    for u in (v[:d - h] + w[d - h:], tuple(bound * (-1) ** i for i in range(d))):
-        assert labels[key(u)] == format_cell(Cell(2, u))
+def _emitted(name: str, centers: list) -> list[ResidualReport]:
+    """A sweep's reports in its order from (head label, [(site label, value)] in offset order)
+    per center: centers in head-label order, each center's passes, then its failures."""
+    out = []
+    for head, sites in sorted(centers, key=lambda center: center[0]):
+        out += [ResidualReport(name, (), 0) for _, value in sites if value == 0]
+        out += [ResidualReport(name, (head, label), value) for label, value in sites if value]
+    return out
 
 
-def test_labels_decode_each_key_half_once(monkeypatch):
-    # a warm d=4 sweep: the rows are memoized, so decode_key serves only the labels
-    fam = _fresh(CubicalFamilyOp.main(4), 0)
-    cubes = default_cubes(4, 0)
-    gauge_sweep(fam, cubes, 2)
-    calls = _count_calls(monkeypatch, verify, "decode_key", lambda key, radix, n: (key, radix, n))
-    reports = gauge_sweep(fam, cubes, 2)
-    radix = site_radix([c.coords for c in cubes], 2)
-    sites = {parse_cell(site[1]).coords for _, site, _ in reports}
-    # the first and the last two coordinates: a key heads some labels and ends others
-    heads = {(offset_key(u[:2], radix), radix, 2) for u in sites}
-    tails = {(offset_key(u[2:], radix), radix, 2) for u in sites}
-    assert calls == Counter([*heads, *tails])
-    assert sum(calls.values()) == 2 * radix**2 < len(sites)  # 98 decodes for 864 labels
+@pytest.mark.parametrize("sweep, fam", [
+    ("gauge", FAULTY3), ("gauge", MAIN3.perturbed("a0", None, 1)), ("compat", FAULTY3)],
+    ids=["gauge-beta", "gauge-a0", "compat-beta"])
+def test_passes_are_one_unnamed_report_and_failures_name_their_site(sweep, fam):
+    if sweep == "gauge":
+        centers = default_cubes(3, 0)
+        reports = gauge_sweep(_fresh(fam, 0), centers, 2)
+        heads, name, single = [], "gauge", gauge_residual
+    else:
+        centers = base_plaquettes(3, 0)
+        reports = compat_sweep(_fresh(fam, 0), centers, 2)
+        heads = [ResidualReport("compat_a", (format_cell(p),), compat_residual_a(fam, p))
+                 for p in sorted(centers, key=format_cell)]
+        name, single = "compat_b", compat_residual_b
+    passes = [r for r in reports[len(heads):] if r.passed]
+    assert passes and all(r is passes[0] for r in passes)
+    assert passes[0] == (name, (), 0) and passes[0].value is verify._ZERO
+    bad = violations(reports)
+    assert bad and all(r.site == tuple(map(format_cell, map(parse_cell, r.site))) for r in bad)
+    sites = [(format_cell(c), [(format_cell(p), single(fam, c, p))
+                               for p in cells_near(c, 2, dim=2)]) for c in centers]
+    assert reports == heads + _emitted(name, sites)
 
 
 # -- quotient well-definedness ------------------------------------------------------
